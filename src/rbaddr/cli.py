@@ -172,20 +172,26 @@ def _build_model(cfg: dict[str, str], args):
 
 
 def _rb_config(cfg: dict[str, str], args) -> RBConfig:
+    """Run settings from the command line and config; bad values exit 1."""
     kwargs = {}
-    lengths = args.lengths or cfg.get("lengths")
-    if lengths:
-        kwargs["lengths"] = tuple(int(x) for x in str(lengths).split(",") if x.strip())
-    k = args.K or cfg.get("k")
-    if k:
-        kwargs["K"] = int(k)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    kwargs["seed"] = int(seed)
-    if "granularity" in cfg:
-        kwargs["granularity"] = cfg["granularity"]
-    if "shots" in cfg:
-        kwargs["shots"] = int(cfg["shots"])
-    return RBConfig(**kwargs)
+    try:
+        lengths = args.lengths or cfg.get("lengths")
+        if lengths:
+            kwargs["lengths"] = tuple(
+                int(x) for x in str(lengths).split(",") if x.strip()
+            )
+        k = args.K or cfg.get("k")
+        if k:
+            kwargs["K"] = int(k)
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        kwargs["seed"] = int(seed)
+        if "granularity" in cfg:
+            kwargs["granularity"] = cfg["granularity"]
+        if "shots" in cfg:
+            kwargs["shots"] = int(cfg["shots"])
+        return RBConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +257,7 @@ def _plot_data_rows(fits: dict) -> list[list]:
                 np.geomspace(1, max(2, fit.curve_meta.get("max_m", 512)), 64)
             ).astype(int)
         )
-        a, alpha, b = fit.A, fit.alpha, fit.B
-        values = a * np.power(alpha, ms.astype(float)) + b
-        for m, v in zip(ms, values):
+        for m, v in zip(ms, fit.evaluate(ms)):
             rows.append([experiment, projection, int(m), repr(float(v))])
     return rows
 

@@ -60,6 +60,11 @@ class DecayFit:
     def alpha_sigma(self) -> float:
         return self.sigma("alpha")
 
+    def evaluate(self, m) -> np.ndarray:
+        """The fitted curve at sequence lengths m, background terms included."""
+        rates = self.curve_meta.get("background_rates", ())
+        return _decay(self.params, np.asarray(m, dtype=float), rates)
+
     def to_dict(self) -> dict:
         return {
             "model": self.model,
@@ -136,9 +141,13 @@ def _lm(model_fn, jac_fn, p0, m, y, sigma):
     return p, cov, chi2, resid, iterations, converged, flags
 
 
-def _single_exp(p, m):
-    a, alpha, b = p
-    return a * np.power(alpha, m) + b
+def _decay(p, m, rates=()):
+    """A alpha^m + sum_i A_i rate_i^m + B for p = (A, alpha, A_1.., B);
+    without rates, the single exponential A alpha^m + B."""
+    out = p[0] * np.power(p[1], m) + p[-1]
+    for amp, rate in zip(p[2:-1], rates):
+        out = out + amp * rate**m
+    return out
 
 
 def _single_exp_jac(p, m):
@@ -201,7 +210,7 @@ def fit_exponential(curve_or_m, y=None, stderr=None) -> DecayFit:
 
     p0 = _initial_guess(m, y)
     p, cov, chi2, resid, iters, converged, flags = _lm(
-        _single_exp, _single_exp_jac, p0, m, y, stderr
+        _decay, _single_exp_jac, p0, m, y, stderr
     )
     dof = len(m) - 3
     chi2_red = chi2 / dof
@@ -272,10 +281,7 @@ def fit_correlation_curve(curve, alpha_1_2: float, alpha_2_1: float) -> DecayFit
     bg_names = ("A1",) if merged else ("A1", "A2")
 
     def model(p, mm):
-        out = p[0] * np.power(p[1], mm) + p[-1]
-        for amp, rate in zip(p[2:-1], bg_rates):
-            out = out + amp * rate**mm
-        return out
+        return _decay(p, mm, bg_rates)
 
     def jac(p, mm):
         am = np.power(p[1], mm)
@@ -316,6 +322,7 @@ def fit_correlation_curve(curve, alpha_1_2: float, alpha_2_1: float) -> DecayFit
         return fit
     if min(abs(p[1] - rate) for rate in bg_rates) < 1e-3:
         flags.append("alpha12_near_subsystem_rate")
+    meta["background_rates"] = list(bg_rates)
     return DecayFit(
         model="correlation_with_background",
         param_names=("A", "alpha", *bg_names, "B"),

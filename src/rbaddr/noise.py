@@ -303,16 +303,6 @@ class _HamiltonianSampler:
                     )
                 )
 
-    def at(self, t: float) -> np.ndarray:
-        h = self.static.copy()
-        for drive, coeff, delta, phi0, mx, my in self.terms:
-            eps = float(drive.amplitude(t))
-            if eps == 0.0:
-                continue
-            phase = delta * t + phi0
-            h += eps * coeff * (np.cos(phase) * mx + np.sin(phase) * my)
-        return h
-
     def stack_at(self, times: np.ndarray) -> np.ndarray:
         """Hamiltonians at many times at once, shape (len(times), 4, 4)."""
         out = np.broadcast_to(self.static, (len(times), 4, 4)).copy()
@@ -338,7 +328,7 @@ def crosstalk_hamiltonian(
     qubit-qubit detuning.  Y-axis drives use the same coupling pattern
     with the drive phase advanced by pi/2.
     """
-    return _HamiltonianSampler(p, drive1, drive2).at(t)
+    return _HamiltonianSampler(p, drive1, drive2).stack_at(np.array([float(t)]))[0]
 
 
 def _expm_antihermitian(omega: np.ndarray) -> np.ndarray:
@@ -564,11 +554,12 @@ def _gate_independent_error(model: NoiseModel) -> np.ndarray | None:
 
 
 class NoisyGateSet:
-    """Per-slot noisy channels for a model, cached per generator pair."""
+    """Per-slot and per-element noisy channels for a model, built once."""
 
     def __init__(self, model: NoiseModel):
         self.model = model
         self._cache: dict[tuple[str | None, str | None], np.ndarray] = {}
+        self._tables: dict[tuple[str, str], np.ndarray] = {}
         self._static = _gate_independent_error(model)
 
     def error_factor(self, gate: tuple[str | None, str | None]) -> np.ndarray:
@@ -616,6 +607,15 @@ class NoisyGateSet:
             )
         return self._static
 
+    def element_table(self, group: CliffordGroup, granularity: str) -> np.ndarray:
+        """Noisy channel of every group element, shape (len(group), 16, 16)."""
+        key = (group.kind, granularity)
+        if key not in self._tables:
+            channels = [element_channel(e, self, granularity) for e in group.elements]
+            self._tables[key] = np.stack(channels)
+            self._tables[key].setflags(write=False)
+        return self._tables[key]
+
 
 def noisy_gate(model: NoiseModel, gate: tuple[str | None, str | None]) -> np.ndarray:
     """Noisy PTM of one generator slot (convenience over NoisyGateSet)."""
@@ -639,20 +639,21 @@ def element_channel(
 
 
 def average_error_channel(
-    model: NoiseModel, group: CliffordGroup | str, granularity: str = "generator"
+    model: NoiseModel | NoisyGateSet,
+    group: CliffordGroup | str,
+    granularity: str = "generator",
 ) -> np.ndarray:
     """Exact group average of per-Clifford errors noisy(i) @ ideal(i)^-1."""
     if isinstance(group, str):
         group = get_group(group)
-    gateset = NoisyGateSet(model)
-    acc = np.zeros((16, 16))
-    for e in group.elements:
-        acc += element_channel(e, gateset, granularity) @ e.ptm.T
-    return acc / len(group)
+    gateset = model if isinstance(model, NoisyGateSet) else NoisyGateSet(model)
+    table = gateset.element_table(group, granularity)
+    ideal = np.stack([e.ptm for e in group.elements])
+    return np.einsum("gij,gkj->ik", table, ideal) / len(group)
 
 
 def predict_alphas(
-    model: NoiseModel, group_kind: str, granularity: str = "generator"
+    model: NoiseModel | NoisyGateSet, group_kind: str, granularity: str = "generator"
 ):
     """Twirl of the exact average error channel for one experiment group.
 
@@ -683,9 +684,10 @@ def predict_addressability(
     from .report import delta_alpha, delta_r, gate_error
     from .twirl import gamma_decay_curve
 
-    blocks1 = predict_alphas(model, "cxi", granularity)
-    blocks2 = predict_alphas(model, "ixc", granularity)
-    out3 = predict_alphas(model, "cxc", granularity)
+    gateset = NoisyGateSet(model)
+    blocks1 = predict_alphas(gateset, "cxi", granularity)
+    blocks2 = predict_alphas(gateset, "ixc", granularity)
+    out3 = predict_alphas(gateset, "cxc", granularity)
     alpha_1 = blocks1.alpha
     alpha_2 = blocks2.alpha
     a_1_2 = out3.alphas["alpha_1_2"]

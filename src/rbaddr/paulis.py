@@ -124,24 +124,19 @@ def ptm_from_kraus(
     disable it to build non-trace-preserving objects (e.g. measurement
     operators with absorbed errors).
     """
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    d = kraus[0].shape[0]
+    kraus = np.asarray(kraus, dtype=complex)
+    d = kraus.shape[1]
     n = max(1, round(np.log2(d)))
     if 2**n != d:
         raise ValueError(f"Kraus dimension {d} is not a power of 2")
     if require_tp:
-        total = sum(k.conj().T @ k for k in kraus)
+        total = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
         if np.linalg.norm(total - np.eye(d)) > max(atol, 1e-10):
             raise ValueError("Kraus set is not trace preserving")
-    paulis = pauli_matrices(n)
-    ptm = np.zeros((4**n, 4**n))
-    for k in kraus:
-        kd = k.conj().T
-        for j, pj in enumerate(paulis):
-            img = k @ pj @ kd
-            for i, pi in enumerate(paulis):
-                ptm[i, j] += np.trace(pi @ img).real / d
-    return ptm
+    paulis = np.stack(pauli_matrices(n))
+    # images[j] = sum_k K_k P_j K_k^dag; R[i, j] = Tr[P_i images[j]] / d
+    images = np.einsum("kab,jbc,kdc->jad", kraus, paulis, kraus.conj())
+    return np.einsum("ida,jad->ij", paulis, images).real / d
 
 
 def compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:

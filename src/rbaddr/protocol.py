@@ -3,9 +3,10 @@
 Experiment 1 twirls qubit 1 alone (CxI, qubit 2 idles), experiment 2
 mirrors it (IxC), experiment 3 runs independent random Cliffords on both
 qubits at once (CxC).  Each sequence of m random elements plus the
-table-computed recovery is propagated through the per-slot noisy
-channels; the four final populations give the traced projections
-p00+p01 (qubit 1), p00+p10 (qubit 2) and the correlation p00+p11.
+table-computed recovery is propagated through the noisy element channels
+of one gate set shared by the three experiments, K sequences at a time;
+the four final populations give the traced projections p00+p01 (qubit 1),
+p00+p10 (qubit 2) and the correlation p00+p11.
 
 Noise enters once per generator slot by default (error scales with
 pulse count); an optional per-Clifford mode applies one channel per
@@ -17,11 +18,13 @@ execution order.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cliffords import CliffordGroup, element_slots, get_group
+# element_slots stays importable here: bench/run.py wraps it under this name
+from .cliffords import CliffordGroup, element_slots, get_group  # noqa: F401
 from .noise import NoiseModel, NoisyGateSet
 from .paulis import computational_povm_vector, computational_state
 
@@ -114,22 +117,20 @@ def generate_sequence(
 def simulate_sequence(
     group: CliffordGroup,
     indices,
-    recovery: int,
+    recovery,
     gateset: NoisyGateSet,
     spam: SpamModel,
     granularity: str = "generator",
 ) -> np.ndarray:
-    """Propagate one sequence; returns (p00, p01, p10, p11)."""
-    state = spam.prep.copy()
-    for idx in (*indices, recovery):
-        element = group.elements[int(idx)]
-        if granularity == "clifford":
-            state = element.ptm @ state
-            state = gateset.clifford_error() @ state
-        else:
-            for slot in element_slots(element):
-                state = gateset.channel(slot) @ state
-    return spam.populations(state)
+    """Propagate one sequence, or K at once (indices (K, m), recovery (K,));
+    returns (p00, p01, p10, p11), with a leading K axis for a batch."""
+    table = gateset.element_table(group, granularity)
+    columns = np.column_stack([np.atleast_2d(indices), np.atleast_1d(recovery)])
+    state = np.broadcast_to(spam.prep, (len(columns), len(spam.prep)))
+    for column in columns.T:
+        state = np.einsum("rij,rj->ri", table[column], state)
+    pops = spam.populations(state.T).T
+    return pops if np.ndim(indices) == 2 else pops[0]
 
 
 def _sequence_rng(cfg: RBConfig, experiment: str, m: int, k: int):
@@ -139,30 +140,31 @@ def _sequence_rng(cfg: RBConfig, experiment: str, m: int, k: int):
 
 
 def run_experiment(
-    cfg: RBConfig, model: NoiseModel, experiment: str
+    cfg: RBConfig, model: NoiseModel | NoisyGateSet, experiment: str
 ) -> dict[str, SurvivalCurve]:
     """Run one experiment; returns curves keyed Q1, Q2 (and CORR for exp3)."""
     if experiment not in EXPERIMENT_GROUPS:
         raise ValueError(f"unknown experiment '{experiment}'")
     group = get_group(EXPERIMENT_GROUPS[experiment])
-    gateset = NoisyGateSet(model)
+    gateset = model if isinstance(model, NoisyGateSet) else NoisyGateSet(model)
     projections = PROJECTIONS if experiment == "exp3" else PROJECTIONS[:2]
     values = {proj: np.empty((len(cfg.lengths), cfg.K)) for proj in projections}
     for mi, m in enumerate(cfg.lengths):
-        for k in range(cfg.K):
-            rng = _sequence_rng(cfg, experiment, m, k)
-            indices, recovery = generate_sequence(group, m, rng)
-            pops = simulate_sequence(
-                group, indices, recovery, gateset, cfg.spam, cfg.granularity
-            )
-            if cfg.shots is not None:
-                probs = np.clip(pops, 0.0, None)
-                probs = probs / probs.sum()
-                pops = rng.multinomial(cfg.shots, probs) / cfg.shots
-            values["Q1"][mi, k] = pops[0] + pops[1]
-            values["Q2"][mi, k] = pops[0] + pops[2]
-            if "CORR" in values:
-                values["CORR"][mi, k] = pops[0] + pops[3]
+        rngs = [_sequence_rng(cfg, experiment, m, k) for k in range(cfg.K)]
+        drawn = [generate_sequence(group, m, rng) for rng in rngs]
+        indices, recovery = map(np.array, zip(*drawn))
+        pops = simulate_sequence(
+            group, indices, recovery, gateset, cfg.spam, cfg.granularity
+        )
+        if cfg.shots is not None:
+            probs = np.clip(pops, 0.0, None)
+            probs = probs / probs.sum(axis=1, keepdims=True)
+            counts = [rng.multinomial(cfg.shots, p) for rng, p in zip(rngs, probs)]
+            pops = np.array(counts) / cfg.shots
+        values["Q1"][mi] = pops[:, 0] + pops[:, 1]
+        values["Q2"][mi] = pops[:, 0] + pops[:, 2]
+        if "CORR" in values:
+            values["CORR"][mi] = pops[:, 0] + pops[:, 3]
     curves = {}
     ms = np.array(cfg.lengths)
     for proj, raw in values.items():
@@ -180,9 +182,10 @@ def run_experiment(
 
 def run_protocol(cfg: RBConfig, model: NoiseModel) -> list[SurvivalCurve]:
     """All three experiments; curves in a fixed, deterministic order."""
+    gateset = NoisyGateSet(model)
     out = []
     for experiment in ("exp1", "exp2", "exp3"):
-        curves = run_experiment(cfg, model, experiment)
+        curves = run_experiment(cfg, gateset, experiment)
         for proj in PROJECTIONS:
             if proj in curves:
                 out.append(curves[proj])
@@ -246,6 +249,7 @@ def write_curves_csv(curves: list[SurvivalCurve], path) -> None:
 def read_curves_csv(path) -> list[SurvivalCurve]:
     """Parse the curve CSV schema back into SurvivalCurve objects."""
     rows: dict[tuple[str, str], list[tuple[int, float, float, int]]] = {}
+    first_line: dict[tuple[str, str, int], int] = {}
     order: list[tuple[str, str]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -263,12 +267,25 @@ def read_curves_csv(path) -> list[SurvivalCurve]:
                 k = int(row[5])
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"malformed CSV row at line {lineno}: {row}") from exc
+            if not (math.isfinite(mean) and math.isfinite(stderr)):
+                raise ValueError(f"non-finite mean or stderr at line {lineno}")
             if stderr <= 0:
                 raise ValueError(f"nonpositive stderr at line {lineno}")
             key = (experiment, projection)
+            if (*key, m) in first_line:
+                raise ValueError(
+                    f"duplicate m={m} for {experiment}/{projection} at line "
+                    f"{lineno} (first at line {first_line[(*key, m)]})"
+                )
+            first_line[(*key, m)] = lineno
             if key not in rows:
                 rows[key] = []
                 order.append(key)
+            elif k != rows[key][0][3]:
+                raise ValueError(
+                    f"K={k} at line {lineno} differs from K={rows[key][0][3]} "
+                    f"earlier in {experiment}/{projection}"
+                )
             rows[key].append((m, mean, stderr, k))
     curves = []
     for key in order:

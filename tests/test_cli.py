@@ -200,3 +200,54 @@ def test_out_env_var(tmp_path, monkeypatch):
 def test_usage_error_exit_code():
     assert run_cli("simulate", "--bogus-flag") == 1
     assert run_cli() == 1
+
+
+@pytest.mark.parametrize(
+    "settings", [("--lengths", "4,2"), ("--K", "1")], ids=["lengths", "K"]
+)
+def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
+    code = run_cli(
+        "simulate", "--model", "ideal", *settings, "--out", str(tmp_path / "o")
+    )
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_fit_rejects_nonfinite_mean(tmp_path):
+    csv = tmp_path / "nan.csv"
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    rows += [f"exp1,Q1,{m},0.9,0.01,10" for m in (1, 2, 4, 8)]
+    rows.append("exp1,Q1,16,nan,0.01,10")
+    csv.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("fit", str(csv), "--out", str(out)) == 2
+    assert not (out / "fits.json").exists()
+
+
+def test_plot_data_includes_background_terms(tmp_path):
+    # a correlation decay with fixed-rate background terms at the
+    # simultaneous single-qubit rates: the plotted curve is the full model
+    ms = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+    shapes = {
+        "Q1": lambda m: 0.5 + 0.5 * 0.98**m,
+        "Q2": lambda m: 0.5 + 0.5 * 0.97**m,
+        "CORR": lambda m: 0.25 + 0.35 * 0.95**m + 0.2 * 0.98**m + 0.2 * 0.97**m,
+    }
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    for proj, shape in shapes.items():
+        rows += [f"exp3,{proj},{m},{shape(m)!r},0.001,50" for m in ms]
+    csv_in = tmp_path / "bg.csv"
+    csv_in.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("fit", str(csv_in), "--out", str(out)) == 0
+    fits = json.loads((out / "fits.json").read_text())["curves"]
+    corr = next(f for f in fits if f["projection"] == "CORR")
+    assert corr["model"] == "correlation_with_background"
+    plotted = [
+        line.split(",")
+        for line in (out / "plot_data.csv").read_text().splitlines()[1:]
+    ]
+    corr_rows = [(int(m), float(v)) for e, p, m, v in plotted if p == "CORR"]
+    assert len(corr_rows) > 10
+    for m, value in corr_rows:
+        assert value == pytest.approx(shapes["CORR"](m), abs=1e-9)

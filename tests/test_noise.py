@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from rbaddr.cliffords import generator_ptm, get_group
+from rbaddr.cliffords import element_slots, generator_ptm, get_group
 from rbaddr.noise import (
     SAMPLE_A,
     SAMPLE_B,
@@ -355,6 +355,45 @@ def test_predict_crosstalk_sample_a_magnitudes():
 def test_average_error_channel_is_trace_preserving():
     lam = average_error_channel(Decoherence(SAMPLE_A), "cxc")
     assert is_trace_preserving(lam, atol=1e-9)
+
+
+def test_average_error_channel_matches_element_loop():
+    # reference: compose each element's slot channels, then average
+    # noisy(i) @ ideal(i)^T over the group one element at a time
+    gateset = NoisyGateSet(
+        Composite((CrossTalk(SAMPLE_A, steps=16), Decoherence(SAMPLE_A)))
+    )
+    for kind in ("cxi", "ixc", "cxc"):
+        group = get_group(kind)
+        acc = np.zeros((16, 16))
+        for e in group.elements:
+            channel = np.eye(16)
+            for slot in element_slots(e):
+                channel = gateset.channel(slot) @ channel
+            acc += channel @ e.ptm.T
+        lam = average_error_channel(gateset, group)
+        assert np.max(np.abs(lam - acc / len(group))) < 1e-12
+    dep = Depolarizing(0.98, 0.97)
+    lam = average_error_channel(dep, "cxc", "clifford")
+    assert np.max(np.abs(lam - NoisyGateSet(dep).clifford_error())) < 1e-12
+
+
+def test_predict_addressability_builds_each_slot_channel_once(monkeypatch):
+    # one gate set serves the three group averages: the 48 generator
+    # pairs of CxC include the 6 of CxI and the 6 of IxC, and each pair
+    # is evolved once
+    import rbaddr.noise as noise
+
+    calls = []
+
+    def counting(p, drives, steps):
+        calls.append(tuple((d.target, d.axis, d.angle) for d in drives))
+        return evolve_to_ptm(p, drives, steps)
+
+    monkeypatch.setattr(noise, "evolve_to_ptm", counting)
+    predict_addressability(CrossTalk(SAMPLE_A, steps=16), gamma_max_m=0)
+    assert len(calls) == 48
+    assert len(set(calls)) == 48
 
 
 def test_crosstalk_simulation_consistent_with_prediction():

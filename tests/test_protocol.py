@@ -3,8 +3,20 @@ import pytest
 
 from rbaddr.cliffords import element_slots, get_group
 from rbaddr.fitting import fit_exponential
-from rbaddr.noise import Depolarizing, Ideal, NoisyGateSet, StaticError, zz_rotation_ptm
+from rbaddr.noise import (
+    SAMPLE_A,
+    Composite,
+    CrossTalk,
+    Decoherence,
+    Depolarizing,
+    Ideal,
+    NoisyGateSet,
+    StaticError,
+    zz_rotation_ptm,
+)
 from rbaddr.protocol import (
+    EXPERIMENT_CODES,
+    EXPERIMENT_GROUPS,
     RBConfig,
     SpamModel,
     decay_gamma,
@@ -101,6 +113,69 @@ def test_populations_sum_to_one(cxc):
         )
         assert pops.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(pops > -1e-9)
+
+
+def _slot_loop_populations(group, indices, recovery, gateset, spam, granularity):
+    """Reference propagation: one mat-vec per generator slot (per element
+    and its error channel with granularity 'clifford')."""
+    state = spam.prep.copy()
+    for idx in (*indices, recovery):
+        element = group.elements[int(idx)]
+        if granularity == "clifford":
+            state = gateset.clifford_error() @ (element.ptm @ state)
+        else:
+            for slot in element_slots(element):
+                state = gateset.channel(slot) @ state
+    return spam.populations(state)
+
+
+_MISASSIGNED = SpamModel.perfect().with_misassignment(
+    0.88 * np.eye(4) + 0.03 * np.ones((4, 4))
+)
+
+
+@pytest.mark.parametrize(
+    "model, granularity, spam, shots",
+    [
+        (
+            Composite((CrossTalk(SAMPLE_A, steps=16), Decoherence(SAMPLE_A))),
+            "generator",
+            SpamModel.perfect(),
+            None,
+        ),
+        (Decoherence(SAMPLE_A), "clifford", _MISASSIGNED, None),
+        (Depolarizing(0.97), "generator", SpamModel.perfect(), 100),
+    ],
+    ids=["crosstalk_decoherence", "clifford_spam", "shots"],
+)
+def test_run_experiment_matches_per_sequence_propagation(model, granularity, spam, shots):
+    # each sequence's stream draws its indices first, then its shots
+    cfg = RBConfig(
+        lengths=(1, 3, 8), K=4, seed=19, spam=spam, granularity=granularity,
+        shots=shots, keep_raw=True,
+    )
+    gateset = NoisyGateSet(model)
+    for experiment, code in EXPERIMENT_CODES.items():
+        group = get_group(EXPERIMENT_GROUPS[experiment])
+        curves = run_experiment(cfg, model, experiment)
+        for mi, m in enumerate(cfg.lengths):
+            for k in range(cfg.K):
+                rng = np.random.default_rng([cfg.seed, code, m, k])
+                indices, recovery = generate_sequence(group, m, rng)
+                pops = simulate_sequence(
+                    group, indices, recovery, gateset, spam, granularity
+                )
+                reference = _slot_loop_populations(
+                    group, indices, recovery, gateset, spam, granularity
+                )
+                assert np.max(np.abs(pops - reference)) < 1e-12
+                if shots is not None:
+                    probs = np.clip(pops, 0.0, None)
+                    pops = rng.multinomial(shots, probs / probs.sum()) / shots
+                sums = {"Q1": pops[0] + pops[1], "Q2": pops[0] + pops[2],
+                        "CORR": pops[0] + pops[3]}
+                for proj, curve in curves.items():
+                    assert abs(curve.raw[mi, k] - sums[proj]) < 1e-12
 
 
 def test_run_experiment_ideal_constant_one():
@@ -319,4 +394,25 @@ def test_read_curves_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n")
     with pytest.raises(ValueError, match="header"):
+        read_curves_csv(path)
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("exp1,Q1,8,nan,0.01,5", "non-finite"),
+        ("exp1,Q1,8,0.9,inf,5", "non-finite"),
+        ("exp1,Q1,2,0.9,0.01,5", "duplicate m=2"),
+        ("exp1,Q1,8,0.9,0.01,6", "K=6"),
+    ],
+    ids=["nan_mean", "inf_stderr", "duplicate_m", "mixed_K"],
+)
+def test_read_curves_rejects_bad_values(tmp_path, bad_row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "experiment,projection,m,mean,stderr,K\n"
+        "exp1,Q1,1,0.95,0.01,5\nexp1,Q1,2,0.92,0.01,5\n"
+        "exp1,Q2,2,0.99,0.01,6\n" + bad_row + "\n"
+    )
+    with pytest.raises(ValueError, match=rf"{message}.*line 5|line 5.*{message}"):
         read_curves_csv(path)
