@@ -11,6 +11,7 @@ text; all structured outputs are JSON, curves are CSV.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -83,6 +84,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _config_values(build):
+    """A ValueError while building from config values is a config error."""
+
+    @functools.wraps(build)
+    def wrapper(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    return wrapper
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit with code 1
         self.print_usage(sys.stderr)
@@ -108,6 +124,7 @@ def parse_config_file(path) -> dict[str, str]:
     return cfg
 
 
+@_config_values
 def _device_from_config(cfg: dict[str, str], preset: str | None) -> DeviceParams:
     if preset is not None:
         if preset not in DEVICE_PRESETS:
@@ -141,6 +158,7 @@ def model_presets() -> dict:
     }
 
 
+@_config_values
 def _build_model(cfg: dict[str, str], args):
     presets = model_presets()
     preset = args.preset or cfg.get("preset")
@@ -171,27 +189,23 @@ def _build_model(cfg: dict[str, str], args):
     raise ConfigError(f"unknown model '{name}'")
 
 
+@_config_values
 def _rb_config(cfg: dict[str, str], args) -> RBConfig:
     """Run settings from the command line and config; bad values exit 1."""
     kwargs = {}
-    try:
-        lengths = args.lengths or cfg.get("lengths")
-        if lengths:
-            kwargs["lengths"] = tuple(
-                int(x) for x in str(lengths).split(",") if x.strip()
-            )
-        k = args.K or cfg.get("k")
-        if k:
-            kwargs["K"] = int(k)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        kwargs["seed"] = int(seed)
-        if "granularity" in cfg:
-            kwargs["granularity"] = cfg["granularity"]
-        if "shots" in cfg:
-            kwargs["shots"] = int(cfg["shots"])
-        return RBConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    lengths = args.lengths if args.lengths is not None else cfg.get("lengths")
+    if lengths is not None:
+        kwargs["lengths"] = tuple(int(x) for x in str(lengths).split(",") if x.strip())
+    k = args.K if args.K is not None else cfg.get("k")
+    if k is not None:
+        kwargs["K"] = int(k)
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    kwargs["seed"] = int(seed)
+    if "granularity" in cfg:
+        kwargs["granularity"] = cfg["granularity"]
+    if "shots" in cfg:
+        kwargs["shots"] = int(cfg["shots"])
+    return RBConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ reduced chi-square, with 68% intervals taken as one scaled sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -150,12 +151,12 @@ def _decay(p, m, rates=()):
     return out
 
 
-def _single_exp_jac(p, m):
-    a, alpha, b = p
-    am = np.power(alpha, m)
+def _decay_jac(p, m, rates=()):
+    """Columns dF/dp of ``_decay``: alpha^m, A m alpha^(m-1), rate_i^m, 1."""
+    am = np.power(p[1], m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dalpha = a * m * np.power(alpha, np.maximum(m - 1, 0))
-    return np.stack([am, dalpha, np.ones_like(am)], axis=1)
+        dalpha = p[0] * m * np.power(p[1], np.maximum(m - 1, 0))
+    return np.stack([am, dalpha, *(rate**m for rate in rates), np.ones_like(am)], axis=1)
 
 
 def _initial_guess(m, y):
@@ -210,7 +211,7 @@ def fit_exponential(curve_or_m, y=None, stderr=None) -> DecayFit:
 
     p0 = _initial_guess(m, y)
     p, cov, chi2, resid, iters, converged, flags = _lm(
-        _decay, _single_exp_jac, p0, m, y, stderr
+        _decay, _decay_jac, p0, m, y, stderr
     )
     dof = len(m) - 3
     chi2_red = chi2 / dof
@@ -280,23 +281,16 @@ def fit_correlation_curve(curve, alpha_1_2: float, alpha_2_1: float) -> DecayFit
     bg_rates = (f1,) if merged else (f1, f2)
     bg_names = ("A1",) if merged else ("A1", "A2")
 
-    def model(p, mm):
-        return _decay(p, mm, bg_rates)
-
-    def jac(p, mm):
-        am = np.power(p[1], mm)
-        dalpha = p[0] * mm * np.power(p[1], np.maximum(mm - 1, 0))
-        cols = [am, dalpha]
-        cols.extend(rate**mm for rate in bg_rates)
-        cols.append(np.ones_like(am))
-        return np.stack(cols, axis=1)
-
     seed = _initial_guess(m, y)
     p0 = np.concatenate([[seed[0], seed[1]], np.zeros(len(bg_rates)), [seed[2]]])
     n_params = len(p0)
     if len(m) <= n_params:
         raise FitError("too few points for the background model")
-    p, cov, chi2, resid, iters, converged, flags = _lm(model, jac, p0, m, y, stderr)
+    p, cov, chi2, resid, iters, converged, flags = _lm(
+        partial(_decay, rates=bg_rates),
+        partial(_decay_jac, rates=bg_rates),
+        p0, m, y, stderr,
+    )
     dof = len(m) - n_params
     chi2_red = chi2 / dof
     cov_scaled = cov * max(chi2_red, 0.0)
@@ -350,14 +344,28 @@ ALPHA_SOURCES = {
 }
 
 
-def _with_weight_floor(curve):
-    """Deterministic simulations have zero standard errors; substitute a
-    nominal uniform weight so their (degenerate) fit still reports."""
-    from dataclasses import replace
+def _fit_curve(fit, curve):
+    """``fit(curve)``, with a FitError recorded as the curve's entry
+    instead of raised.
 
-    if np.all(np.asarray(curve.stderr) == 0.0):
-        return replace(curve, stderr=np.full(len(curve.m), 1e-9)), True
-    return curve, False
+    Deterministic simulations have zero standard errors; they get a
+    nominal uniform weight so their (degenerate) fit still reports,
+    flagged ``deterministic_curve``.
+    """
+    floored = bool(np.all(np.asarray(curve.stderr) == 0.0))
+    if floored:
+        curve = replace(curve, stderr=np.full(len(curve.m), 1e-9))
+    try:
+        result = fit(curve)
+    except FitError as exc:
+        return {
+            "experiment": curve.experiment,
+            "projection": curve.projection,
+            "error": str(exc),
+        }
+    if floored:
+        result.flags = result.flags + ("deterministic_curve",)
+    return result
 
 
 def fit_protocol_curves(curves) -> dict:
@@ -367,42 +375,21 @@ def fit_protocol_curves(curves) -> dict:
     single-subsystem rates can serve as its fixed background.  Curves
     that cannot be fit are recorded with their error instead of raised.
     """
-    fits: dict[tuple[str, str], object] = {}
     by_key = {(c.experiment, c.projection): c for c in curves}
     corr_key = ALPHA_SOURCES["alpha_12"]
-    for key, curve in by_key.items():
-        if key == corr_key:
-            continue
-        curve, floored = _with_weight_floor(curve)
-        try:
-            fits[key] = fit_exponential(curve)
-            if floored:
-                fits[key].flags = fits[key].flags + ("deterministic_curve",)
-        except FitError as exc:
-            fits[key] = {
-                "experiment": key[0],
-                "projection": key[1],
-                "error": str(exc),
-            }
+    fits: dict[tuple[str, str], object] = {
+        key: _fit_curve(fit_exponential, curve)
+        for key, curve in by_key.items()
+        if key != corr_key
+    }
     if corr_key in by_key:
         f1 = fits.get(ALPHA_SOURCES["alpha_1_2"])
         f2 = fits.get(ALPHA_SOURCES["alpha_2_1"])
-        corr_curve, floored = _with_weight_floor(by_key[corr_key])
-        try:
-            if isinstance(f1, DecayFit) and isinstance(f2, DecayFit):
-                fits[corr_key] = fit_correlation_curve(
-                    corr_curve, f1.alpha, f2.alpha
-                )
-            else:
-                fits[corr_key] = fit_exponential(corr_curve)
-            if floored:
-                fits[corr_key].flags = fits[corr_key].flags + ("deterministic_curve",)
-        except FitError as exc:
-            fits[corr_key] = {
-                "experiment": corr_key[0],
-                "projection": corr_key[1],
-                "error": str(exc),
-            }
+        if isinstance(f1, DecayFit) and isinstance(f2, DecayFit):
+            fit = partial(fit_correlation_curve, alpha_1_2=f1.alpha, alpha_2_1=f2.alpha)
+        else:
+            fit = fit_exponential
+        fits[corr_key] = _fit_curve(fit, by_key[corr_key])
     alpha_fits = {
         name: fits[src]
         for name, src in ALPHA_SOURCES.items()

@@ -17,7 +17,7 @@ edges over a quarter of the gate on each side).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +44,7 @@ TWO_PI = 2 * np.pi
 # every cross-talk figure is reported alongside this assumption.
 DEFAULT_GATE_TIME = 24e-9
 DEFAULT_EVOLVE_STEPS = 256
+MIN_EVOLVE_STEPS = 16
 
 _CROSSTALK_FIELDS = ("zeta", "m12", "m21", "mu1", "mu2", "nu1", "nu2")
 
@@ -77,6 +78,10 @@ class DeviceParams:
     detuning2: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("t1_1", "t1_2", "t2_1", "t2_2", "gate_time"):
             if getattr(self, name) < 0 or (name != "gate_time" and getattr(self, name) == 0):
                 raise ValueError(f"{name} must be positive")
@@ -349,8 +354,8 @@ def evolve_to_ptm(
     step; doubling ``steps`` changes the PTM entries by less than 1e-8 at
     the default settings.
     """
-    if steps < 16:
-        raise ValueError("need at least 16 steps per gate")
+    if steps < MIN_EVOLVE_STEPS:
+        raise ValueError(f"need at least {MIN_EVOLVE_STEPS} steps per gate")
     drive1 = next((d for d in drives if d.target == 1), None)
     drive2 = next((d for d in drives if d.target == 2), None)
     span = p.gate_time
@@ -457,6 +462,14 @@ class Depolarizing:
     alpha2: float | None = None
     joint: bool = False
 
+    def __post_init__(self):
+        # CPTP range of depolarizing_ptm: -1/(d^2 - 1) <= alpha <= 1
+        lo = -1 / 15 if self.joint else -1 / 3
+        for name in ("alpha1", "alpha2"):
+            value = getattr(self, name)
+            if value is not None and not lo <= value <= 1:
+                raise ValueError(f"{name} = {value} outside the CPTP range [{lo:.4g}, 1]")
+
 
 @dataclass(frozen=True)
 class Decoherence:
@@ -474,6 +487,8 @@ class CrossTalk:
 
     def __post_init__(self):
         self.params.require_crosstalk()
+        if self.steps < MIN_EVOLVE_STEPS:
+            raise ValueError(f"need at least {MIN_EVOLVE_STEPS} steps per gate")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,11 @@ Each check returns a pass/fail record; the CLI prints one line per check
 and exits nonzero on any failure.  ``tol_override`` replaces the default
 comparison tolerances, which is used as a negative control (an absurdly
 tight tolerance must make the harness report failures).
+
+The ``full`` level is the release oracle set: acceptance criteria 1-4
+(``tests/test_acceptance.py``) take their verdicts from its twirl,
+group-integrity, product-channel and CI-coverage checks, which hold the
+acceptance sample counts and tolerances.
 """
 
 from __future__ import annotations

@@ -1,35 +1,37 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line.  Runs are fully seeded so the outcome is deterministic."""
+PASS/FAIL line.  Runs are fully seeded so the outcome is deterministic.
+
+Criteria 1-4 take their oracle verdicts from one run of the
+``rbaddr verify --level full`` checks, so each oracle is written once."""
 
 import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from rbaddr.cli import main as cli_main
-from rbaddr.cliffords import generate_c1, get_group
-from rbaddr.fitting import fit_exponential, fit_protocol_curves
+from rbaddr.cliffords import generate_c1
+from rbaddr.fitting import fit_protocol_curves
 from rbaddr.noise import (
     SAMPLE_A,
     CrossTalk,
     Depolarizing,
     StaticError,
     predict_addressability,
-    random_cptp_ptm,
     zz_rotation_ptm,
 )
-from rbaddr.protocol import RBConfig, decay_single, run_protocol
-from rbaddr.report import build_report
-from rbaddr.twirl import (
-    brute_force_twirl,
-    pauli_twirl,
-    pauli_twirl_brute,
-    twirl_cxc,
-    twirl_cxi,
-    twirl_full_clifford,
-)
+from rbaddr.protocol import RBConfig, run_protocol
+from rbaddr.report import UVal, build_report
+from rbaddr.verify import run_verification
 
 PUBLISHED_DR_ESTIMATES = {"dr1_given_2": 0.0034, "dr2_given_1": 0.007}
+
+
+@pytest.fixture(scope="module")
+def full_checks():
+    """The full-level verify checks, by name."""
+    return {check.name: check for check in run_verification("full")}
 
 
 def report_line(number, passed, detail):
@@ -38,67 +40,27 @@ def report_line(number, passed, detail):
     assert passed, detail
 
 
-def test_criterion_1_twirl_oracles():
+def test_criterion_1_twirl_oracles(full_checks):
     """50 random CPTP channels: analytic twirls match brute force at 1e-10."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(101)
-    c1 = generate_c1()
-    groups = {k: get_group(k) for k in ("cxc", "cxi", "ixc")}
-    worst = 0.0
-    for i in range(50):
-        r1 = random_cptp_ptm(1, rng)
-        worst = max(
-            worst,
-            np.max(np.abs(brute_force_twirl(r1, c1) - twirl_full_clifford(r1).twirled)),
-            np.max(np.abs(pauli_twirl(r1) - pauli_twirl_brute(r1))),
-        )
-        r2 = random_cptp_ptm(2, rng, n_kraus=5)
-        worst = max(
-            worst,
-            np.max(np.abs(brute_force_twirl(r2, groups["cxc"]) - twirl_cxc(r2).twirled)),
-            np.max(np.abs(brute_force_twirl(r2, groups["cxi"]) - twirl_cxi(r2, 1).reassembled())),
-            np.max(np.abs(brute_force_twirl(r2, groups["ixc"]) - twirl_cxi(r2, 2).reassembled())),
-            np.max(np.abs(pauli_twirl(r2) - pauli_twirl_brute(r2))),
-        )
-    elapsed = time.perf_counter() - t0
+    check = full_checks["twirl_oracles"]
     report_line(
         1,
-        worst < 1e-10 and elapsed < 60,
-        f"max twirl deviation {worst:.2e} over 50 channels x 5 groups in {elapsed:.1f}s",
+        check.passed and check.seconds < 60,
+        f"{check.detail} in {check.seconds:.1f}s",
     )
 
 
-def test_criterion_2_group_integrity():
+def test_criterion_2_group_integrity(full_checks):
     """|C1| = 24 by closure; 1000 random recoveries compose to identity."""
-    c1 = generate_c1()
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(1, 101))
-        seq = c1.sample_uniform(rng, m)
-        total = np.eye(4)
-        for idx in seq:
-            total = c1.ptm(int(idx)) @ total
-        total = c1.ptm(c1.recovery_index(seq)) @ total
-        worst = max(worst, float(np.max(np.abs(total - np.eye(4)))))
-    report_line(
-        2,
-        len(c1) == 24 and worst < 1e-12,
-        f"|C1| = {len(c1)}, worst recovery residual {worst:.2e} over 1000 sequences",
-    )
+    check = full_checks["group_integrity"]
+    report_line(2, check.passed, check.detail)
 
 
-def test_criterion_3_correlation_witness():
-    """Product channels give delta_alpha = 0; an injected ZZ error is
-    detected at more than 3 sigma through simulate -> fit -> report."""
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(50):
-        a = random_cptp_ptm(1, rng)
-        b = random_cptp_ptm(1, rng)
-        worst = max(worst, abs(twirl_cxc(np.kron(a, b)).delta_alpha))
-    sound = worst < 1e-12
-
+def test_criterion_3_correlation_witness(full_checks):
+    """Product channels give delta_alpha = 0 (50 channels, 1e-12); an
+    injected ZZ error is detected at more than 3 sigma through
+    simulate -> fit -> report."""
+    check = full_checks["product_channel_delta_alpha"]
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64, 128, 256), K=50, seed=103)
     curves = run_protocol(cfg, StaticError(zz_rotation_ptm(0.1)))
     result = fit_protocol_curves(curves)
@@ -106,30 +68,17 @@ def test_criterion_3_correlation_witness():
     z = report.dalpha.value / report.dalpha.sigma
     report_line(
         3,
-        sound and z > 3,
-        f"product |dalpha| <= {worst:.2e}; injected ZZ witnessed at {z:.1f} sigma "
+        check.passed and z > 3,
+        f"{check.detail}; injected ZZ witnessed at {z:.1f} sigma "
         f"(dalpha = {report.dalpha.value:.4f} +/- {report.dalpha.sigma:.4f})",
     )
 
 
-def test_criterion_4_fit_recovery_and_table():
+def test_criterion_4_fit_recovery_and_table(full_checks):
     """68% CI coverage in [0.58, 0.78] over 200 repetitions, and the
     report arithmetic reproduces the published table within rounding."""
-    rng = np.random.default_rng(104)
-    m = np.array([1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256])
+    check = full_checks["fit_ci_coverage"]
     table_r = {"r1": 0.0039, "r2": 0.0067, "r1_given_2": 0.0086, "r2_given_1": 0.0120}
-    hits = 0
-    repeats = 200
-    alpha_true = 1 - 2 * table_r["r1"]  # 0.9922
-    for _ in range(repeats):
-        y = decay_single(m, 0.5, alpha_true, 0.5) + rng.normal(0, 0.005, len(m))
-        fit = fit_exponential(m, y, np.full(len(m), 0.005))
-        if abs(fit.alpha - alpha_true) <= fit.alpha_sigma:
-            hits += 1
-    coverage = hits / repeats
-
-    from rbaddr.report import UVal
-
     sig_r = {"r1": 0.0001, "r2": 0.0002, "r1_given_2": 0.0003, "r2_given_1": 0.0005}
     alphas = {
         "alpha_1": UVal(1 - 2 * table_r["r1"], 2 * sig_r["r1"]),
@@ -153,8 +102,8 @@ def test_criterion_4_fit_recovery_and_table():
     )
     report_line(
         4,
-        0.58 <= coverage <= 0.78 and table_ok,
-        f"CI coverage {coverage:.1%} of {repeats} fits; table round-trip ok = {table_ok}",
+        check.passed and table_ok,
+        f"{check.detail}; table round-trip ok = {table_ok}",
     )
 
 

@@ -5,6 +5,12 @@ import pytest
 from rbaddr.cli import main, parse_config_file
 
 FAST_ARGS = ["--lengths", "1,2,4,8,16,32", "--K", "8"]
+SAMPLE_A_DEVICE = (
+    "omega1_ghz = 4.9895\nomega2_ghz = 5.0554\n"
+    "t1_1_us = 9.7\nt1_2_us = 8.2\nt2_1_us = 10.3\nt2_2_us = 7.1\n"
+    "zeta_mhz = 1.1\nm12 = 0.19\nm21 = 0.32\nmu1 = -0.088\nmu2 = -0.16\n"
+    "nu1 = -0.025\nnu2 = -0.048\n"
+)
 
 
 def run_cli(*argv):
@@ -92,11 +98,8 @@ def test_fit_rejects_bad_rows(tmp_path):
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "# device\nomega1_ghz = 4.9895\nomega2_ghz = 5.0554\n"
-        "t1_1_us = 9.7\nt1_2_us = 8.2\nt2_1_us = 10.3\nt2_2_us = 7.1\n"
-        "zeta_mhz = 1.1\nm12 = 0.19\nm21 = 0.32\nmu1 = -0.088\nmu2 = -0.16\n"
-        "nu1 = -0.025\nnu2 = -0.048\n\nmodel = crosstalk\nseed = 2\nk = 8\n"
-        "lengths = 1,2,4\n"
+        "# device\n" + SAMPLE_A_DEVICE
+        + "\nmodel = crosstalk\nseed = 2\nk = 8\nlengths = 1,2,4\n"
     )
     parsed = parse_config_file(cfg)
     assert parsed["model"] == "crosstalk"
@@ -161,10 +164,7 @@ def test_simulate_crosstalk_end_to_end(tmp_path):
 def test_simulate_crosstalk_from_config_file(tmp_path):
     cfg = tmp_path / "device.cfg"
     cfg.write_text(
-        "omega1_ghz = 4.9895\nomega2_ghz = 5.0554\n"
-        "t1_1_us = 9.7\nt1_2_us = 8.2\nt2_1_us = 10.3\nt2_2_us = 7.1\n"
-        "zeta_mhz = 1.1\nm12 = 0.19\nm21 = 0.32\nmu1 = -0.088\nmu2 = -0.16\n"
-        "nu1 = -0.025\nnu2 = -0.048\ngate_time_ns = 24\n"
+        SAMPLE_A_DEVICE + "gate_time_ns = 24\n"
         "model = crosstalk\nlengths = 1,2,4,8,16\nk = 6\nseed = 5\n"
     )
     out = tmp_path / "from_cfg"
@@ -180,8 +180,9 @@ def test_verify_quick_passes_quickly():
     assert time.perf_counter() - t0 < 30
 
 
-def test_verify_negative_control():
-    assert run_cli("verify", "--level", "quick", "--tol-override", "1e-16") == 3
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_verify_negative_control(level):
+    assert run_cli("verify", "--level", level, "--tol-override", "1e-16") == 3
 
 
 def test_dump_group(tmp_path):
@@ -203,12 +204,40 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
-    "settings", [("--lengths", "4,2"), ("--K", "1")], ids=["lengths", "K"]
+    "settings",
+    [("--lengths", "4,2"), ("--K", "1"), ("--K", "0"), ("--lengths", "")],
+    ids=["lengths", "K", "K_zero", "lengths_empty"],
 )
 def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
     code = run_cli(
         "simulate", "--model", "ideal", *settings, "--out", str(tmp_path / "o")
     )
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (("simulate",), "model = depolarizing\nalpha1 = abc\n"),
+        (("simulate",), "model = depolarizing\nalpha1 = 1.5\n"),
+        (("simulate",), "model = depolarizing\nalpha1 = 0.99\nalpha2 = -0.34\n"),
+        (("simulate",), "model = depolarizing\nalpha1 = -0.07\njoint = true\n"),
+        (("predict", "--preset", "sample_a"), "gate_time_ns = abc\n"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = -1\n"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = nan\n"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\nsteps = 4\n"),
+    ],
+    ids=[
+        "alpha_unparsable", "alpha_not_cptp", "alpha2_not_cptp",
+        "joint_alpha_not_cptp", "gate_time_unparsable",
+        "t1_negative", "t1_nan", "steps_too_few",
+    ],
+)
+def test_bad_model_values_are_config_errors(tmp_path, command, config, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    code = run_cli(*command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
     assert "config error" in capsys.readouterr().err
 

@@ -35,6 +35,7 @@ from rbaddr.paulis import (
     ptm_from_kraus,
     tensor,
 )
+from rbaddr.verify import check_evolution_convergence
 
 TWO_PI = 2 * np.pi
 
@@ -178,13 +179,8 @@ def test_zero_duration_gate_is_identity():
 
 
 def test_step_doubling_convergence():
-    drives = [
-        generator_envelope("x90", 1, SAMPLE_A.gate_time),
-        generator_envelope("y180", 2, SAMPLE_A.gate_time),
-    ]
-    coarse = evolve_to_ptm(SAMPLE_A, drives, steps=256)
-    fine = evolve_to_ptm(SAMPLE_A, drives, steps=512)
-    assert np.max(np.abs(coarse - fine)) < 1e-8
+    check = check_evolution_convergence(tol=1e-8)
+    assert check.passed, check.detail
 
 
 def test_negated_envelope_inverts_rotation():
@@ -205,6 +201,11 @@ def test_untargeted_qubit_picks_up_residual_rotation():
 def test_min_steps_enforced():
     with pytest.raises(ValueError):
         evolve_to_ptm(SAMPLE_A, [], steps=4)
+
+
+def test_depolarizing_cptp_range_edges_accepted():
+    Depolarizing(-1 / 3, 1.0)
+    Depolarizing(-1 / 15, joint=True)
 
 
 # ---------------------------------------------------------------------------

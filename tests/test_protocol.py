@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbaddr.cliffords import element_slots, get_group
 from rbaddr.fitting import fit_exponential
@@ -19,6 +21,7 @@ from rbaddr.protocol import (
     EXPERIMENT_GROUPS,
     RBConfig,
     SpamModel,
+    SurvivalCurve,
     decay_gamma,
     decay_single,
     decay_triple,
@@ -371,6 +374,45 @@ def test_curves_csv_round_trip(tmp_path):
         assert orig.projection == back.projection
         assert np.array_equal(orig.m, back.m)
         assert np.array_equal(orig.mean, back.mean)  # repr round-trips exactly
+        assert np.array_equal(orig.stderr, back.stderr)
+
+
+@st.composite
+def curve_sets(draw):
+    """Valid curves: distinct keys, increasing m, finite means, positive
+    finite stderrs, one K per curve."""
+    names = st.text(min_size=1, max_size=6)
+    keys = draw(st.lists(st.tuples(names, names), min_size=1, max_size=4, unique=True))
+    curves = []
+    for experiment, projection in keys:
+        m = sorted(draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=8, unique=True)))
+        mean = draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=len(m), max_size=len(m)
+        ))
+        stderr = draw(st.lists(
+            st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+            min_size=len(m), max_size=len(m),
+        ))
+        curves.append(SurvivalCurve(
+            experiment, projection, np.array(m), np.array(mean), np.array(stderr),
+            K=draw(st.integers(2, 10**6)),
+        ))
+    return curves
+
+
+@given(curve_sets())
+@settings(max_examples=50, deadline=None)
+def test_curves_csv_round_trip_property(tmp_path_factory, curves):
+    path = tmp_path_factory.mktemp("csv") / "curves.csv"
+    write_curves_csv(curves, path)
+    loaded = read_curves_csv(path)
+    assert len(loaded) == len(curves)
+    for orig, back in zip(curves, loaded):
+        assert (back.experiment, back.projection, back.K) == (
+            orig.experiment, orig.projection, orig.K
+        )
+        assert np.array_equal(orig.m, back.m)
+        assert np.array_equal(orig.mean, back.mean)
         assert np.array_equal(orig.stderr, back.stderr)
 
 
