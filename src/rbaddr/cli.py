@@ -134,13 +134,17 @@ def _device_from_config(cfg: dict[str, str], preset: str | None) -> DeviceParams
         params = DEVICE_PRESETS[preset]
         if "gate_time_ns" in cfg:
             params = params.with_gate_time(float(cfg["gate_time_ns"]) * 1e-9)
-        return params
-    device_cfg = {k: v for k, v in cfg.items() if k in DEVICE_KEYS}
-    required = {"omega1_ghz", "omega2_ghz", "t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us"}
-    missing = sorted(required - device_cfg.keys())
-    if missing:
-        raise ConfigError("missing device parameters: " + ", ".join(missing))
-    return DeviceParams.from_config(device_cfg)
+    else:
+        device_cfg = {k: v for k, v in cfg.items() if k in DEVICE_KEYS}
+        required = {"omega1_ghz", "omega2_ghz", "t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us"}
+        missing = sorted(required - device_cfg.keys())
+        if missing:
+            raise ConfigError("missing device parameters: " + ", ".join(missing))
+        params = DeviceParams.from_config(device_cfg)
+    # DeviceParams admits a zero-duration gate; a configured gate must take time
+    if params.gate_time <= 0:
+        raise ConfigError("gate_time_ns must be positive")
+    return params
 
 
 def model_presets() -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .paulis import (
     pauli_matrices,
     ptm_from_kraus,
     ptm_from_unitary,
+    ptms_from_unitaries,
     tensor,
 )
 
@@ -181,6 +182,31 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
+def _envelope_shape(t, gate_time: float, ramp_frac: float) -> np.ndarray:
+    """Unit-peak flat-top shape on [0, gate_time], zero outside."""
+    t = np.asarray(t, dtype=float)
+    ramp = ramp_frac * gate_time
+    up = _smooth_step(t / ramp)
+    down = _smooth_step((gate_time - t) / ramp)
+    inside = (t >= 0) & (t <= gate_time)
+    return np.where(inside, up * down, 0.0)
+
+
+@lru_cache(maxsize=16)
+def _shape_integral(gate_time: float, ramp_frac: float) -> float:
+    """Integral of the unit-peak shape over the gate, computed once per
+    envelope timing and shared by every envelope that has it.
+
+    Composite 2-point Gauss-Legendre; 4096 panels put the quadrature error
+    far below evolution error.
+    """
+    npanels = 4096
+    h = gate_time / npanels
+    offs = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
+    t = (np.arange(npanels)[:, None] + offs[None, :]) * h
+    return float(_envelope_shape(t, gate_time, ramp_frac).sum() * h / 2)
+
+
 @dataclass(frozen=True)
 class DriveEnvelope:
     """Shaped drive on one qubit implementing a calibrated rotation.
@@ -206,23 +232,11 @@ class DriveEnvelope:
 
     def shape(self, t: np.ndarray) -> np.ndarray:
         """Unit-peak envelope shape on [0, gate_time]."""
-        t = np.asarray(t, dtype=float)
-        ramp = self.ramp_frac * self.gate_time
-        up = _smooth_step(t / ramp)
-        down = _smooth_step((self.gate_time - t) / ramp)
-        inside = (t >= 0) & (t <= self.gate_time)
-        return np.where(inside, up * down, 0.0)
+        return _envelope_shape(t, self.gate_time, self.ramp_frac)
 
     @cached_property
     def _peak(self) -> float:
-        # normalization integral via composite 2-point Gauss-Legendre;
-        # 4096 panels put the quadrature error far below evolution error
-        npanels = 4096
-        h = self.gate_time / npanels
-        offs = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
-        t = (np.arange(npanels)[:, None] + offs[None, :]) * h
-        integral = float(self.shape(t).sum() * h / 2)
-        return (self.angle / 2) / integral
+        return (self.angle / 2) / _shape_integral(self.gate_time, self.ramp_frac)
 
     def amplitude(self, t) -> np.ndarray:
         """eps(t) in rad/s (signed)."""
@@ -237,13 +251,36 @@ def generator_envelope(
     return DriveEnvelope(target, axis, angle, gate_time, ramp_frac)
 
 
+DrivePair = tuple[DriveEnvelope | None, DriveEnvelope | None]
+
+
+def generator_drives(gate: tuple[str | None, str | None], gate_time: float) -> DrivePair:
+    """Envelopes on drive lines 1 and 2 of one generator slot (None = idle)."""
+    return tuple(
+        None if name is None else generator_envelope(name, target, gate_time)
+        for target, name in ((1, gate[0]), (2, gate[1]))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cross-talk Hamiltonian and time evolution
 
+_P1 = pauli_matrices(1)
 _P2 = pauli_matrices(2)
 _ZZ = _P2[15]
 _ZI = _P2[12]
 _IZ = _P2[3]
+
+# Generator pairs evolved together.  Memory, not time, sets the size: a
+# block holds the Hamiltonian samples, Magnus exponents and step
+# propagators of all its pairs at once, about 0.25 MB per pair at 256
+# steps.  With 4 pairs the peak RSS of a one-shot `rbaddr predict` or
+# `rbaddr simulate` stays within 0.2 MB of evolving one pair at a time
+# (~46-49 MB); 6 or 8 pairs added up to 1.5 MB, all 48 pairs of a gate set
+# in one block ~5 MB.
+EVOLVE_BLOCK_PAIRS = 4
+
+_GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 
 
 def _drive_terms(p: DeviceParams, which: int):
@@ -263,61 +300,64 @@ def _drive_terms(p: DeviceParams, which: int):
     )
 
 
-def _conditioned(op: np.ndarray, target: int, cond: str | None) -> np.ndarray:
-    i2 = np.eye(2)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    if target == 1:
-        other = z if cond == "z2" else i2
-        return np.kron(op, other)
-    other = z if cond == "z1" else i2
-    return np.kron(other, op)
+@lru_cache(maxsize=None)
+def _term_operators(target: int, cond: str | None) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y parts of a drive term on qubit ``target``, times Z on the
+    other qubit when ``cond`` names it; four combinations, each built once."""
+    i2, x, y, z = _P1
+    other = z if cond == ("z2" if target == 1 else "z1") else i2
+    ops = tuple(np.kron(op, other) if target == 1 else np.kron(other, op) for op in (x, y))
+    for op in ops:
+        op.setflags(write=False)
+    return ops
 
 
-class _HamiltonianSampler:
-    """Precomputed term structure of the drive Hamiltonian for fast sampling."""
+def _drive_samples(pairs: list[DrivePair], times: np.ndarray):
+    """Amplitudes (rad/s) and phase offsets of both drive lines of each pair.
 
-    def __init__(
-        self,
-        p: DeviceParams,
-        drive1: DriveEnvelope | None,
-        drive2: DriveEnvelope | None,
-    ):
-        p.require_crosstalk()
-        self.static = (
-            p.zeta / 4 * _ZZ - p.detuning1 / 2 * _ZI - p.detuning2 / 2 * _IZ
-        ).astype(complex)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        # per term: (envelope, coeff, detuning, phase offset, X-part, Y-part)
-        self.terms = []
-        for which, drive in ((1, drive1), (2, drive2)):
+    Shapes (len(pairs), 2, len(times)) and (len(pairs), 2); an absent drive
+    has amplitude 0.  The unit-peak shape is sampled once per envelope
+    timing.
+    """
+    amps = np.zeros((len(pairs), 2, len(times)))
+    phases = np.zeros((len(pairs), 2))
+    shapes = {}
+    for i, pair in enumerate(pairs):
+        for line, drive in enumerate(pair):
             if drive is None:
                 continue
-            omega_drive = p.omega1 if which == 1 else p.omega2
-            phi0 = 0.0 if drive.axis == "x" else np.pi / 2
-            for coeff, target, cond in _drive_terms(p, which):
-                omega_frame = p.omega1 if target == 1 else p.omega2
-                self.terms.append(
-                    (
-                        drive,
-                        coeff,
-                        omega_drive - omega_frame,
-                        phi0,
-                        _conditioned(x, target, cond),
-                        _conditioned(y, target, cond),
-                    )
-                )
+            key = (drive.gate_time, drive.ramp_frac)
+            if key not in shapes:
+                shapes[key] = drive.shape(times)
+            amps[i, line] = drive._peak * shapes[key]
+            phases[i, line] = 0.0 if drive.axis == "x" else np.pi / 2
+    return amps, phases
 
-    def stack_at(self, times: np.ndarray) -> np.ndarray:
-        """Hamiltonians at many times at once, shape (len(times), 4, 4)."""
-        out = np.broadcast_to(self.static, (len(times), 4, 4)).copy()
-        amps = {id(term[0]): term[0].amplitude(times) for term in self.terms}
-        for drive, coeff, delta, phi0, mx, my in self.terms:
-            phase = delta * times + phi0
-            weight = coeff * amps[id(drive)]
-            out += (weight * np.cos(phase))[:, None, None] * mx
-            out += (weight * np.sin(phase))[:, None, None] * my
-        return out
+
+def _hamiltonian_samples(
+    p: DeviceParams, amps: np.ndarray, phases: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """Hamiltonians of a batch of pairs at many times, from the output of
+    :func:`_drive_samples`; shape (len(amps), len(times), 4, 4).
+
+    The static part comes first, then line 1's terms, then line 2's; a
+    line without a drive adds exact zeros, so every pair sums its terms in
+    one fixed order whatever the batch.
+    """
+    p.require_crosstalk()
+    static = (
+        p.zeta / 4 * _ZZ - p.detuning1 / 2 * _ZI - p.detuning2 / 2 * _IZ
+    ).astype(complex)
+    out = np.broadcast_to(static, (len(amps), len(times), 4, 4)).copy()
+    for line, omega_drive in enumerate((p.omega1, p.omega2)):
+        for coeff, target, cond in _drive_terms(p, line + 1):
+            omega_frame = p.omega1 if target == 1 else p.omega2
+            phase = (omega_drive - omega_frame) * times + phases[:, line, None]
+            weight = coeff * amps[:, line]
+            mx, my = _term_operators(target, cond)
+            out += (weight * np.cos(phase))[..., None, None] * mx
+            out += (weight * np.sin(phase))[..., None, None] * my
+    return out
 
 
 def crosstalk_hamiltonian(
@@ -333,14 +373,66 @@ def crosstalk_hamiltonian(
     qubit-qubit detuning.  Y-axis drives use the same coupling pattern
     with the drive phase advanced by pi/2.
     """
-    return _HamiltonianSampler(p, drive1, drive2).stack_at(np.array([float(t)]))[0]
+    times = np.array([float(t)])
+    amps, phases = _drive_samples([(drive1, drive2)], times)
+    return _hamiltonian_samples(p, amps, phases, times)[0, 0]
 
 
-def _expm_antihermitian(omega: np.ndarray) -> np.ndarray:
-    """exp(Omega) for anti-Hermitian Omega via eigendecomposition."""
-    h_eff = 1j * omega
-    w, v = np.linalg.eigh(h_eff)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+def evolve_to_ptms(
+    p: DeviceParams,
+    pairs: list[DrivePair],
+    steps: int = DEFAULT_EVOLVE_STEPS,
+) -> np.ndarray:
+    """Time-ordered evolution of each (drive1, drive2) pair under the
+    cross-talk Hamiltonian, as PTMs of shape (len(pairs), 16, 16).
+
+    Fourth-order Magnus integrator with two Gauss-Legendre samples per
+    step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)); doubling
+    ``steps`` changes the PTM entries by less than 1e-8 at the default
+    settings.  Pairs go through in blocks of EVOLVE_BLOCK_PAIRS, and each
+    pair's step propagators are multiplied in time order, so a pair's PTM
+    does not depend on the batch it came in.
+    """
+    if steps < MIN_EVOLVE_STEPS:
+        raise ValueError(f"need at least {MIN_EVOLVE_STEPS} steps per gate")
+    span = p.gate_time
+    if span == 0.0:
+        return np.broadcast_to(np.eye(16), (len(pairs), 16, 16)).copy()
+    h = span / steps
+    starts = np.arange(steps) * h
+    nodes = [starts + c * h for c in _GAUSS_NODES]
+    samples = [_drive_samples(pairs, t) for t in nodes]
+    unitaries = np.empty((len(pairs), 4, 4), dtype=complex)
+    for first in range(0, len(pairs), EVOLVE_BLOCK_PAIRS):
+        block = slice(first, first + EVOLVE_BLOCK_PAIRS)
+        b1, b2 = (
+            _hamiltonian_samples(p, amps[block], phases[block], t)
+            for (amps, phases), t in zip(samples, nodes)
+        )
+        b1 *= -1j
+        b2 *= -1j
+        # Magnus exponent (h/2)(b1 + b2) + (sqrt(3) h^2 / 12)[b2, b1], built
+        # in b1's buffer to hold few block-sized arrays at once
+        comm = b2 @ b1
+        comm -= b1 @ b2
+        comm *= math.sqrt(3) * h * h / 12
+        omega = b1
+        omega += b2
+        omega *= h / 2
+        omega += comm
+        del b1, b2, comm
+        # exp(omega) of the anti-Hermitian exponents by eigendecomposition
+        omega *= 1j
+        w, v = np.linalg.eigh(omega)
+        del omega
+        vh = v.conj().swapaxes(-1, -2)
+        v *= np.exp(-1j * w)[..., None, :]
+        props = v @ vh
+        u = np.broadcast_to(np.eye(4, dtype=complex), (len(props), 4, 4))
+        for k in range(steps):
+            u = props[:, k] @ u
+        unitaries[block] = u
+    return ptms_from_unitaries(unitaries, atol=1e-8)
 
 
 def evolve_to_ptm(
@@ -348,32 +440,11 @@ def evolve_to_ptm(
     drives: list[DriveEnvelope],
     steps: int = DEFAULT_EVOLVE_STEPS,
 ) -> np.ndarray:
-    """Time-ordered evolution under the cross-talk Hamiltonian as a PTM.
-
-    Fourth-order Magnus integrator with two Gauss-Legendre samples per
-    step; doubling ``steps`` changes the PTM entries by less than 1e-8 at
-    the default settings.
-    """
-    if steps < MIN_EVOLVE_STEPS:
-        raise ValueError(f"need at least {MIN_EVOLVE_STEPS} steps per gate")
+    """Time-ordered evolution of one set of drives as a PTM (the first
+    drive on each qubit counts); see :func:`evolve_to_ptms`."""
     drive1 = next((d for d in drives if d.target == 1), None)
     drive2 = next((d for d in drives if d.target == 2), None)
-    span = p.gate_time
-    if span == 0.0:
-        return np.eye(16)
-    sampler = _HamiltonianSampler(p, drive1, drive2)
-    h = span / steps
-    c_lo = 0.5 - math.sqrt(3) / 6
-    c_hi = 0.5 + math.sqrt(3) / 6
-    starts = np.arange(steps) * h
-    b_lo = -1j * sampler.stack_at(starts + c_lo * h)
-    b_hi = -1j * sampler.stack_at(starts + c_hi * h)
-    u = np.eye(4, dtype=complex)
-    for k in range(steps):
-        b1, b2 = b_lo[k], b_hi[k]
-        omega = (h / 2) * (b1 + b2) + (math.sqrt(3) * h * h / 12) * (b2 @ b1 - b1 @ b2)
-        u = _expm_antihermitian(omega) @ u
-    return ptm_from_unitary(u, atol=1e-8)
+    return evolve_to_ptms(p, [(drive1, drive2)], steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +640,12 @@ def _gate_independent_error(model: NoiseModel) -> np.ndarray | None:
 
 
 class NoisyGateSet:
-    """Per-slot and per-element noisy channels for a model, built once."""
+    """Per-slot and per-element noisy channels for a model, built once.
+
+    Slot channels are built in batches: ``element_table`` fills every slot
+    of a group not cached yet with one batched error-factor call, which for
+    a cross-talk model is one :func:`evolve_to_ptms` batch.
+    """
 
     def __init__(self, model: NoiseModel):
         self.model = model
@@ -579,39 +655,44 @@ class NoisyGateSet:
 
     def error_factor(self, gate: tuple[str | None, str | None]) -> np.ndarray:
         """Error channel E with noisy = E @ ideal for one slot."""
-        return self._error(self.model, gate)
+        return self._errors(self.model, [gate], ideal_gate_ptm(gate)[None])[0]
 
-    def _error(self, model: NoiseModel, gate) -> np.ndarray:
+    def _errors(self, model: NoiseModel, gates: list, ideal: np.ndarray) -> np.ndarray:
+        """Error channels of a batch of slots with ideal PTMs ``ideal``,
+        shape (len(gates), 16, 16); a gate-independent factor is broadcast."""
         static = _gate_independent_error(model)
         if static is not None:
-            return static
+            return np.broadcast_to(static, ideal.shape)
         if isinstance(model, CrossTalk):
-            drives = []
-            for target, name in ((1, gate[0]), (2, gate[1])):
-                if name is not None:
-                    drives.append(
-                        generator_envelope(name, target, model.params.gate_time)
-                    )
-            noisy = evolve_to_ptm(model.params, drives, model.steps)
-            return noisy @ ideal_gate_ptm(gate).T
+            gate_time = model.params.gate_time
+            pairs = [generator_drives(gate, gate_time) for gate in gates]
+            noisy = evolve_to_ptms(model.params, pairs, model.steps)
+            return noisy @ ideal.swapaxes(1, 2)
         if isinstance(model, Composite):
             out = np.eye(16)
             for f in model.factors:
-                out = self._error(f, gate) @ out
+                out = self._errors(f, gates, ideal) @ out
             return out
         raise TypeError(f"unknown noise model {model!r}")
+
+    def _build(self, gates) -> None:
+        """Cache the noisy channels of the given slots not cached yet, as
+        one batch."""
+        missing = [gate for gate in dict.fromkeys(gates) if gate not in self._cache]
+        if not missing:
+            return
+        for gate in missing:
+            if any(g is not None and g not in GENERATOR_ANGLES for g in gate):
+                raise ValueError(f"unknown generator pair {gate!r}")
+        ideal = np.stack([ideal_gate_ptm(gate) for gate in missing])
+        noisy = self._errors(self.model, missing, ideal) @ ideal
+        noisy.setflags(write=False)
+        self._cache.update(zip(missing, noisy))
 
     def channel(self, gate: tuple[str | None, str | None]) -> np.ndarray:
         """Noisy PTM of one slot."""
         if gate not in self._cache:
-            g1, g2 = gate
-            if (g1 is not None and g1 not in GENERATOR_ANGLES) or (
-                g2 is not None and g2 not in GENERATOR_ANGLES
-            ):
-                raise ValueError(f"unknown generator pair {gate!r}")
-            ptm = self.error_factor(gate) @ ideal_gate_ptm(gate)
-            ptm.setflags(write=False)
-            self._cache[gate] = ptm
+            self._build([gate])
         return self._cache[gate]
 
     def clifford_error(self) -> np.ndarray:
@@ -623,10 +704,24 @@ class NoisyGateSet:
         return self._static
 
     def element_table(self, group: CliffordGroup, granularity: str) -> np.ndarray:
-        """Noisy channel of every group element, shape (len(group), 16, 16)."""
+        """Noisy channel of every group element, shape (len(group), 16, 16).
+
+        Per Clifford, the element's ideal PTM under one error channel;
+        per generator, the product of its padded word's slot channels.
+        """
         key = (group.kind, granularity)
         if key not in self._tables:
-            channels = [element_channel(e, self, granularity) for e in group.elements]
+            if granularity == "clifford":
+                channels = [self.clifford_error() @ e.ptm for e in group.elements]
+            else:
+                words = [element_slots(e) for e in group.elements]
+                self._build(slot for word in words for slot in word)
+                channels = []
+                for word in words:
+                    out = np.eye(16)
+                    for slot in word:
+                        out = self.channel(slot) @ out
+                    channels.append(out)
             self._tables[key] = np.stack(channels)
             self._tables[key].setflags(write=False)
         return self._tables[key]
@@ -639,18 +734,6 @@ def noisy_gate(model: NoiseModel, gate: tuple[str | None, str | None]) -> np.nda
 
 # ---------------------------------------------------------------------------
 # Model-based predictions
-
-
-def element_channel(
-    group_element, gateset: NoisyGateSet, granularity: str = "generator"
-) -> np.ndarray:
-    """Noisy channel of one Clifford element (its padded generator word)."""
-    if granularity == "clifford":
-        return gateset.clifford_error() @ group_element.ptm
-    out = np.eye(16)
-    for slot in element_slots(group_element):
-        out = gateset.channel(slot) @ out
-    return out
 
 
 def average_error_channel(

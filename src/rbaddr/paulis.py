@@ -106,11 +106,27 @@ def ptm_from_unitary(unitary: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndar
 
     The result is a real orthogonal matrix; non-unitary input is rejected.
     """
-    unitary = np.asarray(unitary, dtype=complex)
-    d = unitary.shape[0]
-    if np.linalg.norm(unitary.conj().T @ unitary - np.eye(d)) > atol:
+    return ptms_from_unitaries(np.asarray(unitary)[None], atol)[0]
+
+
+def ptms_from_unitaries(unitaries: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """PTMs of a batch of unitaries, shape (n, d**2, d**2) for input (n, d, d).
+
+    Each unitary is checked on its own (Frobenius norm of U^dag U - 1 at
+    most ``atol``; a non-finite entry fails).
+    """
+    unitaries = np.asarray(unitaries, dtype=complex)
+    d = unitaries.shape[-1]
+    n = max(1, round(np.log2(d)))
+    if 2**n != d:
+        raise ValueError(f"unitary dimension {d} is not a power of 2")
+    gram = unitaries.conj().swapaxes(-1, -2) @ unitaries - np.eye(d)
+    if not np.all(np.linalg.norm(gram, axis=(-2, -1)) <= atol):
         raise ValueError("input matrix is not unitary")
-    return ptm_from_kraus([unitary], require_tp=False, atol=atol)
+    paulis = np.stack(pauli_matrices(n))
+    # images[u, j] = U P_j U^dag; R[u, i, j] = Tr[P_i images[u, j]] / d
+    images = np.einsum("uab,jbc,udc->ujad", unitaries, paulis, unitaries.conj())
+    return np.einsum("ida,ujad->uij", paulis, images).real / d
 
 
 def ptm_from_kraus(

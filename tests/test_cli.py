@@ -224,13 +224,16 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         (("simulate",), "model = depolarizing\nalpha1 = 0.99\nalpha2 = -0.34\n"),
         (("simulate",), "model = depolarizing\nalpha1 = -0.07\njoint = true\n"),
         (("predict", "--preset", "sample_a"), "gate_time_ns = abc\n"),
+        (("predict", "--preset", "sample_a"), "gate_time_ns = 0\n"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\ngate_time_ns = 0\n"),
         (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = -1\n"),
         (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = nan\n"),
         (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\nsteps = 4\n"),
     ],
     ids=[
         "alpha_unparsable", "alpha_not_cptp", "alpha2_not_cptp",
-        "joint_alpha_not_cptp", "gate_time_unparsable",
+        "joint_alpha_not_cptp", "gate_time_unparsable", "gate_time_zero",
+        "crosstalk_gate_time_zero",
         "t1_negative", "t1_nan", "steps_too_few",
     ],
 )

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from rbaddr.cliffords import element_slots, generator_ptm, get_group
 from rbaddr.noise import (
+    EVOLVE_BLOCK_PAIRS,
+    GATE_ALPHABET,
     SAMPLE_A,
     SAMPLE_B,
     Composite,
@@ -21,12 +25,16 @@ from rbaddr.noise import (
     decoherence_ptm,
     depolarizing_kraus,
     evolve_to_ptm,
+    evolve_to_ptms,
+    generator_drives,
     generator_envelope,
     ideal_gate_ptm,
     noisy_gate,
     predict_addressability,
     predict_alphas,
     zz_rotation_ptm,
+    _drive_terms,
+    _term_operators,
 )
 from rbaddr.paulis import (
     depolarizing_ptm,
@@ -379,22 +387,135 @@ def test_average_error_channel_matches_element_loop():
     assert np.max(np.abs(lam - NoisyGateSet(dep).clifford_error())) < 1e-12
 
 
-def test_predict_addressability_builds_each_slot_channel_once(monkeypatch):
+@pytest.fixture
+def evolved_pairs(monkeypatch):
+    """Every generator pair that goes through the Magnus engine, in order."""
+    import rbaddr.noise as noise
+
+    pairs = []
+    engine = noise.evolve_to_ptms
+
+    def counting(p, batch, steps):
+        for pair in batch:
+            pairs.append(tuple(None if d is None else (d.target, d.axis, d.angle) for d in pair))
+        return engine(p, batch, steps)
+
+    monkeypatch.setattr(noise, "evolve_to_ptms", counting)
+    return pairs
+
+
+def test_predict_addressability_builds_each_slot_channel_once(evolved_pairs):
     # one gate set serves the three group averages: the 48 generator
     # pairs of CxC include the 6 of CxI and the 6 of IxC, and each pair
     # is evolved once
-    import rbaddr.noise as noise
-
-    calls = []
-
-    def counting(p, drives, steps):
-        calls.append(tuple((d.target, d.axis, d.angle) for d in drives))
-        return evolve_to_ptm(p, drives, steps)
-
-    monkeypatch.setattr(noise, "evolve_to_ptm", counting)
     predict_addressability(CrossTalk(SAMPLE_A, steps=16), gamma_max_m=0)
-    assert len(calls) == 48
-    assert len(set(calls)) == 48
+    assert len(evolved_pairs) == 48
+    assert len(set(evolved_pairs)) == 48
+
+
+def test_run_protocol_builds_each_slot_channel_once(evolved_pairs):
+    from rbaddr.protocol import RBConfig, run_protocol
+
+    run_protocol(RBConfig(lengths=(1, 2), K=2, seed=3), CrossTalk(SAMPLE_A, steps=16))
+    assert len(evolved_pairs) == 48
+    assert len(set(evolved_pairs)) == 48
+
+
+# ---------------------------------------------------------------------------
+# the batched Magnus engine against the per-pair, per-step loop it replaced
+
+ALL_PAIRS = [(a, b) for a in GATE_ALPHABET for b in GATE_ALPHABET if (a, b) != (None, None)]
+
+
+def reference_evolve_to_ptm(p, drive1, drive2, steps):
+    """One pair, one Magnus step at a time, in the engine's arithmetic order."""
+    if p.gate_time == 0.0:
+        return np.eye(16)
+    static = (
+        p.zeta / 4 * pauli_matrices(2)[15]
+        - p.detuning1 / 2 * pauli_matrices(2)[12]
+        - p.detuning2 / 2 * pauli_matrices(2)[3]
+    ).astype(complex)
+    terms = []
+    for which, drive in ((1, drive1), (2, drive2)):
+        if drive is None:
+            continue
+        omega_drive = p.omega1 if which == 1 else p.omega2
+        phi0 = 0.0 if drive.axis == "x" else np.pi / 2
+        for coeff, target, cond in _drive_terms(p, which):
+            omega_frame = p.omega1 if target == 1 else p.omega2
+            terms.append(
+                (drive, coeff, omega_drive - omega_frame, phi0, *_term_operators(target, cond))
+            )
+
+    def hamiltonians(times):
+        out = np.broadcast_to(static, (len(times), 4, 4)).copy()
+        for drive, coeff, delta, phi0, mx, my in terms:
+            phase = delta * times + phi0
+            weight = coeff * drive.amplitude(times)
+            out += (weight * np.cos(phase))[:, None, None] * mx
+            out += (weight * np.sin(phase))[:, None, None] * my
+        return out
+
+    h = p.gate_time / steps
+    starts = np.arange(steps) * h
+    b_lo = -1j * hamiltonians(starts + (0.5 - math.sqrt(3) / 6) * h)
+    b_hi = -1j * hamiltonians(starts + (0.5 + math.sqrt(3) / 6) * h)
+    u = np.eye(4, dtype=complex)
+    for b1, b2 in zip(b_lo, b_hi):
+        omega = (h / 2) * (b1 + b2) + (math.sqrt(3) * h * h / 12) * (b2 @ b1 - b1 @ b2)
+        w, v = np.linalg.eigh(1j * omega)
+        u = ((v * np.exp(-1j * w)) @ v.conj().T) @ u
+    assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-8
+    return ptm_from_kraus([u], require_tp=False)
+
+
+def reference_channel(model, gate):
+    """Noisy slot channel: each factor's error in model order, then the gate."""
+    ideal = ideal_gate_ptm(gate)
+
+    def error(m):
+        if isinstance(m, CrossTalk):
+            drives = generator_drives(gate, m.params.gate_time)
+            return reference_evolve_to_ptm(m.params, *drives, m.steps) @ ideal.T
+        if isinstance(m, Composite):
+            out = np.eye(16)
+            for f in m.factors:
+                out = error(f) @ out
+            return out
+        return NoisyGateSet(m).clifford_error()
+
+    return error(model) @ ideal
+
+
+def assert_gate_set_matches_reference(model):
+    gateset = NoisyGateSet(model)
+    gateset.element_table(get_group("cxc"), "generator")  # all 48 pairs, one batch
+    for gate in ALL_PAIRS:
+        assert np.array_equal(gateset.channel(gate), reference_channel(model, gate)), gate
+
+
+@pytest.mark.parametrize("gate_time_ns", [8, 24, 64])
+@pytest.mark.parametrize("steps", [16, 256])
+def test_gate_set_matches_per_pair_reference(gate_time_ns, steps):
+    # the arithmetic order per pair is unchanged, so the match is exact
+    assert_gate_set_matches_reference(CrossTalk(SAMPLE_A.with_gate_time(gate_time_ns * 1e-9), steps))
+
+
+def test_gate_set_matches_reference_with_detunings_and_decoherence():
+    p = replace(SAMPLE_A, detuning1=TWO_PI * 0.3e6, detuning2=-TWO_PI * 1.7e6)
+    assert_gate_set_matches_reference(Composite((CrossTalk(p, steps=16), Decoherence(p))))
+
+
+@pytest.mark.parametrize("n_pairs", [1, EVOLVE_BLOCK_PAIRS - 1, 2 * EVOLVE_BLOCK_PAIRS + 3])
+def test_engine_block_boundaries(n_pairs):
+    # batches that end mid-block, with a step count that is no power of two
+    gates = ALL_PAIRS[-n_pairs:]
+    pairs = [generator_drives(gate, SAMPLE_A.gate_time) for gate in gates]
+    ptms = evolve_to_ptms(SAMPLE_A, pairs, steps=37)
+    assert ptms.shape == (n_pairs, 16, 16)
+    for ptm, pair in zip(ptms, pairs):
+        assert np.array_equal(ptm, reference_evolve_to_ptm(SAMPLE_A, *pair, 37))
 
 
 def test_crosstalk_simulation_consistent_with_prediction():

@@ -105,6 +105,8 @@ def test_ptm_of_x90():
 def test_ptm_rejects_non_unitary():
     with pytest.raises(ValueError):
         ptm_from_unitary(np.array([[1.0, 0.2], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        ptm_from_unitary(np.full((2, 2), np.nan))
 
 
 def test_ptm_unitary_is_orthogonal():
