@@ -59,6 +59,12 @@ def _key(ptm: np.ndarray) -> bytes:
     return np.rint(ptm).astype(np.int8).tobytes()
 
 
+def _one_row(indices) -> np.ndarray:
+    """One sequence as a (1, m) index array; an empty one is an integer (1, 0)."""
+    row = np.asarray(indices)
+    return row.reshape(1, -1) if row.size else np.zeros((1, 0), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class CliffordElement:
     group_kind: str
@@ -99,16 +105,27 @@ class CliffordGroup:
         except KeyError:
             raise KeyError("PTM is not an element of this group") from None
 
+    def _compose_rows(self, indices: np.ndarray) -> np.ndarray:
+        """Composition of each row of a (K, m) index array, one column of
+        the multiplication table per step."""
+        if indices.ndim != 2:
+            raise ValueError("expected a (K, m) array of element indices")
+        total = np.zeros(len(indices), dtype=np.int64)
+        for column in indices.T:
+            total = self.mult_table[column, total]
+        return total
+
+    def recovery_indices(self, indices) -> np.ndarray:
+        """Recovery of each row of a (K, m) index array, shape (K,)."""
+        return self.inv_table[self._compose_rows(np.asarray(indices))]
+
     def compose_indices(self, indices) -> int:
         """Index of the composition of a sequence (applied in list order)."""
-        total = 0
-        for idx in indices:
-            total = int(self.mult_table[idx, total])
-        return total
+        return int(self._compose_rows(_one_row(indices))[0])
 
     def recovery_index(self, indices) -> int:
         """Element undoing a sequence: ptm(r) @ ptm(i_m) ... ptm(i_1) = 1."""
-        return int(self.inv_table[self.compose_indices(indices)])
+        return int(self.recovery_indices(_one_row(indices))[0])
 
     def sample_uniform(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m i.i.d. uniform element indices."""

@@ -707,23 +707,30 @@ class NoisyGateSet:
         """Noisy channel of every group element, shape (len(group), 16, 16).
 
         Per Clifford, the element's ideal PTM under one error channel;
-        per generator, the product of its padded word's slot channels.
+        per generator, the product of its padded word's slot channels, one
+        stacked product per slot position over the whole group (a word
+        shorter than the longest is padded with the identity, which leaves
+        the product exact).
         """
         key = (group.kind, granularity)
         if key not in self._tables:
             if granularity == "clifford":
-                channels = [self.clifford_error() @ e.ptm for e in group.elements]
+                table = np.stack([self.clifford_error() @ e.ptm for e in group.elements])
             else:
                 words = [element_slots(e) for e in group.elements]
-                self._build(slot for word in words for slot in word)
-                channels = []
-                for word in words:
-                    out = np.eye(16)
-                    for slot in word:
-                        out = self.channel(slot) @ out
-                    channels.append(out)
-            self._tables[key] = np.stack(channels)
-            self._tables[key].setflags(write=False)
+                slots = list(dict.fromkeys(slot for word in words for slot in word))
+                self._build(slots)
+                # row 0 is the identity pad; row s + 1 is slot s's channel
+                channels = np.stack([np.eye(16)] + [self.channel(s) for s in slots])
+                row = {slot: s + 1 for s, slot in enumerate(slots)}
+                positions = np.zeros((len(words), max(map(len, words))), dtype=np.int64)
+                for g, word in enumerate(words):
+                    positions[g, : len(word)] = [row[slot] for slot in word]
+                table = np.broadcast_to(np.eye(16), (len(words), 16, 16))
+                for column in positions.T:
+                    table = channels[column] @ table
+            table.setflags(write=False)
+            self._tables[key] = table
         return self._tables[key]
 
 

@@ -2,11 +2,13 @@
 
 Experiment 1 twirls qubit 1 alone (CxI, qubit 2 idles), experiment 2
 mirrors it (IxC), experiment 3 runs independent random Cliffords on both
-qubits at once (CxC).  Each sequence of m random elements plus the
-table-computed recovery is propagated through the noisy element channels
-of one gate set shared by the three experiments, K sequences at a time;
-the four final populations give the traced projections p00+p01 (qubit 1),
-p00+p10 (qubit 2) and the correlation p00+p11.
+qubits at once (CxC).  The recoveries of the K sequences of one length
+come from one batched recovery scan per length over the group's
+multiplication table.  Each sequence of m random elements plus its
+recovery is propagated through the noisy element channels of one gate set
+shared by the three experiments, K sequences at a time; the four final
+populations give the traced projections p00+p01 (qubit 1), p00+p10
+(qubit 2) and the correlation p00+p11.
 
 Noise enters once per generator slot by default (error scales with
 pulse count); an optional per-Clifford mode applies one channel per
@@ -109,7 +111,8 @@ class SurvivalCurve:
 def generate_sequence(
     group: CliffordGroup, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """m uniform element indices plus the recovery index."""
+    """m uniform element indices plus the recovery index (one sequence;
+    ``run_experiment`` draws the K sequences of a length as one batch)."""
     indices = group.sample_uniform(rng, m)
     return indices, group.recovery_index(indices)
 
@@ -151,8 +154,8 @@ def run_experiment(
     values = {proj: np.empty((len(cfg.lengths), cfg.K)) for proj in projections}
     for mi, m in enumerate(cfg.lengths):
         rngs = [_sequence_rng(cfg, experiment, m, k) for k in range(cfg.K)]
-        drawn = [generate_sequence(group, m, rng) for rng in rngs]
-        indices, recovery = map(np.array, zip(*drawn))
+        indices = np.stack([group.sample_uniform(rng, m) for rng in rngs])
+        recovery = group.recovery_indices(indices)
         pops = simulate_sequence(
             group, indices, recovery, gateset, cfg.spam, cfg.granularity
         )

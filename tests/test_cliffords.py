@@ -135,6 +135,47 @@ def test_recovery_table_vs_brute_force(c1):
         assert brute == c1.recovery_index(seq)
 
 
+def _reference_recovery(group, indices):
+    """The per-row Python walk over mult_table that the batched scan replaced."""
+    out = []
+    for row in indices:
+        total = 0
+        for idx in row:
+            total = int(group.mult_table[idx, total])
+        out.append(int(group.inv_table[total]))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["c1", "cxi", "ixc", "cxc"])
+@pytest.mark.parametrize("K, m", [(1, 1), (1, 0), (7, 0), (1, 13), (5, 1), (50, 64)])
+def test_recovery_indices_match_per_row_walk(kind, K, m):
+    group = get_group(kind)
+    rng = np.random.default_rng([K, m, len(group)])
+    indices = rng.integers(0, len(group), size=(K, m))
+    batch = group.recovery_indices(indices)
+    assert batch.shape == (K,)
+    assert batch.tolist() == _reference_recovery(group, indices)
+    for row, rec in zip(indices, batch):
+        one, total = group.recovery_index(row), group.compose_indices(row)
+        assert type(one) is int and one == rec
+        assert type(total) is int and group.inv_table[total] == rec
+
+
+def test_recovery_indices_close_cxc_sequences_in_ptms(cxc):
+    rng = np.random.default_rng(41)
+    indices = rng.integers(0, len(cxc), size=(6, 9))
+    for row, rec in zip(indices, cxc.recovery_indices(indices)):
+        total = np.eye(16)
+        for i in (*row, rec):
+            total = cxc.ptm(int(i)) @ total
+        assert np.array_equal(total, np.eye(16))
+
+
+def test_recovery_indices_reject_one_dimensional_input(c1):
+    with pytest.raises(ValueError):
+        c1.recovery_indices([1, 2, 3])
+
+
 def test_sample_uniform_determinism_and_bounds(c1):
     a = c1.sample_uniform(np.random.default_rng(4), 50)
     b = c1.sample_uniform(np.random.default_rng(4), 50)

@@ -128,6 +128,27 @@ def test_fit_invariant_under_point_permutation():
     assert np.allclose(fit.params, fit_p.params, atol=1e-10)
 
 
+@given(
+    alpha=st.floats(0.95, 0.999),
+    amplitude=st.floats(0.2, 0.6),
+    offset=st.floats(0.25, 0.5),
+    sigma=st.floats(1e-4, 5e-3),
+    seed=st.integers(0, 2**32 - 1),
+    perm=st.permutations(range(len(M_GRID))),
+)
+@settings(max_examples=40, deadline=None)
+def test_fit_invariant_under_row_permutation_property(alpha, amplitude, offset, sigma, seed, perm):
+    # the fit depends on the set of (m, y, stderr) rows, not on their order
+    rng = np.random.default_rng(seed)
+    m, y, s = synthetic_curve(alpha, sigma, rng, amplitude=amplitude, offset=offset)
+    s = s * rng.uniform(0.5, 2.0, len(m))
+    fit = fit_exponential(m, y, s)
+    perm = np.array(perm)
+    fit_p = fit_exponential(m[perm], y[perm], s[perm])
+    assert fit.converged and fit_p.converged
+    assert np.allclose(fit_p.params, fit.params, rtol=1e-6, atol=0)
+
+
 def test_gradient_norm_small_at_converged_fit():
     rng = np.random.default_rng(6)
     m, y, s = synthetic_curve(0.992, 0.004, rng)

@@ -366,6 +366,35 @@ def test_average_error_channel_is_trace_preserving():
     assert is_trace_preserving(lam, atol=1e-9)
 
 
+def reference_element_table(gateset, group):
+    """Per element, its word's slot channels composed one at a time."""
+    channels = []
+    for e in group.elements:
+        channel = np.eye(16)
+        for slot in element_slots(e):
+            channel = gateset.channel(slot) @ channel
+        channels.append(channel)
+    return np.stack(channels)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Depolarizing(0.98, 0.97)]
+    + [
+        Composite((CrossTalk(p, steps=16), Decoherence(p)))
+        for p in (SAMPLE_A.with_gate_time(t * 1e-9) for t in (8, 24, 64))
+    ],
+    ids=["depolarizing", "crosstalk_8ns", "crosstalk_24ns", "crosstalk_64ns"],
+)
+def test_element_table_matches_per_element_loop(model):
+    # identity padding of the shorter words is exact, so the match is too
+    gateset = NoisyGateSet(model)
+    for kind in ("cxi", "ixc", "cxc"):
+        group = get_group(kind)
+        table = gateset.element_table(group, "generator")
+        assert np.array_equal(table, reference_element_table(gateset, group)), kind
+
+
 def test_average_error_channel_matches_element_loop():
     # reference: compose each element's slot channels, then average
     # noisy(i) @ ideal(i)^T over the group one element at a time
@@ -375,10 +404,7 @@ def test_average_error_channel_matches_element_loop():
     for kind in ("cxi", "ixc", "cxc"):
         group = get_group(kind)
         acc = np.zeros((16, 16))
-        for e in group.elements:
-            channel = np.eye(16)
-            for slot in element_slots(e):
-                channel = gateset.channel(slot) @ channel
+        for e, channel in zip(group.elements, reference_element_table(gateset, group)):
             acc += channel @ e.ptm.T
         lam = average_error_channel(gateset, group)
         assert np.max(np.abs(lam - acc / len(group))) < 1e-12

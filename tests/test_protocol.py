@@ -181,6 +181,57 @@ def test_run_experiment_matches_per_sequence_propagation(model, granularity, spa
                     assert abs(curve.raw[mi, k] - sums[proj]) < 1e-12
 
 
+def _per_sequence_curves(cfg, gateset, experiment):
+    """Reference draw order, one stream per sequence k: its indices (and
+    recovery) from generate_sequence, then, after propagation, its shots.
+
+    The sequences are propagated as one stacked batch: a lone sequence's
+    populations come from a (4, 16) @ (16, 1) product whose BLAS rounding
+    differs from a row of the (16, K) batch by an ulp, and the per-sequence
+    propagation itself is checked to 1e-12 above."""
+    group = get_group(EXPERIMENT_GROUPS[experiment])
+    code = EXPERIMENT_CODES[experiment]
+    pops = np.empty((len(cfg.lengths), cfg.K, 4))
+    for mi, m in enumerate(cfg.lengths):
+        rngs = [np.random.default_rng([cfg.seed, code, m, k]) for k in range(cfg.K)]
+        drawn = [generate_sequence(group, m, rng) for rng in rngs]
+        indices = np.stack([seq for seq, _ in drawn])
+        recovery = np.array([rec for _, rec in drawn])
+        batch = simulate_sequence(group, indices, recovery, gateset, cfg.spam, cfg.granularity)
+        for k, (rng, p) in enumerate(zip(rngs, batch)):
+            if cfg.shots is not None:
+                p = np.clip(p, 0.0, None)
+                p = rng.multinomial(cfg.shots, p / p.sum()) / cfg.shots
+            pops[mi, k] = p
+    raw = {"Q1": pops[..., 0] + pops[..., 1], "Q2": pops[..., 0] + pops[..., 2]}
+    if experiment == "exp3":
+        raw["CORR"] = pops[..., 0] + pops[..., 3]
+    return raw
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp3"])
+@pytest.mark.parametrize("granularity", ["generator", "clifford"])
+@pytest.mark.parametrize("shots", [None, 200])
+def test_run_experiment_reproduces_per_sequence_draw_order(experiment, granularity, shots):
+    cfg = RBConfig(
+        lengths=(1, 2, 7, 20), K=5, seed=23, spam=_MISASSIGNED,
+        granularity=granularity, shots=shots, keep_raw=True,
+    )
+    # gate-independent, so both granularities apply; the ZZ rotation makes
+    # each sequence's populations depend on its elements
+    gateset = NoisyGateSet(
+        Composite((Depolarizing(0.97, 0.95), StaticError(zz_rotation_ptm(0.2))))
+    )
+    curves = run_experiment(cfg, gateset, experiment)
+    reference = _per_sequence_curves(cfg, gateset, experiment)
+    assert set(curves) == set(reference)
+    for proj, raw in reference.items():
+        curve = curves[proj]
+        assert np.array_equal(curve.raw, raw), proj
+        assert np.array_equal(curve.mean, raw.mean(axis=1)), proj
+        assert np.array_equal(curve.stderr, raw.std(axis=1, ddof=1) / np.sqrt(cfg.K)), proj
+
+
 def test_run_experiment_ideal_constant_one():
     cfg = RBConfig(lengths=(1, 2, 4), K=3, seed=0)
     for experiment in ("exp1", "exp2", "exp3"):
