@@ -6,6 +6,13 @@ groups (CxC, CxI, IxC) are assembled as products.  Clifford PTMs are
 signed permutation matrices, so elements are canonicalized by rounding to
 integers and group operations run on precomputed index tables: the random
 part of a benchmarking sequence never touches matrix arithmetic.
+
+Each group is built with a few array operations: one stacked matmul per
+closure frontier, one broadcast Kronecker product for all pairs of a
+product group, one stacked product for the tables.  On integer PTMs these
+are exact, so the result equals the one-element-at-a-time build bit for
+bit.  A group holds its PTMs as one read-only ``(|G|, d, d)`` array,
+``CliffordGroup.ptms``; each element's ``ptm`` is a view of it.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paulis import ptm_from_unitary, tensor
+from .paulis import ptm_from_unitary
 
 GENERATOR_ANGLES: dict[str, tuple[str, float]] = {
     "x90": ("x", np.pi / 2),
@@ -48,9 +55,20 @@ def generator_ptm(name: str) -> np.ndarray:
     return ptm
 
 
-def _canonical(ptm: np.ndarray) -> np.ndarray:
+def _rounded(ptm: np.ndarray) -> np.ndarray | None:
+    """The integer PTM ``ptm`` is within ``_KEY_GUARD`` of, or None if there
+    is none (a non-finite entry has none)."""
+    if not np.all(np.isfinite(ptm)):
+        return None
     rounded = np.rint(ptm)
     if np.max(np.abs(ptm - rounded)) > _KEY_GUARD:
+        return None
+    return rounded
+
+
+def _canonical(ptm: np.ndarray) -> np.ndarray:
+    rounded = _rounded(ptm)
+    if rounded is None:
         raise ValueError("PTM is not a signed Pauli permutation")
     return rounded
 
@@ -87,17 +105,19 @@ class CliffordGroup:
     mult_table: np.ndarray  # mult_table[i, j] = index of (apply j, then i)
     inv_table: np.ndarray
     _key_index: dict[bytes, int] = field(repr=False)
+    # every element's PTM, stacked (|G|, d, d); element i's ptm is ptms[i]
+    ptms: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def ptm(self, index: int) -> np.ndarray:
-        return self.elements[index].ptm
+        return self.ptms[index]
 
     def lookup(self, ptm: np.ndarray) -> int:
         """Index of a (numerically) signed-permutation PTM in the group."""
-        rounded = np.rint(ptm)
-        if np.max(np.abs(ptm - rounded)) > _KEY_GUARD:
+        rounded = _rounded(ptm)
+        if rounded is None:
             raise KeyError("PTM is not close to a signed Pauli permutation")
         key = rounded.astype(np.int8).tobytes()
         try:
@@ -145,84 +165,101 @@ class CliffordGroup:
 @lru_cache(maxsize=None)
 def generate_c1() -> CliffordGroup:
     """The 24-element single-qubit Clifford group by generator closure."""
-    identity = np.eye(4)
-    elements: list[tuple[np.ndarray, tuple[str, ...]]] = [(identity, ())]
-    seen = {_key(identity): 0}
+    generators = np.stack([generator_ptm(name) for name in GENERATOR_ANGLES])
+    names = tuple(GENERATOR_ANGLES)
+    ptms: list[np.ndarray] = [np.eye(4)]
+    words: list[tuple[str, ...]] = [()]
+    seen = {_key(ptms[0]): 0}
     frontier = [0]
     while frontier:
+        # every (element, generator) product of the frontier, in that order
+        bases = np.stack([ptms[i] for i in frontier])
+        products = _canonical(generators[None] @ bases[:, None])
         next_frontier = []
-        for idx in frontier:
-            base_ptm, base_word = elements[idx]
-            for name in GENERATOR_ANGLES:
-                new_ptm = _canonical(generator_ptm(name) @ base_ptm)
-                key = _key(new_ptm)
-                if key not in seen:
-                    seen[key] = len(elements)
-                    elements.append((new_ptm, base_word + (name,)))
-                    next_frontier.append(seen[key])
+        for n, key in enumerate(_keys(products)):
+            if key not in seen:
+                f, g = divmod(n, len(names))
+                seen[key] = len(ptms)
+                ptms.append(products[f, g])
+                words.append(words[frontier[f]] + (names[g],))
+                next_frontier.append(seen[key])
         frontier = next_frontier
-        if len(elements) > 24:
+        if len(ptms) > 24:
             raise RuntimeError("closure exceeded 24 elements; generator bug")
-    if len(elements) != 24:
-        raise RuntimeError(f"closure stalled at {len(elements)} elements")
+    if len(ptms) != 24:
+        raise RuntimeError(f"closure stalled at {len(ptms)} elements")
 
-    mult = np.empty((24, 24), dtype=np.int64)
-    inv = np.empty(24, dtype=np.int64)
-    for i, (pi, _) in enumerate(elements):
-        inv[i] = seen[_key(pi.T)]
-        for j, (pj, _) in enumerate(elements):
-            mult[i, j] = seen[_key(pi @ pj)]
-    elems = []
-    for i, (ptm, word) in enumerate(elements):
-        ptm.setflags(write=False)
-        elems.append(CliffordElement("c1", i, ptm, (word,)))
-    mult.setflags(write=False)
-    inv.setflags(write=False)
-    return CliffordGroup("c1", 1, tuple(elems), mult, inv, seen)
+    stack = np.stack(ptms)
+    # a signed permutation's inverse is its transpose
+    mult = _indices(seen, stack[:, None] @ stack[None, :]).reshape(24, 24)
+    inv = _indices(seen, stack.transpose(0, 2, 1))
+    return _group("c1", 1, stack, [(w,) for w in words], mult, inv, seen)
 
 
 @lru_cache(maxsize=None)
 def product_group(kind: str) -> CliffordGroup:
-    """Two-qubit subsystem groups: 'cxc' (576), 'cxi' or 'ixc' (24 each)."""
+    """Two-qubit subsystem groups: 'cxc' (576), 'cxi' or 'ixc' (24 each).
+
+    Element ``24 * a + b`` of CxC is C1 element a on qubit 1 and b on
+    qubit 2; CxI and IxC index C1 directly.
+    """
     c1 = generate_c1()
-    i4 = np.eye(4)
+    identity = (np.eye(4)[None], [()])
+    c1_side = (c1.ptms, [e.words[0] for e in c1.elements])
     if kind == "cxc":
-        pairs = [(a, b) for a in range(24) for b in range(24)]
+        (a, words_a), (b, words_b) = c1_side, c1_side
     elif kind == "cxi":
-        pairs = [(a, None) for a in range(24)]
+        (a, words_a), (b, words_b) = c1_side, identity
     elif kind == "ixc":
-        pairs = [(None, b) for b in range(24)]
+        (a, words_a), (b, words_b) = identity, c1_side
     else:
         raise ValueError(f"unknown group kind '{kind}'")
 
-    elements = []
-    key_index: dict[bytes, int] = {}
-    for idx, (a, b) in enumerate(pairs):
-        ptm_a = c1.ptm(a) if a is not None else i4
-        ptm_b = c1.ptm(b) if b is not None else i4
-        word_a = c1.elements[a].words[0] if a is not None else ()
-        word_b = c1.elements[b].words[0] if b is not None else ()
-        ptm = tensor(ptm_a, ptm_b)
-        ptm.setflags(write=False)
-        elements.append(CliffordElement(kind, idx, ptm, (word_a, word_b)))
-        key_index[_key(ptm)] = idx
+    # the Kronecker product of every pair as one broadcast multiply (not
+    # einsum, which sums into a zeroed output and so loses kron's -0.0)
+    ptms = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, 16, 16)
+    words = [(wa, wb) for wa in words_a for wb in words_b]
+    key_index = {key: idx for idx, key in enumerate(_keys(ptms))}
 
     m1 = c1.mult_table
     inv1 = c1.inv_table
     if kind == "cxc":
-        # index = 24 * a + b; the product factorizes per qubit
-        a = np.arange(24)
-        mult = (
-            24 * m1[np.repeat(a, 24)][:, np.repeat(a, 24)]
-            + m1[np.tile(a, 24)][:, np.tile(a, 24)]
-        )
+        # the product factorizes per qubit
+        mult = (24 * m1[:, None, :, None] + m1[None, :, None, :]).reshape(576, 576)
         inv = 24 * np.repeat(inv1, 24) + np.tile(inv1, 24)
     else:
         mult = m1.copy()
         inv = inv1.copy()
-    mult.setflags(write=False)
-    inv.setflags(write=False)
-    return CliffordGroup(kind, 2, tuple(elements), mult, inv, key_index)
+    return _group(kind, 2, ptms, words, mult, inv, key_index)
+
+
+def _keys(ptms: np.ndarray) -> list[bytes]:
+    """``_key`` of every matrix of a (..., d, d) stack, in C order."""
+    rows = np.rint(ptms).astype(np.int8).reshape(-1, ptms.shape[-1] ** 2)
+    return [row.tobytes() for row in rows]
+
+
+def _indices(key_index: dict[bytes, int], ptms: np.ndarray) -> np.ndarray:
+    """Group index of every matrix of a (..., d, d) stack, in C order."""
+    return np.array([key_index[key] for key in _keys(ptms)], dtype=np.int64)
+
+
+def _read_only(array: np.ndarray) -> None:
+    """Freeze ``array`` and the arrays it views, so that no view of it (an
+    element's PTM) can be made writeable again."""
+    while isinstance(array, np.ndarray):
+        array.setflags(write=False)
+        array = array.base
+
+
+def _group(kind, n, ptms, words, mult, inv, key_index) -> CliffordGroup:
+    """Freeze the shared arrays; every element's PTM is a view of ``ptms``."""
+    for array in (ptms, mult, inv):
+        _read_only(array)
+    elements = tuple(
+        CliffordElement(kind, i, ptms[i], word) for i, word in enumerate(words)
+    )
+    return CliffordGroup(kind, n, elements, mult, inv, key_index, ptms)
 
 
 def get_group(kind: str) -> CliffordGroup:

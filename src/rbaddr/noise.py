@@ -715,7 +715,7 @@ class NoisyGateSet:
         key = (group.kind, granularity)
         if key not in self._tables:
             if granularity == "clifford":
-                table = np.stack([self.clifford_error() @ e.ptm for e in group.elements])
+                table = self.clifford_error() @ group.ptms
             else:
                 words = [element_slots(e) for e in group.elements]
                 slots = list(dict.fromkeys(slot for word in words for slot in word))
@@ -753,8 +753,7 @@ def average_error_channel(
         group = get_group(group)
     gateset = model if isinstance(model, NoisyGateSet) else NoisyGateSet(model)
     table = gateset.element_table(group, granularity)
-    ideal = np.stack([e.ptm for e in group.elements])
-    return np.einsum("gij,gkj->ik", table, ideal) / len(group)
+    return np.einsum("gij,gkj->ik", table, group.ptms) / len(group)
 
 
 def predict_alphas(

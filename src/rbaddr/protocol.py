@@ -90,6 +90,8 @@ class RBConfig:
             raise ValueError("sequence lengths must be strictly increasing")
         if self.K < 2:
             raise ValueError("need K >= 2 sequences per length")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.granularity not in ("generator", "clifford"):
             raise ValueError("granularity must be 'generator' or 'clifford'")
         object.__setattr__(self, "lengths", lengths)

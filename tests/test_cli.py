@@ -205,10 +205,18 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize(
     "settings",
-    [("--lengths", "4,2"), ("--K", "1"), ("--K", "0"), ("--lengths", "")],
-    ids=["lengths", "K", "K_zero", "lengths_empty"],
+    [
+        ("--lengths", "4,2"), ("--K", "1"), ("--K", "0"), ("--lengths", ""),
+        ("--seed", "-1"), "seed = -1\n",
+    ],
+    ids=["lengths", "K", "K_zero", "lengths_empty", "seed_negative",
+         "config_seed_negative"],
 )
 def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
+    if isinstance(settings, str):  # the contents of a config file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(settings)
+        settings = ("--config", str(cfg))
     code = run_cli(
         "simulate", "--model", "ideal", *settings, "--out", str(tmp_path / "o")
     )

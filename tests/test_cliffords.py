@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbaddr.cli import main as cli_main
 from rbaddr.cliffords import (
     GENERATOR_ANGLES,
+    CliffordElement,
+    CliffordGroup,
+    _canonical,
+    _key,
     dump_group_csv,
     element_slots,
     generate_c1,
@@ -12,7 +17,77 @@ from rbaddr.cliffords import (
     get_group,
     product_group,
 )
-from rbaddr.paulis import depolarizing_ptm
+from rbaddr.paulis import depolarizing_ptm, tensor
+
+KINDS = ("c1", "cxi", "ixc", "cxc")
+
+
+def reference_generate_c1() -> CliffordGroup:
+    """C1 built one element and one table entry at a time: the generator
+    closure with one product per (element, generator), then a key lookup of
+    every pair product and every transpose."""
+    identity = np.eye(4)
+    elements = [(identity, ())]
+    seen = {_key(identity): 0}
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for idx in frontier:
+            base_ptm, base_word = elements[idx]
+            for name in GENERATOR_ANGLES:
+                new_ptm = _canonical(generator_ptm(name) @ base_ptm)
+                key = _key(new_ptm)
+                if key not in seen:
+                    seen[key] = len(elements)
+                    elements.append((new_ptm, base_word + (name,)))
+                    next_frontier.append(seen[key])
+        frontier = next_frontier
+    mult = np.empty((24, 24), dtype=np.int64)
+    inv = np.empty(24, dtype=np.int64)
+    for i, (pi, _) in enumerate(elements):
+        inv[i] = seen[_key(pi.T)]
+        for j, (pj, _) in enumerate(elements):
+            mult[i, j] = seen[_key(pi @ pj)]
+    elems = tuple(
+        CliffordElement("c1", i, ptm, (word,)) for i, (ptm, word) in enumerate(elements)
+    )
+    ptms = np.stack([ptm for ptm, _ in elements])
+    return CliffordGroup("c1", 1, elems, mult, inv, seen, ptms)
+
+
+def reference_product_group(kind: str) -> CliffordGroup:
+    """A two-qubit group built one ``np.kron`` and one table entry at a time."""
+    c1 = reference_generate_c1()
+    pairs = {
+        "cxc": [(a, b) for a in range(24) for b in range(24)],
+        "cxi": [(a, None) for a in range(24)],
+        "ixc": [(None, b) for b in range(24)],
+    }[kind]
+    elements = []
+    key_index = {}
+    for idx, (a, b) in enumerate(pairs):
+        ptm = tensor(
+            c1.elements[a].ptm if a is not None else np.eye(4),
+            c1.elements[b].ptm if b is not None else np.eye(4),
+        )
+        words = (
+            c1.elements[a].words[0] if a is not None else (),
+            c1.elements[b].words[0] if b is not None else (),
+        )
+        elements.append(CliffordElement(kind, idx, ptm, words))
+        key_index[_key(ptm)] = idx
+    mult = np.empty((len(pairs), len(pairs)), dtype=np.int64)
+    inv = np.empty(len(pairs), dtype=np.int64)
+    for i, ei in enumerate(elements):
+        inv[i] = key_index[_key(ei.ptm.T)]
+        for j, ej in enumerate(elements):
+            mult[i, j] = key_index[_key(ei.ptm @ ej.ptm)]
+    ptms = np.stack([e.ptm for e in elements])
+    return CliffordGroup(kind, 2, tuple(elements), mult, inv, key_index, ptms)
+
+
+def reference_group(kind: str) -> CliffordGroup:
+    return reference_generate_c1() if kind == "c1" else reference_product_group(kind)
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +274,67 @@ def test_product_group_tables_match_ptms(cxc):
         i, j = rng.integers(0, 576, 2)
         expected = cxc.lookup(cxc.ptm(int(i)) @ cxc.ptm(int(j)))
         assert cxc.mult_table[i, j] == expected
+    for kind in ("cxi", "ixc"):
+        group = product_group(kind)
+        for i in range(24):
+            for j in range(24):
+                expected = group.lookup(group.ptm(i) @ group.ptm(j))
+                assert group.mult_table[i, j] == expected, (kind, i, j)
+    for kind in KINDS:
+        group = get_group(kind)
+        eye = np.eye(group.ptms.shape[-1])
+        for i in range(len(group)):
+            assert np.array_equal(group.ptm(int(group.inv_table[i])) @ group.ptm(i), eye)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_array_built_group_matches_per_element_reference(kind):
+    group, ref = get_group(kind), reference_group(kind)
+    assert (group.kind, group.n, len(group)) == (ref.kind, ref.n, len(ref))
+    for e, r in zip(group.elements, ref.elements):
+        assert (e.group_kind, e.index, e.words) == (r.group_kind, r.index, r.words)
+        assert e.ptm.dtype == r.ptm.dtype
+        # bytes, so that the signed zeros of np.kron count too
+        assert e.ptm.tobytes() == r.ptm.tobytes(), e.index
+    assert group.ptms.dtype == ref.ptms.dtype
+    assert group.ptms.tobytes() == ref.ptms.tobytes()
+    for table, ref_table in ((group.mult_table, ref.mult_table),
+                             (group.inv_table, ref.inv_table)):
+        assert table.dtype == ref_table.dtype
+        assert np.array_equal(table, ref_table)
+    assert list(group._key_index.items()) == list(ref._key_index.items())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_shared_arrays_are_read_only(kind):
+    group = get_group(kind)
+    before = group.ptms.tobytes()
+    for array in (group.ptms, group.mult_table, group.inv_table):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    for e in group.elements:
+        assert np.shares_memory(e.ptm, group.ptms)
+        assert not e.ptm.flags.writeable
+        with pytest.raises(ValueError):
+            e.ptm.setflags(write=True)
+    with pytest.raises(ValueError):
+        group.elements[3].ptm[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        group.elements[3].ptm[...] = 0.0
+    assert group.ptms.tobytes() == before
+
+
+def test_lookup_and_canonical_reject_non_finite(c1, cxc):
+    nan_ptm = c1.ptm(5).copy()
+    nan_ptm[tuple(np.argwhere(nan_ptm == 0)[0])] = np.nan
+    inf_ptm = cxc.ptm(100).copy()
+    inf_ptm[tuple(np.argwhere(inf_ptm == 0)[0])] = np.inf
+    for group, ptm in ((c1, nan_ptm), (cxc, inf_ptm), (cxc, -inf_ptm)):
+        with pytest.raises(KeyError):
+            group.lookup(ptm)
+        with pytest.raises(ValueError):
+            _canonical(ptm)
 
 
 def test_element_slots_padding():
@@ -222,6 +358,14 @@ def test_dump_group_csv(tmp_path, c1):
     lines = path.read_text().splitlines()
     assert len(lines) == 25  # header + 24 elements
     assert lines[0].startswith("index,words")
+
+
+def test_dump_group_cli_matches_per_element_reference(tmp_path):
+    assert cli_main(["dump-group", "--group", "cxc", "--out", str(tmp_path / "o")]) == 0
+    dump_group_csv(reference_product_group("cxc"), tmp_path / "reference.csv")
+    written = (tmp_path / "o" / "group_cxc.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\n") == 577
 
 
 def test_get_group_rejects_unknown():

@@ -395,6 +395,26 @@ def test_element_table_matches_per_element_loop(model):
         assert np.array_equal(table, reference_element_table(gateset, group)), kind
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        Depolarizing(0.98, 0.97),
+        Composite((Depolarizing(0.97, 0.95), StaticError(zz_rotation_ptm(0.2)))),
+        StaticError(np.random.default_rng(8).normal(size=(16, 16))),
+    ],
+    ids=["depolarizing", "zz_rotation", "dense"],
+)
+def test_clifford_element_table_matches_per_element_loop(model):
+    # one stacked product over group.ptms, bit for bit the per-element one
+    gateset = NoisyGateSet(model)
+    error = gateset.clifford_error()
+    for kind in ("cxi", "ixc", "cxc"):
+        group = get_group(kind)
+        table = gateset.element_table(group, "clifford")
+        reference = np.stack([error @ e.ptm for e in group.elements])
+        assert np.array_equal(table, reference), kind
+
+
 def test_average_error_channel_matches_element_loop():
     # reference: compose each element's slot channels, then average
     # noisy(i) @ ideal(i)^T over the group one element at a time

@@ -48,6 +48,8 @@ def test_config_validation():
         RBConfig(K=1)
     with pytest.raises(ValueError):
         RBConfig(granularity="per_pulse")
+    with pytest.raises(ValueError):
+        RBConfig(seed=-1)
 
 
 def test_generate_sequence_closures(cxc):
