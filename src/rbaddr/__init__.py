@@ -15,17 +15,14 @@ from .noise import (
     DriveEnvelope,
     Ideal,
     StaticError,
-    crosstalk_hamiltonian,
     decoherence_ptm,
     evolve_to_ptm,
-    noisy_gate,
     predict_addressability,
     predict_alphas,
 )
 from .paulis import (
     compose,
     depolarizing_ptm,
-    expectation,
     pauli_conjugation_ptm,
     project,
     projector_diag,

@@ -35,6 +35,7 @@ from .noise import (
     Depolarizing,
     DeviceParams,
     Ideal,
+    NoisyGateSet,
     describe_model,
     predict_addressability,
 )
@@ -194,8 +195,9 @@ def _build_model(cfg: dict[str, str], args):
 
 
 @_config_values
-def _rb_config(cfg: dict[str, str], args) -> RBConfig:
-    """Run settings from the command line and config; bad values exit 1."""
+def _rb_config(cfg: dict[str, str], args, model) -> RBConfig:
+    """Run settings from the command line and config; bad values, and a
+    per-Clifford granularity the model cannot have, exit 1."""
     kwargs = {}
     lengths = args.lengths if args.lengths is not None else cfg.get("lengths")
     if lengths is not None:
@@ -209,7 +211,10 @@ def _rb_config(cfg: dict[str, str], args) -> RBConfig:
         kwargs["granularity"] = cfg["granularity"]
     if "shots" in cfg:
         kwargs["shots"] = int(cfg["shots"])
-    return RBConfig(**kwargs)
+    rb_cfg = RBConfig(**kwargs)
+    if rb_cfg.granularity == "clifford":
+        NoisyGateSet(model).clifford_error()
+    return rb_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +335,7 @@ def cmd_simulate(args) -> int:
     started = _now()
     cfg = parse_config_file(args.config) if args.config else {}
     model, sample_label = _build_model(cfg, args)
-    rb_cfg = _rb_config(cfg, args)
+    rb_cfg = _rb_config(cfg, args, model)
     out = _out_dir(args, "simulate")
 
     curves = run_protocol(rb_cfg, model)

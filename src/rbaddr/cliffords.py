@@ -125,23 +125,16 @@ class CliffordGroup:
         except KeyError:
             raise KeyError("PTM is not an element of this group") from None
 
-    def _compose_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Composition of each row of a (K, m) index array, one column of
-        the multiplication table per step."""
+    def recovery_indices(self, indices) -> np.ndarray:
+        """Recovery of each row of a (K, m) index array, shape (K,): the
+        rows are composed one column of the multiplication table per step."""
+        indices = np.asarray(indices)
         if indices.ndim != 2:
             raise ValueError("expected a (K, m) array of element indices")
         total = np.zeros(len(indices), dtype=np.int64)
         for column in indices.T:
             total = self.mult_table[column, total]
-        return total
-
-    def recovery_indices(self, indices) -> np.ndarray:
-        """Recovery of each row of a (K, m) index array, shape (K,)."""
-        return self.inv_table[self._compose_rows(np.asarray(indices))]
-
-    def compose_indices(self, indices) -> int:
-        """Index of the composition of a sequence (applied in list order)."""
-        return int(self._compose_rows(_one_row(indices))[0])
+        return self.inv_table[total]
 
     def recovery_index(self, indices) -> int:
         """Element undoing a sequence: ptm(r) @ ptm(i_m) ... ptm(i_1) = 1."""

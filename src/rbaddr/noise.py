@@ -360,24 +360,6 @@ def _hamiltonian_samples(
     return out
 
 
-def crosstalk_hamiltonian(
-    p: DeviceParams,
-    drive1: DriveEnvelope | None,
-    drive2: DriveEnvelope | None,
-    t: float,
-) -> np.ndarray:
-    """Two-qubit drive Hamiltonian at time t, doubly-rotating frame (rad/s).
-
-    Each drive is resonant with its own qubit, so its terms on that qubit
-    are static while its leakage terms on the partner rotate at the
-    qubit-qubit detuning.  Y-axis drives use the same coupling pattern
-    with the drive phase advanced by pi/2.
-    """
-    times = np.array([float(t)])
-    amps, phases = _drive_samples([(drive1, drive2)], times)
-    return _hamiltonian_samples(p, amps, phases, times)[0, 0]
-
-
 def evolve_to_ptms(
     p: DeviceParams,
     pairs: list[DrivePair],
@@ -583,6 +565,12 @@ NoiseModel = Ideal | Depolarizing | Decoherence | CrossTalk | StaticError | Comp
 
 GATE_ALPHABET = tuple(GENERATOR_ANGLES) + (None,)
 
+# The generator pairs played on the two drive lines: every pair but the
+# all-idle one, which no Clifford word plays.  Row 0 of a gate set's slot
+# channels is the identity pad, so slot s sits in row s + 1.
+SLOTS = tuple((a, b) for a in GATE_ALPHABET for b in GATE_ALPHABET if (a, b) != (None, None))
+_SLOT_ROW = {slot: row for row, slot in enumerate(SLOTS, start=1)}
+
 
 def describe_model(model: NoiseModel) -> str:
     if isinstance(model, Ideal):
@@ -640,22 +628,19 @@ def _gate_independent_error(model: NoiseModel) -> np.ndarray | None:
 
 
 class NoisyGateSet:
-    """Per-slot and per-element noisy channels for a model, built once.
+    """Noisy channels of the 48 played slots and of every group element, for
+    one model, built once.
 
-    Slot channels are built in batches: ``element_table`` fills every slot
-    of a group not cached yet with one batched error-factor call, which for
-    a cross-talk model is one :func:`evolve_to_ptms` batch.
+    ``slot_channels`` holds the identity pad in row 0 and the channel of
+    ``SLOTS[s]`` in row s + 1, all built as one batch: for a cross-talk
+    model, one :func:`evolve_to_ptms` call.  ``element_table`` composes
+    each group's words from it.
     """
 
     def __init__(self, model: NoiseModel):
         self.model = model
-        self._cache: dict[tuple[str | None, str | None], np.ndarray] = {}
         self._tables: dict[tuple[str, str], np.ndarray] = {}
         self._static = _gate_independent_error(model)
-
-    def error_factor(self, gate: tuple[str | None, str | None]) -> np.ndarray:
-        """Error channel E with noisy = E @ ideal for one slot."""
-        return self._errors(self.model, [gate], ideal_gate_ptm(gate)[None])[0]
 
     def _errors(self, model: NoiseModel, gates: list, ideal: np.ndarray) -> np.ndarray:
         """Error channels of a batch of slots with ideal PTMs ``ideal``,
@@ -675,25 +660,26 @@ class NoisyGateSet:
             return out
         raise TypeError(f"unknown noise model {model!r}")
 
-    def _build(self, gates) -> None:
-        """Cache the noisy channels of the given slots not cached yet, as
-        one batch."""
-        missing = [gate for gate in dict.fromkeys(gates) if gate not in self._cache]
-        if not missing:
-            return
-        for gate in missing:
-            if any(g is not None and g not in GENERATOR_ANGLES for g in gate):
-                raise ValueError(f"unknown generator pair {gate!r}")
-        ideal = np.stack([ideal_gate_ptm(gate) for gate in missing])
-        noisy = self._errors(self.model, missing, ideal) @ ideal
-        noisy.setflags(write=False)
-        self._cache.update(zip(missing, noisy))
+    @cached_property
+    def slot_channels(self) -> np.ndarray:
+        """Read-only (49, 16, 16): the identity, then each slot's channel."""
+        ideal = np.stack([ideal_gate_ptm(slot) for slot in SLOTS])
+        channels = np.concatenate(
+            [np.eye(16)[None], self._errors(self.model, SLOTS, ideal) @ ideal]
+        )
+        channels.setflags(write=False)
+        return channels
 
     def channel(self, gate: tuple[str | None, str | None]) -> np.ndarray:
-        """Noisy PTM of one slot."""
-        if gate not in self._cache:
-            self._build([gate])
-        return self._cache[gate]
+        """Noisy PTM of one played slot."""
+        if gate not in _SLOT_ROW:
+            raise ValueError(f"unknown generator pair {gate!r}")
+        return self.slot_channels[_SLOT_ROW[gate]]
+
+    def error_factor(self, gate: tuple[str | None, str | None]) -> np.ndarray:
+        """Error channel E with noisy = E @ ideal for one slot; exact, as
+        the ideal PTM is a signed permutation."""
+        return self.channel(gate) @ ideal_gate_ptm(gate).T
 
     def clifford_error(self) -> np.ndarray:
         """One error channel per Clifford (gate-independent models only)."""
@@ -718,25 +704,15 @@ class NoisyGateSet:
                 table = self.clifford_error() @ group.ptms
             else:
                 words = [element_slots(e) for e in group.elements]
-                slots = list(dict.fromkeys(slot for word in words for slot in word))
-                self._build(slots)
-                # row 0 is the identity pad; row s + 1 is slot s's channel
-                channels = np.stack([np.eye(16)] + [self.channel(s) for s in slots])
-                row = {slot: s + 1 for s, slot in enumerate(slots)}
                 positions = np.zeros((len(words), max(map(len, words))), dtype=np.int64)
                 for g, word in enumerate(words):
-                    positions[g, : len(word)] = [row[slot] for slot in word]
+                    positions[g, : len(word)] = [_SLOT_ROW[slot] for slot in word]
                 table = np.broadcast_to(np.eye(16), (len(words), 16, 16))
                 for column in positions.T:
-                    table = channels[column] @ table
+                    table = self.slot_channels[column] @ table
             table.setflags(write=False)
             self._tables[key] = table
         return self._tables[key]
-
-
-def noisy_gate(model: NoiseModel, gate: tuple[str | None, str | None]) -> np.ndarray:
-    """Noisy PTM of one generator slot (convenience over NoisyGateSet)."""
-    return NoisyGateSet(model).channel(gate)
 
 
 # ---------------------------------------------------------------------------
@@ -785,23 +761,16 @@ def predict_addressability(
     diagnostic for the non-exponential correction of the single-subsystem
     decay (max |(Gamma^m)_00 - alpha^m| over m).
     """
-    from .report import delta_alpha, delta_r, gate_error
+    from .report import build_report
     from .twirl import gamma_decay_curve
 
     gateset = NoisyGateSet(model)
     blocks1 = predict_alphas(gateset, "cxi", granularity)
     blocks2 = predict_alphas(gateset, "ixc", granularity)
     out3 = predict_alphas(gateset, "cxc", granularity)
-    alpha_1 = blocks1.alpha
-    alpha_2 = blocks2.alpha
-    a_1_2 = out3.alphas["alpha_1_2"]
-    a_2_1 = out3.alphas["alpha_2_1"]
-    a_12 = out3.alphas["alpha_12"]
-
-    r1 = gate_error(alpha_1)
-    r2 = gate_error(alpha_2)
-    r_1_2 = gate_error(a_1_2)
-    r_2_1 = gate_error(a_2_1)
+    alphas = {"alpha_1": blocks1.alpha, "alpha_2": blocks2.alpha}
+    alphas.update((k, out3.alphas[k]) for k in ("alpha_1_2", "alpha_2_1", "alpha_12"))
+    report = build_report({k: (alpha, 0.0) for k, alpha in alphas.items()})
 
     ms = np.arange(gamma_max_m + 1)
     gamma_dev = {}
@@ -811,26 +780,15 @@ def predict_addressability(
 
     group = get_group("c1")
     return {
-        "alphas": {
-            "alpha_1": alpha_1,
-            "alpha_2": alpha_2,
-            "alpha_1_2": a_1_2,
-            "alpha_2_1": a_2_1,
-            "alpha_12": a_12,
-        },
+        "alphas": alphas,
         "gate_errors": {
-            "r1": r1.value,
-            "r2": r2.value,
-            "r1_given_2": r_1_2.value,
-            "r2_given_1": r_2_1.value,
+            key: getattr(report, key).value
+            for key in ("r1", "r2", "r1_given_2", "r2_given_1")
         },
         "delta_r": {
-            "dr1_given_2": delta_r(r1, r_1_2).value,
-            "dr2_given_1": delta_r(r2, r_2_1).value,
+            key: getattr(report, key).value for key in ("dr1_given_2", "dr2_given_1")
         },
-        "delta_alpha": delta_alpha(
-            (a_12, 0.0), (a_1_2, 0.0), (a_2_1, 0.0)
-        ).value,
+        "delta_alpha": report.dalpha.value,
         "gamma_exponential_deviation": gamma_dev,
         "mean_generators_per_clifford": group.mean_slots,
         "model": describe_model(model),

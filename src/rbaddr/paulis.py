@@ -221,13 +221,6 @@ def computational_povm_vector(bits: str) -> np.ndarray:
     return computational_state(bits) / 2 ** len(bits)
 
 
-def expectation(e_vec: np.ndarray, ptm: np.ndarray, x_vec: np.ndarray) -> float:
-    """Tr[E Lambda(rho)] = e @ R @ x."""
-    if not (len(e_vec) == ptm.shape[0] == ptm.shape[1] == len(x_vec)):
-        raise ValueError("dimension mismatch between vectors and PTM")
-    return float(e_vec @ ptm @ x_vec)
-
-
 # ---------------------------------------------------------------------------
 # Subspace projectors (diagonal 0/1 over Pauli indices)
 
@@ -281,12 +274,6 @@ def is_trace_preserving(ptm: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
     row0 = np.zeros(ptm.shape[0])
     row0[0] = 1.0
     return bool(np.max(np.abs(ptm[0] - row0)) <= atol)
-
-
-def is_orthogonal(ptm: np.ndarray, atol: float = 1e-12) -> bool:
-    return bool(
-        np.max(np.abs(ptm.T @ ptm - np.eye(ptm.shape[0]))) <= atol
-    )
 
 
 def choi_matrix(ptm: np.ndarray) -> np.ndarray:

@@ -94,6 +94,8 @@ class RBConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.granularity not in ("generator", "clifford"):
             raise ValueError("granularity must be 'generator' or 'clifford'")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError("shots must be >= 1")
         object.__setattr__(self, "lengths", lengths)
 
 
@@ -198,30 +200,12 @@ def run_protocol(cfg: RBConfig, model: NoiseModel) -> list[SurvivalCurve]:
 
 
 # ---------------------------------------------------------------------------
-# Decay models (forward curves used by tests and the fitter)
+# Decay model (forward curve used by tests and the verify oracles)
 
 
 def decay_single(m, amplitude: float, alpha: float, offset: float):
     """A alpha^m + e0."""
     return amplitude * np.power(alpha, np.asarray(m, dtype=float)) + offset
-
-
-def decay_triple(m, a1, alpha_1_2, a2, alpha_2_1, a12, alpha_12, offset):
-    """A1 a1^m + A2 a2^m + A12 a12^m + e0 (simultaneous-twirl observable)."""
-    m = np.asarray(m, dtype=float)
-    return (
-        a1 * np.power(alpha_1_2, m)
-        + a2 * np.power(alpha_2_1, m)
-        + a12 * np.power(alpha_12, m)
-        + offset
-    )
-
-
-def decay_gamma(m, amplitude: float, gamma: np.ndarray, offset: float):
-    """e0 + A (Gamma^m)_00 (single-subsystem twirl, exact form)."""
-    from .twirl import gamma_decay_curve
-
-    return offset + amplitude * gamma_decay_curve(gamma, np.asarray(m))
 
 
 # ---------------------------------------------------------------------------

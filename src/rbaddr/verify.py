@@ -21,8 +21,8 @@ import numpy as np
 from .cliffords import generate_c1, get_group
 from .fitting import fit_exponential
 from .noise import (
-    GATE_ALPHABET,
     SAMPLE_A,
+    SLOTS,
     decoherence_ptm,
     evolve_to_ptms,
     generator_drives,
@@ -192,19 +192,18 @@ def check_evolution_convergence(tol: float) -> CheckResult:
     """Step doubling (256 vs 512 Magnus steps) of every generator pair of
     the sample-a cross-talk gate set, in one batch per step count."""
     t0 = time.perf_counter()
-    gates = [(a, b) for a in GATE_ALPHABET for b in GATE_ALPHABET if (a, b) != (None, None)]
-    pairs = [generator_drives(gate, SAMPLE_A.gate_time) for gate in gates]
+    pairs = [generator_drives(gate, SAMPLE_A.gate_time) for gate in SLOTS]
     coarse = evolve_to_ptms(SAMPLE_A, pairs, steps=256)
     fine = evolve_to_ptms(SAMPLE_A, pairs, steps=512)
     errs = np.max(np.abs(coarse - fine), axis=(1, 2))
     worst = int(np.argmax(errs))
     err = float(errs[worst])
     ok = err <= tol
-    name = ",".join(g or "idle" for g in gates[worst])
+    name = ",".join(g or "idle" for g in SLOTS[worst])
     return _result(
         "evolution_step_doubling",
         ok,
-        f"PTM change on doubling steps {err:.2e} (worst of {len(gates)} generator "
+        f"PTM change on doubling steps {err:.2e} (worst of {len(SLOTS)} generator "
         f"pairs: {name})",
         t0,
     )

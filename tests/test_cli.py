@@ -207,10 +207,10 @@ def test_usage_error_exit_code():
     "settings",
     [
         ("--lengths", "4,2"), ("--K", "1"), ("--K", "0"), ("--lengths", ""),
-        ("--seed", "-1"), "seed = -1\n",
+        ("--seed", "-1"), "seed = -1\n", "shots = 0\n", "shots = -5\n",
     ],
     ids=["lengths", "K", "K_zero", "lengths_empty", "seed_negative",
-         "config_seed_negative"],
+         "config_seed_negative", "config_shots_zero", "config_shots_negative"],
 )
 def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
     if isinstance(settings, str):  # the contents of a config file
@@ -237,12 +237,13 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = -1\n"),
         (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = nan\n"),
         (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\nsteps = 4\n"),
+        (("simulate", "--preset", "sample_a_crosstalk"), "granularity = clifford\n"),
     ],
     ids=[
         "alpha_unparsable", "alpha_not_cptp", "alpha2_not_cptp",
         "joint_alpha_not_cptp", "gate_time_unparsable", "gate_time_zero",
         "crosstalk_gate_time_zero",
-        "t1_negative", "t1_nan", "steps_too_few",
+        "t1_negative", "t1_nan", "steps_too_few", "clifford_granularity_crosstalk",
     ],
 )
 def test_bad_model_values_are_config_errors(tmp_path, command, config, capsys):

@@ -231,9 +231,8 @@ def test_recovery_indices_match_per_row_walk(kind, K, m):
     assert batch.shape == (K,)
     assert batch.tolist() == _reference_recovery(group, indices)
     for row, rec in zip(indices, batch):
-        one, total = group.recovery_index(row), group.compose_indices(row)
+        one = group.recovery_index(row)
         assert type(one) is int and one == rec
-        assert type(total) is int and group.inv_table[total] == rec
 
 
 def test_recovery_indices_close_cxc_sequences_in_ptms(cxc):

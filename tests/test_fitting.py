@@ -11,7 +11,8 @@ from rbaddr.fitting import (
     fit_protocol_curves,
     reduced_chi_square,
 )
-from rbaddr.protocol import SurvivalCurve, decay_gamma, decay_single
+from rbaddr.protocol import SurvivalCurve, decay_single
+from rbaddr.twirl import gamma_decay_curve
 
 M_GRID = np.array([1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256])
 
@@ -114,7 +115,7 @@ def test_misfit_detection_on_non_exponential_decay():
         [[0.97, 0.12, 0, 0], [-0.12, 0.9, 0, 0], [0, 0, 0.9, 0], [0, 0, 0, 0.9]]
     )
     m = M_GRID
-    y = decay_gamma(m, 0.5, gamma, 0.5)
+    y = 0.5 + 0.5 * gamma_decay_curve(gamma, m)
     fit = fit_exponential(m, y, np.full(len(m), 1e-4))
     assert fit.chi2_reduced > 2
 

@@ -7,9 +7,9 @@ from dataclasses import replace
 from rbaddr.cliffords import element_slots, generator_ptm, get_group
 from rbaddr.noise import (
     EVOLVE_BLOCK_PAIRS,
-    GATE_ALPHABET,
     SAMPLE_A,
     SAMPLE_B,
+    SLOTS,
     Composite,
     CrossTalk,
     Decoherence,
@@ -21,7 +21,6 @@ from rbaddr.noise import (
     StaticError,
     amplitude_damping_kraus,
     average_error_channel,
-    crosstalk_hamiltonian,
     decoherence_ptm,
     depolarizing_kraus,
     evolve_to_ptm,
@@ -29,11 +28,12 @@ from rbaddr.noise import (
     generator_drives,
     generator_envelope,
     ideal_gate_ptm,
-    noisy_gate,
     predict_addressability,
     predict_alphas,
     zz_rotation_ptm,
+    _drive_samples,
     _drive_terms,
+    _hamiltonian_samples,
     _term_operators,
 )
 from rbaddr.paulis import (
@@ -129,9 +129,15 @@ def test_envelope_vanishes_outside_gate():
 # Hamiltonian structure
 
 
+def hamiltonian_at(p, drive1, drive2, t):
+    """The engine's Hamiltonian of one drive pair at one time (rad/s)."""
+    times = np.array([t])
+    return _hamiltonian_samples(p, *_drive_samples([(drive1, drive2)], times), times)[0, 0]
+
+
 def test_hamiltonian_zero_without_drives():
     p = decoupled_params()
-    h = crosstalk_hamiltonian(p, None, None, 0.0)
+    h = hamiltonian_at(p, None, None, 0.0)
     assert np.max(np.abs(h)) == 0.0
 
 
@@ -139,7 +145,7 @@ def test_hamiltonian_spurious_drive_term():
     # with only drive 1 on, qubit 2 sees (m12 - nu1) * eps1 on IX at t=0
     p = SAMPLE_A
     env1 = generator_envelope("x90", 1, p.gate_time)
-    h = crosstalk_hamiltonian(p, env1, None, 0.0)
+    h = hamiltonian_at(p, env1, None, 0.0)
     eps = float(env1.amplitude(0.0))
     labels = {"IX": 1, "XI": 4, "ZX": 13, "XZ": 7}
     assert pauli_coeff(h, labels["XI"]) == pytest.approx(eps, rel=1e-12)
@@ -150,7 +156,7 @@ def test_hamiltonian_spurious_drive_term():
 
 def test_hamiltonian_zz_term_and_detunings():
     p = replace(decoupled_params(), zeta=TWO_PI * 1.1e6, detuning1=1e5, detuning2=-2e5)
-    h = crosstalk_hamiltonian(p, None, None, 3e-9)
+    h = hamiltonian_at(p, None, None, 3e-9)
     assert pauli_coeff(h, 15) == pytest.approx(p.zeta / 4)  # ZZ
     assert pauli_coeff(h, 12) == pytest.approx(-p.detuning1 / 2)  # ZI
     assert pauli_coeff(h, 3) == pytest.approx(-p.detuning2 / 2)  # IZ
@@ -167,7 +173,7 @@ def test_idle_zz_evolution_phase():
 
 def test_missing_crosstalk_params_rejected():
     with pytest.raises(ValueError, match="zeta"):
-        crosstalk_hamiltonian(SAMPLE_B, None, None, 0.0)
+        hamiltonian_at(SAMPLE_B, None, None, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +267,22 @@ def test_elementary_kraus_channels():
 
 
 def test_noisy_gate_ideal():
-    out = noisy_gate(Ideal(), ("x180", None))
+    out = NoisyGateSet(Ideal()).channel(("x180", None))
     assert np.allclose(out, tensor(generator_ptm("x180"), np.eye(4)))
 
 
 def test_noisy_gate_depolarizing_idle_pair():
-    out = noisy_gate(Depolarizing(0.99), (None, None))
-    assert np.allclose(out, tensor(depolarizing_ptm(0.99), depolarizing_ptm(0.99)))
+    # qubit 2 idles, and its line still depolarizes
+    slot = ("x90", None)
+    out = NoisyGateSet(Depolarizing(0.99)).channel(slot)
+    static = tensor(depolarizing_ptm(0.99), depolarizing_ptm(0.99))
+    assert np.allclose(out, static @ ideal_gate_ptm(slot))
 
 
 def test_noisy_gate_joint_depolarizing():
-    out = noisy_gate(Depolarizing(0.97, joint=True), (None, None))
-    assert np.allclose(out, depolarizing_ptm(0.97, 2))
+    slot = ("ym90", "y180")
+    out = NoisyGateSet(Depolarizing(0.97, joint=True)).channel(slot)
+    assert np.allclose(out, depolarizing_ptm(0.97, 2) @ ideal_gate_ptm(slot))
 
 
 def test_noisy_gate_crosstalk_error_factor():
@@ -285,16 +295,28 @@ def test_noisy_gate_crosstalk_error_factor():
 
 
 def test_noisy_gate_composite_order():
+    slot = ("ym90", "y180")
     dep = Depolarizing(0.9)
     static = StaticError(zz_rotation_ptm(0.2))
-    combined = noisy_gate(Composite((dep, static)), (None, None))
-    expected = zz_rotation_ptm(0.2) @ noisy_gate(dep, (None, None))
+    combined = NoisyGateSet(Composite((dep, static))).channel(slot)
+    expected = zz_rotation_ptm(0.2) @ NoisyGateSet(dep).channel(slot)
     assert np.allclose(combined, expected)
 
 
 def test_noisy_gate_unknown_generator():
     with pytest.raises(ValueError):
-        noisy_gate(Ideal(), ("hadamard", None))
+        NoisyGateSet(Ideal()).channel(("hadamard", None))
+    # no Clifford word idles both lines at once, so no gate set holds that slot
+    with pytest.raises(ValueError, match="unknown generator pair"):
+        NoisyGateSet(Depolarizing(0.99)).channel((None, None))
+
+
+def test_error_factor_is_the_slot_channel_over_the_ideal_gate():
+    # ideal slot PTMs are signed permutations, so undoing them is exact
+    gateset = NoisyGateSet(Composite((CrossTalk(SAMPLE_A, steps=16), Decoherence(SAMPLE_A))))
+    for slot in SLOTS:
+        lam = gateset.error_factor(slot)
+        assert np.array_equal(lam @ ideal_gate_ptm(slot), gateset.channel(slot)), slot
 
 
 def test_crosstalk_reduces_to_ideal_without_couplings():
@@ -435,42 +457,52 @@ def test_average_error_channel_matches_element_loop():
 
 @pytest.fixture
 def evolved_pairs(monkeypatch):
-    """Every generator pair that goes through the Magnus engine, in order."""
+    """The generator pairs that go through the Magnus engine, one list per
+    call, in order."""
     import rbaddr.noise as noise
 
-    pairs = []
+    batches = []
     engine = noise.evolve_to_ptms
 
     def counting(p, batch, steps):
-        for pair in batch:
-            pairs.append(tuple(None if d is None else (d.target, d.axis, d.angle) for d in pair))
+        batches.append(
+            [tuple(None if d is None else (d.target, d.axis, d.angle) for d in pair) for pair in batch]
+        )
         return engine(p, batch, steps)
 
     monkeypatch.setattr(noise, "evolve_to_ptms", counting)
-    return pairs
+    return batches
+
+
+def assert_one_batch_of_all_slots(batches):
+    assert len(batches) == 1
+    assert len(batches[0]) == len(set(batches[0])) == 48
 
 
 def test_predict_addressability_builds_each_slot_channel_once(evolved_pairs):
-    # one gate set serves the three group averages: the 48 generator
-    # pairs of CxC include the 6 of CxI and the 6 of IxC, and each pair
-    # is evolved once
+    # one gate set serves the three group averages, and its 48 slots are
+    # evolved in one batch
     predict_addressability(CrossTalk(SAMPLE_A, steps=16), gamma_max_m=0)
-    assert len(evolved_pairs) == 48
-    assert len(set(evolved_pairs)) == 48
+    assert_one_batch_of_all_slots(evolved_pairs)
 
 
 def test_run_protocol_builds_each_slot_channel_once(evolved_pairs):
     from rbaddr.protocol import RBConfig, run_protocol
 
     run_protocol(RBConfig(lengths=(1, 2), K=2, seed=3), CrossTalk(SAMPLE_A, steps=16))
-    assert len(evolved_pairs) == 48
-    assert len(set(evolved_pairs)) == 48
+    assert_one_batch_of_all_slots(evolved_pairs)
+
+
+def test_single_qubit_table_builds_every_slot_channel(evolved_pairs):
+    # CxI plays 6 of the slots, and the gate set still builds all 48 at once
+    gateset = NoisyGateSet(CrossTalk(SAMPLE_A, steps=16))
+    gateset.element_table(get_group("cxi"), "generator")
+    gateset.element_table(get_group("cxc"), "generator")
+    assert_one_batch_of_all_slots(evolved_pairs)
 
 
 # ---------------------------------------------------------------------------
 # the batched Magnus engine against the per-pair, per-step loop it replaced
-
-ALL_PAIRS = [(a, b) for a in GATE_ALPHABET for b in GATE_ALPHABET if (a, b) != (None, None)]
 
 
 def reference_evolve_to_ptm(p, drive1, drive2, steps):
@@ -536,8 +568,7 @@ def reference_channel(model, gate):
 
 def assert_gate_set_matches_reference(model):
     gateset = NoisyGateSet(model)
-    gateset.element_table(get_group("cxc"), "generator")  # all 48 pairs, one batch
-    for gate in ALL_PAIRS:
+    for gate in SLOTS:
         assert np.array_equal(gateset.channel(gate), reference_channel(model, gate)), gate
 
 
@@ -556,7 +587,7 @@ def test_gate_set_matches_reference_with_detunings_and_decoherence():
 @pytest.mark.parametrize("n_pairs", [1, EVOLVE_BLOCK_PAIRS - 1, 2 * EVOLVE_BLOCK_PAIRS + 3])
 def test_engine_block_boundaries(n_pairs):
     # batches that end mid-block, with a step count that is no power of two
-    gates = ALL_PAIRS[-n_pairs:]
+    gates = SLOTS[-n_pairs:]
     pairs = [generator_drives(gate, SAMPLE_A.gate_time) for gate in gates]
     ptms = evolve_to_ptms(SAMPLE_A, pairs, steps=37)
     assert ptms.shape == (n_pairs, 16, 16)

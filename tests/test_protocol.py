@@ -22,9 +22,7 @@ from rbaddr.protocol import (
     RBConfig,
     SpamModel,
     SurvivalCurve,
-    decay_gamma,
     decay_single,
-    decay_triple,
     generate_sequence,
     read_curves_csv,
     run_experiment,
@@ -32,6 +30,7 @@ from rbaddr.protocol import (
     simulate_sequence,
     write_curves_csv,
 )
+from rbaddr.twirl import gamma_decay_curve
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +49,8 @@ def test_config_validation():
         RBConfig(granularity="per_pulse")
     with pytest.raises(ValueError):
         RBConfig(seed=-1)
+    with pytest.raises(ValueError):
+        RBConfig(shots=0)
 
 
 def test_generate_sequence_closures(cxc):
@@ -378,6 +379,17 @@ def test_decay_single_flat():
     assert np.allclose(decay_single([1, 5, 100], 0.5, 1.0, 0.5), 1.0)
 
 
+def decay_triple(m, a1, alpha_1_2, a2, alpha_2_1, a12, alpha_12, offset):
+    """A1 a1^m + A2 a2^m + A12 a12^m + e0 (simultaneous-twirl observable)."""
+    m = np.asarray(m, dtype=float)
+    return (
+        a1 * np.power(alpha_1_2, m)
+        + a2 * np.power(alpha_2_1, m)
+        + a12 * np.power(alpha_12, m)
+        + offset
+    )
+
+
 def test_decay_triple_reduces():
     m = np.array([0, 1, 2, 8])
     lhs = decay_triple(m, 0.3, 0.9, 0.2, 0.8, 0.0, 0.7, 0.25)
@@ -407,7 +419,7 @@ def test_p00_triple_exponential_structure():
 
 def test_decay_gamma_matches_matrix_powers():
     gamma = np.diag([0.95, 0.9, 0.9, 0.8])
-    vals = decay_gamma([0, 1, 2, 3], 0.5, gamma, 0.5)
+    vals = 0.5 + 0.5 * gamma_decay_curve(gamma, [0, 1, 2, 3])
     assert np.allclose(vals, 0.5 + 0.5 * 0.95 ** np.array([0, 1, 2, 3.0]))
 
 
