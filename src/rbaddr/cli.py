@@ -27,6 +27,7 @@ from .fitting import FitError, fit_protocol_curves
 from .noise import (
     DEFAULT_EVOLVE_STEPS,
     DEVICE_PRESETS,
+    MIN_EVOLVE_STEPS,
     SAMPLE_A,
     SAMPLE_B,
     Composite,
@@ -107,10 +108,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _read_input(read, path):
+    """``read(path)``; a file that cannot be opened or decoded is a config
+    error."""
+    try:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def parse_config_file(path) -> dict[str, str]:
     """Flat 'key = value' config with '#' comments."""
     cfg: dict[str, str] = {}
-    text = Path(path).read_text()
+    text = _read_input(Path.read_text, Path(path))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -165,6 +175,9 @@ def model_presets() -> dict:
 
 @_config_values
 def _build_model(cfg: dict[str, str], args):
+    steps = int(cfg.get("steps", DEFAULT_EVOLVE_STEPS))
+    if steps < MIN_EVOLVE_STEPS:
+        raise ConfigError(f"steps must be at least {MIN_EVOLVE_STEPS}")
     presets = model_presets()
     preset = args.preset or cfg.get("preset")
     if preset is not None:
@@ -186,7 +199,6 @@ def _build_model(cfg: dict[str, str], args):
     device = _device_from_config(cfg, None)
     if name == "decoherence":
         return Decoherence(device), label
-    steps = int(cfg.get("steps", DEFAULT_EVOLVE_STEPS))
     if name == "crosstalk":
         return CrossTalk(device, steps), label
     if name == "crosstalk_decoherence":
@@ -368,7 +380,7 @@ def cmd_fit(args) -> int:
     started = _now()
     out = _out_dir(args, "fit")
     curves_path = Path(args.curves)
-    curves = read_curves_csv(curves_path)
+    curves = _read_input(read_curves_csv, curves_path)
     if not curves:
         raise FitError("no curves found in input CSV")
     provenance = {"input": str(curves_path), "toolkit_version": __version__}
@@ -501,7 +513,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (FitError, ValueError) as exc:

@@ -12,9 +12,16 @@ populations give the traced projections p00+p01 (qubit 1), p00+p10
 
 Noise enters once per generator slot by default (error scales with
 pulse count); an optional per-Clifford mode applies one channel per
-element for gate-independent models.  Per-sequence RNG streams are
-derived from (seed, experiment, m, k), so results are independent of
-execution order.
+element for gate-independent models.
+
+Sequence k of length m in an experiment draws its elements, then its
+shots, from its own stream: numpy's ``default_rng([seed, experiment code,
+m, k])`` stream, so results are independent of execution order.  The
+streams of a whole experiment are seeded in one batch, by numpy's
+SeedSequence hash in uint32 array arithmetic and PCG64's seeding step in
+Python ints, and drawn from one shared generator whose state is set per
+stream.  This relies on numpy's stream-compatibility guarantee for
+SeedSequence and PCG64 (NEP 19); the draws themselves stay numpy's own.
 """
 
 from __future__ import annotations
@@ -37,6 +44,16 @@ PROJECTIONS = ("Q1", "Q2", "CORR")
 DEFAULT_LENGTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 CSV_HEADER = ["experiment", "projection", "m", "mean", "stderr", "K"]
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# seeding multiplier (O'Neill 2014, numpy's pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -88,6 +105,8 @@ class RBConfig:
             raise ValueError("sequence lengths must all be >= 1")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("sequence lengths must be strictly increasing")
+        if lengths[-1] > _MASK32:
+            raise ValueError("sequence lengths must be below 2**32")
         if self.K < 2:
             raise ValueError("need K >= 2 sequences per length")
         if self.seed < 0:
@@ -140,10 +159,81 @@ def simulate_sequence(
     return pops if np.ndim(indices) == 2 else pops[0]
 
 
-def _sequence_rng(cfg: RBConfig, experiment: str, m: int, k: int):
-    return np.random.default_rng(
-        [cfg.seed, EXPERIMENT_CODES[experiment], int(m), int(k)]
+def _uint32_words(n: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a non-negative int, least
+    significant first (0 is one word)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence_state(entropy: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
+    (N, L) uint32 entropy array with L >= 4, as four length-N uint64
+    columns."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        words.append((value ^ value >> 16).astype(np.uint64))
+    # each uint64 is two consecutive uint32 words, little-endian
+    return [lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])]
+
+
+def _pcg64_state(seed: int, inc: int) -> dict:
+    """PCG64's state after seeding with 128-bit ``seed`` and stream ``inc``."""
+    inc = (inc << 1 | 1) & _MASK128
+    state = ((inc + seed) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def stream_states(cfg: RBConfig, experiment: str) -> list[list[dict]]:
+    """The PCG64 state of ``np.random.default_rng([cfg.seed, code, m, k])``
+    for each length m of ``cfg.lengths`` and each k < ``cfg.K``, where code
+    is the experiment's code; one hash for the whole experiment."""
+    prefix = _uint32_words(cfg.seed) + [EXPERIMENT_CODES[experiment]]
+    entropy = np.empty((len(cfg.lengths), cfg.K, len(prefix) + 2), np.uint32)
+    entropy[..., :-2] = prefix
+    entropy[..., -2] = np.array(cfg.lengths)[:, None]
+    entropy[..., -1] = np.arange(cfg.K)
+    # PCG64 seeds with seed = (s0, s1) and inc = (s2, s3), high word first
+    s0, s1, s2, s3 = (
+        w.tolist() for w in _seed_sequence_state(entropy.reshape(-1, entropy.shape[-1]))
     )
+    states = [
+        _pcg64_state(a << 64 | b, c << 64 | d) for a, b, c, d in zip(s0, s1, s2, s3)
+    ]
+    return [states[i : i + cfg.K] for i in range(0, len(states), cfg.K)]
 
 
 def run_experiment(
@@ -156,9 +246,17 @@ def run_experiment(
     gateset = model if isinstance(model, NoisyGateSet) else NoisyGateSet(model)
     projections = PROJECTIONS if experiment == "exp3" else PROJECTIONS[:2]
     values = {proj: np.empty((len(cfg.lengths), cfg.K)) for proj in projections}
-    for mi, m in enumerate(cfg.lengths):
-        rngs = [_sequence_rng(cfg, experiment, m, k) for k in range(cfg.K)]
-        indices = np.stack([group.sample_uniform(rng, m) for rng in rngs])
+    # one generator serves every stream; its own seed is overwritten
+    rng = np.random.Generator(np.random.PCG64())
+    bitgen = rng.bit_generator
+    for mi, (m, states) in enumerate(zip(cfg.lengths, stream_states(cfg, experiment))):
+        rows, shot_states = [], []
+        for state in states:
+            bitgen.state = state
+            rows.append(group.sample_uniform(rng, m))
+            if cfg.shots is not None:  # each stream's shots follow its indices
+                shot_states.append(bitgen.state)
+        indices = np.stack(rows)
         recovery = group.recovery_indices(indices)
         pops = simulate_sequence(
             group, indices, recovery, gateset, cfg.spam, cfg.granularity
@@ -166,7 +264,10 @@ def run_experiment(
         if cfg.shots is not None:
             probs = np.clip(pops, 0.0, None)
             probs = probs / probs.sum(axis=1, keepdims=True)
-            counts = [rng.multinomial(cfg.shots, p) for rng, p in zip(rngs, probs)]
+            counts = []
+            for state, p in zip(shot_states, probs):
+                bitgen.state = state
+                counts.append(rng.multinomial(cfg.shots, p))
             pops = np.array(counts) / cfg.shots
         values["Q1"][mi] = pops[:, 0] + pops[:, 1]
         values["Q2"][mi] = pops[:, 0] + pops[:, 2]

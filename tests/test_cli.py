@@ -237,6 +237,8 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = -1\n"),
         (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = nan\n"),
         (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\nsteps = 4\n"),
+        (("simulate",), "model = depolarizing\nalpha1 = 0.99\nsteps = abc\n"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nsteps = 3\n"),
         (("simulate", "--preset", "sample_a_crosstalk"), "granularity = clifford\n"),
     ],
     ids=[
@@ -244,6 +246,7 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         "joint_alpha_not_cptp", "gate_time_unparsable", "gate_time_zero",
         "crosstalk_gate_time_zero",
         "t1_negative", "t1_nan", "steps_too_few", "clifford_granularity_crosstalk",
+        "depolarizing_steps_unparsable", "decoherence_steps_too_few",
     ],
 )
 def test_bad_model_values_are_config_errors(tmp_path, command, config, capsys):
@@ -252,6 +255,25 @@ def test_bad_model_values_are_config_errors(tmp_path, command, config, capsys):
     code = run_cli(*command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [("simulate", "--config"), ("predict", "--config"), ("fit",)])
+@pytest.mark.parametrize(
+    "make_input",
+    [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"experiment,projection,m,mean,stderr,K\nexp1,Q1,1,\xff\n"),
+        lambda path: None,
+    ],
+    ids=["directory", "not_utf8", "missing"],
+)
+def test_unreadable_inputs_are_config_errors(tmp_path, command, make_input, capsys):
+    path = tmp_path / "input"
+    make_input(path)
+    code = run_cli(*command, str(path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_fit_rejects_nonfinite_mean(tmp_path):

@@ -28,6 +28,7 @@ from rbaddr.protocol import (
     run_experiment,
     run_protocol,
     simulate_sequence,
+    stream_states,
     write_curves_csv,
 )
 from rbaddr.twirl import gamma_decay_curve
@@ -51,6 +52,8 @@ def test_config_validation():
         RBConfig(seed=-1)
     with pytest.raises(ValueError):
         RBConfig(shots=0)
+    with pytest.raises(ValueError):  # k and m are one seed word each
+        RBConfig(lengths=(1, 2**32))
 
 
 def test_generate_sequence_closures(cxc):
@@ -212,14 +215,7 @@ def _per_sequence_curves(cfg, gateset, experiment):
     return raw
 
 
-@pytest.mark.parametrize("experiment", ["exp1", "exp3"])
-@pytest.mark.parametrize("granularity", ["generator", "clifford"])
-@pytest.mark.parametrize("shots", [None, 200])
-def test_run_experiment_reproduces_per_sequence_draw_order(experiment, granularity, shots):
-    cfg = RBConfig(
-        lengths=(1, 2, 7, 20), K=5, seed=23, spam=_MISASSIGNED,
-        granularity=granularity, shots=shots, keep_raw=True,
-    )
+def _assert_per_sequence_draw_order(cfg, experiment):
     # gate-independent, so both granularities apply; the ZZ rotation makes
     # each sequence's populations depend on its elements
     gateset = NoisyGateSet(
@@ -233,6 +229,92 @@ def test_run_experiment_reproduces_per_sequence_draw_order(experiment, granulari
         assert np.array_equal(curve.raw, raw), proj
         assert np.array_equal(curve.mean, raw.mean(axis=1)), proj
         assert np.array_equal(curve.stderr, raw.std(axis=1, ddof=1) / np.sqrt(cfg.K)), proj
+
+
+@pytest.mark.parametrize("experiment", ["exp1", "exp3"])
+@pytest.mark.parametrize("granularity", ["generator", "clifford"])
+@pytest.mark.parametrize("shots", [None, 200])
+def test_run_experiment_reproduces_per_sequence_draw_order(experiment, granularity, shots):
+    cfg = RBConfig(
+        lengths=(1, 2, 7, 20), K=5, seed=23, spam=_MISASSIGNED,
+        granularity=granularity, shots=shots, keep_raw=True,
+    )
+    _assert_per_sequence_draw_order(cfg, experiment)
+
+
+@pytest.mark.parametrize("seed", [2**32, 2**64 + 5])
+@pytest.mark.parametrize("shots", [None, 200])
+def test_run_experiment_draw_order_at_multiword_seeds(seed, shots):
+    # a seed of two or three uint32 words goes through SeedSequence's
+    # second mixing loop
+    cfg = RBConfig(
+        lengths=(1, 3, 9), K=4, seed=seed, spam=_MISASSIGNED, shots=shots,
+        keep_raw=True,
+    )
+    _assert_per_sequence_draw_order(cfg, "exp2")
+
+
+_EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**70]
+
+
+def _random_configs(count):
+    rng = np.random.default_rng(2024)
+    for i in range(count):
+        seed = int(rng.integers(0, 2**63)) >> int(rng.integers(0, 63))
+        if i % 2:  # and seeds of up to four words
+            seed = seed << 64 | int(rng.integers(0, 2**63)) << int(rng.integers(0, 64))
+        lengths = np.unique(rng.integers(1, 2**32, size=int(rng.integers(1, 6))))
+        yield RBConfig(lengths=tuple(lengths), K=int(rng.integers(2, 9)), seed=seed)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [RBConfig(lengths=(1, 2, 512, 2**32 - 1), K=3, seed=s) for s in _EDGE_SEEDS]
+    + list(_random_configs(12)),
+)
+def test_stream_states_are_default_rng_streams(cfg, cxc):
+    rng = np.random.Generator(np.random.PCG64())
+    for experiment, code in EXPERIMENT_CODES.items():
+        states = stream_states(cfg, experiment)
+        assert len(states) == len(cfg.lengths)
+        for m, row in zip(cfg.lengths, states):
+            assert len(row) == cfg.K
+            for k, state in enumerate(row):
+                reference = np.random.default_rng([cfg.seed, code, m, k])
+                assert state == reference.bit_generator.state, (experiment, m, k)
+                rng.bit_generator.state = state
+                assert np.array_equal(
+                    cxc.sample_uniform(rng, 6), cxc.sample_uniform(reference, 6)
+                )
+
+
+@pytest.fixture
+def rng_constructions(monkeypatch):
+    """Counts of numpy generator, bit generator and seed constructions made
+    through ``np.random`` names."""
+    counts = dict.fromkeys(("default_rng", "Generator", "PCG64", "SeedSequence"), 0)
+
+    def counting(name):
+        real = getattr(np.random, name)
+
+        def construct(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return construct
+
+    for name in counts:
+        monkeypatch.setattr(np.random, name, counting(name))
+    return counts
+
+
+@pytest.mark.parametrize("shots", [None, 50])
+def test_run_experiment_shares_one_generator(rng_constructions, shots):
+    # 3 lengths x 6 sequences; seeding them one by one would make 18
+    cfg = RBConfig(lengths=(1, 2, 4), K=6, seed=5, shots=shots)
+    run_experiment(cfg, Depolarizing(0.99), "exp3")
+    assert rng_constructions["default_rng"] + rng_constructions["Generator"] <= 1
+    assert rng_constructions["PCG64"] + rng_constructions["SeedSequence"] <= 1
 
 
 def test_run_experiment_ideal_constant_one():
