@@ -10,22 +10,23 @@ import argparse
 
 from rbaddr.cli import model_presets
 from rbaddr.fitting import fit_protocol_curves
-from rbaddr.noise import CrossTalk, Decoherence, Depolarizing, describe_model
+from rbaddr.noise import DEFAULT_EVOLVE_STEPS, CrossTalk, Decoherence, Depolarizing, describe_model
 from rbaddr.noise import predict_addressability
 from rbaddr.protocol import RBConfig, run_protocol
 from rbaddr.report import build_report
 
 
 def main():
+    presets = model_presets(DEFAULT_EVOLVE_STEPS)
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default="sample_a_crosstalk",
-                        choices=sorted(model_presets()))
+                        choices=sorted(presets))
     parser.add_argument("--K", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lengths", default="1,2,4,8,16,32,64,128,256")
     args = parser.parse_args()
 
-    model, label = model_presets()[args.preset]
+    model, label = presets[args.preset]
     lengths = tuple(int(x) for x in args.lengths.split(","))
     cfg = RBConfig(lengths=lengths, K=args.K, seed=args.seed)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cliffords import dump_group_csv, get_group
-from .fitting import FitError, fit_protocol_curves
+from .fitting import ALPHA_SOURCES, FitError, fit_protocol_curves
 from .noise import (
     DEFAULT_EVOLVE_STEPS,
     DEVICE_PRESETS,
@@ -158,15 +158,17 @@ def _device_from_config(cfg: dict[str, str], preset: str | None) -> DeviceParams
     return params
 
 
-def model_presets() -> dict:
+def model_presets(steps: int) -> dict:
+    """The bundled models; the cross-talk ones take ``steps`` Magnus steps
+    per gate."""
     a_dep = Depolarizing(SAMPLE_A_ALPHA_PER_GENERATOR)
     return {
         "ideal": (Ideal(), "ideal"),
         "sample_a_depolarizing": (a_dep, "sample_a"),
-        "sample_a_crosstalk": (CrossTalk(SAMPLE_A), "sample_a"),
+        "sample_a_crosstalk": (CrossTalk(SAMPLE_A, steps), "sample_a"),
         "sample_a_decoherence": (Decoherence(SAMPLE_A), "sample_a"),
         "sample_a_full": (
-            Composite((CrossTalk(SAMPLE_A), Decoherence(SAMPLE_A))),
+            Composite((CrossTalk(SAMPLE_A, steps), Decoherence(SAMPLE_A))),
             "sample_a",
         ),
         "sample_b_decoherence": (Decoherence(SAMPLE_B), "sample_b"),
@@ -174,11 +176,18 @@ def model_presets() -> dict:
 
 
 @_config_values
-def _build_model(cfg: dict[str, str], args):
+def _steps(cfg: dict[str, str]) -> int:
+    """The configured Magnus steps per gate, checked whatever the model."""
     steps = int(cfg.get("steps", DEFAULT_EVOLVE_STEPS))
     if steps < MIN_EVOLVE_STEPS:
         raise ConfigError(f"steps must be at least {MIN_EVOLVE_STEPS}")
-    presets = model_presets()
+    return steps
+
+
+@_config_values
+def _build_model(cfg: dict[str, str], args):
+    steps = _steps(cfg)
+    presets = model_presets(steps)
     preset = args.preset or cfg.get("preset")
     if preset is not None:
         if preset not in presets:
@@ -315,9 +324,7 @@ def _analyze_and_write(
             fit.to_dict() if not isinstance(fit, dict) else fit
             for fit in (result["fits"][key] for key in sorted(result["fits"]))
         ],
-        "alpha_keys": {
-            k: f"{v[0]}/{v[1]}" for k, v in sorted(result["alpha_sources"].items())
-        },
+        "alpha_keys": {k: f"{v[0]}/{v[1]}" for k, v in sorted(ALPHA_SOURCES.items())},
     }
     fits_path = out / "fits.json"
     _dump_json(fits_path, fits_payload)
@@ -410,7 +417,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(
             "cross-talk prediction needs parameters: " + ", ".join(missing)
         )
-    model = CrossTalk(device)
+    model = CrossTalk(device, _steps(cfg))
     if args.with_decoherence:
         model = Composite((model, Decoherence(device)))
     prediction = predict_addressability(model)

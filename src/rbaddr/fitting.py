@@ -4,13 +4,13 @@ Levenberg-Marquardt with analytic Jacobians on the objective
 sum_i (x_i - F(m_i))^2 / sigma_i^2.  Parameter uncertainties come from
 the Jacobian at the best fit: covariance (J^T W J)^-1 scaled by the
 reduced chi-square, with 68% intervals taken as one scaled sigma.
+Every fit, single-exponential or correlation, runs through ``_fit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from statistics import NormalDist
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class DecayFit:
     param_names: tuple[str, ...]
     params: np.ndarray
     covariance: np.ndarray  # chi2/dof-scaled; what the intervals use
-    ci68: np.ndarray
     chi2: float
     dof: int
     chi2_reduced: float
@@ -71,7 +70,7 @@ class DecayFit:
             "model": self.model,
             "params": {n: float(v) for n, v in zip(self.param_names, self.params)},
             "sigma": {n: self.sigma(n) for n in self.param_names},
-            "ci68": {n: float(c) for n, c in zip(self.param_names, self.ci68)},
+            "ci68": {n: self.sigma(n) for n in self.param_names},  # 1-sigma
             "chi2": self.chi2,
             "dof": self.dof,
             "chi2_reduced": self.chi2_reduced,
@@ -182,89 +181,64 @@ def _initial_guess(m, y):
     return np.array([a0, alpha0, b0])
 
 
-def fit_exponential(curve_or_m, y=None, stderr=None) -> DecayFit:
-    """Fit F(m) = A alpha^m + B to a survival curve.
+def _fit(model, param_names, p0, m, y, stderr, rates) -> DecayFit:
+    """The one fit path: ``_decay`` with the given background rates (none
+    for a single exponential), from p0, weighted by 1/stderr^2, its
+    covariance scaled by chi2/dof.
 
-    Accepts a SurvivalCurve or explicit (m, mean, stderr) arrays; points
-    need positive standard errors (weights 1/sigma^2) and at least four
-    truncations (three fit parameters).
+    Callers check the point count (at least one more point than
+    parameters); a nonpositive standard error is refused here, before LM
+    would divide by it.
     """
-    if y is None:
-        curve = curve_or_m
-        m = np.asarray(curve.m, dtype=float)
-        y = np.asarray(curve.mean, dtype=float)
-        stderr = np.asarray(curve.stderr, dtype=float)
-        meta = {
-            "experiment": curve.experiment,
-            "projection": curve.projection,
-            "max_m": int(np.max(curve.m)),
-        }
-    else:
-        m = np.asarray(curve_or_m, dtype=float)
-        y = np.asarray(y, dtype=float)
-        stderr = np.asarray(stderr, dtype=float)
-        meta = {}
-    if len(m) < 4:
-        raise FitError("need at least 4 points to fit 3 parameters")
     if np.any(stderr <= 0):
         raise FitError("all standard errors must be positive")
-
-    p0 = _initial_guess(m, y)
-    p, cov, chi2, resid, iters, converged, flags = _lm(
-        _decay, _decay_jac, p0, m, y, stderr
+    p, cov, chi2, resid, iterations, converged, flags = _lm(
+        partial(_decay, rates=rates),
+        partial(_decay_jac, rates=rates),
+        p0, m, y, stderr,
     )
-    dof = len(m) - 3
+    dof = len(m) - len(p0)
     chi2_red = chi2 / dof
-    cov_scaled = cov * max(chi2_red, 0.0) if dof > 0 else cov
-    if not 0 < p[1] <= 1:
-        flags.append("alpha_outside_(0,1]")
-    if np.ptp(y) < 4 * float(np.max(stderr)) / np.sqrt(len(m)) and "degenerate" not in flags:
-        flags.append("degenerate")
-    fit = DecayFit(
-        model="single_exponential",
-        param_names=("A", "alpha", "B"),
+    return DecayFit(
+        model=model,
+        param_names=param_names,
         params=p,
-        covariance=cov_scaled,
-        ci68=np.sqrt(np.clip(np.diag(cov_scaled), 0, None)),
+        covariance=cov * max(chi2_red, 0.0),
         chi2=chi2,
         dof=dof,
         chi2_reduced=chi2_red,
         residuals=resid,
         converged=converged,
-        iterations=iters,
+        iterations=iterations,
         flags=tuple(flags),
-        curve_meta=meta,
+        curve_meta={"background_rates": list(rates)} if rates else {},
     )
+
+
+def _fit_single(model, m, y, stderr, reason) -> DecayFit:
+    """A alpha^m + B from the data-driven seed, flagged when alpha leaves
+    (0, 1] or the curve barely moves; ``reason`` is appended to the flags."""
+    if len(m) < 4:
+        raise FitError("need at least 4 points to fit 3 parameters")
+    fit = _fit(model, ("A", "alpha", "B"), _initial_guess(m, y), m, y, stderr, ())
+    if not 0 < fit.alpha <= 1:
+        fit.flags += ("alpha_outside_(0,1]",)
+    if np.ptp(y) < 4 * float(np.max(stderr)) / np.sqrt(len(m)) and "degenerate" not in fit.flags:
+        fit.flags += ("degenerate",)
+    fit.flags += reason
     return fit
 
 
-def confidence_intervals(fit: DecayFit, level: float = 0.68) -> np.ndarray:
-    """Per-parameter half-widths from the scaled covariance.
-
-    The 68% level is the 1-sigma convention (z = 1 exactly); other levels
-    use the normal quantile.
+def fit_exponential(m, y, stderr) -> DecayFit:
+    """Fit F(m) = A alpha^m + B to the points (m, y) with standard errors
+    ``stderr``; points need positive standard errors (weights 1/sigma^2)
+    and there must be at least four (three fit parameters).
     """
-    if not fit.converged:
-        raise FitError("confidence intervals need a converged fit")
-    z = 1.0 if abs(level - 0.68) < 1e-12 else NormalDist().inv_cdf((1 + level) / 2)
-    return z * np.sqrt(np.clip(np.diag(fit.covariance), 0, None))
+    m, y, stderr = (np.asarray(a, dtype=float) for a in (m, y, stderr))
+    return _fit_single("single_exponential", m, y, stderr, ())
 
 
-def reduced_chi_square(y, sigma, model_values, n_params: int = 3):
-    """(chi2, dof, chi2/dof) with dof = truncation count - fit parameters."""
-    y = np.asarray(y, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    model_values = np.asarray(model_values, dtype=float)
-    if np.any(sigma <= 0):
-        raise FitError("all sigmas must be positive")
-    dof = len(y) - n_params
-    if dof <= 0:
-        raise FitError("no degrees of freedom")
-    chi2 = float(np.sum((y - model_values) ** 2 / sigma**2))
-    return chi2, dof, chi2 / dof
-
-
-def fit_correlation_curve(curve, alpha_1_2: float, alpha_2_1: float) -> DecayFit:
+def fit_correlation_curve(m, y, stderr, alpha_1_2: float, alpha_2_1: float) -> DecayFit:
     """Extract alpha_12 from the two-qubit correlation decay.
 
     Fits A12 alpha_12^m with fixed-rate background exponentials at the
@@ -273,9 +247,7 @@ def fit_correlation_curve(curve, alpha_1_2: float, alpha_2_1: float) -> DecayFit
     zero, or the background fit is degenerate, the curve is refit to a
     single exponential.
     """
-    m = np.asarray(curve.m, dtype=float)
-    y = np.asarray(curve.mean, dtype=float)
-    stderr = np.asarray(curve.stderr, dtype=float)
+    m, y, stderr = (np.asarray(a, dtype=float) for a in (m, y, stderr))
     f1, f2 = float(alpha_1_2), float(alpha_2_1)
     merged = abs(f1 - f2) < 1e-9
     bg_rates = (f1,) if merged else (f1, f2)
@@ -283,55 +255,25 @@ def fit_correlation_curve(curve, alpha_1_2: float, alpha_2_1: float) -> DecayFit
 
     seed = _initial_guess(m, y)
     p0 = np.concatenate([[seed[0], seed[1]], np.zeros(len(bg_rates)), [seed[2]]])
-    n_params = len(p0)
-    if len(m) <= n_params:
+    if len(m) <= len(p0):
         raise FitError("too few points for the background model")
-    p, cov, chi2, resid, iters, converged, flags = _lm(
-        partial(_decay, rates=bg_rates),
-        partial(_decay_jac, rates=bg_rates),
-        p0, m, y, stderr,
+    fit = _fit(
+        "correlation_with_background", ("A", "alpha", *bg_names, "B"),
+        p0, m, y, stderr, bg_rates,
     )
-    dof = len(m) - n_params
-    chi2_red = chi2 / dof
-    cov_scaled = cov * max(chi2_red, 0.0)
-    sig = np.sqrt(np.clip(np.diag(cov_scaled), 0, None))
     background_zero = all(
-        abs(p[2 + i]) <= 2 * sig[2 + i] for i in range(len(bg_rates))
+        abs(fit.value(name)) <= 2 * fit.sigma(name) for name in bg_names
     )
-    meta = {
-        "experiment": curve.experiment,
-        "projection": curve.projection,
-        "max_m": int(np.max(curve.m)),
-    }
-    if background_zero or "degenerate" in flags or not converged:
-        fit = fit_exponential(m, y, stderr)
-        fit.model = "correlation_single_exponential"
+    if background_zero or "degenerate" in fit.flags or not fit.converged:
         reason = (
             "background_consistent_with_zero"
             if background_zero
             else "background_fit_degenerate"
         )
-        fit.flags = fit.flags + (reason,)
-        fit.curve_meta = meta
-        return fit
-    if min(abs(p[1] - rate) for rate in bg_rates) < 1e-3:
-        flags.append("alpha12_near_subsystem_rate")
-    meta["background_rates"] = list(bg_rates)
-    return DecayFit(
-        model="correlation_with_background",
-        param_names=("A", "alpha", *bg_names, "B"),
-        params=p,
-        covariance=cov_scaled,
-        ci68=sig,
-        chi2=chi2,
-        dof=dof,
-        chi2_reduced=chi2_red,
-        residuals=resid,
-        converged=converged,
-        iterations=iters,
-        flags=tuple(flags),
-        curve_meta=meta,
-    )
+        return _fit_single("correlation_single_exponential", m, y, stderr, (reason,))
+    if min(abs(fit.alpha - rate) for rate in bg_rates) < 1e-3:
+        fit.flags += ("alpha12_near_subsystem_rate",)
+    return fit
 
 
 # Mapping from (experiment, projection) to the alpha each curve estimates.
@@ -345,26 +287,26 @@ ALPHA_SOURCES = {
 
 
 def _fit_curve(fit, curve):
-    """``fit(curve)``, with a FitError recorded as the curve's entry
-    instead of raised.
+    """``fit(m, mean, stderr)`` of the curve, labelled with its experiment,
+    projection and longest length; a FitError is recorded as the curve's
+    entry instead of raised.
 
     Deterministic simulations have zero standard errors; they get a
     nominal uniform weight so their (degenerate) fit still reports,
     flagged ``deterministic_curve``.
     """
-    floored = bool(np.all(np.asarray(curve.stderr) == 0.0))
+    label = {"experiment": curve.experiment, "projection": curve.projection}
+    stderr = np.asarray(curve.stderr, dtype=float)
+    floored = bool(np.all(stderr == 0.0))
     if floored:
-        curve = replace(curve, stderr=np.full(len(curve.m), 1e-9))
+        stderr = np.full(len(curve.m), 1e-9)
     try:
-        result = fit(curve)
+        result = fit(curve.m, curve.mean, stderr)
     except FitError as exc:
-        return {
-            "experiment": curve.experiment,
-            "projection": curve.projection,
-            "error": str(exc),
-        }
+        return {**label, "error": str(exc)}
+    result.curve_meta.update(label, max_m=int(np.max(curve.m)))
     if floored:
-        result.flags = result.flags + ("deterministic_curve",)
+        result.flags += ("deterministic_curve",)
     return result
 
 
@@ -395,4 +337,4 @@ def fit_protocol_curves(curves) -> dict:
         for name, src in ALPHA_SOURCES.items()
         if isinstance(fits.get(src), DecayFit)
     }
-    return {"fits": fits, "alpha_fits": alpha_fits, "alpha_sources": ALPHA_SOURCES}
+    return {"fits": fits, "alpha_fits": alpha_fits}

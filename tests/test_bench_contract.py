@@ -7,10 +7,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbaddr.noise import Depolarizing
-from rbaddr.protocol import RBConfig
+from rbaddr.protocol import RBConfig, SurvivalCurve, decay_single
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACED_MODULES = ("rbaddr.cli", "rbaddr.protocol", "rbaddr.noise", "rbaddr.twirl",
@@ -50,3 +51,35 @@ def test_tracer_installs_on_every_planned_name(bench_run):
     assert tracer.calls["protocol.simulate_sequence"] == 2
     # recoveries come from one batched scan per length, not per sequence
     assert tracer.calls["cliffords.recovery_index"] == 0
+
+
+def test_tracer_reads_the_fitting_names(bench_run):
+    # run.py counts LM iterations from index 4 of ``_lm``'s tuple and from
+    # the ``iterations``/``converged`` of the fits fit_protocol_curves returns
+    for name in TRACED_MODULES:
+        importlib.import_module(name)
+    cli = sys.modules["rbaddr.cli"]
+    rng = np.random.default_rng(3)
+    m = np.array([1, 2, 4, 8, 16, 32, 64, 128])
+    curves = [
+        SurvivalCurve(experiment, projection, m,
+                      decay_single(m, 0.5, alpha, 0.5) + rng.normal(0, 1e-3, len(m)),
+                      np.full(len(m), 1e-3), K=20)
+        for experiment, projection, alpha in (
+            ("exp1", "Q1", 0.99), ("exp3", "Q1", 0.985), ("exp3", "Q2", 0.98),
+        )
+    ]
+    tracer = bench_run.build_tracer()
+    try:
+        tracer.install()
+        result = cli.fit_protocol_curves(curves)
+    finally:
+        tracer.uninstall()
+    fits = result["fits"].values()
+    assert len(fits) == 3 and all(fit.iterations > 1 for fit in fits)
+    # one LM run per single-exponential fit, each counted once
+    assert tracer.calls["fitting.lm"] == 3
+    assert tracer.calls["fitting.lm_iterations_run"] == sum(fit.iterations for fit in fits)
+    assert tracer.calls["fitting.lm_iterations"] == sum(fit.iterations for fit in fits)
+    assert tracer.calls["fitting.not_converged"] == sum(not fit.converged for fit in fits)
+    assert tracer.calls["fitting.errors"] == 0

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from rbaddr.cli import main, parse_config_file
+from rbaddr.cli import _build_model, main, parse_config_file
+from rbaddr.noise import SAMPLE_A, Composite, CrossTalk, Decoherence, predict_addressability
 
 FAST_ARGS = ["--lengths", "1,2,4,8,16,32", "--K", "8"]
 SAMPLE_A_DEVICE = (
@@ -126,6 +128,30 @@ def test_predict_sample_a(tmp_path):
     assert pred["gate_time_ns"] == pytest.approx(24.0)
 
 
+def test_predict_honours_steps(tmp_path):
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text("steps = 16\n")
+    out = tmp_path / "pred16"
+    assert run_cli("predict", "--preset", "sample_a", "--config", str(cfg), "--out", str(out)) == 0
+    expected = predict_addressability(CrossTalk(SAMPLE_A, 16))
+    expected["gate_time_ns"] = SAMPLE_A.gate_time * 1e9
+    pred = json.loads((out / "predictions.json").read_text())
+    assert pred == json.loads(json.dumps(expected))
+    assert pred["alphas"] != predict_addressability(CrossTalk(SAMPLE_A))["alphas"]
+
+
+@pytest.mark.parametrize("steps", [None, 16])
+def test_crosstalk_presets_honour_steps(steps):
+    cfg = {} if steps is None else {"steps": str(steps)}
+    build = CrossTalk(SAMPLE_A) if steps is None else CrossTalk(SAMPLE_A, steps)
+
+    def model(preset):
+        return _build_model(cfg, argparse.Namespace(preset=preset, model=None))[0]
+
+    assert model("sample_a_crosstalk") == build
+    assert model("sample_a_full") == Composite((build, Decoherence(SAMPLE_A)))
+
+
 def test_predict_sample_b_lists_missing(tmp_path, capsys):
     code = run_cli("predict", "--preset", "sample_b", "--out", str(tmp_path / "o"))
     assert code == 1
@@ -240,6 +266,8 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         (("simulate",), "model = depolarizing\nalpha1 = 0.99\nsteps = abc\n"),
         (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nsteps = 3\n"),
         (("simulate", "--preset", "sample_a_crosstalk"), "granularity = clifford\n"),
+        (("predict", "--preset", "sample_a"), "steps = 3\n"),
+        (("simulate", "--preset", "sample_a_crosstalk"), "steps = 3\n"),
     ],
     ids=[
         "alpha_unparsable", "alpha_not_cptp", "alpha2_not_cptp",
@@ -247,6 +275,7 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         "crosstalk_gate_time_zero",
         "t1_negative", "t1_nan", "steps_too_few", "clifford_granularity_crosstalk",
         "depolarizing_steps_unparsable", "decoherence_steps_too_few",
+        "predict_steps_too_few", "preset_steps_too_few",
     ],
 )
 def test_bad_model_values_are_config_errors(tmp_path, command, config, capsys):

@@ -1,16 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbaddr.fitting import (
-    FitError,
-    confidence_intervals,
-    fit_correlation_curve,
-    fit_exponential,
-    fit_protocol_curves,
-    reduced_chi_square,
-)
+from rbaddr.fitting import FitError, fit_correlation_curve, fit_exponential, fit_protocol_curves
 from rbaddr.protocol import SurvivalCurve, decay_single
 from rbaddr.twirl import gamma_decay_curve
 
@@ -36,7 +31,7 @@ def test_noiseless_fit_recovers_exactly():
     assert abs(fit.A - 0.5) < 1e-8
     assert abs(fit.alpha - 0.99) < 1e-8
     assert abs(fit.B - 0.5) < 1e-8
-    assert np.all(confidence_intervals(fit) < 1e-6)
+    assert all(fit.sigma(name) < 1e-6 for name in fit.param_names)
 
 
 def test_noisy_fit_within_3ci():
@@ -84,28 +79,29 @@ def test_ci_scaling_with_doubled_sigma():
     noise = rng.normal(0, 0.004, len(m))
     fit1 = fit_exponential(m, clean + noise, np.full(len(m), 0.004))
     fit2 = fit_exponential(m, clean + 2 * noise, np.full(len(m), 0.008))
-    ratio = confidence_intervals(fit2) / confidence_intervals(fit1)
-    assert np.all(np.abs(ratio - 2) < 0.1)
+    for name in fit1.param_names:
+        assert abs(fit2.sigma(name) / fit1.sigma(name) - 2) < 0.1
 
 
-def test_confidence_levels():
+def test_sigma_is_the_scaled_covariance_diagonal():
     m, y, s = synthetic_curve(0.99, 0.002, np.random.default_rng(3))
     fit = fit_exponential(m, y, s)
-    ci68 = confidence_intervals(fit, 0.68)
-    ci95 = confidence_intervals(fit, 0.95)
-    assert np.allclose(ci68, np.sqrt(np.diag(fit.covariance)))
-    assert np.all(ci95 > 1.9 * ci68)
+    sigmas = [fit.sigma(name) for name in fit.param_names]
+    assert np.allclose(sigmas, np.sqrt(np.diag(fit.covariance)))
+    assert fit.to_dict()["ci68"] == fit.to_dict()["sigma"]
 
 
-def test_reduced_chi_square_exact():
-    y = np.array([1.0, 0.9, 0.8, 0.7, 0.6])
-    sigma = np.full(5, 0.1)
-    chi2, dof, red = reduced_chi_square(y, sigma, y)
-    assert chi2 == 0.0 and dof == 2 and red == 0.0
-    chi2, dof, red = reduced_chi_square(y, sigma, y + 0.1)
-    assert chi2 == pytest.approx(5.0)
-    with pytest.raises(FitError):
-        reduced_chi_square(y[:3], sigma[:3], y[:3])
+def test_reduced_chi_square_of_the_fit():
+    m, y, s = synthetic_curve(0.99, 0.0, None)
+    exact = fit_exponential(m, y, s)
+    assert exact.dof == len(m) - 3
+    assert exact.chi2 < 1e-12 and exact.chi2_reduced == exact.chi2 / exact.dof
+    # alternating one-sigma offsets: the true curve scores chi2 = len(m)
+    # and the best fit can absorb little of it
+    shifted = fit_exponential(m, y + 0.1 * (-1.0) ** np.arange(len(m)), np.full(len(m), 0.1))
+    assert 0.9 * len(m) < shifted.chi2 <= len(m)
+    assert shifted.chi2 == pytest.approx(float(shifted.residuals @ shifted.residuals))
+    assert shifted.chi2_reduced == pytest.approx(shifted.chi2 / (len(m) - 3))
 
 
 def test_misfit_detection_on_non_exponential_decay():
@@ -190,7 +186,7 @@ def test_against_scipy_curve_fit_oracle():
     )
     assert np.allclose(fit.params, popt, atol=1e-6)
     # scipy scales by chi2/dof too when absolute_sigma=False
-    assert np.allclose(np.sqrt(np.diag(pcov)), fit.ci68, rtol=1e-3)
+    assert np.allclose(np.sqrt(np.diag(pcov)), [fit.sigma(n) for n in fit.param_names], rtol=1e-3)
 
 
 @given(st.floats(0.9, 0.999), st.floats(0.1, 0.6))
@@ -211,8 +207,7 @@ def test_correlation_fit_product_noise():
     a1, a2 = 0.995, 0.991
     m = M_GRID
     y = decay_single(m, 0.5, a1 * a2, 0.5) + rng.normal(0, 0.002, len(m))
-    curve = as_curve(m, y, np.full(len(m), 0.002))
-    fit = fit_correlation_curve(curve, a1, a2)
+    fit = fit_correlation_curve(m, y, np.full(len(m), 0.002), a1, a2)
     assert abs(fit.alpha - a1 * a2) < 3 * fit.alpha_sigma
 
 
@@ -227,8 +222,7 @@ def test_correlation_fit_with_true_background():
         + 0.25
         + rng.normal(0, 0.0005, len(m))
     )
-    curve = as_curve(m, y, np.full(len(m), 0.0005))
-    fit = fit_correlation_curve(curve, a1, a2)
+    fit = fit_correlation_curve(m, y, np.full(len(m), 0.0005), a1, a2)
     assert fit.model == "correlation_with_background"
     assert abs(fit.alpha - a12) < 4 * fit.alpha_sigma
 
@@ -237,8 +231,7 @@ def test_correlation_fit_merged_background_when_rates_equal():
     rng = np.random.default_rng(20)
     m = M_GRID
     y = decay_single(m, 0.5, 0.98, 0.5) + rng.normal(0, 0.001, len(m))
-    curve = as_curve(m, y, np.full(len(m), 0.001))
-    fit = fit_correlation_curve(curve, 0.99, 0.99)
+    fit = fit_correlation_curve(m, y, np.full(len(m), 0.001), 0.99, 0.99)
     assert fit.converged
 
 
@@ -264,3 +257,113 @@ def test_fit_protocol_curves_partial():
     m, y, s = synthetic_curve(0.99, 0.002, rng)
     result = fit_protocol_curves([as_curve(m, y, s, "exp1", "Q1")])
     assert set(result["alpha_fits"]) == {"alpha_1"}
+
+
+# ---------------------------------------------------------------------------
+# flags and fallbacks
+
+
+def protocol_curves(rng, corr_y, corr_stderr):
+    """Fittable exp3 Q1/Q2 curves plus the given correlation curve."""
+    curves = []
+    for projection, alpha in (("Q1", 0.992), ("Q2", 0.99)):
+        m, y, s = synthetic_curve(alpha, 0.002, rng)
+        curves.append(as_curve(m, y, s, "exp3", projection))
+    return curves + [as_curve(M_GRID, corr_y, corr_stderr)]
+
+
+def test_growing_curve_flags_alpha_outside_unit_interval():
+    m = M_GRID
+    y = 0.3 + 0.05 * 1.004 ** m.astype(float)
+    fit = fit_exponential(m, y, np.full(len(m), 1e-3))
+    assert fit.alpha > 1
+    assert fit.flags == ("alpha_outside_(0,1]",)
+
+
+def test_all_zero_stderr_curve_is_flagged_deterministic():
+    m = M_GRID
+    curve = as_curve(m, decay_single(m, 0.5, 0.99, 0.5), np.zeros(len(m)), "exp1", "Q1")
+    fit = fit_protocol_curves([curve])["fits"][("exp1", "Q1")]
+    assert fit.flags[-1] == "deterministic_curve"
+    assert abs(fit.alpha - 0.99) < 1e-8
+    assert fit.curve_meta == {"experiment": "exp1", "projection": "Q1", "max_m": 256}
+
+
+def test_single_exponential_correlation_falls_back():
+    rng = np.random.default_rng(18)
+    m = M_GRID
+    y = decay_single(m, 0.5, 0.995 * 0.991, 0.5) + rng.normal(0, 0.002, len(m))
+    fit = fit_correlation_curve(m, y, np.full(len(m), 0.002), 0.995, 0.991)
+    assert fit.model == "correlation_single_exponential"
+    assert fit.param_names == ("A", "alpha", "B")
+    assert fit.flags[-1] == "background_consistent_with_zero"
+    assert fit.dof == len(m) - 3
+    assert "background_rates" not in fit.curve_meta
+
+
+def test_degenerate_background_fit_falls_back():
+    # a correlation rate within 5e-4 of a background rate leaves the
+    # background amplitudes unidentifiable
+    a1, a2, a12 = 0.996, 0.95, 0.9965
+    m = M_GRID.astype(float)
+    y = 0.2 * a1**m + 0.15 * a2**m + 0.25 * a12**m + 0.25
+    fit = fit_correlation_curve(M_GRID, y, np.full(len(m), 1e-4), a1, a2)
+    assert fit.model == "correlation_single_exponential"
+    assert fit.flags == ("background_fit_degenerate",)
+
+
+def test_deterministic_constant_correlation_flags_in_order():
+    rng = np.random.default_rng(23)
+    curves = protocol_curves(rng, np.full(len(M_GRID), 0.25), np.zeros(len(M_GRID)))
+    fit = fit_protocol_curves(curves)["fits"][("exp3", "CORR")]
+    assert fit.model == "correlation_single_exponential"
+    assert fit.flags == ("degenerate", "background_consistent_with_zero", "deterministic_curve")
+    assert fit.curve_meta == {"experiment": "exp3", "projection": "CORR", "max_m": 256}
+
+
+def test_correlation_rate_near_background_rate_is_flagged():
+    a1, a2, a12 = 0.996, 0.95, 0.9955
+    m = M_GRID.astype(float)
+    y = 0.2 * a1**m + 0.15 * a2**m + 0.25 * a12**m + 0.25
+    fit = fit_correlation_curve(M_GRID, y, np.full(len(m), 1e-4), a1, a2)
+    assert fit.model == "correlation_with_background"
+    assert fit.flags == ("alpha12_near_subsystem_rate",)
+    assert np.allclose(fit.params, [0.25, a12, 0.2, 0.15, 0.25], atol=1e-6)
+
+
+def test_merged_background_has_one_amplitude():
+    rng = np.random.default_rng(24)
+    a = 0.99
+    m = M_GRID.astype(float)
+    y = 0.2 * a**m + 0.3 * 0.9**m + 0.25 + rng.normal(0, 5e-4, len(m))
+    fit = fit_correlation_curve(M_GRID, y, np.full(len(m), 5e-4), a, a)
+    assert fit.model == "correlation_with_background"
+    assert fit.param_names == ("A", "alpha", "A1", "B")
+    assert fit.curve_meta["background_rates"] == [a]
+    assert fit.dof == len(m) - 4
+    assert np.allclose(fit.evaluate(m), y, atol=3e-3)
+
+
+def test_too_few_points_for_background_model():
+    m = M_GRID[:5]
+    y = decay_single(m, 0.5, 0.98, 0.5)
+    with pytest.raises(FitError, match="too few points for the background model"):
+        fit_correlation_curve(m, y, np.full(5, 1e-3), 0.99, 0.98)
+    with pytest.raises(FitError, match="too few points for the background model"):
+        fit_correlation_curve(m[:4], y[:4], np.full(4, 1e-3), 0.99, 0.99)
+
+
+def test_zero_stderr_correlation_fails_before_the_fit(capfd):
+    rng = np.random.default_rng(25)
+    y = decay_single(M_GRID, 0.5, 0.98, 0.5) + rng.normal(0, 0.002, len(M_GRID))
+    stderr = np.full(len(M_GRID), 0.002)
+    stderr[3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = fit_protocol_curves(protocol_curves(rng, y, stderr))["fits"]
+    assert fits[("exp3", "CORR")] == {
+        "experiment": "exp3",
+        "projection": "CORR",
+        "error": "all standard errors must be positive",
+    }
+    assert capfd.readouterr() == ("", "")

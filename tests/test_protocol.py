@@ -34,6 +34,10 @@ from rbaddr.protocol import (
 from rbaddr.twirl import gamma_decay_curve
 
 
+def fit_curve(curve):
+    return fit_exponential(curve.m, curve.mean, curve.stderr)
+
+
 @pytest.fixture(scope="module")
 def cxc():
     return get_group("cxc")
@@ -333,7 +337,7 @@ def test_run_experiment_depolarizing_fit_recovers_alpha():
     alpha_g = 0.99
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64, 128), K=40, seed=7)
     curves = run_experiment(cfg, Depolarizing(alpha_g), "exp3")
-    fit = fit_exponential(curves["Q1"])
+    fit = fit_curve(curves["Q1"])
     lens = generate_c1().word_slot_counts()
     expected = np.mean([alpha_g ** max(a, b) for a in lens for b in lens])
     assert abs(fit.alpha - expected) < 3 * fit.alpha_sigma
@@ -342,9 +346,9 @@ def test_run_experiment_depolarizing_fit_recovers_alpha():
 def test_exp3_product_noise_corr_consistent():
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64), K=40, seed=11)
     curves = run_experiment(cfg, Depolarizing(0.995, 0.99), "exp3")
-    f1 = fit_exponential(curves["Q1"])
-    f2 = fit_exponential(curves["Q2"])
-    fc = fit_exponential(curves["CORR"])
+    f1 = fit_curve(curves["Q1"])
+    f2 = fit_curve(curves["Q2"])
+    fc = fit_curve(curves["CORR"])
     product = f1.alpha * f2.alpha
     sigma = np.sqrt(
         fc.alpha_sigma**2
@@ -356,8 +360,8 @@ def test_exp3_product_noise_corr_consistent():
 
 def test_symmetric_model_exp1_exp2_consistent():
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64), K=40, seed=13)
-    f1 = fit_exponential(run_experiment(cfg, Depolarizing(0.995), "exp1")["Q1"])
-    f2 = fit_exponential(run_experiment(cfg, Depolarizing(0.995), "exp2")["Q2"])
+    f1 = fit_curve(run_experiment(cfg, Depolarizing(0.995), "exp1")["Q1"])
+    f2 = fit_curve(run_experiment(cfg, Depolarizing(0.995), "exp2")["Q2"])
     sigma = np.hypot(f1.alpha_sigma, f2.alpha_sigma)
     assert abs(f1.alpha - f2.alpha) < 3 * sigma
 
@@ -394,7 +398,7 @@ def test_per_clifford_granularity():
         lengths=(1, 2, 4, 8, 16, 32, 64), K=30, seed=3,
         granularity="clifford", shots=400,
     )
-    fit = fit_exponential(run_experiment(cfg_shots, Depolarizing(0.99), "exp3")["Q1"])
+    fit = fit_curve(run_experiment(cfg_shots, Depolarizing(0.99), "exp3")["Q1"])
     assert abs(fit.alpha - 0.99) < 3 * fit.alpha_sigma
 
 
@@ -428,8 +432,8 @@ def test_spam_errors_absorbed_into_amplitude():
         lengths=cfg.lengths, K=cfg.K, seed=cfg.seed,
         spam=SpamModel.perfect().with_misassignment(flip),
     )
-    clean = fit_exponential(run_experiment(cfg, Depolarizing(0.99), "exp1")["Q1"])
-    dirty = fit_exponential(run_experiment(cfg_spam, Depolarizing(0.99), "exp1")["Q1"])
+    clean = fit_curve(run_experiment(cfg, Depolarizing(0.99), "exp1")["Q1"])
+    dirty = fit_curve(run_experiment(cfg_spam, Depolarizing(0.99), "exp1")["Q1"])
     sigma = np.hypot(clean.alpha_sigma, dirty.alpha_sigma)
     assert abs(clean.alpha - dirty.alpha) < 3 * sigma
     assert dirty.A < clean.A
