@@ -10,8 +10,7 @@ import argparse
 
 from rbaddr.cli import model_presets
 from rbaddr.fitting import fit_protocol_curves
-from rbaddr.noise import DEFAULT_EVOLVE_STEPS, CrossTalk, Decoherence, Depolarizing, describe_model
-from rbaddr.noise import predict_addressability
+from rbaddr.noise import DEFAULT_EVOLVE_STEPS, describe_model, predict_addressability
 from rbaddr.protocol import RBConfig, run_protocol
 from rbaddr.report import build_report
 
@@ -37,12 +36,11 @@ def main():
     print()
     print(report.to_text())
 
-    if isinstance(model, (CrossTalk, Decoherence, Depolarizing)):
-        pred = predict_addressability(model, gamma_max_m=0)
-        print("model prediction (no Monte Carlo):")
-        for key, value in sorted(pred["delta_r"].items()):
-            print(f"  {key} = {value:.4f}")
-        print(f"  delta_alpha = {pred['delta_alpha']:.4f}")
+    pred = predict_addressability(model, gamma_max_m=0)
+    print("model prediction (no Monte Carlo):")
+    for key, value in sorted(pred["delta_r"].items()):
+        print(f"  {key} = {value:.4f}")
+    print(f"  delta_alpha = {pred['delta_alpha']:.4f}")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from .noise import (
     Decoherence,
     Depolarizing,
     DeviceParams,
-    DriveEnvelope,
     Ideal,
     StaticError,
     decoherence_ptm,

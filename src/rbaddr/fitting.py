@@ -286,18 +286,26 @@ ALPHA_SOURCES = {
 }
 
 
+# Rounding-level scatter, in ulps of the mean, that still marks a curve as
+# deterministic: per-Clifford depolarizing curves reach ~0.5 ulp, while
+# sampled curves sit billions of ulps above it.
+DETERMINISTIC_ULPS = 4
+
+
 def _fit_curve(fit, curve):
     """``fit(m, mean, stderr)`` of the curve, labelled with its experiment,
     projection and longest length; a FitError is recorded as the curve's
     entry instead of raised.
 
-    Deterministic simulations have zero standard errors; they get a
-    nominal uniform weight so their (degenerate) fit still reports,
-    flagged ``deterministic_curve``.
+    Deterministic simulations have standard errors of zero or of rounding
+    size; a curve whose every stderr lies in [0, DETERMINISTIC_ULPS * eps *
+    |mean|] gets a nominal uniform weight so its (possibly degenerate) fit
+    still reports, flagged ``deterministic_curve``.
     """
     label = {"experiment": curve.experiment, "projection": curve.projection}
     stderr = np.asarray(curve.stderr, dtype=float)
-    floored = bool(np.all(stderr == 0.0))
+    rounding = DETERMINISTIC_ULPS * np.finfo(float).eps * np.abs(curve.mean)
+    floored = bool(np.all((stderr >= 0.0) & (stderr <= rounding)))
     if floored:
         stderr = np.full(len(curve.m), 1e-9)
     try:

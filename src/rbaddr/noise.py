@@ -5,13 +5,15 @@ The cross-talk Hamiltonian is evaluated in the rotating frame of both
 drives, each resonant with its own qubit.  Terms where a drive acts on
 the *other* qubit therefore oscillate at the qubit-qubit detuning; on
 hardware this is what turns classical drive leakage into an AC Stark
-shift rather than a full coherent rotation.  The residual frame
-detunings are zero on resonance and the always-on ZZ shift is static.
+shift rather than a full coherent rotation.  The always-on ZZ shift is
+static.
 
-Gate duration and pulse shape are not constrained by the device data and
-dominate the cross-talk error predictions; they are explicit, documented
-configuration (defaults: 24 ns, flat-top envelope with smooth C-infinity
-edges over a quarter of the gate on each side).
+Every pulse is one of the six generator rotations of
+``cliffords.GENERATOR_ANGLES``, played for the device's gate time under
+one envelope shape: a flat top with smooth C-infinity edges over a
+quarter of the gate on each side.  Gate duration and pulse shape are not
+constrained by the device data and dominate the cross-talk error
+predictions; the gate time is configuration (default 24 ns).
 """
 
 from __future__ import annotations
@@ -74,9 +76,6 @@ class DeviceParams:
     nu1: float | None = None
     nu2: float | None = None
     gate_time: float = DEFAULT_GATE_TIME
-    # residual frame detunings (rad/s); zero when drives sit on resonance
-    detuning1: float = 0.0
-    detuning2: float = 0.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -182,10 +181,14 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def _envelope_shape(t, gate_time: float, ramp_frac: float) -> np.ndarray:
+# Each edge of the flat top ramps over this fraction of the gate.
+RAMP_FRAC = 0.25
+
+
+def _envelope_shape(t, gate_time: float) -> np.ndarray:
     """Unit-peak flat-top shape on [0, gate_time], zero outside."""
     t = np.asarray(t, dtype=float)
-    ramp = ramp_frac * gate_time
+    ramp = RAMP_FRAC * gate_time
     up = _smooth_step(t / ramp)
     down = _smooth_step((gate_time - t) / ramp)
     inside = (t >= 0) & (t <= gate_time)
@@ -193,9 +196,9 @@ def _envelope_shape(t, gate_time: float, ramp_frac: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _shape_integral(gate_time: float, ramp_frac: float) -> float:
+def _shape_integral(gate_time: float) -> float:
     """Integral of the unit-peak shape over the gate, computed once per
-    envelope timing and shared by every envelope that has it.
+    gate time.
 
     Composite 2-point Gauss-Legendre; 4096 panels put the quadrature error
     far below evolution error.
@@ -204,62 +207,7 @@ def _shape_integral(gate_time: float, ramp_frac: float) -> float:
     h = gate_time / npanels
     offs = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
     t = (np.arange(npanels)[:, None] + offs[None, :]) * h
-    return float(_envelope_shape(t, gate_time, ramp_frac).sum() * h / 2)
-
-
-@dataclass(frozen=True)
-class DriveEnvelope:
-    """Shaped drive on one qubit implementing a calibrated rotation.
-
-    The envelope is a flat top with smooth edges; the peak amplitude is
-    normalized so that the integral of eps(t) equals angle/2 (a term
-    eps * sigma in the Hamiltonian rotates by 2 * integral(eps)).
-    """
-
-    target: int  # 1 or 2
-    axis: str  # 'x' or 'y'
-    angle: float  # signed rotation angle (rad)
-    gate_time: float
-    ramp_frac: float = 0.25
-
-    def __post_init__(self):
-        if self.target not in (1, 2):
-            raise ValueError("target must be 1 or 2")
-        if self.axis not in ("x", "y"):
-            raise ValueError("axis must be 'x' or 'y'")
-        if self.gate_time <= 0:
-            raise ValueError("gate_time must be positive")
-
-    def shape(self, t: np.ndarray) -> np.ndarray:
-        """Unit-peak envelope shape on [0, gate_time]."""
-        return _envelope_shape(t, self.gate_time, self.ramp_frac)
-
-    @cached_property
-    def _peak(self) -> float:
-        return (self.angle / 2) / _shape_integral(self.gate_time, self.ramp_frac)
-
-    def amplitude(self, t) -> np.ndarray:
-        """eps(t) in rad/s (signed)."""
-        return self._peak * self.shape(t)
-
-
-def generator_envelope(
-    name: str, target: int, gate_time: float, ramp_frac: float = 0.25
-) -> DriveEnvelope:
-    """Envelope implementing a named generator pulse on one qubit."""
-    axis, angle = GENERATOR_ANGLES[name]
-    return DriveEnvelope(target, axis, angle, gate_time, ramp_frac)
-
-
-DrivePair = tuple[DriveEnvelope | None, DriveEnvelope | None]
-
-
-def generator_drives(gate: tuple[str | None, str | None], gate_time: float) -> DrivePair:
-    """Envelopes on drive lines 1 and 2 of one generator slot (None = idle)."""
-    return tuple(
-        None if name is None else generator_envelope(name, target, gate_time)
-        for target, name in ((1, gate[0]), (2, gate[1]))
-    )
+    return float(_envelope_shape(t, gate_time).sum() * h / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +216,6 @@ def generator_drives(gate: tuple[str | None, str | None], gate_time: float) -> D
 _P1 = pauli_matrices(1)
 _P2 = pauli_matrices(2)
 _ZZ = _P2[15]
-_ZI = _P2[12]
-_IZ = _P2[3]
 
 # Generator pairs evolved together.  Memory, not time, sets the size: a
 # block holds the Hamiltonian samples, Magnus exponents and step
@@ -312,25 +258,26 @@ def _term_operators(target: int, cond: str | None) -> tuple[np.ndarray, np.ndarr
     return ops
 
 
-def _drive_samples(pairs: list[DrivePair], times: np.ndarray):
-    """Amplitudes (rad/s) and phase offsets of both drive lines of each pair.
+def _drive_samples(slots, gate_time: float, times: np.ndarray):
+    """Amplitudes (rad/s) and phase offsets of both drive lines of each slot.
 
-    Shapes (len(pairs), 2, len(times)) and (len(pairs), 2); an absent drive
-    has amplitude 0.  The unit-peak shape is sampled once per envelope
-    timing.
+    Shapes (len(slots), 2, len(times)) and (len(slots), 2); an idle line
+    has amplitude 0.  The unit-peak shape is sampled once, and each
+    generator scales it to the peak that makes its envelope integrate to
+    half its rotation angle (a term eps * sigma in the Hamiltonian rotates
+    by 2 * integral(eps)).  An x pulse has phase 0, a y pulse pi/2.
     """
-    amps = np.zeros((len(pairs), 2, len(times)))
-    phases = np.zeros((len(pairs), 2))
-    shapes = {}
-    for i, pair in enumerate(pairs):
-        for line, drive in enumerate(pair):
-            if drive is None:
+    shape = _envelope_shape(times, gate_time)
+    integral = _shape_integral(gate_time)
+    amps = np.zeros((len(slots), 2, len(times)))
+    phases = np.zeros((len(slots), 2))
+    for i, slot in enumerate(slots):
+        for line, name in enumerate(slot):
+            if name is None:
                 continue
-            key = (drive.gate_time, drive.ramp_frac)
-            if key not in shapes:
-                shapes[key] = drive.shape(times)
-            amps[i, line] = drive._peak * shapes[key]
-            phases[i, line] = 0.0 if drive.axis == "x" else np.pi / 2
+            axis, angle = GENERATOR_ANGLES[name]
+            amps[i, line] = (angle / 2) / integral * shape
+            phases[i, line] = 0.0 if axis == "x" else np.pi / 2
     return amps, phases
 
 
@@ -345,9 +292,7 @@ def _hamiltonian_samples(
     one fixed order whatever the batch.
     """
     p.require_crosstalk()
-    static = (
-        p.zeta / 4 * _ZZ - p.detuning1 / 2 * _ZI - p.detuning2 / 2 * _IZ
-    ).astype(complex)
+    static = (p.zeta / 4 * _ZZ).astype(complex)
     out = np.broadcast_to(static, (len(amps), len(times), 4, 4)).copy()
     for line, omega_drive in enumerate((p.omega1, p.omega2)):
         for coeff, target, cond in _drive_terms(p, line + 1):
@@ -362,11 +307,14 @@ def _hamiltonian_samples(
 
 def evolve_to_ptms(
     p: DeviceParams,
-    pairs: list[DrivePair],
+    slots,
     steps: int = DEFAULT_EVOLVE_STEPS,
 ) -> np.ndarray:
-    """Time-ordered evolution of each (drive1, drive2) pair under the
-    cross-talk Hamiltonian, as PTMs of shape (len(pairs), 16, 16).
+    """Time-ordered evolution of each generator slot under the cross-talk
+    Hamiltonian, as PTMs of shape (len(slots), 16, 16).
+
+    A slot names the generator played on drive lines 1 and 2, None for an
+    idle line (``(None, None)`` is free evolution), as in ``SLOTS``.
 
     Fourth-order Magnus integrator with two Gauss-Legendre samples per
     step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)); doubling
@@ -379,13 +327,13 @@ def evolve_to_ptms(
         raise ValueError(f"need at least {MIN_EVOLVE_STEPS} steps per gate")
     span = p.gate_time
     if span == 0.0:
-        return np.broadcast_to(np.eye(16), (len(pairs), 16, 16)).copy()
+        return np.broadcast_to(np.eye(16), (len(slots), 16, 16)).copy()
     h = span / steps
     starts = np.arange(steps) * h
     nodes = [starts + c * h for c in _GAUSS_NODES]
-    samples = [_drive_samples(pairs, t) for t in nodes]
-    unitaries = np.empty((len(pairs), 4, 4), dtype=complex)
-    for first in range(0, len(pairs), EVOLVE_BLOCK_PAIRS):
+    samples = [_drive_samples(slots, span, t) for t in nodes]
+    unitaries = np.empty((len(slots), 4, 4), dtype=complex)
+    for first in range(0, len(slots), EVOLVE_BLOCK_PAIRS):
         block = slice(first, first + EVOLVE_BLOCK_PAIRS)
         b1, b2 = (
             _hamiltonian_samples(p, amps[block], phases[block], t)
@@ -419,14 +367,12 @@ def evolve_to_ptms(
 
 def evolve_to_ptm(
     p: DeviceParams,
-    drives: list[DriveEnvelope],
+    slot: tuple[str | None, str | None],
     steps: int = DEFAULT_EVOLVE_STEPS,
 ) -> np.ndarray:
-    """Time-ordered evolution of one set of drives as a PTM (the first
-    drive on each qubit counts); see :func:`evolve_to_ptms`."""
-    drive1 = next((d for d in drives if d.target == 1), None)
-    drive2 = next((d for d in drives if d.target == 2), None)
-    return evolve_to_ptms(p, [(drive1, drive2)], steps)[0]
+    """Time-ordered evolution of one generator slot as a PTM; see
+    :func:`evolve_to_ptms`."""
+    return evolve_to_ptms(p, [slot], steps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +545,19 @@ def ideal_gate_ptm(gate: tuple[str | None, str | None]) -> np.ndarray:
     return tensor(p1, p2)
 
 
-def _gate_independent_error(model: NoiseModel) -> np.ndarray | None:
-    """The per-slot error PTM when it does not depend on the gate."""
+def _has_crosstalk(model: NoiseModel) -> bool:
+    """Whether a CrossTalk factor sits anywhere in ``model``."""
+    if isinstance(model, Composite):
+        return any(_has_crosstalk(f) for f in model.factors)
+    return isinstance(model, CrossTalk)
+
+
+def _slot_errors(model: NoiseModel, ideal: np.ndarray | None) -> np.ndarray:
+    """Error channels E with noisy = E @ ideal of the slots of ``SLOTS``:
+    one (16, 16) channel when the error does not depend on the gate, else
+    one per slot, (len(SLOTS), 16, 16).  A composite's factors act in
+    order.  Only a cross-talk factor reads ``ideal``, the slots' ideal
+    PTMs."""
     if isinstance(model, Ideal):
         return np.eye(16)
     if isinstance(model, Depolarizing):
@@ -616,15 +573,15 @@ def _gate_independent_error(model: NoiseModel) -> np.ndarray | None:
         )
     if isinstance(model, StaticError):
         return model.ptm
+    if isinstance(model, CrossTalk):
+        noisy = evolve_to_ptms(model.params, SLOTS, model.steps)
+        return noisy @ ideal.swapaxes(1, 2)
     if isinstance(model, Composite):
-        factors = [_gate_independent_error(f) for f in model.factors]
-        if any(f is None for f in factors):
-            return None
         out = np.eye(16)
-        for f in factors:
-            out = f @ out
+        for f in model.factors:
+            out = _slot_errors(f, ideal) @ out
         return out
-    return None
+    raise TypeError(f"unknown noise model {model!r}")
 
 
 class NoisyGateSet:
@@ -640,33 +597,12 @@ class NoisyGateSet:
     def __init__(self, model: NoiseModel):
         self.model = model
         self._tables: dict[tuple[str, str], np.ndarray] = {}
-        self._static = _gate_independent_error(model)
-
-    def _errors(self, model: NoiseModel, gates: list, ideal: np.ndarray) -> np.ndarray:
-        """Error channels of a batch of slots with ideal PTMs ``ideal``,
-        shape (len(gates), 16, 16); a gate-independent factor is broadcast."""
-        static = _gate_independent_error(model)
-        if static is not None:
-            return np.broadcast_to(static, ideal.shape)
-        if isinstance(model, CrossTalk):
-            gate_time = model.params.gate_time
-            pairs = [generator_drives(gate, gate_time) for gate in gates]
-            noisy = evolve_to_ptms(model.params, pairs, model.steps)
-            return noisy @ ideal.swapaxes(1, 2)
-        if isinstance(model, Composite):
-            out = np.eye(16)
-            for f in model.factors:
-                out = self._errors(f, gates, ideal) @ out
-            return out
-        raise TypeError(f"unknown noise model {model!r}")
 
     @cached_property
     def slot_channels(self) -> np.ndarray:
         """Read-only (49, 16, 16): the identity, then each slot's channel."""
         ideal = np.stack([ideal_gate_ptm(slot) for slot in SLOTS])
-        channels = np.concatenate(
-            [np.eye(16)[None], self._errors(self.model, SLOTS, ideal) @ ideal]
-        )
+        channels = np.concatenate([np.eye(16)[None], _slot_errors(self.model, ideal) @ ideal])
         channels.setflags(write=False)
         return channels
 
@@ -682,12 +618,11 @@ class NoisyGateSet:
         return self.channel(gate) @ ideal_gate_ptm(gate).T
 
     def clifford_error(self) -> np.ndarray:
-        """One error channel per Clifford (gate-independent models only)."""
-        if self._static is None:
-            raise ValueError(
-                "per-Clifford noise granularity requires a gate-independent model"
-            )
-        return self._static
+        """One error channel per Clifford (models without cross-talk only,
+        so nothing is evolved)."""
+        if _has_crosstalk(self.model):
+            raise ValueError("per-Clifford noise granularity requires a gate-independent model")
+        return _slot_errors(self.model, None)
 
     def element_table(self, group: CliffordGroup, granularity: str) -> np.ndarray:
         """Noisy channel of every group element, shape (len(group), 16, 16).

@@ -276,17 +276,21 @@ def is_trace_preserving(ptm: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
     return bool(np.max(np.abs(ptm[0] - row0)) <= atol)
 
 
-def choi_matrix(ptm: np.ndarray) -> np.ndarray:
-    """Choi matrix (trace normalized to 1) reconstructed from a PTM."""
-    n = num_qubits(ptm)
-    d = 2**n
+@lru_cache(maxsize=None)
+def _choi_basis(n: int) -> np.ndarray:
+    """Read-only (4**n, 4**n, d*d, d*d) array of kron(P_i, P_j.T)."""
     paulis = pauli_matrices(n)
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(4**n):
-        for j in range(4**n):
-            if ptm[i, j] != 0.0:
-                choi += ptm[i, j] * np.kron(paulis[i], paulis[j].T)
-    return choi / d**2
+    basis = np.stack([np.stack([np.kron(pi, pj.T) for pj in paulis]) for pi in paulis])
+    basis.setflags(write=False)
+    return basis
+
+
+def choi_matrix(ptm: np.ndarray) -> np.ndarray:
+    """Choi matrix (trace normalized to 1) reconstructed from a PTM:
+    sum_ij R[i, j] kron(P_i, P_j.T) / d**2, one contraction against the
+    cached basis."""
+    n = num_qubits(ptm)
+    return np.einsum("ij,ijab->ab", ptm, _choi_basis(n)) / 4**n
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .noise import (
     SLOTS,
     decoherence_ptm,
     evolve_to_ptms,
-    generator_drives,
     random_cptp_ptm,
 )
 from .paulis import pauli_conjugation_ptm, ptm_from_unitary, tensor
@@ -192,9 +191,8 @@ def check_evolution_convergence(tol: float) -> CheckResult:
     """Step doubling (256 vs 512 Magnus steps) of every generator pair of
     the sample-a cross-talk gate set, in one batch per step count."""
     t0 = time.perf_counter()
-    pairs = [generator_drives(gate, SAMPLE_A.gate_time) for gate in SLOTS]
-    coarse = evolve_to_ptms(SAMPLE_A, pairs, steps=256)
-    fine = evolve_to_ptms(SAMPLE_A, pairs, steps=512)
+    coarse = evolve_to_ptms(SAMPLE_A, SLOTS, steps=256)
+    fine = evolve_to_ptms(SAMPLE_A, SLOTS, steps=512)
     errs = np.max(np.abs(coarse - fine), axis=(1, 2))
     worst = int(np.argmax(errs))
     err = float(errs[worst])

@@ -64,6 +64,24 @@ def test_simulate_determinism_byte_identical(tmp_path):
     assert ma["outputs"] == mb["outputs"]  # digests identical
 
 
+def test_per_clifford_depolarizing_curves_fit_as_deterministic(tmp_path):
+    # every sequence decays alike; the curves' stderrs are 0 or rounding
+    # noise, and all seven still fit
+    cfg = tmp_path / "dep.cfg"
+    cfg.write_text(
+        "model = depolarizing\nalpha1 = 0.995\nalpha2 = 0.99\n"
+        "granularity = clifford\nk = 20\n"
+    )
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+    fits = json.loads((out / "fits.json").read_text())["curves"]
+    assert len(fits) == 7
+    assert all("error" not in fit and "deterministic_curve" in fit["flags"] for fit in fits)
+    alphas = json.loads((out / "report.json").read_text())["alphas"]
+    assert alphas["alpha_1"]["value"] == pytest.approx(0.995, abs=1e-9)
+    assert alphas["alpha_2"]["value"] == pytest.approx(0.99, abs=1e-9)
+
+
 def test_fit_round_trip_reproduces_fits(tmp_path):
     sim = tmp_path / "sim"
     assert run_cli(

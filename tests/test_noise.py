@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from rbaddr.cliffords import element_slots, generator_ptm, get_group
+from rbaddr.cliffords import GENERATOR_ANGLES, element_slots, generator_ptm, get_group
 from rbaddr.noise import (
     EVOLVE_BLOCK_PAIRS,
     SAMPLE_A,
@@ -15,7 +15,6 @@ from rbaddr.noise import (
     Decoherence,
     Depolarizing,
     DeviceParams,
-    DriveEnvelope,
     Ideal,
     NoisyGateSet,
     StaticError,
@@ -25,15 +24,15 @@ from rbaddr.noise import (
     depolarizing_kraus,
     evolve_to_ptm,
     evolve_to_ptms,
-    generator_drives,
-    generator_envelope,
     ideal_gate_ptm,
     predict_addressability,
     predict_alphas,
     zz_rotation_ptm,
     _drive_samples,
     _drive_terms,
+    _envelope_shape,
     _hamiltonian_samples,
+    _shape_integral,
     _term_operators,
 )
 from rbaddr.paulis import (
@@ -111,42 +110,46 @@ def test_device_params_from_config_units():
 
 
 def test_envelope_calibration_integral():
-    env = DriveEnvelope(1, "x", np.pi, 24e-9)
     n = 200000
     dt = 24e-9 / n
     mid = (np.arange(n) + 0.5) * dt
-    integral = env.amplitude(mid).sum() * dt
+    amps, phases = _drive_samples([("x180", None)], 24e-9, mid)
+    integral = amps[0, 0].sum() * dt
     assert integral == pytest.approx(np.pi / 2, rel=1e-6)
+    assert np.all(amps[0, 1] == 0.0) and phases[0, 0] == 0.0
 
 
 def test_envelope_vanishes_outside_gate():
-    env = DriveEnvelope(2, "y", np.pi / 2, 20e-9)
-    assert env.amplitude(-1e-9) == 0.0
-    assert env.amplitude(21e-9) == 0.0
+    amps, phases = _drive_samples([(None, "y90")], 20e-9, np.array([-1e-9, 21e-9]))
+    assert np.all(amps == 0.0)
+    assert phases[0, 1] == np.pi / 2
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian structure
 
 
-def hamiltonian_at(p, drive1, drive2, t):
-    """The engine's Hamiltonian of one drive pair at one time (rad/s)."""
+def hamiltonian_at(p, slot, t):
+    """The engine's Hamiltonian of one generator slot at one time (rad/s)."""
     times = np.array([t])
-    return _hamiltonian_samples(p, *_drive_samples([(drive1, drive2)], times), times)[0, 0]
+    return _hamiltonian_samples(p, *_drive_samples([slot], p.gate_time, times), times)[0, 0]
 
 
 def test_hamiltonian_zero_without_drives():
     p = decoupled_params()
-    h = hamiltonian_at(p, None, None, 0.0)
+    h = hamiltonian_at(p, (None, None), 0.0)
     assert np.max(np.abs(h)) == 0.0
 
 
 def test_hamiltonian_spurious_drive_term():
-    # with only drive 1 on, qubit 2 sees (m12 - nu1) * eps1 on IX at t=0
+    # with only drive 1 on, qubit 2 sees (m12 - nu1) * eps1 on IX; at one
+    # period of the qubit-qubit detuning, inside the flat top, every term
+    # is back in phase with the drive
     p = SAMPLE_A
-    env1 = generator_envelope("x90", 1, p.gate_time)
-    h = hamiltonian_at(p, env1, None, 0.0)
-    eps = float(env1.amplitude(0.0))
+    t = TWO_PI / abs(p.delta)
+    h = hamiltonian_at(p, ("x90", None), t)
+    eps = (np.pi / 4) / _shape_integral(p.gate_time)
+    assert float(_envelope_shape(t, p.gate_time)) == 1.0
     labels = {"IX": 1, "XI": 4, "ZX": 13, "XZ": 7}
     assert pauli_coeff(h, labels["XI"]) == pytest.approx(eps, rel=1e-12)
     assert pauli_coeff(h, labels["IX"]) == pytest.approx((p.m12 - p.nu1) * eps)
@@ -154,12 +157,10 @@ def test_hamiltonian_spurious_drive_term():
     assert pauli_coeff(h, labels["XZ"]) == pytest.approx(p.m12 * p.mu2 * eps)
 
 
-def test_hamiltonian_zz_term_and_detunings():
-    p = replace(decoupled_params(), zeta=TWO_PI * 1.1e6, detuning1=1e5, detuning2=-2e5)
-    h = hamiltonian_at(p, None, None, 3e-9)
+def test_hamiltonian_zz_term():
+    p = replace(decoupled_params(), zeta=TWO_PI * 1.1e6)
+    h = hamiltonian_at(p, (None, None), 3e-9)
     assert pauli_coeff(h, 15) == pytest.approx(p.zeta / 4)  # ZZ
-    assert pauli_coeff(h, 12) == pytest.approx(-p.detuning1 / 2)  # ZI
-    assert pauli_coeff(h, 3) == pytest.approx(-p.detuning2 / 2)  # IZ
 
 
 def test_idle_zz_evolution_phase():
@@ -167,13 +168,13 @@ def test_idle_zz_evolution_phase():
     zeta = TWO_PI * 1.1e6
     t = 1 / (2 * 1.1e6)
     p = decoupled_params(zeta=zeta, gate_time=t)
-    ptm = evolve_to_ptm(p, [], steps=64)
+    ptm = evolve_to_ptm(p, (None, None), steps=64)
     assert np.max(np.abs(ptm - zz_rotation_ptm(np.pi / 2))) < 1e-9
 
 
 def test_missing_crosstalk_params_rejected():
     with pytest.raises(ValueError, match="zeta"):
-        hamiltonian_at(SAMPLE_B, None, None, 0.0)
+        hamiltonian_at(SAMPLE_B, (None, None), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +183,14 @@ def test_missing_crosstalk_params_rejected():
 
 def test_decoupled_pi_pulse_is_exact():
     p = decoupled_params()
-    ptm = evolve_to_ptm(p, [generator_envelope("x180", 1, p.gate_time)])
+    ptm = evolve_to_ptm(p, ("x180", None))
     ideal = tensor(generator_ptm("x180"), np.eye(4))
     assert np.max(np.abs(ptm - ideal)) < 1e-8
 
 
 def test_zero_duration_gate_is_identity():
     p = decoupled_params(gate_time=0.0)
-    assert np.allclose(evolve_to_ptm(p, []), np.eye(16))
+    assert np.allclose(evolve_to_ptm(p, (None, None)), np.eye(16))
 
 
 def test_step_doubling_convergence():
@@ -199,14 +200,14 @@ def test_step_doubling_convergence():
 
 def test_negated_envelope_inverts_rotation():
     p = decoupled_params()
-    fwd = evolve_to_ptm(p, [generator_envelope("x90", 1, p.gate_time)])
-    bwd = evolve_to_ptm(p, [generator_envelope("xm90", 1, p.gate_time)])
+    fwd = evolve_to_ptm(p, ("x90", None))
+    bwd = evolve_to_ptm(p, ("xm90", None))
     assert np.max(np.abs(fwd @ bwd - np.eye(16))) < 1e-8
 
 
 def test_untargeted_qubit_picks_up_residual_rotation():
     # sample-a pi/2 on qubit 1 leaves a visible trace on idle qubit 2
-    ptm = evolve_to_ptm(SAMPLE_A, [generator_envelope("x90", 1, SAMPLE_A.gate_time)])
+    ptm = evolve_to_ptm(SAMPLE_A, ("x90", None))
     block = ptm.reshape(4, 4, 4, 4)[0, :, 0, :]
     deviation = np.max(np.abs(block - np.eye(4)))
     assert 1e-4 < deviation < 0.5
@@ -214,7 +215,7 @@ def test_untargeted_qubit_picks_up_residual_rotation():
 
 def test_min_steps_enforced():
     with pytest.raises(ValueError):
-        evolve_to_ptm(SAMPLE_A, [], steps=4)
+        evolve_to_ptm(SAMPLE_A, (None, None), steps=4)
 
 
 def test_depolarizing_cptp_range_edges_accepted():
@@ -335,9 +336,13 @@ def test_noisy_gates_trace_preserving_and_ideal_in_group():
     assert group.lookup(ideal_set.channel(("x90", "y180"))) >= 0
 
 
-def test_per_clifford_error_requires_gate_independence():
-    with pytest.raises(ValueError):
-        NoisyGateSet(CrossTalk(SAMPLE_A)).clifford_error()
+def test_per_clifford_error_requires_gate_independence(evolved_pairs):
+    # the refusal reads the model's structure and evolves nothing
+    nested = Composite((Depolarizing(0.99), Composite((Decoherence(SAMPLE_A), CrossTalk(SAMPLE_A)))))
+    for model in (CrossTalk(SAMPLE_A), nested):
+        with pytest.raises(ValueError):
+            NoisyGateSet(model).clifford_error()
+    assert evolved_pairs == []
     assert NoisyGateSet(Depolarizing(0.99)).clifford_error() is not None
 
 
@@ -457,18 +462,16 @@ def test_average_error_channel_matches_element_loop():
 
 @pytest.fixture
 def evolved_pairs(monkeypatch):
-    """The generator pairs that go through the Magnus engine, one list per
+    """The generator slots that go through the Magnus engine, one list per
     call, in order."""
     import rbaddr.noise as noise
 
     batches = []
     engine = noise.evolve_to_ptms
 
-    def counting(p, batch, steps):
-        batches.append(
-            [tuple(None if d is None else (d.target, d.axis, d.angle) for d in pair) for pair in batch]
-        )
-        return engine(p, batch, steps)
+    def counting(p, slots, steps):
+        batches.append(list(slots))
+        return engine(p, slots, steps)
 
     monkeypatch.setattr(noise, "evolve_to_ptms", counting)
     return batches
@@ -505,32 +508,30 @@ def test_single_qubit_table_builds_every_slot_channel(evolved_pairs):
 # the batched Magnus engine against the per-pair, per-step loop it replaced
 
 
-def reference_evolve_to_ptm(p, drive1, drive2, steps):
-    """One pair, one Magnus step at a time, in the engine's arithmetic order."""
+def reference_evolve_to_ptm(p, slot, steps):
+    """One slot, one Magnus step at a time, in the engine's arithmetic order."""
     if p.gate_time == 0.0:
         return np.eye(16)
-    static = (
-        p.zeta / 4 * pauli_matrices(2)[15]
-        - p.detuning1 / 2 * pauli_matrices(2)[12]
-        - p.detuning2 / 2 * pauli_matrices(2)[3]
-    ).astype(complex)
+    static = (p.zeta / 4 * pauli_matrices(2)[15]).astype(complex)
     terms = []
-    for which, drive in ((1, drive1), (2, drive2)):
-        if drive is None:
+    for which, name in ((1, slot[0]), (2, slot[1])):
+        if name is None:
             continue
+        axis, angle = GENERATOR_ANGLES[name]
+        peak = (angle / 2) / _shape_integral(p.gate_time)
         omega_drive = p.omega1 if which == 1 else p.omega2
-        phi0 = 0.0 if drive.axis == "x" else np.pi / 2
+        phi0 = 0.0 if axis == "x" else np.pi / 2
         for coeff, target, cond in _drive_terms(p, which):
             omega_frame = p.omega1 if target == 1 else p.omega2
             terms.append(
-                (drive, coeff, omega_drive - omega_frame, phi0, *_term_operators(target, cond))
+                (peak, coeff, omega_drive - omega_frame, phi0, *_term_operators(target, cond))
             )
 
     def hamiltonians(times):
         out = np.broadcast_to(static, (len(times), 4, 4)).copy()
-        for drive, coeff, delta, phi0, mx, my in terms:
+        for peak, coeff, delta, phi0, mx, my in terms:
             phase = delta * times + phi0
-            weight = coeff * drive.amplitude(times)
+            weight = coeff * (peak * _envelope_shape(times, p.gate_time))
             out += (weight * np.cos(phase))[:, None, None] * mx
             out += (weight * np.sin(phase))[:, None, None] * my
         return out
@@ -554,8 +555,7 @@ def reference_channel(model, gate):
 
     def error(m):
         if isinstance(m, CrossTalk):
-            drives = generator_drives(gate, m.params.gate_time)
-            return reference_evolve_to_ptm(m.params, *drives, m.steps) @ ideal.T
+            return reference_evolve_to_ptm(m.params, gate, m.steps) @ ideal.T
         if isinstance(m, Composite):
             out = np.eye(16)
             for f in m.factors:
@@ -579,20 +579,32 @@ def test_gate_set_matches_per_pair_reference(gate_time_ns, steps):
     assert_gate_set_matches_reference(CrossTalk(SAMPLE_A.with_gate_time(gate_time_ns * 1e-9), steps))
 
 
-def test_gate_set_matches_reference_with_detunings_and_decoherence():
-    p = replace(SAMPLE_A, detuning1=TWO_PI * 0.3e6, detuning2=-TWO_PI * 1.7e6)
-    assert_gate_set_matches_reference(Composite((CrossTalk(p, steps=16), Decoherence(p))))
+@pytest.mark.parametrize(
+    "model",
+    [
+        Composite((CrossTalk(SAMPLE_A, steps=16), Decoherence(SAMPLE_A))),
+        Composite((Decoherence(SAMPLE_A), Depolarizing(0.99, 0.98), CrossTalk(SAMPLE_A, steps=16))),
+        Composite((
+            Depolarizing(0.99),
+            Composite((CrossTalk(SAMPLE_A, steps=16), StaticError(zz_rotation_ptm(0.1)))),
+            Decoherence(SAMPLE_A),
+        )),
+    ],
+    ids=["crosstalk_decoherence", "decoherence_depolarizing_crosstalk", "nested"],
+)
+def test_composite_gate_set_matches_reference(model):
+    # gate-independent factors multiply the per-slot errors as one channel
+    assert_gate_set_matches_reference(model)
 
 
 @pytest.mark.parametrize("n_pairs", [1, EVOLVE_BLOCK_PAIRS - 1, 2 * EVOLVE_BLOCK_PAIRS + 3])
 def test_engine_block_boundaries(n_pairs):
     # batches that end mid-block, with a step count that is no power of two
-    gates = SLOTS[-n_pairs:]
-    pairs = [generator_drives(gate, SAMPLE_A.gate_time) for gate in gates]
-    ptms = evolve_to_ptms(SAMPLE_A, pairs, steps=37)
+    slots = SLOTS[-n_pairs:]
+    ptms = evolve_to_ptms(SAMPLE_A, slots, steps=37)
     assert ptms.shape == (n_pairs, 16, 16)
-    for ptm, pair in zip(ptms, pairs):
-        assert np.array_equal(ptm, reference_evolve_to_ptm(SAMPLE_A, *pair, 37))
+    for ptm, slot in zip(ptms, slots):
+        assert np.array_equal(ptm, reference_evolve_to_ptm(SAMPLE_A, slot, 37))
 
 
 def test_crosstalk_simulation_consistent_with_prediction():

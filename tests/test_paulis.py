@@ -314,6 +314,33 @@ def test_cptp_diagnostic_on_channel_and_non_channel():
     assert not bad.is_cp
 
 
+def reference_choi_matrix(ptm):
+    """Sum of R[i, j] kron(P_i, P_j.T) over the nonzero entries, one at a time."""
+    n = 1 if ptm.shape[0] == 4 else 2
+    paulis = pauli_matrices(n)
+    choi = np.zeros((4**n, 4**n), dtype=complex)
+    for i in range(4**n):
+        for j in range(4**n):
+            if ptm[i, j] != 0.0:
+                choi += ptm[i, j] * np.kron(paulis[i], paulis[j].T)
+    return choi / 4**n
+
+
+def test_choi_matrix_matches_the_term_by_term_sum():
+    from rbaddr.cliffords import get_group
+
+    # the contraction may sum in another order: one eps per summed term
+    tol = 256 * np.finfo(float).eps
+    rng = np.random.default_rng(29)
+    for n in (1, 2):
+        for _ in range(10):
+            ptm = ptm_from_kraus(random_kraus(n, rng))
+            assert np.max(np.abs(choi_matrix(ptm) - reference_choi_matrix(ptm))) < tol
+    # integer PTMs sum exactly in any order
+    for ptm in (*get_group("c1").ptms, *get_group("cxc").ptms[::23]):
+        assert np.array_equal(choi_matrix(ptm), reference_choi_matrix(ptm))
+
+
 def test_choi_of_identity_is_maximally_entangled():
     eigs = np.linalg.eigvalsh(choi_matrix(np.eye(4)))
     assert eigs[-1] == pytest.approx(1.0, abs=1e-12)

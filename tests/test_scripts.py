@@ -4,20 +4,24 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rbaddr.noise import SAMPLE_A, CrossTalk, predict_addressability
+from rbaddr.cli import model_presets
+from rbaddr.noise import DEFAULT_EVOLVE_STEPS, SAMPLE_A, CrossTalk, predict_addressability
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_gate_time_sweep_rows_match_predictions(tmp_path):
-    out = tmp_path / "sweep.csv"
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "gate_time_sweep.py"),
-         "--times", "12,48", "--out", str(out)],
-        check=True, env=env, capture_output=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        check=True, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_gate_time_sweep_rows_match_predictions(tmp_path):
+    out = tmp_path / "sweep.csv"
+    run_script("gate_time_sweep.py", "--times", "12,48", "--out", str(out))
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["gate_time_ns", "dr1_given_2", "dr2_given_1", "delta_alpha", "r1", "r2"]
@@ -35,3 +39,17 @@ def test_gate_time_sweep_rows_match_predictions(tmp_path):
             pred["gate_errors"]["r2"],
         ]
         assert [float(x) for x in row] == expected
+
+
+def test_protocol_demo_prints_the_prediction_of_a_composite_preset():
+    pred = predict_addressability(model_presets(DEFAULT_EVOLVE_STEPS)["sample_a_full"][0], gamma_max_m=0)
+    out = run_script(
+        "run_protocol_demo.py", "--preset", "sample_a_full", "--K", "4", "--lengths", "1,2,4,8,16"
+    ).stdout
+    lines = out.splitlines()
+    at = lines.index("model prediction (no Monte Carlo):")
+    assert lines[at + 1:at + 4] == [
+        f"  dr1_given_2 = {pred['delta_r']['dr1_given_2']:.4f}",
+        f"  dr2_given_1 = {pred['delta_r']['dr2_given_1']:.4f}",
+        f"  delta_alpha = {pred['delta_alpha']:.4f}",
+    ]
