@@ -217,16 +217,15 @@ _P1 = pauli_matrices(1)
 _P2 = pauli_matrices(2)
 _ZZ = _P2[15]
 
-# Generator pairs evolved together.  Memory, not time, sets the size: a
-# block holds the Hamiltonian samples, Magnus exponents and step
-# propagators of all its pairs at once, about 0.25 MB per pair at 256
-# steps.  With 4 pairs the peak RSS of a one-shot `rbaddr predict` or
-# `rbaddr simulate` stays within 0.2 MB of evolving one pair at a time
-# (~46-49 MB); 6 or 8 pairs added up to 1.5 MB, all 48 pairs of a gate set
-# in one block ~5 MB.
-EVOLVE_BLOCK_PAIRS = 4
+# Magnus steps advanced together.  Memory sets the size: a chunk holds
+# the Hamiltonians, exponents and step propagators of every slot at once.
+# Evolving the 48 slots of a gate set peaks at 1.45 MB (tracemalloc) with
+# 16 steps, 2.85 MB with 32, and 2.31 MB in four-slot blocks of all steps.
+EVOLVE_CHUNK_STEPS = 16
 
 _GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
+
+GATE_ALPHABET = tuple(GENERATOR_ANGLES) + (None,)
 
 
 def _drive_terms(p: DeviceParams, which: int):
@@ -258,50 +257,57 @@ def _term_operators(target: int, cond: str | None) -> tuple[np.ndarray, np.ndarr
     return ops
 
 
-def _drive_samples(slots, gate_time: float, times: np.ndarray):
-    """Amplitudes (rad/s) and phase offsets of both drive lines of each slot.
-
-    Shapes (len(slots), 2, len(times)) and (len(slots), 2); an idle line
-    has amplitude 0.  The unit-peak shape is sampled once, and each
-    generator scales it to the peak that makes its envelope integrate to
-    half its rotation angle (a term eps * sigma in the Hamiltonian rotates
-    by 2 * integral(eps)).  An x pulse has phase 0, a y pulse pi/2.
+def _drive_samples(gate_time: float, times: np.ndarray):
+    """Amplitudes (rad/s), shape (7, len(times)), and phase offsets of the
+    entries of GATE_ALPHABET on a drive line; the idle entry has amplitude
+    0.  Each generator scales the unit-peak shape so that its envelope
+    integrates to half its rotation angle (a term eps * sigma in the
+    Hamiltonian rotates by 2 * integral(eps)).  An x pulse has phase 0, a
+    y pulse pi/2.
     """
     shape = _envelope_shape(times, gate_time)
     integral = _shape_integral(gate_time)
-    amps = np.zeros((len(slots), 2, len(times)))
-    phases = np.zeros((len(slots), 2))
-    for i, slot in enumerate(slots):
-        for line, name in enumerate(slot):
-            if name is None:
-                continue
-            axis, angle = GENERATOR_ANGLES[name]
-            amps[i, line] = (angle / 2) / integral * shape
-            phases[i, line] = 0.0 if axis == "x" else np.pi / 2
+    amps = np.zeros((len(GATE_ALPHABET), len(times)))
+    phases = np.zeros(len(GATE_ALPHABET))
+    for i, name in enumerate(GATE_ALPHABET[:-1]):
+        axis, angle = GENERATOR_ANGLES[name]
+        amps[i] = (angle / 2) / integral * shape
+        phases[i] = 0.0 if axis == "x" else np.pi / 2
     return amps, phases
 
 
-def _hamiltonian_samples(
-    p: DeviceParams, amps: np.ndarray, phases: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Hamiltonians of a batch of pairs at many times, from the output of
-    :func:`_drive_samples`; shape (len(amps), len(times), 4, 4).
+def _slot_rows(slots) -> np.ndarray:
+    """(len(slots), 2) rows in GATE_ALPHABET of each slot's generators."""
+    for slot in slots:
+        if type(slot) is not tuple or len(slot) != 2 or any(g not in GATE_ALPHABET for g in slot):
+            raise ValueError(f"unknown generator pair {slot!r}")
+    rows = [[GATE_ALPHABET.index(g) for g in slot] for slot in slots]
+    return np.array(rows, dtype=np.intp).reshape(-1, 2)
 
-    The static part comes first, then line 1's terms, then line 2's; a
-    line without a drive adds exact zeros, so every pair sums its terms in
-    one fixed order whatever the batch.
+
+def _hamiltonian_samples(p: DeviceParams, rows, times, amps, phases) -> np.ndarray:
+    """Hamiltonians of the slots of :func:`_slot_rows` at many times, given
+    :func:`_drive_samples` there; shape (len(rows), len(times), 4, 4).
+
+    Each line's eight terms (x and y parts of four drive terms) are built
+    once per entry of GATE_ALPHABET, exact zeros for the idle one.  The
+    static part plus line 1's terms is summed once per first generator,
+    then each slot adds its second generator's terms: one fixed order of
+    sums per slot, whatever the batch.
     """
     p.require_crosstalk()
     static = (p.zeta / 4 * _ZZ).astype(complex)
-    out = np.broadcast_to(static, (len(amps), len(times), 4, 4)).copy()
+    out = np.broadcast_to(static, (len(GATE_ALPHABET), len(times), 4, 4)).copy()
     for line, omega_drive in enumerate((p.omega1, p.omega2)):
+        if line == 1:
+            out = out[rows[:, 0]]
         for coeff, target, cond in _drive_terms(p, line + 1):
             omega_frame = p.omega1 if target == 1 else p.omega2
-            phase = (omega_drive - omega_frame) * times + phases[:, line, None]
-            weight = coeff * amps[:, line]
-            mx, my = _term_operators(target, cond)
-            out += (weight * np.cos(phase))[..., None, None] * mx
-            out += (weight * np.sin(phase))[..., None, None] * my
+            phase = (omega_drive - omega_frame) * times + phases[:, None]
+            weight = coeff * amps
+            for part, op in zip((np.cos(phase), np.sin(phase)), _term_operators(target, cond)):
+                term = (weight * part)[..., None, None] * op
+                out += term if line == 0 else term[rows[:, 1]]
     return out
 
 
@@ -313,36 +319,34 @@ def evolve_to_ptms(
     """Time-ordered evolution of each generator slot under the cross-talk
     Hamiltonian, as PTMs of shape (len(slots), 16, 16).
 
-    A slot names the generator played on drive lines 1 and 2, None for an
-    idle line (``(None, None)`` is free evolution), as in ``SLOTS``.
+    A slot is a pair drawn from GATE_ALPHABET, the generators played on
+    drive lines 1 and 2 (None idle, ``(None, None)`` free evolution), as
+    in ``SLOTS``; anything else raises ValueError.
 
     Fourth-order Magnus integrator with two Gauss-Legendre samples per
     step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)); doubling
     ``steps`` changes the PTM entries by less than 1e-8 at the default
-    settings.  Pairs go through in blocks of EVOLVE_BLOCK_PAIRS, and each
-    pair's step propagators are multiplied in time order, so a pair's PTM
-    does not depend on the batch it came in.
+    settings.  All slots advance together through chunks of
+    EVOLVE_CHUNK_STEPS steps, one batched eigendecomposition per chunk,
+    and each slot's step propagators are multiplied in time order, so a
+    slot's PTM does not depend on the batch it came in.
     """
+    rows = _slot_rows(slots)
     if steps < MIN_EVOLVE_STEPS:
         raise ValueError(f"need at least {MIN_EVOLVE_STEPS} steps per gate")
-    span = p.gate_time
-    if span == 0.0:
-        return np.broadcast_to(np.eye(16), (len(slots), 16, 16)).copy()
-    h = span / steps
-    starts = np.arange(steps) * h
-    nodes = [starts + c * h for c in _GAUSS_NODES]
-    samples = [_drive_samples(slots, span, t) for t in nodes]
-    unitaries = np.empty((len(slots), 4, 4), dtype=complex)
-    for first in range(0, len(slots), EVOLVE_BLOCK_PAIRS):
-        block = slice(first, first + EVOLVE_BLOCK_PAIRS)
-        b1, b2 = (
-            _hamiltonian_samples(p, amps[block], phases[block], t)
-            for (amps, phases), t in zip(samples, nodes)
-        )
+    if p.gate_time == 0.0:
+        return np.broadcast_to(np.eye(16), (len(rows), 16, 16)).copy()
+    h = p.gate_time / steps
+    nodes = [np.arange(steps) * h + c * h for c in _GAUSS_NODES]
+    drives = [(t, *_drive_samples(p.gate_time, t)) for t in nodes]
+    u = np.broadcast_to(np.eye(4, dtype=complex), (len(rows), 4, 4))
+    for first in range(0, steps, EVOLVE_CHUNK_STEPS):
+        chunk = slice(first, first + EVOLVE_CHUNK_STEPS)
+        b1, b2 = (_hamiltonian_samples(p, rows, t[chunk], a[:, chunk], ph) for t, a, ph in drives)
         b1 *= -1j
         b2 *= -1j
         # Magnus exponent (h/2)(b1 + b2) + (sqrt(3) h^2 / 12)[b2, b1], built
-        # in b1's buffer to hold few block-sized arrays at once
+        # in b1's buffer to hold few chunk-sized arrays at once
         comm = b2 @ b1
         comm -= b1 @ b2
         comm *= math.sqrt(3) * h * h / 12
@@ -358,11 +362,9 @@ def evolve_to_ptms(
         vh = v.conj().swapaxes(-1, -2)
         v *= np.exp(-1j * w)[..., None, :]
         props = v @ vh
-        u = np.broadcast_to(np.eye(4, dtype=complex), (len(props), 4, 4))
-        for k in range(steps):
+        for k in range(props.shape[1]):
             u = props[:, k] @ u
-        unitaries[block] = u
-    return ptms_from_unitaries(unitaries, atol=1e-8)
+    return ptms_from_unitaries(u, atol=1e-8)
 
 
 def evolve_to_ptm(
@@ -508,8 +510,6 @@ class Composite:
 
 
 NoiseModel = Ideal | Depolarizing | Decoherence | CrossTalk | StaticError | Composite
-
-GATE_ALPHABET = tuple(GENERATOR_ANGLES) + (None,)
 
 # The generator pairs played on the two drive lines: every pair but the
 # all-idle one, which no Clifford word plays.  Row 0 of a gate set's slot
@@ -688,9 +688,10 @@ def predict_alphas(
 
 
 def predict_addressability(
-    model: NoiseModel, gamma_max_m: int = 128, granularity: str = "generator"
+    model: NoiseModel | NoisyGateSet, gamma_max_m: int = 128, granularity: str = "generator"
 ) -> dict:
-    """Full model-based prediction of the protocol outputs (no sampling).
+    """Full model-based prediction of the protocol outputs (no sampling),
+    from a model or from a gate set already built.
 
     Returns per-Clifford alphas, gate errors, addressability deltas and a
     diagnostic for the non-exponential correction of the single-subsystem
@@ -699,7 +700,7 @@ def predict_addressability(
     from .report import build_report
     from .twirl import gamma_decay_curve
 
-    gateset = NoisyGateSet(model)
+    gateset = model if isinstance(model, NoisyGateSet) else NoisyGateSet(model)
     blocks1 = predict_alphas(gateset, "cxi", granularity)
     blocks2 = predict_alphas(gateset, "ixc", granularity)
     out3 = predict_alphas(gateset, "cxc", granularity)
@@ -726,5 +727,5 @@ def predict_addressability(
         "delta_alpha": report.dalpha.value,
         "gamma_exponential_deviation": gamma_dev,
         "mean_generators_per_clifford": group.mean_slots,
-        "model": describe_model(model),
+        "model": describe_model(gateset.model),
     }

@@ -8,13 +8,14 @@ tight tolerance must make the harness report failures).
 The ``full`` level is the release oracle set: acceptance criteria 1-4
 (``tests/test_acceptance.py``) take their verdicts from its twirl,
 group-integrity, product-channel and CI-coverage checks, which hold the
-acceptance sample counts and tolerances.
+acceptance sample counts and tolerances.  Only the full level runs the
+qubit-relabeling check, which the acceptance suite reads too.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,8 +24,14 @@ from .fitting import fit_exponential
 from .noise import (
     SAMPLE_A,
     SLOTS,
+    Composite,
+    CrossTalk,
+    Decoherence,
+    DeviceParams,
+    NoisyGateSet,
     decoherence_ptm,
     evolve_to_ptms,
+    predict_addressability,
     random_cptp_ptm,
 )
 from .paulis import pauli_conjugation_ptm, ptm_from_unitary, tensor
@@ -207,6 +214,70 @@ def check_evolution_convergence(tol: float) -> CheckResult:
     )
 
 
+def _swap_qubits(p: DeviceParams, flip_signs: bool = True) -> DeviceParams:
+    """The device with its two qubits relabeled.
+
+    Line 1 carries -nu1 and -mu1 and line 2 +nu2 and +mu2, so the
+    relabeled device has mu1 = -mu2, mu2 = -mu1, nu1 = -nu2 and
+    nu2 = -nu1; ``flip_signs=False`` exchanges them without the flips.
+    """
+    s = -1.0 if flip_signs else 1.0
+    return replace(
+        p,
+        omega1=p.omega2, omega2=p.omega1,
+        t1_1=p.t1_2, t1_2=p.t1_1, t2_1=p.t2_2, t2_2=p.t2_1,
+        m12=p.m21, m21=p.m12,
+        mu1=s * p.mu2, mu2=s * p.mu1, nu1=s * p.nu2, nu2=s * p.nu1,
+    )
+
+
+_MIRROR_ALPHAS = {
+    "alpha_1": "alpha_2",
+    "alpha_2": "alpha_1",
+    "alpha_1_2": "alpha_2_1",
+    "alpha_2_1": "alpha_1_2",
+    "alpha_12": "alpha_12",
+}
+
+
+def check_qubit_relabeling(tol: float) -> CheckResult:
+    """Relabeling the qubits of the sample-a cross-talk + decoherence model
+    swaps every output.  Each slot channel of the relabeled device equals
+    the SWAP conjugate of the mirrored slot's channel of the device, and
+    the predicted alphas map alpha_1 <-> alpha_2, alpha_1|2 <-> alpha_2|1
+    and keep alpha_12.  Negative control: the same relabeling without the
+    coupling sign flips must miss by more than ``tol``."""
+    t0 = time.perf_counter()
+
+    def outputs(p):
+        gateset = NoisyGateSet(Composite((CrossTalk(p), Decoherence(p))))
+        return gateset.slot_channels[1:], predict_addressability(gateset, gamma_max_m=0)["alphas"]
+
+    channels, alphas = outputs(SAMPLE_A)
+    # slot (a, b) -> (b, a), and Pauli index 4 i + j of P_i (x) P_j -> 4 j + i
+    mirror = [SLOTS.index((b, a)) for a, b in SLOTS]
+    swap = [4 * (k % 4) + k // 4 for k in range(16)]
+    mirrored = channels[mirror][:, swap][:, :, swap]
+
+    def deviation(p):
+        relabeled, relabeled_alphas = outputs(p)
+        return max(
+            float(np.max(np.abs(relabeled - mirrored))),
+            *(abs(relabeled_alphas[k] - alphas[m]) for k, m in _MIRROR_ALPHAS.items()),
+        )
+
+    err = deviation(_swap_qubits(SAMPLE_A))
+    control = deviation(_swap_qubits(SAMPLE_A, flip_signs=False))
+    ok = err <= tol < control
+    return _result(
+        "qubit_relabeling",
+        ok,
+        f"relabeled device vs mirrored outputs {err:.2e} over {len(SLOTS)} slot channels "
+        f"and {len(_MIRROR_ALPHAS)} alphas; without the sign flips {control:.2e}",
+        t0,
+    )
+
+
 def run_verification(level: str = "quick", tol_override: float | None = None):
     """Run the oracle suite; returns a list of CheckResult."""
     if level not in ("quick", "full"):
@@ -232,4 +303,6 @@ def run_verification(level: str = "quick", tol_override: float | None = None):
         check_decoherence_semigroup(tol=tol(1e-12)),
         check_evolution_convergence(tol=tol(1e-8)),
     ]
+    if full:
+        checks.append(check_qubit_relabeling(tol=tol(1e-12)))
     return checks

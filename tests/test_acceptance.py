@@ -107,6 +107,15 @@ def test_criterion_4_fit_recovery_and_table(full_checks):
     )
 
 
+def test_qubit_relabeling_swaps_every_output(full_checks):
+    """Relabeling the qubits of sample a swaps all 48 slot channels and the
+    five predicted alphas at 1e-12; the relabeling without the coupling
+    sign flips misses (negative control)."""
+    check = full_checks["qubit_relabeling"]
+    print(f"[qubit relabeling] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
+    assert check.passed, check.detail
+
+
 def test_criterion_5_depolarizing_consistency():
     """Per-generator depolarizing noise: every curve's reduced chi2 <= 2
     and extracted rates match the word-length prediction within 3 sigma."""

@@ -1,12 +1,17 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbaddr.cliffords import GENERATOR_ANGLES, element_slots, generator_ptm, get_group
 from rbaddr.noise import (
-    EVOLVE_BLOCK_PAIRS,
+    EVOLVE_CHUNK_STEPS,
+    GATE_ALPHABET,
     SAMPLE_A,
     SAMPLE_B,
     SLOTS,
@@ -33,6 +38,7 @@ from rbaddr.noise import (
     _envelope_shape,
     _hamiltonian_samples,
     _shape_integral,
+    _slot_rows,
     _term_operators,
 )
 from rbaddr.paulis import (
@@ -113,16 +119,17 @@ def test_envelope_calibration_integral():
     n = 200000
     dt = 24e-9 / n
     mid = (np.arange(n) + 0.5) * dt
-    amps, phases = _drive_samples([("x180", None)], 24e-9, mid)
-    integral = amps[0, 0].sum() * dt
+    amps, phases = _drive_samples(24e-9, mid)
+    x180, idle = GATE_ALPHABET.index("x180"), GATE_ALPHABET.index(None)
+    integral = amps[x180].sum() * dt
     assert integral == pytest.approx(np.pi / 2, rel=1e-6)
-    assert np.all(amps[0, 1] == 0.0) and phases[0, 0] == 0.0
+    assert np.all(amps[idle] == 0.0) and phases[x180] == 0.0
 
 
 def test_envelope_vanishes_outside_gate():
-    amps, phases = _drive_samples([(None, "y90")], 20e-9, np.array([-1e-9, 21e-9]))
+    amps, phases = _drive_samples(20e-9, np.array([-1e-9, 21e-9]))
     assert np.all(amps == 0.0)
-    assert phases[0, 1] == np.pi / 2
+    assert phases[GATE_ALPHABET.index("y90")] == np.pi / 2
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +139,8 @@ def test_envelope_vanishes_outside_gate():
 def hamiltonian_at(p, slot, t):
     """The engine's Hamiltonian of one generator slot at one time (rad/s)."""
     times = np.array([t])
-    return _hamiltonian_samples(p, *_drive_samples([slot], p.gate_time, times), times)[0, 0]
+    drive = _drive_samples(p.gate_time, times)
+    return _hamiltonian_samples(p, _slot_rows([slot]), times, *drive)[0, 0]
 
 
 def test_hamiltonian_zero_without_drives():
@@ -597,14 +605,78 @@ def test_composite_gate_set_matches_reference(model):
     assert_gate_set_matches_reference(model)
 
 
-@pytest.mark.parametrize("n_pairs", [1, EVOLVE_BLOCK_PAIRS - 1, 2 * EVOLVE_BLOCK_PAIRS + 3])
-def test_engine_block_boundaries(n_pairs):
-    # batches that end mid-block, with a step count that is no power of two
-    slots = SLOTS[-n_pairs:]
-    ptms = evolve_to_ptms(SAMPLE_A, slots, steps=37)
-    assert ptms.shape == (n_pairs, 16, 16)
+ENGINE_SLOT_LISTS = {
+    "1slot": SLOTS[-1:],
+    "5slots": SLOTS[-5:],
+    "48slots": SLOTS,
+    "mixed": (("y90", "x180"), (None, None), ("x90", None), ("y90", "x180"), (None, "ym90")),
+}
+
+
+@pytest.mark.parametrize("slots", ENGINE_SLOT_LISTS.values(), ids=ENGINE_SLOT_LISTS.keys())
+@pytest.mark.parametrize(
+    "steps",
+    [16, 37, 2 * EVOLVE_CHUNK_STEPS - 1, EVOLVE_CHUNK_STEPS + 1, 2 * EVOLVE_CHUNK_STEPS, 256],
+)
+def test_engine_chunk_boundaries(steps, slots):
+    # step counts that end one step short of, one past and on a chunk
+    # boundary (one short of the first is below MIN_EVOLVE_STEPS); batches
+    # in any order, with repeats and free evolution
+    ptms = evolve_to_ptms(SAMPLE_A, slots, steps=steps)
+    assert ptms.shape == (len(slots), 16, 16)
     for ptm, slot in zip(ptms, slots):
-        assert np.array_equal(ptm, reference_evolve_to_ptm(SAMPLE_A, slot, 37))
+        assert np.array_equal(ptm, reference_evolve_to_ptm(SAMPLE_A, slot, steps)), slot
+
+
+couplings = st.sampled_from([0.0, -0.0]) | st.floats(-0.4, 0.4)
+
+
+@given(
+    zeta_mhz=st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0),
+    m12=couplings, m21=couplings, mu1=couplings, mu2=couplings, nu1=couplings, nu2=couplings,
+    gate_time_ns=st.floats(8.0, 64.0),
+    steps=st.integers(16, 80),
+)
+@settings(max_examples=20, deadline=None)
+def test_engine_matches_reference_on_random_devices(
+    zeta_mhz, m12, m21, mu1, mu2, nu1, nu2, gate_time_ns, steps
+):
+    # the terms each slot shares with others sum in the per-slot order:
+    # ZZ shifts of either sign, zero (of either sign) and negative couplings
+    p = replace(
+        SAMPLE_A, zeta=TWO_PI * 1e6 * zeta_mhz, m12=m12, m21=m21, mu1=mu1, mu2=mu2,
+        nu1=nu1, nu2=nu2, gate_time=gate_time_ns * 1e-9,
+    )
+    ptms = evolve_to_ptms(p, SLOTS, steps)
+    for ptm, slot in zip(ptms, SLOTS):
+        assert np.array_equal(ptm, reference_evolve_to_ptm(p, slot, steps)), slot
+
+
+# tracemalloc peak of evolving the 48 slots of the sample-a gate set four
+# slots at a time through all 256 steps, the engine that time chunks replaced
+BLOCK_ENGINE_PEAK_BYTES = 2_311_848
+
+
+def test_engine_memory_peak_stays_below_the_block_engine():
+    evolve_to_ptms(SAMPLE_A, SLOTS)  # fill the per-process caches first
+    tracemalloc.start()
+    try:
+        evolve_to_ptms(SAMPLE_A, SLOTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK_ENGINE_PEAK_BYTES
+
+
+@pytest.mark.parametrize(
+    "slot", [("x90",), ("x45", None), ("x90", None, None), ["x90", None], "x9", (None, "idle")]
+)
+def test_engine_rejects_a_slot_that_is_no_generator_pair(slot):
+    message = re.escape(f"unknown generator pair {slot!r}")
+    with pytest.raises(ValueError, match=message):
+        evolve_to_ptm(SAMPLE_A, slot, steps=16)
+    with pytest.raises(ValueError, match=message):
+        evolve_to_ptms(SAMPLE_A, [("x90", None), slot], steps=16)
 
 
 def test_crosstalk_simulation_consistent_with_prediction():
