@@ -20,7 +20,6 @@ from .noise import (
     predict_alphas,
 )
 from .paulis import (
-    compose,
     depolarizing_ptm,
     pauli_conjugation_ptm,
     project,

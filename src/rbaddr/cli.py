@@ -81,6 +81,8 @@ RUN_KEYS = {
     "steps",
 }
 
+BOOLEAN_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+
 
 class ConfigError(ValueError):
     pass
@@ -203,8 +205,10 @@ def _build_model(cfg: dict[str, str], args):
         if "alpha1" not in cfg:
             raise ConfigError("depolarizing model needs config key 'alpha1'")
         alpha2 = float(cfg["alpha2"]) if "alpha2" in cfg else None
-        joint = cfg.get("joint", "false").lower() in ("1", "true", "yes")
-        return Depolarizing(float(cfg["alpha1"]), alpha2, joint), label
+        joint = cfg.get("joint", "false").lower()
+        if joint not in BOOLEAN_WORDS:
+            raise ConfigError(f"joint must be one of {'/'.join(BOOLEAN_WORDS)}, not '{joint}'")
+        return Depolarizing(float(cfg["alpha1"]), alpha2, BOOLEAN_WORDS[joint]), label
     device = _device_from_config(cfg, None)
     if name == "decoherence":
         return Decoherence(device), label
@@ -213,6 +217,12 @@ def _build_model(cfg: dict[str, str], args):
     if name == "crosstalk_decoherence":
         return Composite((CrossTalk(device, steps), Decoherence(device))), label
     raise ConfigError(f"unknown model '{name}'")
+
+
+@_config_values
+def _crosstalk_model(cfg: dict[str, str], device: DeviceParams) -> CrossTalk:
+    """The device's cross-talk model; a missing coupling is a config error."""
+    return CrossTalk(device, _steps(cfg))
 
 
 @_config_values
@@ -412,12 +422,7 @@ def cmd_predict(args) -> int:
     started = _now()
     cfg = parse_config_file(args.config) if args.config else {}
     device = _device_from_config(cfg, args.preset)
-    missing = device.missing_crosstalk_fields()
-    if missing:
-        raise ConfigError(
-            "cross-talk prediction needs parameters: " + ", ".join(missing)
-        )
-    model = CrossTalk(device, _steps(cfg))
+    model = _crosstalk_model(cfg, device)
     if args.with_decoherence:
         model = Composite((model, Decoherence(device)))
     prediction = predict_addressability(model)

@@ -92,16 +92,8 @@ class DeviceParams:
             if value is not None and not abs(value) < 1:
                 raise ValueError(f"|{name}| must be < 1")
 
-    @property
-    def delta(self) -> float:
-        """Qubit-qubit detuning omega1 - omega2 (rad/s)."""
-        return self.omega1 - self.omega2
-
-    def missing_crosstalk_fields(self) -> tuple[str, ...]:
-        return tuple(f for f in _CROSSTALK_FIELDS if getattr(self, f) is None)
-
     def require_crosstalk(self) -> None:
-        missing = self.missing_crosstalk_fields()
+        missing = [f for f in _CROSSTALK_FIELDS if getattr(self, f) is None]
         if missing:
             raise ValueError(
                 "cross-talk model needs parameters: " + ", ".join(missing)
@@ -399,27 +391,6 @@ def decoherence_ptm(t1: float, t2: float, t: float) -> np.ndarray:
     return ptm
 
 
-def depolarizing_kraus(p: float) -> list[np.ndarray]:
-    """Kraus set of the depolarizing channel with error probability p."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
-    i2, x, y, z = pauli_matrices(1)
-    return [
-        math.sqrt(1 - p) * i2,
-        math.sqrt(p / 3) * x,
-        math.sqrt(p / 3) * y,
-        math.sqrt(p / 3) * z,
-    ]
-
-
-def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
-    if not 0 <= gamma <= 1:
-        raise ValueError("gamma must be in [0, 1]")
-    k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
-    k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    return [k0, k1]
-
-
 def zz_rotation_ptm(theta: float) -> np.ndarray:
     """PTM of exp(-i theta ZZ / 2); a purely correlated coherent error."""
     u = np.diag(np.exp(-1j * theta / 2 * np.array([1.0, -1.0, -1.0, 1.0])))
@@ -608,7 +579,8 @@ class NoisyGateSet:
 
     def channel(self, gate: tuple[str | None, str | None]) -> np.ndarray:
         """Noisy PTM of one played slot."""
-        if gate not in _SLOT_ROW:
+        # scanned, not hashed: an unhashable slot is refused like any other
+        if type(gate) is not tuple or gate not in SLOTS:
             raise ValueError(f"unknown generator pair {gate!r}")
         return self.slot_channels[_SLOT_ROW[gate]]
 

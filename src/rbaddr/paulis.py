@@ -27,8 +27,6 @@ import numpy as np
 
 DEFAULT_ATOL = 1e-10
 
-PAULI_CHARS = "IXYZ"
-
 _P1 = (
     np.eye(2, dtype=complex),
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -60,14 +58,6 @@ def pauli_matrices(n: int) -> tuple[np.ndarray, ...]:
     return mats
 
 
-@lru_cache(maxsize=None)
-def pauli_labels(n: int) -> tuple[str, ...]:
-    """String labels ('I', 'X', ..., 'II', 'IX', ...) in index order."""
-    if n == 1:
-        return tuple(PAULI_CHARS)
-    return tuple(a + b for a in pauli_labels(n - 1) for b in pauli_labels(1))
-
-
 def pauli_index_to_vw(index: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Binary vectors (v, w) of a Pauli index; qubit 1 first in each vector."""
     if not 0 <= index < 4**n:
@@ -79,22 +69,6 @@ def pauli_index_to_vw(index: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         w[q] = index & 1
         index >>= 2
     return v, w
-
-
-def pauli_vw_to_index(v: np.ndarray, w: np.ndarray) -> int:
-    """Inverse of :func:`pauli_index_to_vw`."""
-    index = 0
-    for vq, wq in zip(v, w):
-        index = (index << 2) | (int(vq) << 1) | int(wq)
-    return index
-
-
-def label_to_index(label: str) -> int:
-    """Pauli index of a label string like 'ZX'."""
-    index = 0
-    for ch in label:
-        index = (index << 2) | PAULI_CHARS.index(ch)
-    return index
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +129,6 @@ def ptm_from_kraus(
     return np.einsum("ida,jad->ij", paulis, images).real / d
 
 
-def compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """PTM of applying ``earlier`` first, then ``later``."""
-    if later.shape != earlier.shape:
-        raise ValueError(f"dimension mismatch: {later.shape} vs {earlier.shape}")
-    return later @ earlier
-
-
 def tensor(ptm_a: np.ndarray, ptm_b: np.ndarray) -> np.ndarray:
     """Tensor product; qubit(s) of ``ptm_a`` become the most significant."""
     return np.kron(ptm_a, ptm_b)
@@ -190,21 +157,6 @@ def depolarizing_ptm(alpha: float, n: int = 1) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # State / measurement vectors
-
-
-def state_pauli_vector(rho: np.ndarray) -> np.ndarray:
-    """Expansion x_j = Tr[P_j rho] of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    n = max(1, round(np.log2(rho.shape[0])))
-    return np.array([np.trace(p @ rho).real for p in pauli_matrices(n)])
-
-
-def measurement_pauli_vector(e_op: np.ndarray) -> np.ndarray:
-    """Expansion e_j = Tr[P_j E] / d of a measurement operator."""
-    e_op = np.asarray(e_op, dtype=complex)
-    d = e_op.shape[0]
-    n = max(1, round(np.log2(d)))
-    return np.array([np.trace(p @ e_op).real / d for p in pauli_matrices(n)])
 
 
 def computational_state(bits: str) -> np.ndarray:
@@ -268,12 +220,6 @@ def project(ptm: np.ndarray, proj_diag: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Diagnostics
-
-
-def is_trace_preserving(ptm: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
-    row0 = np.zeros(ptm.shape[0])
-    row0[0] = 1.0
-    return bool(np.max(np.abs(ptm[0] - row0)) <= atol)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,16 @@ class SpamModel:
     povm: np.ndarray  # 4x16 rows: measurement vectors for p00, p01, p10, p11
     assignment: np.ndarray | None = None  # 4x4 stochastic misassignment
 
+    def __post_init__(self):
+        if self.assignment is None:
+            return
+        matrix = np.asarray(self.assignment, dtype=float)
+        if matrix.shape != (4, 4) or np.any(matrix < 0) or not np.allclose(
+            matrix.sum(axis=0), 1.0, atol=1e-9
+        ):
+            raise ValueError("misassignment matrix must be 4x4 column-stochastic")
+        object.__setattr__(self, "assignment", matrix)
+
     @classmethod
     def perfect(cls) -> "SpamModel":
         prep = computational_state("00")
@@ -71,14 +81,6 @@ class SpamModel:
             [computational_povm_vector(b) for b in ("00", "01", "10", "11")]
         )
         return cls(prep, povm)
-
-    def with_misassignment(self, matrix: np.ndarray) -> "SpamModel":
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (4, 4) or np.any(matrix < 0) or not np.allclose(
-            matrix.sum(axis=0), 1.0, atol=1e-9
-        ):
-            raise ValueError("misassignment matrix must be 4x4 column-stochastic")
-        return replace(self, assignment=matrix)
 
     def populations(self, state: np.ndarray) -> np.ndarray:
         p = self.povm @ state
@@ -357,6 +359,8 @@ def read_curves_csv(path) -> list[SurvivalCurve]:
                 k = int(row[5])
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"malformed CSV row at line {lineno}: {row}") from exc
+            if m < 1:
+                raise ValueError(f"sequence length m={m} < 1 at line {lineno}")
             if not (math.isfinite(mean) and math.isfinite(stderr)):
                 raise ValueError(f"non-finite mean or stderr at line {lineno}")
             if stderr <= 0:

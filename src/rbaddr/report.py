@@ -1,7 +1,7 @@
 """Gate errors, addressability metrics and report assembly.
 
-Converts fitted depolarizing parameters to average gate errors
-r = (d-1)(1-alpha)/d, forms the addressability deltas
+Converts fitted depolarizing parameters to average qubit gate errors
+r = (d-1)(1-alpha)/d = (1-alpha)/2, forms the addressability deltas
 dr_{k|k'} = |r_k - r_{k|k'}| and the correlation witness
 delta_alpha = alpha_12 - alpha_{1|2} alpha_{2|1}, and propagates
 1-sigma uncertainties in quadrature / to first order.
@@ -9,7 +9,6 @@ delta_alpha = alpha_12 - alpha_{1|2} alpha_{2|1}, and propagates
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,14 +40,11 @@ def _as_uval(x) -> UVal:
     return UVal(float(value), float(sigma))
 
 
-def gate_error(alpha, sigma: float = 0.0, d: int = 2) -> UVal:
-    """Average gate error r = (d-1)(1-alpha)/d with scaled uncertainty."""
-    if d < 2:
-        raise ValueError("subsystem dimension must be >= 2")
+def gate_error(alpha, sigma: float = 0.0) -> UVal:
+    """Average qubit gate error r = (1-alpha)/2 with scaled uncertainty."""
     if isinstance(alpha, UVal):
         alpha, sigma = alpha.value, alpha.sigma
-    scale = (d - 1) / d
-    return UVal(scale * (1.0 - alpha), scale * sigma)
+    return UVal(0.5 * (1.0 - alpha), 0.5 * sigma)
 
 
 def delta_r(r_k, r_k_given) -> UVal:
@@ -91,10 +87,6 @@ class AddressabilityReport:
     missing: tuple[str, ...] = ()
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def complete(self) -> bool:
-        return not self.missing
-
     def to_dict(self) -> dict:
         def enc(v):
             return None if v is None else v.to_dict()
@@ -114,9 +106,6 @@ class AddressabilityReport:
             "missing": list(self.missing),
             "provenance": self.provenance,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def to_text(self) -> str:
         """Aligned plain-text table (one row per extracted quantity)."""
@@ -152,8 +141,6 @@ def build_report(
     alpha_inputs: dict,
     sample_label: str = "",
     provenance: dict | None = None,
-    d1: int = 2,
-    d2: int = 2,
 ) -> AddressabilityReport:
     """Assemble the report from five fitted alphas.
 
@@ -188,13 +175,13 @@ def build_report(
         provenance=provenance or {},
     )
     if "alpha_1" in alphas:
-        report.r1 = gate_error(alphas["alpha_1"], d=d1)
+        report.r1 = gate_error(alphas["alpha_1"])
     if "alpha_2" in alphas:
-        report.r2 = gate_error(alphas["alpha_2"], d=d2)
+        report.r2 = gate_error(alphas["alpha_2"])
     if "alpha_1_2" in alphas:
-        report.r1_given_2 = gate_error(alphas["alpha_1_2"], d=d1)
+        report.r1_given_2 = gate_error(alphas["alpha_1_2"])
     if "alpha_2_1" in alphas:
-        report.r2_given_1 = gate_error(alphas["alpha_2_1"], d=d2)
+        report.r2_given_1 = gate_error(alphas["alpha_2_1"])
     if report.r1 is not None and report.r1_given_2 is not None:
         report.dr1_given_2 = delta_r(report.r1, report.r1_given_2)
     if report.r2 is not None and report.r2_given_1 is not None:

@@ -41,7 +41,6 @@ IRREP_TABLES: dict[str, list[list[list[int]]]] = {
 
 @dataclass(frozen=True)
 class TwirlOutcome:
-    group_kind: str
     twirled: np.ndarray
     alphas: dict[str, float]
     delta_alpha: float | None = None
@@ -117,7 +116,7 @@ def twirl_full_clifford(ptm: np.ndarray) -> TwirlOutcome:
     alpha = project(ptm, projector_diag("nonidentity", n))
     diag = np.full(4**n, alpha)
     diag[0] = 1.0
-    return TwirlOutcome("full", np.diag(diag), {"alpha": alpha})
+    return TwirlOutcome(np.diag(diag), {"alpha": alpha})
 
 
 def twirl_cxc(ptm: np.ndarray) -> TwirlOutcome:
@@ -139,7 +138,7 @@ def twirl_cxc(ptm: np.ndarray) -> TwirlOutcome:
         + a_12 * projector_diag("corr", 2)
     )
     alphas = {"alpha_1_2": a_1_2, "alpha_2_1": a_2_1, "alpha_12": a_12}
-    return TwirlOutcome("cxc", np.diag(diag), alphas, a_12 - a_1_2 * a_2_1)
+    return TwirlOutcome(np.diag(diag), alphas, a_12 - a_1_2 * a_2_1)
 
 
 def twirl_cxi(ptm: np.ndarray, which: int = 1) -> SubsystemTwirlBlocks:

@@ -72,7 +72,7 @@ def check_group_integrity(n_sequences: int, max_m: int, tol: float) -> CheckResu
     for _ in range(n_sequences):
         m = int(rng.integers(1, max_m + 1))
         seq = c1.sample_uniform(rng, m)
-        rec = c1.recovery_index(seq)
+        rec = int(c1.recovery_indices(seq[None])[0])
         total = np.eye(4)
         for idx in seq:
             total = c1.ptm(int(idx)) @ total

@@ -109,10 +109,24 @@ def test_fit_single_curve_partial_report(tmp_path, capsys):
     assert "alpha_2" in report["missing"]
 
 
-def test_fit_rejects_bad_rows(tmp_path):
+def test_fit_rejects_bad_rows(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text("experiment,projection,m,mean,stderr,K\nexp1,Q1,1,0.9,-1,5\n")
     assert run_cli("fit", str(csv), "--out", str(tmp_path / "o")) == 2
+    csv.write_text(
+        "experiment,projection,m,mean,stderr,K\n"
+        + "".join(f"exp1,Q1,{m},0.9,0.01,5\n" for m in (-4, -2, 0))
+    )
+    assert run_cli("fit", str(csv), "--out", str(tmp_path / "o")) == 2
+    assert "m=-4 < 1 at line 2" in capsys.readouterr().err
+
+
+def test_joint_reads_boolean_words_in_any_case():
+    args = argparse.Namespace(preset=None, model=None)
+    for word, joint in (("TRUE", True), ("Yes", True), ("1", True),
+                        ("false", False), ("NO", False), ("0", False)):
+        cfg = {"model": "depolarizing", "alpha1": "0.99", "joint": word}
+        assert _build_model(cfg, args)[0].joint is joint, word
 
 
 def test_config_file_parsing(tmp_path):
@@ -286,6 +300,7 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         (("simulate", "--preset", "sample_a_crosstalk"), "granularity = clifford\n"),
         (("predict", "--preset", "sample_a"), "steps = 3\n"),
         (("simulate", "--preset", "sample_a_crosstalk"), "steps = 3\n"),
+        (("simulate",), "model = depolarizing\nalpha1 = 0.99\njoint = ture\n"),
     ],
     ids=[
         "alpha_unparsable", "alpha_not_cptp", "alpha2_not_cptp",
@@ -293,7 +308,7 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         "crosstalk_gate_time_zero",
         "t1_negative", "t1_nan", "steps_too_few", "clifford_granularity_crosstalk",
         "depolarizing_steps_unparsable", "decoherence_steps_too_few",
-        "predict_steps_too_few", "preset_steps_too_few",
+        "predict_steps_too_few", "preset_steps_too_few", "joint_misspelt",
     ],
 )
 def test_bad_model_values_are_config_errors(tmp_path, command, config, capsys):

@@ -23,10 +23,8 @@ from rbaddr.noise import (
     Ideal,
     NoisyGateSet,
     StaticError,
-    amplitude_damping_kraus,
     average_error_channel,
     decoherence_ptm,
-    depolarizing_kraus,
     evolve_to_ptm,
     evolve_to_ptms,
     ideal_gate_ptm,
@@ -42,8 +40,8 @@ from rbaddr.noise import (
     _term_operators,
 )
 from rbaddr.paulis import (
+    cptp_diagnostic,
     depolarizing_ptm,
-    is_trace_preserving,
     pauli_matrices,
     ptm_from_kraus,
     tensor,
@@ -89,12 +87,14 @@ def test_device_params_validation():
 
 
 def test_sample_presets():
-    assert SAMPLE_A.delta == pytest.approx(TWO_PI * -65.9e6, rel=1e-3)
-    assert SAMPLE_B.delta == pytest.approx(TWO_PI * -579.1e6, rel=1e-3)
-    assert SAMPLE_A.missing_crosstalk_fields() == ()
-    assert set(SAMPLE_B.missing_crosstalk_fields()) == {
-        "zeta", "m12", "m21", "mu1", "mu2", "nu1", "nu2",
-    }
+    for p, detuning in ((SAMPLE_A, -65.9e6), (SAMPLE_B, -579.1e6)):
+        assert p.omega1 - p.omega2 == pytest.approx(TWO_PI * detuning, rel=1e-3)
+    SAMPLE_A.require_crosstalk()
+    with pytest.raises(ValueError) as err:
+        SAMPLE_B.require_crosstalk()
+    assert str(err.value) == (
+        "cross-talk model needs parameters: zeta, m12, m21, mu1, mu2, nu1, nu2"
+    )
 
 
 def test_device_params_from_config_units():
@@ -154,7 +154,7 @@ def test_hamiltonian_spurious_drive_term():
     # period of the qubit-qubit detuning, inside the flat top, every term
     # is back in phase with the drive
     p = SAMPLE_A
-    t = TWO_PI / abs(p.delta)
+    t = TWO_PI / abs(p.omega1 - p.omega2)
     h = hamiltonian_at(p, ("x90", None), t)
     eps = (np.pi / 4) / _shape_integral(p.gate_time)
     assert float(_envelope_shape(t, p.gate_time)) == 1.0
@@ -263,14 +263,6 @@ def test_decoherence_rejects_bad_t2():
         decoherence_ptm(1e-6, 3e-6, 1e-9)
 
 
-def test_elementary_kraus_channels():
-    assert np.allclose(
-        ptm_from_kraus(depolarizing_kraus(0.75)), np.diag([1.0, 0, 0, 0]), atol=1e-12
-    )
-    r = ptm_from_kraus(amplitude_damping_kraus(0.3))
-    assert r[3, 0] == pytest.approx(0.3)
-
-
 # ---------------------------------------------------------------------------
 # noisy gates
 
@@ -298,7 +290,7 @@ def test_noisy_gate_crosstalk_error_factor():
     gateset = NoisyGateSet(CrossTalk(SAMPLE_A))
     gate = ("x90", None)
     lam = gateset.error_factor(gate)
-    assert is_trace_preserving(lam, atol=1e-9)
+    assert cptp_diagnostic(lam, atol=1e-9).is_tp
     deviation = np.max(np.abs(lam - np.eye(16)))
     assert 0 < deviation < 0.5  # near-identity coherent error
 
@@ -318,6 +310,12 @@ def test_noisy_gate_unknown_generator():
     # no Clifford word idles both lines at once, so no gate set holds that slot
     with pytest.raises(ValueError, match="unknown generator pair"):
         NoisyGateSet(Depolarizing(0.99)).channel((None, None))
+    # a slot that is not a pair of names is refused the same way, a list too
+    gateset = NoisyGateSet(Ideal())
+    for slot in (["x90", None], ("x90", ["y90"]), ("x90",), ("x90", "hadamard")):
+        for lookup in (gateset.channel, gateset.error_factor):
+            with pytest.raises(ValueError, match="unknown generator pair"):
+                lookup(slot)
 
 
 def test_error_factor_is_the_slot_channel_over_the_ideal_gate():
@@ -339,7 +337,7 @@ def test_noisy_gates_trace_preserving_and_ideal_in_group():
     for model in (Ideal(), Depolarizing(0.98, 0.95), Decoherence(SAMPLE_A)):
         gateset = NoisyGateSet(model)
         for gate in (("x90", "y180"), (None, "x90"), ("ym90", None)):
-            assert is_trace_preserving(gateset.channel(gate), atol=1e-9)
+            assert cptp_diagnostic(gateset.channel(gate), atol=1e-9).is_tp
     ideal_set = NoisyGateSet(Ideal())
     assert group.lookup(ideal_set.channel(("x90", "y180"))) >= 0
 
@@ -398,7 +396,7 @@ def test_predict_crosstalk_sample_a_magnitudes():
 
 def test_average_error_channel_is_trace_preserving():
     lam = average_error_channel(Decoherence(SAMPLE_A), "cxc")
-    assert is_trace_preserving(lam, atol=1e-9)
+    assert cptp_diagnostic(lam, atol=1e-9).is_tp
 
 
 def reference_element_table(gateset, group):

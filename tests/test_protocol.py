@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,8 +144,8 @@ def _slot_loop_populations(group, indices, recovery, gateset, spam, granularity)
     return spam.populations(state)
 
 
-_MISASSIGNED = SpamModel.perfect().with_misassignment(
-    0.88 * np.eye(4) + 0.03 * np.ones((4, 4))
+_MISASSIGNED = replace(
+    SpamModel.perfect(), assignment=0.88 * np.eye(4) + 0.03 * np.ones((4, 4))
 )
 
 
@@ -415,12 +417,16 @@ def test_spam_misassignment():
     flip = np.array(
         [[0.9, 0.1, 0, 0], [0.1, 0.9, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
     )
-    spam = SpamModel.perfect().with_misassignment(flip)
+    spam = replace(SpamModel.perfect(), assignment=flip)
     pops = spam.populations(SpamModel.perfect().prep)
     assert pops[0] == pytest.approx(0.9)
     assert pops[1] == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        SpamModel.perfect().with_misassignment(np.eye(4) * 2)
+    # the constructor itself refuses a matrix that is not column-stochastic
+    negative_entry = np.eye(4)
+    negative_entry[:2, 0] = (1.5, -0.5)  # every column still sums to 1
+    for bad in (np.eye(4) * 2, np.eye(3), negative_entry, np.full((4, 4), np.nan)):
+        with pytest.raises(ValueError, match="column-stochastic"):
+            SpamModel(spam.prep, spam.povm, bad)
 
 
 def test_spam_errors_absorbed_into_amplitude():
@@ -430,7 +436,7 @@ def test_spam_errors_absorbed_into_amplitude():
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64), K=40, seed=15)
     cfg_spam = RBConfig(
         lengths=cfg.lengths, K=cfg.K, seed=cfg.seed,
-        spam=SpamModel.perfect().with_misassignment(flip),
+        spam=replace(SpamModel.perfect(), assignment=flip),
     )
     clean = fit_curve(run_experiment(cfg, Depolarizing(0.99), "exp1")["Q1"])
     dirty = fit_curve(run_experiment(cfg_spam, Depolarizing(0.99), "exp1")["Q1"])
@@ -451,7 +457,7 @@ def test_uncorrelated_noise_null_addressability():
     )
     curves = run_protocol(cfg, Depolarizing(0.995, 0.99))
     report = build_report(fit_protocol_curves(curves)["alpha_fits"])
-    assert report.complete
+    assert report.missing == ()
     assert abs(report.dr1_given_2.value) < 3 * report.dr1_given_2.sigma
     assert abs(report.dr2_given_1.value) < 3 * report.dr2_given_1.sigma
     assert abs(report.dalpha.value) < 3 * report.dalpha.sigma
@@ -597,8 +603,9 @@ def test_read_curves_rejects_wrong_header(tmp_path):
         ("exp1,Q1,8,0.9,inf,5", "non-finite"),
         ("exp1,Q1,2,0.9,0.01,5", "duplicate m=2"),
         ("exp1,Q1,8,0.9,0.01,6", "K=6"),
+        ("exp1,Q1,0,0.9,0.01,5", "m=0 < 1"),
     ],
-    ids=["nan_mean", "inf_stderr", "duplicate_m", "mixed_K"],
+    ids=["nan_mean", "inf_stderr", "duplicate_m", "mixed_K", "m_zero"],
 )
 def test_read_curves_rejects_bad_values(tmp_path, bad_row, message):
     path = tmp_path / "bad.csv"
