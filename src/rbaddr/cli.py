@@ -42,7 +42,6 @@ from .noise import (
 )
 from .protocol import RBConfig, read_curves_csv, run_protocol, write_curves_csv
 from .report import build_report
-from .verify import run_verification
 
 OUT_ENV_VAR = "RB_ADDR_OUT"
 
@@ -439,6 +438,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification  # only this command needs the oracles
+
     results = run_verification(args.level, args.tol_override)
     failures = 0
     for res in results:

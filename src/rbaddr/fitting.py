@@ -5,10 +5,15 @@ sum_i (x_i - F(m_i))^2 / sigma_i^2.  Parameter uncertainties come from
 the Jacobian at the best fit: covariance (J^T W J)^-1 scaled by the
 reduced chi-square, with 68% intervals taken as one scaled sigma.
 Every fit, single-exponential or correlation, runs through ``_fit``.
+The LM loop evaluates the model once per trial point and reuses alpha^m
+as the next Jacobian's first column; it keeps every floating-point
+operation of the plain loop, which lives in the tests as the reference
+each fit must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -86,36 +91,64 @@ class FitError(RuntimeError):
     pass
 
 
-def _lm(model_fn, jac_fn, p0, m, y, sigma):
-    """Core Levenberg-Marquardt loop on weighted residuals.
+def _lm(p0, m, y, sigma, rates=()):
+    """Levenberg-Marquardt on the weighted residuals (y - F) / sigma of
+    F = ``_decay(p, m, rates)``.
 
     Damping lambda starts at 1e-3, x10 on a rejected step, /10 on an
     accepted one; converged when the relative chi2 change drops below
-    1e-10 or the step norm below 1e-12.
+    1e-10 or the step norm below 1e-12.  The loop builds F and its
+    Jacobian (columns alpha^m, A m alpha^(m-1), rate_i^m, 1) itself: the
+    weights, background powers and constant columns once per fit,
+    alpha^m once per trial point (the next Jacobian's first column), the
+    damping diagonal once per iteration.  Each number is computed by the
+    same operations in the same order as the model written out.
     """
     w = 1.0 / sigma
+    m_prev = np.maximum(m - 1, 0)
+    background = [rate**m for rate in rates]
+    # C-ordered like the stacked columns, so the BLAS products round the same
+    jac = np.empty((len(m), len(p0)))
+    for col, term in enumerate(background, start=2):
+        jac[:, col] = term * w
+    jac[:, -1] = w  # ones * w
+
+    def trial(p):
+        """alpha^m and the weighted residuals at p."""
+        am = np.power(p[1], m)
+        out = p[0] * am + p[-1]
+        for amp, term in zip(p[2:-1], background):
+            out = out + amp * term
+        return am, (y - out) * w
+
+    def fill_jacobian(p, am):
+        np.multiply(am, w, out=jac[:, 0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dalpha = p[0] * m * np.power(p[1], m_prev)
+        np.multiply(dalpha, w, out=jac[:, 1])
+
     p = np.asarray(p0, dtype=float).copy()
-    resid = (y - model_fn(p, m)) * w
+    am, resid = trial(p)
     chi2 = float(resid @ resid)
     lam = LM_LAMBDA0
     converged = False
     iterations = 0
     for iterations in range(1, LM_MAX_ITER + 1):
-        jac = jac_fn(p, m) * w[:, None]
+        fill_jacobian(p, am)
         g = jac.T @ resid
         jtj = jac.T @ jac
+        scale = np.diag(np.maximum(jtj.diagonal(), 1e-300))
         step_ok = False
         for _ in range(50):
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-300))
             try:
-                step = np.linalg.solve(damped, g)
+                step = np.linalg.solve(jtj + lam * scale, g)
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
             p_try = p + step
-            resid_try = (y - model_fn(p_try, m)) * w
+            am_try, resid_try = trial(p_try)
             chi2_try = float(resid_try @ resid_try)
-            if np.isfinite(chi2_try) and chi2_try <= chi2:
+            if math.isfinite(chi2_try) and chi2_try <= chi2:
                 step_ok = True
                 break
             lam *= 10
@@ -123,12 +156,12 @@ def _lm(model_fn, jac_fn, p0, m, y, sigma):
             converged = True  # no descent direction left: at a minimum
             break
         rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
-        p, resid, chi2 = p_try, resid_try, chi2_try
+        p, am, resid, chi2 = p_try, am_try, resid_try, chi2_try
         lam = max(lam / 10, 1e-12)
-        if rel_drop < LM_CHI2_RTOL or np.linalg.norm(step) < LM_STEP_TOL:
+        if rel_drop < LM_CHI2_RTOL or math.sqrt(step @ step) < LM_STEP_TOL:
             converged = True
             break
-    jac = jac_fn(p, m) * w[:, None]
+    fill_jacobian(p, am)  # at the final point
     jtj = jac.T @ jac
     flags: list[str] = []
     try:
@@ -148,14 +181,6 @@ def _decay(p, m, rates=()):
     for amp, rate in zip(p[2:-1], rates):
         out = out + amp * rate**m
     return out
-
-
-def _decay_jac(p, m, rates=()):
-    """Columns dF/dp of ``_decay``: alpha^m, A m alpha^(m-1), rate_i^m, 1."""
-    am = np.power(p[1], m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dalpha = p[0] * m * np.power(p[1], np.maximum(m - 1, 0))
-    return np.stack([am, dalpha, *(rate**m for rate in rates), np.ones_like(am)], axis=1)
 
 
 def _initial_guess(m, y):
@@ -192,11 +217,7 @@ def _fit(model, param_names, p0, m, y, stderr, rates) -> DecayFit:
     """
     if np.any(stderr <= 0):
         raise FitError("all standard errors must be positive")
-    p, cov, chi2, resid, iterations, converged, flags = _lm(
-        partial(_decay, rates=rates),
-        partial(_decay_jac, rates=rates),
-        p0, m, y, stderr,
-    )
+    p, cov, chi2, resid, iterations, converged, flags = _lm(p0, m, y, stderr, rates)
     dof = len(m) - len(p0)
     chi2_red = chi2 / dof
     return DecayFit(
@@ -215,12 +236,11 @@ def _fit(model, param_names, p0, m, y, stderr, rates) -> DecayFit:
     )
 
 
-def _fit_single(model, m, y, stderr, reason) -> DecayFit:
-    """A alpha^m + B from the data-driven seed, flagged when alpha leaves
-    (0, 1] or the curve barely moves; ``reason`` is appended to the flags."""
-    if len(m) < 4:
-        raise FitError("need at least 4 points to fit 3 parameters")
-    fit = _fit(model, ("A", "alpha", "B"), _initial_guess(m, y), m, y, stderr, ())
+def _fit_single(model, m, y, stderr, seed, reason) -> DecayFit:
+    """A alpha^m + B from ``seed`` (``_initial_guess`` of the curve), flagged
+    when alpha leaves (0, 1] or the curve barely moves; ``reason`` is
+    appended to the flags."""
+    fit = _fit(model, ("A", "alpha", "B"), seed, m, y, stderr, ())
     if not 0 < fit.alpha <= 1:
         fit.flags += ("alpha_outside_(0,1]",)
     if np.ptp(y) < 4 * float(np.max(stderr)) / np.sqrt(len(m)) and "degenerate" not in fit.flags:
@@ -235,7 +255,9 @@ def fit_exponential(m, y, stderr) -> DecayFit:
     and there must be at least four (three fit parameters).
     """
     m, y, stderr = (np.asarray(a, dtype=float) for a in (m, y, stderr))
-    return _fit_single("single_exponential", m, y, stderr, ())
+    if len(m) < 4:
+        raise FitError("need at least 4 points to fit 3 parameters")
+    return _fit_single("single_exponential", m, y, stderr, _initial_guess(m, y), ())
 
 
 def fit_correlation_curve(m, y, stderr, alpha_1_2: float, alpha_2_1: float) -> DecayFit:
@@ -270,7 +292,7 @@ def fit_correlation_curve(m, y, stderr, alpha_1_2: float, alpha_2_1: float) -> D
             if background_zero
             else "background_fit_degenerate"
         )
-        return _fit_single("correlation_single_exponential", m, y, stderr, (reason,))
+        return _fit_single("correlation_single_exponential", m, y, stderr, seed, (reason,))
     if min(abs(fit.alpha - rate) for rate in bg_rates) < 1e-3:
         fit.flags += ("alpha12_near_subsystem_rate",)
     return fit

@@ -361,6 +361,8 @@ def read_curves_csv(path) -> list[SurvivalCurve]:
                 raise ValueError(f"malformed CSV row at line {lineno}: {row}") from exc
             if m < 1:
                 raise ValueError(f"sequence length m={m} < 1 at line {lineno}")
+            if k < 2:
+                raise ValueError(f"sequence count K={k} < 2 at line {lineno}")
             if not (math.isfinite(mean) and math.isfinite(stderr)):
                 raise ValueError(f"non-finite mean or stderr at line {lineno}")
             if stderr <= 0:

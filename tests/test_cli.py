@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from rbaddr.cli import _build_model, main, parse_config_file
 from rbaddr.noise import SAMPLE_A, Composite, CrossTalk, Decoherence, predict_addressability
 
 FAST_ARGS = ["--lengths", "1,2,4,8,16,32", "--K", "8"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 SAMPLE_A_DEVICE = (
     "omega1_ghz = 4.9895\nomega2_ghz = 5.0554\n"
     "t1_1_us = 9.7\nt1_2_us = 8.2\nt2_1_us = 10.3\nt2_2_us = 7.1\n"
@@ -119,6 +124,29 @@ def test_fit_rejects_bad_rows(tmp_path, capsys):
     )
     assert run_cli("fit", str(csv), "--out", str(tmp_path / "o")) == 2
     assert "m=-4 < 1 at line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [1, -3])
+def test_fit_rejects_fewer_than_two_sequences(tmp_path, capsys, k):
+    # simulate refuses K < 2 as a config error; a CSV row with it is bad input
+    csv = tmp_path / "few.csv"
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    rows += [f"exp1,Q1,{m},{0.5 + 0.5 * 0.99**m},0.01,{k}" for m in (1, 2, 4, 8, 16, 32, 64)]
+    csv.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("fit", str(csv), "--out", str(out)) == 2
+    assert f"K={k} < 2 at line 2" in capsys.readouterr().err
+    assert not (out / "fits.json").exists()
+
+
+def test_cli_import_leaves_the_oracle_suite_out():
+    # only ``rbaddr verify`` needs rbaddr.verify; every other command skips it
+    code = "import sys, rbaddr.cli; print('rbaddr.verify' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip() == "False"
 
 
 def test_joint_reads_boolean_words_in_any_case():

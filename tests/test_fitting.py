@@ -1,10 +1,13 @@
 import warnings
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rbaddr import fitting
 from rbaddr.fitting import FitError, fit_correlation_curve, fit_exponential, fit_protocol_curves
 from rbaddr.protocol import SurvivalCurve, decay_single
 from rbaddr.twirl import gamma_decay_curve
@@ -367,3 +370,168 @@ def test_zero_stderr_correlation_fails_before_the_fit(capfd):
         "error": "all standard errors must be positive",
     }
     assert capfd.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# Reference Levenberg-Marquardt: the plain loop, which evaluates the model
+# and its Jacobian through separate functions on every trial point.  The
+# library's loop computes each number once but must match it bit for bit.
+
+LM_MAX_ITER = 500
+LM_CHI2_RTOL = 1e-10
+LM_STEP_TOL = 1e-12
+LM_LAMBDA0 = 1e-3
+
+
+def _reference_lm(model_fn, jac_fn, p0, m, y, sigma):
+    """Core Levenberg-Marquardt loop on weighted residuals.
+
+    Damping lambda starts at 1e-3, x10 on a rejected step, /10 on an
+    accepted one; converged when the relative chi2 change drops below
+    1e-10 or the step norm below 1e-12.
+    """
+    w = 1.0 / sigma
+    p = np.asarray(p0, dtype=float).copy()
+    resid = (y - model_fn(p, m)) * w
+    chi2 = float(resid @ resid)
+    lam = LM_LAMBDA0
+    converged = False
+    iterations = 0
+    for iterations in range(1, LM_MAX_ITER + 1):
+        jac = jac_fn(p, m) * w[:, None]
+        g = jac.T @ resid
+        jtj = jac.T @ jac
+        step_ok = False
+        for _ in range(50):
+            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-300))
+            try:
+                step = np.linalg.solve(damped, g)
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            p_try = p + step
+            resid_try = (y - model_fn(p_try, m)) * w
+            chi2_try = float(resid_try @ resid_try)
+            if np.isfinite(chi2_try) and chi2_try <= chi2:
+                step_ok = True
+                break
+            lam *= 10
+        if not step_ok:
+            converged = True  # no descent direction left: at a minimum
+            break
+        rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
+        p, resid, chi2 = p_try, resid_try, chi2_try
+        lam = max(lam / 10, 1e-12)
+        if rel_drop < LM_CHI2_RTOL or np.linalg.norm(step) < LM_STEP_TOL:
+            converged = True
+            break
+    jac = jac_fn(p, m) * w[:, None]
+    jtj = jac.T @ jac
+    flags: list[str] = []
+    try:
+        cov = np.linalg.inv(jtj)
+        if np.linalg.cond(jtj) > 1e12:
+            flags.append("degenerate")
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(jtj)
+        flags.append("degenerate")
+    return p, cov, chi2, resid, iterations, converged, flags
+
+
+def _reference_decay_jac(p, m, rates=()):
+    """Columns dF/dp of ``_decay``: alpha^m, A m alpha^(m-1), rate_i^m, 1."""
+    am = np.power(p[1], m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dalpha = p[0] * m * np.power(p[1], np.maximum(m - 1, 0))
+    return np.stack([am, dalpha, *(rate**m for rate in rates), np.ones_like(am)], axis=1)
+
+
+def reference_lm(p0, m, y, sigma, rates=()):
+    """``fitting._lm``'s interface on the reference loop."""
+    return _reference_lm(
+        partial(fitting._decay, rates=rates),
+        partial(_reference_decay_jac, rates=rates),
+        p0, m, y, sigma,
+    )
+
+
+def fingerprint(fit):
+    """Every number and label of a DecayFit, floats as their bytes."""
+    return (
+        fit.model, fit.param_names, fit.params.tobytes(), fit.covariance.tobytes(),
+        fit.residuals.tobytes(), np.float64(fit.chi2).tobytes(), fit.dof,
+        np.float64(fit.chi2_reduced).tobytes(), fit.iterations, fit.converged,
+        fit.flags, fit.curve_meta,
+    )
+
+
+def run_with_both_lms(fit_fn):
+    """``fit_fn()`` on the reference loop and on the library's, each as
+    (fingerprint, number of RuntimeWarnings raised)."""
+    outcomes = []
+    for lm in (reference_lm, fitting._lm):
+        with mock.patch.object(fitting, "_lm", lm), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_fn()
+        outcomes.append(
+            (fingerprint(fit), sum(issubclass(w.category, RuntimeWarning) for w in caught))
+        )
+    return outcomes
+
+
+@given(
+    kind=st.sampled_from(["single", "merged_background", "two_rate_background"]),
+    ms=st.lists(st.integers(1, 512), min_size=5, max_size=16, unique=True),
+    alpha=st.floats(0.9, 0.999),
+    rates=st.tuples(st.floats(0.9, 0.999), st.floats(0.9, 0.999)),
+    amplitudes=st.tuples(st.floats(-0.2, 0.6), st.floats(-0.2, 0.3), st.floats(-0.2, 0.3)),
+    offset=st.floats(0.25, 0.5),
+    sigma=st.floats(1e-4, 5e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_lm_matches_reference_bit_for_bit(kind, ms, alpha, rates, amplitudes, offset, sigma,
+                                          seed):
+    rng = np.random.default_rng(seed)
+    m = np.array(sorted(ms), dtype=float)
+    rates = {"single": (), "merged_background": rates[:1], "two_rate_background": rates}[kind]
+    assume(len(m) > len(rates) + 3)  # the callers' point-count check
+    y = amplitudes[0] * alpha**m + offset + rng.normal(0, sigma, len(m))
+    for amp, rate in zip(amplitudes[1:], rates):
+        y = y + amp * rate**m
+    s = sigma * rng.uniform(0.5, 2.0, len(m))
+    seed_p = fitting._initial_guess(m, y)
+    p0 = np.concatenate([seed_p[:2], np.zeros(len(rates)), seed_p[2:]])
+    names = ("A", "alpha", *(f"A{i + 1}" for i in range(len(rates))), "B")
+    reference, library = run_with_both_lms(
+        lambda: fitting._fit(kind, names, p0, m, y, s, rates)
+    )
+    assert library == reference
+
+
+def permutation_property_curve(amplitude, seed):
+    # the input curves of recorded failures of the row-permutation property
+    rng = np.random.default_rng(seed)
+    m, y, s = synthetic_curve(0.999, 0.00390625, rng, amplitude=amplitude, offset=0.5)
+    return m, y, s * rng.uniform(0.5, 2.0, len(m))
+
+
+@pytest.mark.parametrize("amplitude, seed", [(0.5, 745), (0.25, 2), (0.5, 13228)])
+def test_lm_matches_reference_on_recorded_slow_decays(amplitude, seed):
+    # each of these runs into the iteration cap, so the cap path is compared too
+    m, y, s = permutation_property_curve(amplitude, seed)
+    reference, library = run_with_both_lms(lambda: fit_exponential(m, y, s))
+    assert library == reference
+    assert fit_exponential(m, y, s).iterations == LM_MAX_ITER
+
+
+def test_lm_matches_reference_on_three_decay_correlation_curve():
+    # 0.1 0.996^m + 0.15 0.95^m + 0.25 0.9^m + 0.25: the background fit runs
+    # onto a background rate and the single-exponential fallback takes over
+    rng = np.random.default_rng(0)
+    m = M_GRID.astype(float)
+    y = 0.1 * 0.996**m + 0.15 * 0.95**m + 0.25 * 0.9**m + 0.25 + rng.normal(0, 5e-4, len(m))
+    s = np.full(len(m), 5e-4)
+    reference, library = run_with_both_lms(lambda: fit_correlation_curve(m, y, s, 0.996, 0.95))
+    assert library == reference
+    assert "background_fit_degenerate" in fit_correlation_curve(m, y, s, 0.996, 0.95).flags

@@ -604,8 +604,10 @@ def test_read_curves_rejects_wrong_header(tmp_path):
         ("exp1,Q1,2,0.9,0.01,5", "duplicate m=2"),
         ("exp1,Q1,8,0.9,0.01,6", "K=6"),
         ("exp1,Q1,0,0.9,0.01,5", "m=0 < 1"),
+        ("exp2,Q2,8,0.9,0.01,1", "K=1 < 2"),
+        ("exp2,Q2,8,0.9,0.01,-3", "K=-3 < 2"),
     ],
-    ids=["nan_mean", "inf_stderr", "duplicate_m", "mixed_K", "m_zero"],
+    ids=["nan_mean", "inf_stderr", "duplicate_m", "mixed_K", "m_zero", "K_one", "K_negative"],
 )
 def test_read_curves_rejects_bad_values(tmp_path, bad_row, message):
     path = tmp_path / "bad.csv"
