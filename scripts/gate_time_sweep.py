@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 
-from rbaddr.noise import SAMPLE_A, CrossTalk, predict_addressability
+from rbaddr.noise import SAMPLE_A, CrossTalk, NoisyGateSet, predict_addressability
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
     rows = []
     for gt_ns in (float(x) for x in args.times.split(",")):
         params = SAMPLE_A.with_gate_time(gt_ns * 1e-9)
-        pred = predict_addressability(CrossTalk(params), gamma_max_m=0)
+        pred = predict_addressability(NoisyGateSet(CrossTalk(params)), gamma_max_m=0)
         rows.append(
             [
                 gt_ns,

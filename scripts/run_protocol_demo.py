@@ -1,5 +1,6 @@
 """Run the three simultaneous-benchmarking experiments for one noise model
-and print the extracted addressability table next to the model prediction.
+and print the extracted addressability table next to the model prediction;
+one gate set serves both.
 
 Usage:
     python scripts/run_protocol_demo.py [--preset sample_a_crosstalk]
@@ -10,7 +11,12 @@ import argparse
 
 from rbaddr.cli import model_presets
 from rbaddr.fitting import fit_protocol_curves
-from rbaddr.noise import DEFAULT_EVOLVE_STEPS, describe_model, predict_addressability
+from rbaddr.noise import (
+    DEFAULT_EVOLVE_STEPS,
+    NoisyGateSet,
+    describe_model,
+    predict_addressability,
+)
 from rbaddr.protocol import RBConfig, run_protocol
 from rbaddr.report import build_report
 
@@ -28,15 +34,16 @@ def main():
     model, label = presets[args.preset]
     lengths = tuple(int(x) for x in args.lengths.split(","))
     cfg = RBConfig(lengths=lengths, K=args.K, seed=args.seed)
+    gateset = NoisyGateSet(model)
 
     print(f"model: {describe_model(model)}")
     print(f"simulating 3 experiments, lengths {lengths}, K={args.K} ...")
-    curves = run_protocol(cfg, model)
+    curves = run_protocol(cfg, gateset)
     report = build_report(fit_protocol_curves(curves)["alpha_fits"], label)
     print()
     print(report.to_text())
 
-    pred = predict_addressability(model, gamma_max_m=0)
+    pred = predict_addressability(gateset, gamma_max_m=0)
     print("model prediction (no Monte Carlo):")
     for key, value in sorted(pred["delta_r"].items()):
         print(f"  {key} = {value:.4f}")

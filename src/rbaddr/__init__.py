@@ -13,6 +13,7 @@ from .noise import (
     Depolarizing,
     DeviceParams,
     Ideal,
+    NoisyGateSet,
     StaticError,
     decoherence_ptm,
     evolve_to_ptm,

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -143,6 +144,9 @@ def _device_from_config(cfg: dict[str, str], preset: str | None) -> DeviceParams
             raise ConfigError(
                 f"unknown device preset '{preset}' (have: {', '.join(sorted(DEVICE_PRESETS))})"
             )
+        extra = ", ".join(sorted(DEVICE_KEYS & cfg.keys() - {"gate_time_ns"}))
+        if extra:
+            raise ConfigError(f"device preset '{preset}' fixes all but gate_time_ns: {extra}")
         params = DEVICE_PRESETS[preset]
         if "gate_time_ns" in cfg:
             params = params.with_gate_time(float(cfg["gate_time_ns"]) * 1e-9)
@@ -185,6 +189,22 @@ def _steps(cfg: dict[str, str]) -> int:
     return steps
 
 
+def _preset_model(cfg: dict[str, str], preset: str, model):
+    """A model preset on its device preset at the configured gate time; a
+    preset whose model runs on no device refuses every device key."""
+    keys = sorted(DEVICE_KEYS & cfg.keys())
+    if not keys:
+        return model
+    factors = model.factors if isinstance(model, Composite) else (model,)
+    devices = {f.params for f in factors if hasattr(f, "params")}
+    names = [name for name, params in DEVICE_PRESETS.items() if params in devices]
+    if not names:
+        raise ConfigError(f"preset '{preset}' has no device; remove: {', '.join(keys)}")
+    device = _device_from_config(cfg, names[0])
+    factors = [replace(f, params=device) if hasattr(f, "params") else f for f in factors]
+    return Composite(tuple(factors)) if isinstance(model, Composite) else factors[0]
+
+
 @_config_values
 def _build_model(cfg: dict[str, str], args):
     steps = _steps(cfg)
@@ -195,7 +215,7 @@ def _build_model(cfg: dict[str, str], args):
             raise ConfigError(
                 f"unknown preset '{preset}' (have: {', '.join(sorted(presets))})"
             )
-        return presets[preset][0], presets[preset][1]
+        return _preset_model(cfg, preset, presets[preset][0]), presets[preset][1]
     name = args.model or cfg.get("model", "ideal")
     label = cfg.get("sample_label", name)
     if name == "ideal":
@@ -225,9 +245,8 @@ def _crosstalk_model(cfg: dict[str, str], device: DeviceParams) -> CrossTalk:
 
 
 @_config_values
-def _rb_config(cfg: dict[str, str], args, model) -> RBConfig:
-    """Run settings from the command line and config; bad values, and a
-    per-Clifford granularity the model cannot have, exit 1."""
+def _rb_config(cfg: dict[str, str], args) -> RBConfig:
+    """Run settings from the command line and config; bad values exit 1."""
     kwargs = {}
     lengths = args.lengths if args.lengths is not None else cfg.get("lengths")
     if lengths is not None:
@@ -237,14 +256,15 @@ def _rb_config(cfg: dict[str, str], args, model) -> RBConfig:
         kwargs["K"] = int(k)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     kwargs["seed"] = int(seed)
-    if "granularity" in cfg:
-        kwargs["granularity"] = cfg["granularity"]
     if "shots" in cfg:
         kwargs["shots"] = int(cfg["shots"])
-    rb_cfg = RBConfig(**kwargs)
-    if rb_cfg.granularity == "clifford":
-        NoisyGateSet(model).clifford_error()
-    return rb_cfg
+    return RBConfig(**kwargs)
+
+
+@_config_values
+def _gateset(cfg: dict[str, str], model) -> NoisyGateSet:
+    """The run's one gate set; a granularity the model cannot have exits 1."""
+    return NoisyGateSet(model, cfg.get("granularity", "generator"))
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +383,9 @@ def cmd_simulate(args) -> int:
     started = _now()
     cfg = parse_config_file(args.config) if args.config else {}
     model, sample_label = _build_model(cfg, args)
-    rb_cfg = _rb_config(cfg, args, model)
+    rb_cfg = _rb_config(cfg, args)
+    gateset = _gateset(cfg, model)
     out = _out_dir(args, "simulate")
-
-    curves = run_protocol(rb_cfg, model)
-    curves_path = out / "curves.csv"
-    write_curves_csv(curves, curves_path)
 
     config_digest = hashlib.sha256(
         json.dumps(sorted(cfg.items())).encode()
@@ -378,11 +395,15 @@ def cmd_simulate(args) -> int:
         "seed": rb_cfg.seed,
         "lengths": list(rb_cfg.lengths),
         "K": rb_cfg.K,
-        "granularity": rb_cfg.granularity,
+        "granularity": gateset.granularity,
         "mean_generators_per_clifford": get_group("c1").mean_slots,
         "config_digest": config_digest,
         "toolkit_version": __version__,
     }
+    curves = run_protocol(rb_cfg, gateset)
+    del gateset  # the analysis needs none of its tables (CxC's holds 1.2 MB)
+    curves_path = out / "curves.csv"
+    write_curves_csv(curves, curves_path)
     outputs = [curves_path]
     outputs += _analyze_and_write(curves, out, sample_label, provenance)
     _write_manifest(
@@ -424,7 +445,7 @@ def cmd_predict(args) -> int:
     model = _crosstalk_model(cfg, device)
     if args.with_decoherence:
         model = Composite((model, Decoherence(device)))
-    prediction = predict_addressability(model)
+    prediction = predict_addressability(NoisyGateSet(model))
     prediction["gate_time_ns"] = device.gate_time * 1e9
     out = _out_dir(args, "predict")
     pred_path = out / "predictions.json"

@@ -133,34 +133,36 @@ def _lm(p0, m, y, sigma, rates=()):
     lam = LM_LAMBDA0
     converged = False
     iterations = 0
-    for iterations in range(1, LM_MAX_ITER + 1):
-        fill_jacobian(p, am)
-        g = jac.T @ resid
-        jtj = jac.T @ jac
-        scale = np.diag(np.maximum(jtj.diagonal(), 1e-300))
-        step_ok = False
-        for _ in range(50):
-            try:
-                step = np.linalg.solve(jtj + lam * scale, g)
-            except np.linalg.LinAlgError:
+    # a trial step that runs off is rejected; its overflow warning is noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, LM_MAX_ITER + 1):
+            fill_jacobian(p, am)
+            g = jac.T @ resid
+            jtj = jac.T @ jac
+            scale = np.diag(np.maximum(jtj.diagonal(), 1e-300))
+            step_ok = False
+            for _ in range(50):
+                try:
+                    step = np.linalg.solve(jtj + lam * scale, g)
+                except np.linalg.LinAlgError:
+                    lam *= 10
+                    continue
+                p_try = p + step
+                am_try, resid_try = trial(p_try)
+                chi2_try = float(resid_try @ resid_try)
+                if math.isfinite(chi2_try) and chi2_try <= chi2:
+                    step_ok = True
+                    break
                 lam *= 10
-                continue
-            p_try = p + step
-            am_try, resid_try = trial(p_try)
-            chi2_try = float(resid_try @ resid_try)
-            if math.isfinite(chi2_try) and chi2_try <= chi2:
-                step_ok = True
+            if not step_ok:
+                converged = True  # no descent direction left: at a minimum
                 break
-            lam *= 10
-        if not step_ok:
-            converged = True  # no descent direction left: at a minimum
-            break
-        rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
-        p, am, resid, chi2 = p_try, am_try, resid_try, chi2_try
-        lam = max(lam / 10, 1e-12)
-        if rel_drop < LM_CHI2_RTOL or math.sqrt(step @ step) < LM_STEP_TOL:
-            converged = True
-            break
+            rel_drop = (chi2 - chi2_try) / max(chi2, 1e-300)
+            p, am, resid, chi2 = p_try, am_try, resid_try, chi2_try
+            lam = max(lam / 10, 1e-12)
+            if rel_drop < LM_CHI2_RTOL or math.sqrt(step @ step) < LM_STEP_TOL:
+                converged = True
+                break
     fill_jacobian(p, am)  # at the final point
     jtj = jac.T @ jac
     flags: list[str] = []

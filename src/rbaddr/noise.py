@@ -13,7 +13,9 @@ Every pulse is one of the six generator rotations of
 one envelope shape: a flat top with smooth C-infinity edges over a
 quarter of the gate on each side.  Gate duration and pulse shape are not
 constrained by the device data and dominate the cross-talk error
-predictions; the gate time is configuration (default 24 ns).
+predictions; the gate time is configuration (default 24 ns).  A
+``NoisyGateSet`` is one model at one noise granularity, built once per
+run; simulation and prediction read every element's channel from it.
 """
 
 from __future__ import annotations
@@ -557,17 +559,23 @@ def _slot_errors(model: NoiseModel, ideal: np.ndarray | None) -> np.ndarray:
 
 class NoisyGateSet:
     """Noisy channels of the 48 played slots and of every group element, for
-    one model, built once.
+    one model at one noise granularity (per generator slot, or per Clifford
+    for a model without cross-talk), built once.
 
     ``slot_channels`` holds the identity pad in row 0 and the channel of
     ``SLOTS[s]`` in row s + 1, all built as one batch: for a cross-talk
     model, one :func:`evolve_to_ptms` call.  ``element_table`` composes
-    each group's words from it.
+    each group's elements from it.
     """
 
-    def __init__(self, model: NoiseModel):
+    def __init__(self, model: NoiseModel, granularity: str = "generator"):
+        if granularity not in ("generator", "clifford"):
+            raise ValueError("granularity must be 'generator' or 'clifford'")
+        if granularity == "clifford" and _has_crosstalk(model):
+            raise ValueError("per-Clifford noise granularity requires a gate-independent model")
         self.model = model
-        self._tables: dict[tuple[str, str], np.ndarray] = {}
+        self.granularity = granularity
+        self._tables: dict[str, np.ndarray] = {}
 
     @cached_property
     def slot_channels(self) -> np.ndarray:
@@ -589,14 +597,7 @@ class NoisyGateSet:
         the ideal PTM is a signed permutation."""
         return self.channel(gate) @ ideal_gate_ptm(gate).T
 
-    def clifford_error(self) -> np.ndarray:
-        """One error channel per Clifford (models without cross-talk only,
-        so nothing is evolved)."""
-        if _has_crosstalk(self.model):
-            raise ValueError("per-Clifford noise granularity requires a gate-independent model")
-        return _slot_errors(self.model, None)
-
-    def element_table(self, group: CliffordGroup, granularity: str) -> np.ndarray:
+    def element_table(self, group: CliffordGroup) -> np.ndarray:
         """Noisy channel of every group element, shape (len(group), 16, 16).
 
         Per Clifford, the element's ideal PTM under one error channel;
@@ -605,10 +606,9 @@ class NoisyGateSet:
         shorter than the longest is padded with the identity, which leaves
         the product exact).
         """
-        key = (group.kind, granularity)
-        if key not in self._tables:
-            if granularity == "clifford":
-                table = self.clifford_error() @ group.ptms
+        if group.kind not in self._tables:
+            if self.granularity == "clifford":
+                table = _slot_errors(self.model, None) @ group.ptms
             else:
                 words = [element_slots(e) for e in group.elements]
                 positions = np.zeros((len(words), max(map(len, words))), dtype=np.int64)
@@ -618,30 +618,20 @@ class NoisyGateSet:
                 for column in positions.T:
                     table = self.slot_channels[column] @ table
             table.setflags(write=False)
-            self._tables[key] = table
-        return self._tables[key]
+            self._tables[group.kind] = table
+        return self._tables[group.kind]
 
 
 # ---------------------------------------------------------------------------
 # Model-based predictions
 
 
-def average_error_channel(
-    model: NoiseModel | NoisyGateSet,
-    group: CliffordGroup | str,
-    granularity: str = "generator",
-) -> np.ndarray:
+def average_error_channel(gateset: NoisyGateSet, group: CliffordGroup) -> np.ndarray:
     """Exact group average of per-Clifford errors noisy(i) @ ideal(i)^-1."""
-    if isinstance(group, str):
-        group = get_group(group)
-    gateset = model if isinstance(model, NoisyGateSet) else NoisyGateSet(model)
-    table = gateset.element_table(group, granularity)
-    return np.einsum("gij,gkj->ik", table, group.ptms) / len(group)
+    return np.einsum("gij,gkj->ik", gateset.element_table(group), group.ptms) / len(group)
 
 
-def predict_alphas(
-    model: NoiseModel | NoisyGateSet, group_kind: str, granularity: str = "generator"
-):
+def predict_alphas(gateset: NoisyGateSet, group_kind: str):
     """Twirl of the exact average error channel for one experiment group.
 
     Returns a TwirlOutcome for 'cxc' and SubsystemTwirlBlocks for
@@ -649,7 +639,7 @@ def predict_alphas(
     """
     from .twirl import twirl_cxc, twirl_cxi
 
-    lam = average_error_channel(model, group_kind, granularity)
+    lam = average_error_channel(gateset, get_group(group_kind))
     if group_kind == "cxc":
         return twirl_cxc(lam)
     if group_kind == "cxi":
@@ -659,11 +649,8 @@ def predict_alphas(
     raise ValueError(f"unsupported group kind '{group_kind}'")
 
 
-def predict_addressability(
-    model: NoiseModel | NoisyGateSet, gamma_max_m: int = 128, granularity: str = "generator"
-) -> dict:
-    """Full model-based prediction of the protocol outputs (no sampling),
-    from a model or from a gate set already built.
+def predict_addressability(gateset: NoisyGateSet, gamma_max_m: int = 128) -> dict:
+    """Full model-based prediction of the protocol outputs (no sampling).
 
     Returns per-Clifford alphas, gate errors, addressability deltas and a
     diagnostic for the non-exponential correction of the single-subsystem
@@ -672,10 +659,9 @@ def predict_addressability(
     from .report import build_report
     from .twirl import gamma_decay_curve
 
-    gateset = model if isinstance(model, NoisyGateSet) else NoisyGateSet(model)
-    blocks1 = predict_alphas(gateset, "cxi", granularity)
-    blocks2 = predict_alphas(gateset, "ixc", granularity)
-    out3 = predict_alphas(gateset, "cxc", granularity)
+    blocks1 = predict_alphas(gateset, "cxi")
+    blocks2 = predict_alphas(gateset, "ixc")
+    out3 = predict_alphas(gateset, "cxc")
     alphas = {"alpha_1": blocks1.alpha, "alpha_2": blocks2.alpha}
     alphas.update((k, out3.alphas[k]) for k in ("alpha_1_2", "alpha_2_1", "alpha_12"))
     report = build_report({k: (alpha, 0.0) for k, alpha in alphas.items()})

@@ -8,11 +8,9 @@ multiplication table.  Each sequence of m random elements plus its
 recovery is propagated through the noisy element channels of one gate set
 shared by the three experiments, K sequences at a time; the four final
 populations give the traced projections p00+p01 (qubit 1), p00+p10
-(qubit 2) and the correlation p00+p11.
-
-Noise enters once per generator slot by default (error scales with
-pulse count); an optional per-Clifford mode applies one channel per
-element for gate-independent models.
+(qubit 2) and the correlation p00+p11.  The gate set fixes the noise
+granularity: once per generator slot (error scales with pulse count) or
+one channel per element for gate-independent models.
 
 Sequence k of length m in an experiment draws its elements, then its
 shots, from its own stream: numpy's ``default_rng([seed, experiment code,
@@ -34,7 +32,7 @@ import numpy as np
 
 # element_slots stays importable here: bench/run.py wraps it under this name
 from .cliffords import CliffordGroup, element_slots, get_group  # noqa: F401
-from .noise import NoiseModel, NoisyGateSet
+from .noise import NoisyGateSet
 from .paulis import computational_povm_vector, computational_state
 
 EXPERIMENT_GROUPS = {"exp1": "cxi", "exp2": "ixc", "exp3": "cxc"}
@@ -97,7 +95,6 @@ class RBConfig:
     K: int = 50
     seed: int = 0
     spam: SpamModel = field(default_factory=SpamModel.perfect)
-    granularity: str = "generator"  # or "clifford"
     shots: int | None = None  # None = expectation-valued readout
     keep_raw: bool = False
 
@@ -113,8 +110,6 @@ class RBConfig:
             raise ValueError("need K >= 2 sequences per length")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.granularity not in ("generator", "clifford"):
-            raise ValueError("granularity must be 'generator' or 'clifford'")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1")
         object.__setattr__(self, "lengths", lengths)
@@ -143,16 +138,11 @@ def generate_sequence(
 
 
 def simulate_sequence(
-    group: CliffordGroup,
-    indices,
-    recovery,
-    gateset: NoisyGateSet,
-    spam: SpamModel,
-    granularity: str = "generator",
+    group: CliffordGroup, indices, recovery, gateset: NoisyGateSet, spam: SpamModel
 ) -> np.ndarray:
     """Propagate one sequence, or K at once (indices (K, m), recovery (K,));
     returns (p00, p01, p10, p11), with a leading K axis for a batch."""
-    table = gateset.element_table(group, granularity)
+    table = gateset.element_table(group)
     columns = np.column_stack([np.atleast_2d(indices), np.atleast_1d(recovery)])
     state = np.broadcast_to(spam.prep, (len(columns), len(spam.prep)))
     for column in columns.T:
@@ -239,13 +229,12 @@ def stream_states(cfg: RBConfig, experiment: str) -> list[list[dict]]:
 
 
 def run_experiment(
-    cfg: RBConfig, model: NoiseModel | NoisyGateSet, experiment: str
+    cfg: RBConfig, gateset: NoisyGateSet, experiment: str
 ) -> dict[str, SurvivalCurve]:
     """Run one experiment; returns curves keyed Q1, Q2 (and CORR for exp3)."""
     if experiment not in EXPERIMENT_GROUPS:
         raise ValueError(f"unknown experiment '{experiment}'")
     group = get_group(EXPERIMENT_GROUPS[experiment])
-    gateset = model if isinstance(model, NoisyGateSet) else NoisyGateSet(model)
     projections = PROJECTIONS if experiment == "exp3" else PROJECTIONS[:2]
     values = {proj: np.empty((len(cfg.lengths), cfg.K)) for proj in projections}
     # one generator serves every stream; its own seed is overwritten
@@ -260,9 +249,7 @@ def run_experiment(
                 shot_states.append(bitgen.state)
         indices = np.stack(rows)
         recovery = group.recovery_indices(indices)
-        pops = simulate_sequence(
-            group, indices, recovery, gateset, cfg.spam, cfg.granularity
-        )
+        pops = simulate_sequence(group, indices, recovery, gateset, cfg.spam)
         if cfg.shots is not None:
             probs = np.clip(pops, 0.0, None)
             probs = probs / probs.sum(axis=1, keepdims=True)
@@ -290,9 +277,8 @@ def run_experiment(
     return curves
 
 
-def run_protocol(cfg: RBConfig, model: NoiseModel) -> list[SurvivalCurve]:
+def run_protocol(cfg: RBConfig, gateset: NoisyGateSet) -> list[SurvivalCurve]:
     """All three experiments; curves in a fixed, deterministic order."""
-    gateset = NoisyGateSet(model)
     out = []
     for experiment in ("exp1", "exp2", "exp3"):
         curves = run_experiment(cfg, gateset, experiment)
@@ -361,6 +347,8 @@ def read_curves_csv(path) -> list[SurvivalCurve]:
                 raise ValueError(f"malformed CSV row at line {lineno}: {row}") from exc
             if m < 1:
                 raise ValueError(f"sequence length m={m} < 1 at line {lineno}")
+            if m > _MASK32:
+                raise ValueError(f"sequence length m >= 2**32 at line {lineno}")
             if k < 2:
                 raise ValueError(f"sequence count K={k} < 2 at line {lineno}")
             if not (math.isfinite(mean) and math.isfinite(stderr)):

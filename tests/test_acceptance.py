@@ -17,6 +17,7 @@ from rbaddr.noise import (
     SAMPLE_A,
     CrossTalk,
     Depolarizing,
+    NoisyGateSet,
     StaticError,
     predict_addressability,
     zz_rotation_ptm,
@@ -62,7 +63,7 @@ def test_criterion_3_correlation_witness(full_checks):
     simulate -> fit -> report."""
     check = full_checks["product_channel_delta_alpha"]
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64, 128, 256), K=50, seed=103)
-    curves = run_protocol(cfg, StaticError(zz_rotation_ptm(0.1)))
+    curves = run_protocol(cfg, NoisyGateSet(StaticError(zz_rotation_ptm(0.1))))
     result = fit_protocol_curves(curves)
     report = build_report(result["alpha_fits"], sample_label="zz_injection")
     z = report.dalpha.value / report.dalpha.sigma
@@ -131,7 +132,7 @@ def test_criterion_5_depolarizing_consistency():
         "alpha_12": float(np.mean(alpha_g ** (2 * pairs_max))),
     }
     cfg = RBConfig(K=50, seed=123)  # default lengths 1..512
-    curves = run_protocol(cfg, Depolarizing(alpha_g))
+    curves = run_protocol(cfg, NoisyGateSet(Depolarizing(alpha_g)))
     result = fit_protocol_curves(curves)
     chi2 = {
         key: fit.chi2_reduced
@@ -155,9 +156,9 @@ def test_criterion_5_depolarizing_consistency():
 def test_criterion_6_crosstalk_prediction():
     """Measured-parameter predictions land within a factor of 3 of the
     published estimates and grow when the quantum couplings double."""
-    pred = predict_addressability(CrossTalk(SAMPLE_A), gamma_max_m=0)
+    pred = predict_addressability(NoisyGateSet(CrossTalk(SAMPLE_A)), gamma_max_m=0)
     doubled_params = replace(SAMPLE_A, mu1=2 * SAMPLE_A.mu1, mu2=2 * SAMPLE_A.mu2)
-    pred_doubled = predict_addressability(CrossTalk(doubled_params), gamma_max_m=0)
+    pred_doubled = predict_addressability(NoisyGateSet(CrossTalk(doubled_params)), gamma_max_m=0)
     ok = True
     details = []
     for key, reference in PUBLISHED_DR_ESTIMATES.items():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbaddr.noise import Depolarizing
+from rbaddr.noise import Depolarizing, NoisyGateSet
 from rbaddr.protocol import RBConfig, SurvivalCurve, decay_single
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -43,7 +43,8 @@ def test_tracer_installs_on_every_planned_name(bench_run):
     try:
         tracer.install()  # AttributeError names a wrapped function that is gone
         assert protocol.run_experiment is not original
-        protocol.run_experiment(RBConfig(lengths=(1, 2), K=2), Depolarizing(0.99), "exp1")
+        gateset = NoisyGateSet(Depolarizing(0.99))
+        protocol.run_experiment(RBConfig(lengths=(1, 2), K=2), gateset, "exp1")
     finally:
         tracer.uninstall()
     assert protocol.run_experiment is original

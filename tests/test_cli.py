@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 from rbaddr.cli import _build_model, main, parse_config_file
-from rbaddr.noise import SAMPLE_A, Composite, CrossTalk, Decoherence, predict_addressability
+from rbaddr.noise import (
+    SAMPLE_A,
+    SAMPLE_B,
+    Composite,
+    CrossTalk,
+    Decoherence,
+    NoisyGateSet,
+    predict_addressability,
+)
 
 FAST_ARGS = ["--lengths", "1,2,4,8,16,32", "--K", "8"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -193,11 +201,11 @@ def test_predict_honours_steps(tmp_path):
     cfg.write_text("steps = 16\n")
     out = tmp_path / "pred16"
     assert run_cli("predict", "--preset", "sample_a", "--config", str(cfg), "--out", str(out)) == 0
-    expected = predict_addressability(CrossTalk(SAMPLE_A, 16))
+    expected = predict_addressability(NoisyGateSet(CrossTalk(SAMPLE_A, 16)))
     expected["gate_time_ns"] = SAMPLE_A.gate_time * 1e9
     pred = json.loads((out / "predictions.json").read_text())
     assert pred == json.loads(json.dumps(expected))
-    assert pred["alphas"] != predict_addressability(CrossTalk(SAMPLE_A))["alphas"]
+    assert pred["alphas"] != predict_addressability(NoisyGateSet(CrossTalk(SAMPLE_A)))["alphas"]
 
 
 @pytest.mark.parametrize("steps", [None, 16])
@@ -210,6 +218,41 @@ def test_crosstalk_presets_honour_steps(steps):
 
     assert model("sample_a_crosstalk") == build
     assert model("sample_a_full") == Composite((build, Decoherence(SAMPLE_A)))
+
+
+def test_presets_honour_gate_time():
+    # gate_time_ns beside a preset sets its device's gate time, as in predict
+    cfg = {"gate_time_ns": "48"}
+    a48, b48 = (p.with_gate_time(48 * 1e-9) for p in (SAMPLE_A, SAMPLE_B))
+
+    def model(preset):
+        return _build_model(cfg, argparse.Namespace(preset=preset, model=None))[0]
+
+    assert model("sample_a_crosstalk") == CrossTalk(a48)
+    assert model("sample_a_decoherence") == Decoherence(a48)
+    assert model("sample_a_full") == Composite((CrossTalk(a48), Decoherence(a48)))
+    assert model("sample_b_decoherence") == Decoherence(b48)
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        (("simulate", "--preset", "sample_a_full"), "mu1 = 0\n", "mu1"),
+        (("predict", "--preset", "sample_a"), "mu1 = 0\nmu2 = 0\n", "mu1, mu2"),
+        (("simulate", "--preset", "ideal"), "gate_time_ns = 48\n", "gate_time_ns"),
+        (("simulate", "--preset", "sample_a_depolarizing"), "t1_1_us = 9\n", "t1_1_us"),
+    ],
+    ids=["model_preset", "device_preset", "ideal", "depolarizing"],
+)
+def test_preset_device_key_errors_name_the_key(tmp_path, command, config, named, capsys):
+    # beside a preset only gate_time_ns may be set, and only on a device
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert run_cli(*command, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
 
 
 def test_predict_sample_b_lists_missing(tmp_path, capsys):
@@ -329,6 +372,8 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         (("predict", "--preset", "sample_a"), "steps = 3\n"),
         (("simulate", "--preset", "sample_a_crosstalk"), "steps = 3\n"),
         (("simulate",), "model = depolarizing\nalpha1 = 0.99\njoint = ture\n"),
+        (("simulate", "--preset", "sample_a_crosstalk"), "gate_time_ns = 0\n"),
+        (("simulate", "--preset", "sample_b_decoherence"), SAMPLE_A_DEVICE),
     ],
     ids=[
         "alpha_unparsable", "alpha_not_cptp", "alpha2_not_cptp",
@@ -337,6 +382,7 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         "t1_negative", "t1_nan", "steps_too_few", "clifford_granularity_crosstalk",
         "depolarizing_steps_unparsable", "decoherence_steps_too_few",
         "predict_steps_too_few", "preset_steps_too_few", "joint_misspelt",
+        "preset_gate_time_zero", "preset_device_keys",
     ],
 )
 def test_bad_model_values_are_config_errors(tmp_path, command, config, capsys):
@@ -364,6 +410,40 @@ def test_unreadable_inputs_are_config_errors(tmp_path, command, make_input, caps
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", [2**32, 10**400], ids=["2**32", "10**400"])
+def test_fit_rejects_lengths_beyond_the_simulation_bound(tmp_path, capsys, m):
+    # simulate refuses m >= 2**32; a huge m used to crash the fit's float conversion
+    csv = tmp_path / "long.csv"
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    rows += [f"exp1,Q1,{m},0.9,0.01,10" for m in (1, 2, 4, 8)]
+    rows.append(f"exp1,Q1,{m},0.5,0.01,10")
+    csv.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("fit", str(csv), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: ") and "m >= 2**32 at line 6" in err
+    assert not (out / "fits.json").exists()
+
+
+def test_fit_prints_no_warning_for_rejected_steps(tmp_path):
+    # a flat curve at the 1/4 floor: LM tries and rejects steps that
+    # overflow, and numpy used to print a RuntimeWarning for each kind
+    ms = (67, 77, 104, 119, 133, 186, 200, 307, 325, 332, 488)
+    means = (0.2466, 0.2440, 0.2348, 0.2396, 0.2555, 0.2437, 0.2444, 0.2492, 0.2501, 0.2415, 0.2470)
+    csv = tmp_path / "flat.csv"
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    rows += [f"exp1,Q1,{m},{mean},0.0047,20" for m, mean in zip(ms, means)]
+    csv.write_text("\n".join(rows) + "\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "rbaddr.cli", "fit", str(csv), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 def test_fit_rejects_nonfinite_mean(tmp_path):

@@ -466,8 +466,10 @@ def fingerprint(fit):
 
 
 def run_with_both_lms(fit_fn):
-    """``fit_fn()`` on the reference loop and on the library's, each as
-    (fingerprint, number of RuntimeWarnings raised)."""
+    """``fit_fn()`` on the reference loop and on the library's.  The two fits
+    must agree in every byte, and the library may raise no more
+    RuntimeWarnings than the reference; returns both warning counts,
+    reference first."""
     outcomes = []
     for lm in (reference_lm, fitting._lm):
         with mock.patch.object(fitting, "_lm", lm), warnings.catch_warnings(record=True) as caught:
@@ -476,7 +478,10 @@ def run_with_both_lms(fit_fn):
         outcomes.append(
             (fingerprint(fit), sum(issubclass(w.category, RuntimeWarning) for w in caught))
         )
-    return outcomes
+    (reference, reference_warnings), (library, library_warnings) = outcomes
+    assert library == reference
+    assert library_warnings <= reference_warnings
+    return reference_warnings, library_warnings
 
 
 @given(
@@ -503,10 +508,7 @@ def test_lm_matches_reference_bit_for_bit(kind, ms, alpha, rates, amplitudes, of
     seed_p = fitting._initial_guess(m, y)
     p0 = np.concatenate([seed_p[:2], np.zeros(len(rates)), seed_p[2:]])
     names = ("A", "alpha", *(f"A{i + 1}" for i in range(len(rates))), "B")
-    reference, library = run_with_both_lms(
-        lambda: fitting._fit(kind, names, p0, m, y, s, rates)
-    )
-    assert library == reference
+    run_with_both_lms(lambda: fitting._fit(kind, names, p0, m, y, s, rates))
 
 
 def permutation_property_curve(amplitude, seed):
@@ -520,8 +522,7 @@ def permutation_property_curve(amplitude, seed):
 def test_lm_matches_reference_on_recorded_slow_decays(amplitude, seed):
     # each of these runs into the iteration cap, so the cap path is compared too
     m, y, s = permutation_property_curve(amplitude, seed)
-    reference, library = run_with_both_lms(lambda: fit_exponential(m, y, s))
-    assert library == reference
+    assert run_with_both_lms(lambda: fit_exponential(m, y, s))[1] == 0
     assert fit_exponential(m, y, s).iterations == LM_MAX_ITER
 
 
@@ -532,6 +533,22 @@ def test_lm_matches_reference_on_three_decay_correlation_curve():
     m = M_GRID.astype(float)
     y = 0.1 * 0.996**m + 0.15 * 0.95**m + 0.25 * 0.9**m + 0.25 + rng.normal(0, 5e-4, len(m))
     s = np.full(len(m), 5e-4)
-    reference, library = run_with_both_lms(lambda: fit_correlation_curve(m, y, s, 0.996, 0.95))
-    assert library == reference
+    run_with_both_lms(lambda: fit_correlation_curve(m, y, s, 0.996, 0.95))
     assert "background_fit_degenerate" in fit_correlation_curve(m, y, s, 0.996, 0.95).flags
+
+
+# a flat exp1/Q1 curve at the 1/4 floor, K=20: LM tries steps that overflow
+# (alpha far above 1) and rejects them
+RUN_OFF_M = np.array([67, 77, 104, 119, 133, 186, 200, 307, 325, 332, 488], dtype=float)
+RUN_OFF_MEAN = np.array(
+    [0.2466, 0.2440, 0.2348, 0.2396, 0.2555, 0.2437, 0.2444, 0.2492, 0.2501, 0.2415, 0.2470]
+)
+
+
+def test_lm_rejects_run_off_steps_without_warnings():
+    s = np.full(len(RUN_OFF_M), 0.0047)
+    reference_warnings, library_warnings = run_with_both_lms(
+        lambda: fit_exponential(RUN_OFF_M, RUN_OFF_MEAN, s)
+    )
+    assert reference_warnings > 0  # the curve does run off
+    assert library_warnings == 0

@@ -346,10 +346,16 @@ def test_per_clifford_error_requires_gate_independence(evolved_pairs):
     # the refusal reads the model's structure and evolves nothing
     nested = Composite((Depolarizing(0.99), Composite((Decoherence(SAMPLE_A), CrossTalk(SAMPLE_A)))))
     for model in (CrossTalk(SAMPLE_A), nested):
-        with pytest.raises(ValueError):
-            NoisyGateSet(model).clifford_error()
+        with pytest.raises(ValueError, match="gate-independent"):
+            NoisyGateSet(model, "clifford")
     assert evolved_pairs == []
-    assert NoisyGateSet(Depolarizing(0.99)).clifford_error() is not None
+    assert NoisyGateSet(Depolarizing(0.99), "clifford").granularity == "clifford"
+
+
+@pytest.mark.parametrize("granularity", ["per_pulse", "Clifford", None])
+def test_gate_set_refuses_unknown_granularity(granularity):
+    with pytest.raises(ValueError, match="granularity must be"):
+        NoisyGateSet(Ideal(), granularity)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +363,14 @@ def test_per_clifford_error_requires_gate_independence(evolved_pairs):
 
 
 def test_predict_ideal_all_alphas_one():
-    pred = predict_addressability(Ideal(), gamma_max_m=8)
+    pred = predict_addressability(NoisyGateSet(Ideal()), gamma_max_m=8)
     assert all(v == pytest.approx(1.0) for v in pred["alphas"].values())
     assert all(abs(v) < 1e-12 for v in pred["gate_errors"].values())
 
 
 def test_predict_depolarizing_per_clifford_rate():
     # one depolarizing channel per Clifford: r_{1|2} = (1 - alpha) / 2
-    pred = predict_addressability(
-        Depolarizing(0.99), gamma_max_m=4, granularity="clifford"
-    )
+    pred = predict_addressability(NoisyGateSet(Depolarizing(0.99), "clifford"), gamma_max_m=4)
     assert pred["gate_errors"]["r1_given_2"] == pytest.approx(0.005)
     assert pred["delta_r"]["dr1_given_2"] == pytest.approx(0.0, abs=1e-12)
 
@@ -376,9 +380,10 @@ def test_predict_depolarizing_per_generator_word_lengths():
 
     lens = generate_c1().word_slot_counts()
     alpha_g = 0.999
-    pred = predict_alphas(Depolarizing(alpha_g), "cxi")
+    gateset = NoisyGateSet(Depolarizing(alpha_g))
+    pred = predict_alphas(gateset, "cxi")
     assert pred.alpha == pytest.approx(np.mean(alpha_g ** lens.astype(float)))
-    out = predict_alphas(Depolarizing(alpha_g), "cxc")
+    out = predict_alphas(gateset, "cxc")
     expected = np.mean(
         [alpha_g ** max(a, b) for a in lens for b in lens]
     )
@@ -386,7 +391,7 @@ def test_predict_depolarizing_per_generator_word_lengths():
 
 
 def test_predict_crosstalk_sample_a_magnitudes():
-    pred = predict_addressability(CrossTalk(SAMPLE_A), gamma_max_m=8)
+    pred = predict_addressability(NoisyGateSet(CrossTalk(SAMPLE_A)), gamma_max_m=8)
     dr1 = pred["delta_r"]["dr1_given_2"]
     dr2 = pred["delta_r"]["dr2_given_1"]
     # same order as the measured estimates 0.0034 and 0.007
@@ -395,7 +400,7 @@ def test_predict_crosstalk_sample_a_magnitudes():
 
 
 def test_average_error_channel_is_trace_preserving():
-    lam = average_error_channel(Decoherence(SAMPLE_A), "cxc")
+    lam = average_error_channel(NoisyGateSet(Decoherence(SAMPLE_A)), get_group("cxc"))
     assert cptp_diagnostic(lam, atol=1e-9).is_tp
 
 
@@ -424,7 +429,7 @@ def test_element_table_matches_per_element_loop(model):
     gateset = NoisyGateSet(model)
     for kind in ("cxi", "ixc", "cxc"):
         group = get_group(kind)
-        table = gateset.element_table(group, "generator")
+        table = gateset.element_table(group)
         assert np.array_equal(table, reference_element_table(gateset, group)), kind
 
 
@@ -438,12 +443,13 @@ def test_element_table_matches_per_element_loop(model):
     ids=["depolarizing", "zz_rotation", "dense"],
 )
 def test_clifford_element_table_matches_per_element_loop(model):
-    # one stacked product over group.ptms, bit for bit the per-element one
-    gateset = NoisyGateSet(model)
-    error = gateset.clifford_error()
+    # one stacked product over group.ptms, bit for bit the per-element one;
+    # the error channel per Clifford is the one every slot gets
+    gateset = NoisyGateSet(model, "clifford")
+    error = gateset.error_factor(("x90", None))
     for kind in ("cxi", "ixc", "cxc"):
         group = get_group(kind)
-        table = gateset.element_table(group, "clifford")
+        table = gateset.element_table(group)
         reference = np.stack([error @ e.ptm for e in group.elements])
         assert np.array_equal(table, reference), kind
 
@@ -461,26 +467,9 @@ def test_average_error_channel_matches_element_loop():
             acc += channel @ e.ptm.T
         lam = average_error_channel(gateset, group)
         assert np.max(np.abs(lam - acc / len(group))) < 1e-12
-    dep = Depolarizing(0.98, 0.97)
-    lam = average_error_channel(dep, "cxc", "clifford")
-    assert np.max(np.abs(lam - NoisyGateSet(dep).clifford_error())) < 1e-12
-
-
-@pytest.fixture
-def evolved_pairs(monkeypatch):
-    """The generator slots that go through the Magnus engine, one list per
-    call, in order."""
-    import rbaddr.noise as noise
-
-    batches = []
-    engine = noise.evolve_to_ptms
-
-    def counting(p, slots, steps):
-        batches.append(list(slots))
-        return engine(p, slots, steps)
-
-    monkeypatch.setattr(noise, "evolve_to_ptms", counting)
-    return batches
+    gateset = NoisyGateSet(Depolarizing(0.98, 0.97), "clifford")
+    lam = average_error_channel(gateset, get_group("cxc"))
+    assert np.max(np.abs(lam - gateset.error_factor(("x90", None)))) < 1e-12
 
 
 def assert_one_batch_of_all_slots(batches):
@@ -491,22 +480,23 @@ def assert_one_batch_of_all_slots(batches):
 def test_predict_addressability_builds_each_slot_channel_once(evolved_pairs):
     # one gate set serves the three group averages, and its 48 slots are
     # evolved in one batch
-    predict_addressability(CrossTalk(SAMPLE_A, steps=16), gamma_max_m=0)
+    predict_addressability(NoisyGateSet(CrossTalk(SAMPLE_A, steps=16)), gamma_max_m=0)
     assert_one_batch_of_all_slots(evolved_pairs)
 
 
 def test_run_protocol_builds_each_slot_channel_once(evolved_pairs):
     from rbaddr.protocol import RBConfig, run_protocol
 
-    run_protocol(RBConfig(lengths=(1, 2), K=2, seed=3), CrossTalk(SAMPLE_A, steps=16))
+    gateset = NoisyGateSet(CrossTalk(SAMPLE_A, steps=16))
+    run_protocol(RBConfig(lengths=(1, 2), K=2, seed=3), gateset)
     assert_one_batch_of_all_slots(evolved_pairs)
 
 
 def test_single_qubit_table_builds_every_slot_channel(evolved_pairs):
     # CxI plays 6 of the slots, and the gate set still builds all 48 at once
     gateset = NoisyGateSet(CrossTalk(SAMPLE_A, steps=16))
-    gateset.element_table(get_group("cxi"), "generator")
-    gateset.element_table(get_group("cxc"), "generator")
+    gateset.element_table(get_group("cxi"))
+    gateset.element_table(get_group("cxc"))
     assert_one_batch_of_all_slots(evolved_pairs)
 
 
@@ -567,7 +557,7 @@ def reference_channel(model, gate):
             for f in m.factors:
                 out = error(f) @ out
             return out
-        return NoisyGateSet(m).clifford_error()
+        return NoisyGateSet(m).error_factor(gate)  # gate-independent
 
     return error(model) @ ideal
 
@@ -684,10 +674,10 @@ def test_crosstalk_simulation_consistent_with_prediction():
     from rbaddr.protocol import RBConfig, run_protocol
     from rbaddr.report import build_report
 
-    model = CrossTalk(SAMPLE_A)
+    gateset = NoisyGateSet(CrossTalk(SAMPLE_A))
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64, 128), K=24, seed=31)
-    report = build_report(fit_protocol_curves(run_protocol(cfg, model))["alpha_fits"])
-    pred = predict_addressability(model, gamma_max_m=0)
+    report = build_report(fit_protocol_curves(run_protocol(cfg, gateset))["alpha_fits"])
+    pred = predict_addressability(gateset, gamma_max_m=0)
     for uval, predicted in (
         (report.r1, pred["gate_errors"]["r1"]),
         (report.r2, pred["gate_errors"]["r2"]),

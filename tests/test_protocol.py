@@ -53,8 +53,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RBConfig(K=1)
     with pytest.raises(ValueError):
-        RBConfig(granularity="per_pulse")
-    with pytest.raises(ValueError):
         RBConfig(seed=-1)
     with pytest.raises(ValueError):
         RBConfig(shots=0)
@@ -130,14 +128,15 @@ def test_populations_sum_to_one(cxc):
         assert np.all(pops > -1e-9)
 
 
-def _slot_loop_populations(group, indices, recovery, gateset, spam, granularity):
+def _slot_loop_populations(group, indices, recovery, gateset, spam):
     """Reference propagation: one mat-vec per generator slot (per element
-    and its error channel with granularity 'clifford')."""
+    and its error channel with granularity 'clifford', the channel every
+    slot of a gate-independent model gets)."""
     state = spam.prep.copy()
     for idx in (*indices, recovery):
         element = group.elements[int(idx)]
-        if granularity == "clifford":
-            state = gateset.clifford_error() @ (element.ptm @ state)
+        if gateset.granularity == "clifford":
+            state = gateset.error_factor(("x90", None)) @ (element.ptm @ state)
         else:
             for slot in element_slots(element):
                 state = gateset.channel(slot) @ state
@@ -165,24 +164,17 @@ _MISASSIGNED = replace(
 )
 def test_run_experiment_matches_per_sequence_propagation(model, granularity, spam, shots):
     # each sequence's stream draws its indices first, then its shots
-    cfg = RBConfig(
-        lengths=(1, 3, 8), K=4, seed=19, spam=spam, granularity=granularity,
-        shots=shots, keep_raw=True,
-    )
-    gateset = NoisyGateSet(model)
+    cfg = RBConfig(lengths=(1, 3, 8), K=4, seed=19, spam=spam, shots=shots, keep_raw=True)
+    gateset = NoisyGateSet(model, granularity)
     for experiment, code in EXPERIMENT_CODES.items():
         group = get_group(EXPERIMENT_GROUPS[experiment])
-        curves = run_experiment(cfg, model, experiment)
+        curves = run_experiment(cfg, gateset, experiment)
         for mi, m in enumerate(cfg.lengths):
             for k in range(cfg.K):
                 rng = np.random.default_rng([cfg.seed, code, m, k])
                 indices, recovery = generate_sequence(group, m, rng)
-                pops = simulate_sequence(
-                    group, indices, recovery, gateset, spam, granularity
-                )
-                reference = _slot_loop_populations(
-                    group, indices, recovery, gateset, spam, granularity
-                )
+                pops = simulate_sequence(group, indices, recovery, gateset, spam)
+                reference = _slot_loop_populations(group, indices, recovery, gateset, spam)
                 assert np.max(np.abs(pops - reference)) < 1e-12
                 if shots is not None:
                     probs = np.clip(pops, 0.0, None)
@@ -209,7 +201,7 @@ def _per_sequence_curves(cfg, gateset, experiment):
         drawn = [generate_sequence(group, m, rng) for rng in rngs]
         indices = np.stack([seq for seq, _ in drawn])
         recovery = np.array([rec for _, rec in drawn])
-        batch = simulate_sequence(group, indices, recovery, gateset, cfg.spam, cfg.granularity)
+        batch = simulate_sequence(group, indices, recovery, gateset, cfg.spam)
         for k, (rng, p) in enumerate(zip(rngs, batch)):
             if cfg.shots is not None:
                 p = np.clip(p, 0.0, None)
@@ -221,11 +213,11 @@ def _per_sequence_curves(cfg, gateset, experiment):
     return raw
 
 
-def _assert_per_sequence_draw_order(cfg, experiment):
+def _assert_per_sequence_draw_order(cfg, experiment, granularity):
     # gate-independent, so both granularities apply; the ZZ rotation makes
     # each sequence's populations depend on its elements
     gateset = NoisyGateSet(
-        Composite((Depolarizing(0.97, 0.95), StaticError(zz_rotation_ptm(0.2))))
+        Composite((Depolarizing(0.97, 0.95), StaticError(zz_rotation_ptm(0.2)))), granularity
     )
     curves = run_experiment(cfg, gateset, experiment)
     reference = _per_sequence_curves(cfg, gateset, experiment)
@@ -242,10 +234,9 @@ def _assert_per_sequence_draw_order(cfg, experiment):
 @pytest.mark.parametrize("shots", [None, 200])
 def test_run_experiment_reproduces_per_sequence_draw_order(experiment, granularity, shots):
     cfg = RBConfig(
-        lengths=(1, 2, 7, 20), K=5, seed=23, spam=_MISASSIGNED,
-        granularity=granularity, shots=shots, keep_raw=True,
+        lengths=(1, 2, 7, 20), K=5, seed=23, spam=_MISASSIGNED, shots=shots, keep_raw=True
     )
-    _assert_per_sequence_draw_order(cfg, experiment)
+    _assert_per_sequence_draw_order(cfg, experiment, granularity)
 
 
 @pytest.mark.parametrize("seed", [2**32, 2**64 + 5])
@@ -257,7 +248,7 @@ def test_run_experiment_draw_order_at_multiword_seeds(seed, shots):
         lengths=(1, 3, 9), K=4, seed=seed, spam=_MISASSIGNED, shots=shots,
         keep_raw=True,
     )
-    _assert_per_sequence_draw_order(cfg, "exp2")
+    _assert_per_sequence_draw_order(cfg, "exp2", "generator")
 
 
 _EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**70]
@@ -318,7 +309,7 @@ def rng_constructions(monkeypatch):
 def test_run_experiment_shares_one_generator(rng_constructions, shots):
     # 3 lengths x 6 sequences; seeding them one by one would make 18
     cfg = RBConfig(lengths=(1, 2, 4), K=6, seed=5, shots=shots)
-    run_experiment(cfg, Depolarizing(0.99), "exp3")
+    run_experiment(cfg, NoisyGateSet(Depolarizing(0.99)), "exp3")
     assert rng_constructions["default_rng"] + rng_constructions["Generator"] <= 1
     assert rng_constructions["PCG64"] + rng_constructions["SeedSequence"] <= 1
 
@@ -326,11 +317,11 @@ def test_run_experiment_shares_one_generator(rng_constructions, shots):
 def test_run_experiment_ideal_constant_one():
     cfg = RBConfig(lengths=(1, 2, 4), K=3, seed=0)
     for experiment in ("exp1", "exp2", "exp3"):
-        curves = run_experiment(cfg, Ideal(), experiment)
+        curves = run_experiment(cfg, NoisyGateSet(Ideal()), experiment)
         for curve in curves.values():
             assert np.allclose(curve.mean, 1.0, atol=1e-12)
-    assert set(run_experiment(cfg, Ideal(), "exp3")) == {"Q1", "Q2", "CORR"}
-    assert set(run_experiment(cfg, Ideal(), "exp1")) == {"Q1", "Q2"}
+    assert set(run_experiment(cfg, NoisyGateSet(Ideal()), "exp3")) == {"Q1", "Q2", "CORR"}
+    assert set(run_experiment(cfg, NoisyGateSet(Ideal()), "exp1")) == {"Q1", "Q2"}
 
 
 def test_run_experiment_depolarizing_fit_recovers_alpha():
@@ -338,7 +329,7 @@ def test_run_experiment_depolarizing_fit_recovers_alpha():
 
     alpha_g = 0.99
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64, 128), K=40, seed=7)
-    curves = run_experiment(cfg, Depolarizing(alpha_g), "exp3")
+    curves = run_experiment(cfg, NoisyGateSet(Depolarizing(alpha_g)), "exp3")
     fit = fit_curve(curves["Q1"])
     lens = generate_c1().word_slot_counts()
     expected = np.mean([alpha_g ** max(a, b) for a in lens for b in lens])
@@ -347,7 +338,7 @@ def test_run_experiment_depolarizing_fit_recovers_alpha():
 
 def test_exp3_product_noise_corr_consistent():
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64), K=40, seed=11)
-    curves = run_experiment(cfg, Depolarizing(0.995, 0.99), "exp3")
+    curves = run_experiment(cfg, NoisyGateSet(Depolarizing(0.995, 0.99)), "exp3")
     f1 = fit_curve(curves["Q1"])
     f2 = fit_curve(curves["Q2"])
     fc = fit_curve(curves["CORR"])
@@ -362,16 +353,16 @@ def test_exp3_product_noise_corr_consistent():
 
 def test_symmetric_model_exp1_exp2_consistent():
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64), K=40, seed=13)
-    f1 = fit_curve(run_experiment(cfg, Depolarizing(0.995), "exp1")["Q1"])
-    f2 = fit_curve(run_experiment(cfg, Depolarizing(0.995), "exp2")["Q2"])
+    f1 = fit_curve(run_experiment(cfg, NoisyGateSet(Depolarizing(0.995)), "exp1")["Q1"])
+    f2 = fit_curve(run_experiment(cfg, NoisyGateSet(Depolarizing(0.995)), "exp2")["Q2"])
     sigma = np.hypot(f1.alpha_sigma, f2.alpha_sigma)
     assert abs(f1.alpha - f2.alpha) < 3 * sigma
 
 
 def test_bitwise_reproducibility():
     cfg = RBConfig(lengths=(1, 4, 16), K=5, seed=21)
-    a = run_experiment(cfg, Depolarizing(0.99), "exp3")
-    b = run_experiment(cfg, Depolarizing(0.99), "exp3")
+    a = run_experiment(cfg, NoisyGateSet(Depolarizing(0.99)), "exp3")
+    b = run_experiment(cfg, NoisyGateSet(Depolarizing(0.99)), "exp3")
     for key in a:
         assert np.array_equal(a[key].mean, b[key].mean)
         assert np.array_equal(a[key].stderr, b[key].stderr)
@@ -379,37 +370,35 @@ def test_bitwise_reproducibility():
 
 def test_raw_values_retained_on_request():
     cfg = RBConfig(lengths=(1, 4, 16), K=5, seed=21, keep_raw=True)
-    curves = run_experiment(cfg, Depolarizing(0.99), "exp3")
+    curves = run_experiment(cfg, NoisyGateSet(Depolarizing(0.99)), "exp3")
     assert curves["Q1"].raw.shape == (3, 5)
     assert np.allclose(curves["Q1"].raw.mean(axis=1), curves["Q1"].mean)
     assert run_experiment(
-        RBConfig(lengths=(1, 4, 16), K=5, seed=21), Depolarizing(0.99), "exp3"
+        RBConfig(lengths=(1, 4, 16), K=5, seed=21), NoisyGateSet(Depolarizing(0.99)), "exp3"
     )["Q1"].raw is None
 
 
 def test_per_clifford_granularity():
     # one dep(0.99) per Clifford makes the per-sequence survival exactly
     # (1 + 0.99^(m+1))/2 independent of the drawn elements
-    cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32), K=5, seed=3, granularity="clifford")
-    curves = run_experiment(cfg, Depolarizing(0.99), "exp3")
+    cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32), K=5, seed=3)
+    gateset = NoisyGateSet(Depolarizing(0.99), "clifford")
+    curves = run_experiment(cfg, gateset, "exp3")
     ms = curves["Q1"].m.astype(float)
     assert np.allclose(curves["Q1"].mean, (1 + 0.99 ** (ms + 1)) / 2, atol=1e-12)
     assert np.allclose(curves["Q1"].stderr, 0.0, atol=1e-15)
     # with shot noise the fitted rate recovers alpha itself
-    cfg_shots = RBConfig(
-        lengths=(1, 2, 4, 8, 16, 32, 64), K=30, seed=3,
-        granularity="clifford", shots=400,
-    )
-    fit = fit_curve(run_experiment(cfg_shots, Depolarizing(0.99), "exp3")["Q1"])
+    cfg_shots = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64), K=30, seed=3, shots=400)
+    fit = fit_curve(run_experiment(cfg_shots, gateset, "exp3")["Q1"])
     assert abs(fit.alpha - 0.99) < 3 * fit.alpha_sigma
 
 
 def test_shot_noise_mode():
     cfg = RBConfig(lengths=(1, 2, 4), K=5, seed=9, shots=200)
-    curves = run_experiment(cfg, Depolarizing(0.95), "exp3")
+    curves = run_experiment(cfg, NoisyGateSet(Depolarizing(0.95)), "exp3")
     means = curves["Q1"].mean
     assert np.all((means >= 0) & (means <= 1))
-    again = run_experiment(cfg, Depolarizing(0.95), "exp3")
+    again = run_experiment(cfg, NoisyGateSet(Depolarizing(0.95)), "exp3")
     assert np.array_equal(curves["Q1"].mean, again["Q1"].mean)
 
 
@@ -438,8 +427,8 @@ def test_spam_errors_absorbed_into_amplitude():
         lengths=cfg.lengths, K=cfg.K, seed=cfg.seed,
         spam=replace(SpamModel.perfect(), assignment=flip),
     )
-    clean = fit_curve(run_experiment(cfg, Depolarizing(0.99), "exp1")["Q1"])
-    dirty = fit_curve(run_experiment(cfg_spam, Depolarizing(0.99), "exp1")["Q1"])
+    clean = fit_curve(run_experiment(cfg, NoisyGateSet(Depolarizing(0.99)), "exp1")["Q1"])
+    dirty = fit_curve(run_experiment(cfg_spam, NoisyGateSet(Depolarizing(0.99)), "exp1")["Q1"])
     sigma = np.hypot(clean.alpha_sigma, dirty.alpha_sigma)
     assert abs(clean.alpha - dirty.alpha) < 3 * sigma
     assert dirty.A < clean.A
@@ -451,11 +440,8 @@ def test_uncorrelated_noise_null_addressability():
     from rbaddr.fitting import fit_protocol_curves
     from rbaddr.report import build_report
 
-    cfg = RBConfig(
-        lengths=(1, 2, 4, 8, 16, 32, 64, 128), K=40, seed=17,
-        granularity="clifford", shots=800,
-    )
-    curves = run_protocol(cfg, Depolarizing(0.995, 0.99))
+    cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64, 128), K=40, seed=17, shots=800)
+    curves = run_protocol(cfg, NoisyGateSet(Depolarizing(0.995, 0.99), "clifford"))
     report = build_report(fit_protocol_curves(curves)["alpha_fits"])
     assert report.missing == ()
     assert abs(report.dr1_given_2.value) < 3 * report.dr1_given_2.sigma
@@ -493,15 +479,13 @@ def test_p00_triple_exponential_structure():
     # per-Clifford product depolarizing: p00 follows the three-exponential
     # law with equal quarter amplitudes from the |00><00| Pauli expansion
     a1, a2 = 0.97, 0.94
-    cfg = RBConfig(lengths=(1, 2, 3, 5, 8), K=10, seed=1, granularity="clifford")
+    cfg = RBConfig(lengths=(1, 2, 3, 5, 8), K=10, seed=1)
     group = get_group("cxc")
-    gateset = NoisyGateSet(Depolarizing(a1, a2))
+    gateset = NoisyGateSet(Depolarizing(a1, a2), "clifford")
     rng = np.random.default_rng(33)
     for m in cfg.lengths:
         indices, recovery = generate_sequence(group, m, rng)
-        pops = simulate_sequence(
-            group, indices, recovery, gateset, SpamModel.perfect(), "clifford"
-        )
+        pops = simulate_sequence(group, indices, recovery, gateset, SpamModel.perfect())
         n = m + 1  # recovery carries a noise channel too
         expected = decay_triple(
             np.array([n]), 0.25, a1, 0.25, a2, 0.25, a1 * a2, 0.25
@@ -521,7 +505,7 @@ def test_decay_gamma_matches_matrix_powers():
 
 def test_curves_csv_round_trip(tmp_path):
     cfg = RBConfig(lengths=(1, 2, 4), K=4, seed=2)
-    curves = run_protocol(cfg, Depolarizing(0.99))
+    curves = run_protocol(cfg, NoisyGateSet(Depolarizing(0.99)))
     path = tmp_path / "curves.csv"
     write_curves_csv(curves, path)
     loaded = read_curves_csv(path)
@@ -606,8 +590,11 @@ def test_read_curves_rejects_wrong_header(tmp_path):
         ("exp1,Q1,0,0.9,0.01,5", "m=0 < 1"),
         ("exp2,Q2,8,0.9,0.01,1", "K=1 < 2"),
         ("exp2,Q2,8,0.9,0.01,-3", "K=-3 < 2"),
+        ("exp1,Q1,4294967296,0.9,0.01,5", r"m >= 2\*\*32"),
+        ("exp1,Q1,1" + "0" * 400 + ",0.9,0.01,5", r"m >= 2\*\*32"),
     ],
-    ids=["nan_mean", "inf_stderr", "duplicate_m", "mixed_K", "m_zero", "K_one", "K_negative"],
+    ids=["nan_mean", "inf_stderr", "duplicate_m", "mixed_K", "m_zero", "K_one", "K_negative",
+         "m_2_to_the_32", "m_huge"],
 )
 def test_read_curves_rejects_bad_values(tmp_path, bad_row, message):
     path = tmp_path / "bad.csv"

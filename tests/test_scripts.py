@@ -1,11 +1,21 @@
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from rbaddr.cli import main as rbaddr_main
 from rbaddr.cli import model_presets
-from rbaddr.noise import DEFAULT_EVOLVE_STEPS, SAMPLE_A, CrossTalk, predict_addressability
+from rbaddr.noise import (
+    DEFAULT_EVOLVE_STEPS,
+    SAMPLE_A,
+    CrossTalk,
+    NoisyGateSet,
+    predict_addressability,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,7 +38,7 @@ def test_gate_time_sweep_rows_match_predictions(tmp_path):
     assert len(rows) == 3
     for row, gt_ns in zip(rows[1:], (12.0, 48.0)):
         pred = predict_addressability(
-            CrossTalk(SAMPLE_A.with_gate_time(gt_ns * 1e-9)), gamma_max_m=0
+            NoisyGateSet(CrossTalk(SAMPLE_A.with_gate_time(gt_ns * 1e-9))), gamma_max_m=0
         )
         expected = [
             gt_ns,
@@ -42,7 +52,8 @@ def test_gate_time_sweep_rows_match_predictions(tmp_path):
 
 
 def test_protocol_demo_prints_the_prediction_of_a_composite_preset():
-    pred = predict_addressability(model_presets(DEFAULT_EVOLVE_STEPS)["sample_a_full"][0], gamma_max_m=0)
+    model = model_presets(DEFAULT_EVOLVE_STEPS)["sample_a_full"][0]
+    pred = predict_addressability(NoisyGateSet(model), gamma_max_m=0)
     out = run_script(
         "run_protocol_demo.py", "--preset", "sample_a_full", "--K", "4", "--lengths", "1,2,4,8,16"
     ).stdout
@@ -53,3 +64,19 @@ def test_protocol_demo_prints_the_prediction_of_a_composite_preset():
         f"  dr2_given_1 = {pred['delta_r']['dr2_given_1']:.4f}",
         f"  delta_alpha = {pred['delta_alpha']:.4f}",
     ]
+
+
+@pytest.mark.parametrize("command", ["demo", "simulate"])
+def test_one_gate_set_per_command(command, evolved_pairs, monkeypatch, tmp_path, capsys):
+    # simulation and prediction share one gate set: its 48 slots go through
+    # the Magnus engine once
+    fast = ["--K", "4", "--lengths", "1,2,4,8,16"]
+    if command == "demo":
+        argv = ["run_protocol_demo.py", "--preset", "sample_a_crosstalk", *fast]
+        monkeypatch.setattr(sys, "argv", argv)
+        runpy.run_path(str(ROOT / "scripts" / "run_protocol_demo.py"), run_name="__main__")
+    else:
+        argv = ["simulate", "--preset", "sample_a_crosstalk", *fast, "--out", str(tmp_path)]
+        assert rbaddr_main(argv) == 0
+    assert len(evolved_pairs) == 1
+    assert len(evolved_pairs[0]) == len(set(evolved_pairs[0])) == 48

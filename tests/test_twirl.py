@@ -226,9 +226,9 @@ def test_gamma_decay_m_zero_is_one():
 
 def test_crosstalk_gamma_near_exponential():
     # small coherent errors keep (Gamma^m)_00 within 1e-3 of alpha^m
-    from rbaddr.noise import SAMPLE_A, CrossTalk, predict_alphas
+    from rbaddr.noise import SAMPLE_A, CrossTalk, NoisyGateSet, predict_alphas
 
-    blocks = predict_alphas(CrossTalk(SAMPLE_A), "cxi")
+    blocks = predict_alphas(NoisyGateSet(CrossTalk(SAMPLE_A)), "cxi")
     ms = np.arange(0, 129)
     curve = gamma_decay_curve(blocks, ms)
     deviation = np.max(np.abs(curve - blocks.alpha ** ms.astype(float)))
