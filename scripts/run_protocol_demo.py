@@ -9,29 +9,23 @@ Usage:
 
 import argparse
 
-from rbaddr.cli import model_presets
+from rbaddr.cli import MODEL_PRESETS, build_model
 from rbaddr.fitting import fit_protocol_curves
-from rbaddr.noise import (
-    DEFAULT_EVOLVE_STEPS,
-    NoisyGateSet,
-    describe_model,
-    predict_addressability,
-)
+from rbaddr.noise import NoisyGateSet, describe_model, predict_addressability
 from rbaddr.protocol import RBConfig, run_protocol
 from rbaddr.report import build_report
 
 
 def main():
-    presets = model_presets(DEFAULT_EVOLVE_STEPS)
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default="sample_a_crosstalk",
-                        choices=sorted(presets))
+                        choices=sorted(MODEL_PRESETS))
     parser.add_argument("--K", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lengths", default="1,2,4,8,16,32,64,128,256")
     args = parser.parse_args()
 
-    model, label = presets[args.preset]
+    model, label = build_model({"preset": args.preset})
     lengths = tuple(int(x) for x in args.lengths.split(","))
     cfg = RBConfig(lengths=lengths, K=args.K, seed=args.seed)
     gateset = NoisyGateSet(model)

@@ -4,8 +4,14 @@ Subcommands: ``simulate`` (run the three experiments and analyze them),
 ``fit`` (analyze an external curve CSV), ``predict`` (model-based
 addressability estimates, no Monte Carlo), ``verify`` (oracle suite) and
 ``dump-group`` (group table export).  Configuration is flat ``key = value``
-text; all structured outputs are JSON, curves are CSV.  Exit codes:
-0 success, 1 usage/config error, 2 analysis error, 3 verification failure.
+text, each key once; ``simulate``'s flags override the keys they name.
+Every noise model, whether from a preset, a config file or ``predict``, is
+built by ``build_model``: a model preset is the config values it fixes
+(``MODEL_PRESETS``), and ``DEVICE_KEYS`` takes each device key's units to
+its ``DeviceParams`` field.  A key the command or model does not read is a
+config error.  All structured outputs are JSON, curves are CSV.  Exit
+codes: 0 success, 1 usage/config error, 2 analysis error, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,8 +35,7 @@ from .noise import (
     DEFAULT_EVOLVE_STEPS,
     DEVICE_PRESETS,
     MIN_EVOLVE_STEPS,
-    SAMPLE_A,
-    SAMPLE_B,
+    TWO_PI,
     Composite,
     CrossTalk,
     Decoherence,
@@ -46,40 +51,56 @@ from .report import build_report
 
 OUT_ENV_VAR = "RB_ADDR_OUT"
 
-# Per-generator depolarizing strength matched to sample a's measured r_1
-# through the mean word length of the Clifford decomposition.
-SAMPLE_A_ALPHA_PER_GENERATOR = 0.9957
-
+# Each device config key: its DeviceParams field and the factors that take
+# the key's units to rad/s and s, applied left to right (the order fixes
+# the rounding of the stored parameter).
 DEVICE_KEYS = {
-    "omega1_ghz",
-    "omega2_ghz",
-    "t1_1_us",
-    "t1_2_us",
-    "t2_1_us",
-    "t2_2_us",
-    "zeta_mhz",
-    "m12",
-    "m21",
-    "mu1",
-    "mu2",
-    "nu1",
-    "nu2",
-    "gate_time_ns",
+    "omega1_ghz": ("omega1", (TWO_PI, 1e9)),  # omega/2pi in GHz
+    "omega2_ghz": ("omega2", (TWO_PI, 1e9)),
+    "t1_1_us": ("t1_1", (1e-6,)),
+    "t1_2_us": ("t1_2", (1e-6,)),
+    "t2_1_us": ("t2_1", (1e-6,)),
+    "t2_2_us": ("t2_2", (1e-6,)),
+    "zeta_mhz": ("zeta", (TWO_PI * 1e6,)),  # zeta/2pi in MHz
+    "m12": ("m12", ()),
+    "m21": ("m21", ()),
+    "mu1": ("mu1", ()),
+    "mu2": ("mu2", ()),
+    "nu1": ("nu1", ()),
+    "nu2": ("nu2", ()),
+    "gate_time_ns": ("gate_time", (1e-9,)),
 }
-RUN_KEYS = {
-    "model",
-    "preset",
-    "alpha1",
-    "alpha2",
-    "joint",
-    "lengths",
-    "k",
-    "seed",
-    "sample_label",
-    "granularity",
-    "shots",
-    "steps",
+REQUIRED_DEVICE_KEYS = ("omega1_ghz", "omega2_ghz", "t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us")
+# The keys that choose the noise model and the keys of the run itself.
+MODEL_KEYS = {
+    "preset", "model", "alpha1", "alpha2", "joint", "sample_label", "steps", *DEVICE_KEYS,
 }
+RUN_KEYS = {"lengths", "k", "seed", "granularity", "shots"}
+# Beside model, sample_label and steps, the model keys each model reads.
+MODELS = {
+    "ideal": set(),
+    "depolarizing": {"alpha1", "alpha2", "joint"},
+    "decoherence": set(DEVICE_KEYS),
+    "crosstalk": set(DEVICE_KEYS),
+    "crosstalk_decoherence": set(DEVICE_KEYS),
+}
+# A model preset: the config values it fixes and the device preset its
+# model runs on.  Sample a's per-generator depolarizing alpha matches its
+# measured r_1 through the mean word length of the Clifford decomposition.
+MODEL_PRESETS = {
+    "ideal": ({"model": "ideal", "sample_label": "ideal"}, None),
+    "sample_a_depolarizing": (
+        {"model": "depolarizing", "alpha1": "0.9957", "sample_label": "sample_a"}, None,
+    ),
+    "sample_a_crosstalk": ({"model": "crosstalk", "sample_label": "sample_a"}, "sample_a"),
+    "sample_a_decoherence": ({"model": "decoherence", "sample_label": "sample_a"}, "sample_a"),
+    "sample_a_full": (
+        {"model": "crosstalk_decoherence", "sample_label": "sample_a"}, "sample_a",
+    ),
+    "sample_b_decoherence": ({"model": "decoherence", "sample_label": "sample_b"}, "sample_b"),
+}
+# The only model keys that may be set beside a model preset.
+PRESET_FREE_KEYS = {"steps", "gate_time_ns"}
 
 BOOLEAN_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
@@ -120,8 +141,9 @@ def _read_input(read, path):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat 'key = value' config with '#' comments."""
+    """Flat 'key = value' config with '#' comments; a key may appear once."""
     cfg: dict[str, str] = {}
+    lines: dict[str, int] = {}
     text = _read_input(Path.read_text, Path(path))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -131,140 +153,117 @@ def parse_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if key not in DEVICE_KEYS | RUN_KEYS:
+        if key not in MODEL_KEYS | RUN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in lines:
+            raise ConfigError(
+                f"{path}:{lineno}: config key '{key}' repeats line {lines[key]}"
+            )
         cfg[key] = value
+        lines[key] = lineno
     return cfg
 
 
-@_config_values
-def _device_from_config(cfg: dict[str, str], preset: str | None) -> DeviceParams:
-    if preset is not None:
-        if preset not in DEVICE_PRESETS:
-            raise ConfigError(
-                f"unknown device preset '{preset}' (have: {', '.join(sorted(DEVICE_PRESETS))})"
-            )
-        extra = ", ".join(sorted(DEVICE_KEYS & cfg.keys() - {"gate_time_ns"}))
-        if extra:
-            raise ConfigError(f"device preset '{preset}' fixes all but gate_time_ns: {extra}")
-        params = DEVICE_PRESETS[preset]
-        if "gate_time_ns" in cfg:
-            params = params.with_gate_time(float(cfg["gate_time_ns"]) * 1e-9)
-    else:
-        device_cfg = {k: v for k, v in cfg.items() if k in DEVICE_KEYS}
-        required = {"omega1_ghz", "omega2_ghz", "t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us"}
-        missing = sorted(required - device_cfg.keys())
+def _device(values: dict[str, str], preset: str | None) -> DeviceParams:
+    """The device the device keys describe, or the device preset at the
+    configured gate time."""
+    keys = DEVICE_KEYS.keys() & values.keys()
+    fields = {}
+    if preset is None:
+        missing = [key for key in REQUIRED_DEVICE_KEYS if key not in keys]
         if missing:
             raise ConfigError("missing device parameters: " + ", ".join(missing))
-        params = DeviceParams.from_config(device_cfg)
+    elif preset not in DEVICE_PRESETS:
+        raise ConfigError(
+            f"unknown device preset '{preset}' (have: {', '.join(sorted(DEVICE_PRESETS))})"
+        )
+    elif keys - {"gate_time_ns"}:
+        extra = ", ".join(sorted(keys - {"gate_time_ns"}))
+        raise ConfigError(f"device preset '{preset}' fixes all but gate_time_ns: {extra}")
+    else:
+        fields = asdict(DEVICE_PRESETS[preset])
+    for key in keys:
+        name, factors = DEVICE_KEYS[key]
+        value = float(values[key])
+        for factor in factors:
+            value = value * factor
+        fields[name] = value
+    device = DeviceParams(**fields)
     # DeviceParams admits a zero-duration gate; a configured gate must take time
-    if params.gate_time <= 0:
+    if device.gate_time <= 0:
         raise ConfigError("gate_time_ns must be positive")
-    return params
-
-
-def model_presets(steps: int) -> dict:
-    """The bundled models; the cross-talk ones take ``steps`` Magnus steps
-    per gate."""
-    a_dep = Depolarizing(SAMPLE_A_ALPHA_PER_GENERATOR)
-    return {
-        "ideal": (Ideal(), "ideal"),
-        "sample_a_depolarizing": (a_dep, "sample_a"),
-        "sample_a_crosstalk": (CrossTalk(SAMPLE_A, steps), "sample_a"),
-        "sample_a_decoherence": (Decoherence(SAMPLE_A), "sample_a"),
-        "sample_a_full": (
-            Composite((CrossTalk(SAMPLE_A, steps), Decoherence(SAMPLE_A))),
-            "sample_a",
-        ),
-        "sample_b_decoherence": (Decoherence(SAMPLE_B), "sample_b"),
-    }
+    return device
 
 
 @_config_values
-def _steps(cfg: dict[str, str]) -> int:
-    """The configured Magnus steps per gate, checked whatever the model."""
-    steps = int(cfg.get("steps", DEFAULT_EVOLVE_STEPS))
+def build_model(values: dict[str, str], device_preset: str | None = None):
+    """The noise model and sample label that config values describe.
+
+    A ``preset`` value stands for the values its ``MODEL_PRESETS`` entry
+    fixes, on that entry's device preset; otherwise a device model runs on
+    ``device_preset`` (``predict --preset``) or on the device keys.  A model
+    key that the preset fixes or the model does not read is a config error.
+    """
+    steps = int(values.get("steps", DEFAULT_EVOLVE_STEPS))
     if steps < MIN_EVOLVE_STEPS:
         raise ConfigError(f"steps must be at least {MIN_EVOLVE_STEPS}")
-    return steps
-
-
-def _preset_model(cfg: dict[str, str], preset: str, model):
-    """A model preset on its device preset at the configured gate time; a
-    preset whose model runs on no device refuses every device key."""
-    keys = sorted(DEVICE_KEYS & cfg.keys())
-    if not keys:
-        return model
-    factors = model.factors if isinstance(model, Composite) else (model,)
-    devices = {f.params for f in factors if hasattr(f, "params")}
-    names = [name for name, params in DEVICE_PRESETS.items() if params in devices]
-    if not names:
-        raise ConfigError(f"preset '{preset}' has no device; remove: {', '.join(keys)}")
-    device = _device_from_config(cfg, names[0])
-    factors = [replace(f, params=device) if hasattr(f, "params") else f for f in factors]
-    return Composite(tuple(factors)) if isinstance(model, Composite) else factors[0]
-
-
-@_config_values
-def _build_model(cfg: dict[str, str], args):
-    steps = _steps(cfg)
-    presets = model_presets(steps)
-    preset = args.preset or cfg.get("preset")
-    if preset is not None:
-        if preset not in presets:
+    if "preset" in values:
+        preset = values["preset"]
+        if preset not in MODEL_PRESETS:
             raise ConfigError(
-                f"unknown preset '{preset}' (have: {', '.join(sorted(presets))})"
+                f"unknown preset '{preset}' (have: {', '.join(sorted(MODEL_PRESETS))})"
             )
-        return _preset_model(cfg, preset, presets[preset][0]), presets[preset][1]
-    name = args.model or cfg.get("model", "ideal")
-    label = cfg.get("sample_label", name)
+        fixed = sorted((MODEL_KEYS - PRESET_FREE_KEYS - {"preset"}) & values.keys())
+        if fixed:
+            raise ConfigError(
+                f"preset '{preset}' fixes {', '.join(fixed)}; "
+                f"only {' and '.join(sorted(PRESET_FREE_KEYS))} may be set beside it"
+            )
+        fixed_values, device_preset = MODEL_PRESETS[preset]
+        values = {**values, **fixed_values}
+    name = values.get("model", "ideal")
+    if name not in MODELS:
+        raise ConfigError(f"unknown model '{name}' (have: {' | '.join(MODELS)})")
+    ignored = MODELS[name] | {"preset", "model", "sample_label", "steps"}
+    unread = sorted((MODEL_KEYS - ignored) & values.keys())
+    if unread:
+        raise ConfigError(f"model '{name}' does not read: {', '.join(unread)}")
+    label = values.get("sample_label", name)
     if name == "ideal":
         return Ideal(), label
     if name == "depolarizing":
-        if "alpha1" not in cfg:
+        if "alpha1" not in values:
             raise ConfigError("depolarizing model needs config key 'alpha1'")
-        alpha2 = float(cfg["alpha2"]) if "alpha2" in cfg else None
-        joint = cfg.get("joint", "false").lower()
+        alpha2 = float(values["alpha2"]) if "alpha2" in values else None
+        joint = values.get("joint", "false").lower()
         if joint not in BOOLEAN_WORDS:
             raise ConfigError(f"joint must be one of {'/'.join(BOOLEAN_WORDS)}, not '{joint}'")
-        return Depolarizing(float(cfg["alpha1"]), alpha2, BOOLEAN_WORDS[joint]), label
-    device = _device_from_config(cfg, None)
+        return Depolarizing(float(values["alpha1"]), alpha2, BOOLEAN_WORDS[joint]), label
+    device = _device(values, device_preset)
     if name == "decoherence":
         return Decoherence(device), label
     if name == "crosstalk":
         return CrossTalk(device, steps), label
-    if name == "crosstalk_decoherence":
-        return Composite((CrossTalk(device, steps), Decoherence(device))), label
-    raise ConfigError(f"unknown model '{name}'")
+    return Composite((CrossTalk(device, steps), Decoherence(device))), label
 
 
 @_config_values
-def _crosstalk_model(cfg: dict[str, str], device: DeviceParams) -> CrossTalk:
-    """The device's cross-talk model; a missing coupling is a config error."""
-    return CrossTalk(device, _steps(cfg))
-
-
-@_config_values
-def _rb_config(cfg: dict[str, str], args) -> RBConfig:
-    """Run settings from the command line and config; bad values exit 1."""
-    kwargs = {}
-    lengths = args.lengths if args.lengths is not None else cfg.get("lengths")
-    if lengths is not None:
-        kwargs["lengths"] = tuple(int(x) for x in str(lengths).split(",") if x.strip())
-    k = args.K if args.K is not None else cfg.get("k")
-    if k is not None:
-        kwargs["K"] = int(k)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    kwargs["seed"] = int(seed)
-    if "shots" in cfg:
-        kwargs["shots"] = int(cfg["shots"])
+def _rb_config(values: dict[str, str]) -> RBConfig:
+    """Run settings from the merged values; bad values exit 1."""
+    kwargs = {"seed": int(values.get("seed", 0))}
+    if "lengths" in values:
+        kwargs["lengths"] = tuple(int(x) for x in values["lengths"].split(",") if x.strip())
+    if "k" in values:
+        kwargs["K"] = int(values["k"])
+    if "shots" in values:
+        kwargs["shots"] = int(values["shots"])
     return RBConfig(**kwargs)
 
 
 @_config_values
-def _gateset(cfg: dict[str, str], model) -> NoisyGateSet:
+def _gateset(values: dict[str, str], model) -> NoisyGateSet:
     """The run's one gate set; a granularity the model cannot have exits 1."""
-    return NoisyGateSet(model, cfg.get("granularity", "generator"))
+    return NoisyGateSet(model, values.get("granularity", "generator"))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +381,12 @@ def _analyze_and_write(
 def cmd_simulate(args) -> int:
     started = _now()
     cfg = parse_config_file(args.config) if args.config else {}
-    model, sample_label = _build_model(cfg, args)
-    rb_cfg = _rb_config(cfg, args)
-    gateset = _gateset(cfg, model)
+    flags = {"preset": args.preset, "model": args.model, "lengths": args.lengths,
+             "k": args.K, "seed": args.seed}
+    values = {**cfg, **{key: str(value) for key, value in flags.items() if value is not None}}
+    model, sample_label = build_model(values)
+    rb_cfg = _rb_config(values)
+    gateset = _gateset(values, model)
     out = _out_dir(args, "simulate")
 
     config_digest = hashlib.sha256(
@@ -415,11 +417,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     started = _now()
-    out = _out_dir(args, "fit")
     curves_path = Path(args.curves)
     curves = _read_input(read_curves_csv, curves_path)
     if not curves:
         raise FitError("no curves found in input CSV")
+    out = _out_dir(args, "fit")
     provenance = {"input": str(curves_path), "toolkit_version": __version__}
     outputs = _analyze_and_write(
         curves, out, args.sample_label or curves_path.stem, provenance
@@ -441,12 +443,18 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     started = _now()
     cfg = parse_config_file(args.config) if args.config else {}
-    device = _device_from_config(cfg, args.preset)
-    model = _crosstalk_model(cfg, device)
-    if args.with_decoherence:
-        model = Composite((model, Decoherence(device)))
+    if "preset" in cfg:
+        raise ConfigError(
+            "predict takes its device preset from --preset, not the config key 'preset'"
+        )
+    unread = sorted(cfg.keys() - DEVICE_KEYS.keys() - {"steps"})
+    if unread:
+        raise ConfigError(f"predict reads only device keys and steps; remove: {', '.join(unread)}")
+    name = "crosstalk_decoherence" if args.with_decoherence else "crosstalk"
+    model, _ = build_model({**cfg, "model": name}, args.preset)
+    crosstalk = model.factors[0] if args.with_decoherence else model
     prediction = predict_addressability(NoisyGateSet(model))
-    prediction["gate_time_ns"] = device.gate_time * 1e9
+    prediction["gate_time_ns"] = crosstalk.params.gate_time * 1e9
     out = _out_dir(args, "predict")
     pred_path = out / "predictions.json"
     _dump_json(pred_path, prediction)

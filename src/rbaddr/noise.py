@@ -101,32 +101,6 @@ class DeviceParams:
                 "cross-talk model needs parameters: " + ", ".join(missing)
             )
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "DeviceParams":
-        """Build from flat config keys (GHz / us / MHz / ns units).
-
-        Keys: omega1_ghz, omega2_ghz (omega/2pi), t1_1_us, t1_2_us,
-        t2_1_us, t2_2_us, zeta_mhz (zeta/2pi), m12, m21, mu1, mu2, nu1,
-        nu2, gate_time_ns.
-        """
-        def opt(key, scale=1.0):
-            return float(cfg[key]) * scale if key in cfg else None
-
-        kwargs = dict(
-            omega1=float(cfg["omega1_ghz"]) * TWO_PI * 1e9,
-            omega2=float(cfg["omega2_ghz"]) * TWO_PI * 1e9,
-            t1_1=float(cfg["t1_1_us"]) * 1e-6,
-            t1_2=float(cfg["t1_2_us"]) * 1e-6,
-            t2_1=float(cfg["t2_1_us"]) * 1e-6,
-            t2_2=float(cfg["t2_2_us"]) * 1e-6,
-            zeta=opt("zeta_mhz", TWO_PI * 1e6),
-        )
-        for key in ("m12", "m21", "mu1", "mu2", "nu1", "nu2"):
-            kwargs[key] = opt(key)
-        if "gate_time_ns" in cfg:
-            kwargs["gate_time"] = float(cfg["gate_time_ns"]) * 1e-9
-        return cls(**kwargs)
-
     def with_gate_time(self, gate_time: float) -> "DeviceParams":
         return replace(self, gate_time=gate_time)
 

@@ -1,5 +1,5 @@
-import argparse
 import json
+import re
 import os
 import subprocess
 import sys
@@ -7,19 +7,23 @@ from pathlib import Path
 
 import pytest
 
-from rbaddr.cli import _build_model, main, parse_config_file
+from rbaddr.cli import MODEL_KEYS, MODEL_PRESETS, RUN_KEYS, build_model, main, parse_config_file
 from rbaddr.noise import (
     SAMPLE_A,
     SAMPLE_B,
+    TWO_PI,
     Composite,
     CrossTalk,
     Decoherence,
+    Depolarizing,
+    Ideal,
     NoisyGateSet,
     predict_addressability,
 )
 
 FAST_ARGS = ["--lengths", "1,2,4,8,16,32", "--K", "8"]
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 SAMPLE_A_DEVICE = (
     "omega1_ghz = 4.9895\nomega2_ghz = 5.0554\n"
     "t1_1_us = 9.7\nt1_2_us = 8.2\nt2_1_us = 10.3\nt2_2_us = 7.1\n"
@@ -124,14 +128,17 @@ def test_fit_single_curve_partial_report(tmp_path, capsys):
 
 def test_fit_rejects_bad_rows(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
+    out = tmp_path / "o"
     csv.write_text("experiment,projection,m,mean,stderr,K\nexp1,Q1,1,0.9,-1,5\n")
-    assert run_cli("fit", str(csv), "--out", str(tmp_path / "o")) == 2
+    assert run_cli("fit", str(csv), "--out", str(out)) == 2
+    assert not out.exists()
     csv.write_text(
         "experiment,projection,m,mean,stderr,K\n"
         + "".join(f"exp1,Q1,{m},0.9,0.01,5\n" for m in (-4, -2, 0))
     )
-    assert run_cli("fit", str(csv), "--out", str(tmp_path / "o")) == 2
+    assert run_cli("fit", str(csv), "--out", str(out)) == 2
     assert "m=-4 < 1 at line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", [1, -3])
@@ -144,7 +151,7 @@ def test_fit_rejects_fewer_than_two_sequences(tmp_path, capsys, k):
     out = tmp_path / "o"
     assert run_cli("fit", str(csv), "--out", str(out)) == 2
     assert f"K={k} < 2 at line 2" in capsys.readouterr().err
-    assert not (out / "fits.json").exists()
+    assert not out.exists()
 
 
 def test_cli_import_leaves_the_oracle_suite_out():
@@ -158,11 +165,64 @@ def test_cli_import_leaves_the_oracle_suite_out():
 
 
 def test_joint_reads_boolean_words_in_any_case():
-    args = argparse.Namespace(preset=None, model=None)
     for word, joint in (("TRUE", True), ("Yes", True), ("1", True),
                         ("false", False), ("NO", False), ("0", False)):
         cfg = {"model": "depolarizing", "alpha1": "0.99", "joint": word}
-        assert _build_model(cfg, args)[0].joint is joint, word
+        assert build_model(cfg)[0].joint is joint, word
+
+
+def test_device_keys_convert_units():
+    cfg = {
+        "omega1_ghz": "4.9895", "omega2_ghz": "5.0554",
+        "t1_1_us": "9.7", "t1_2_us": "8.2", "t2_1_us": "10.3", "t2_2_us": "7.1",
+        "zeta_mhz": "1.1", "m12": "0.19", "m21": "0.32",
+        "mu1": "-0.088", "mu2": "-0.16", "nu1": "-0.025", "nu2": "-0.048",
+        "gate_time_ns": "24", "model": "decoherence",
+    }
+    p = build_model(cfg)[0].params
+    assert p.omega1 == pytest.approx(SAMPLE_A.omega1)
+    assert p.zeta == pytest.approx(SAMPLE_A.zeta)
+    assert p.gate_time == pytest.approx(24e-9)
+    # each key's factors apply left to right: zeta is x * (2 pi 1e6), which
+    # rounds as the preset does; omega is x * 2 pi * 1e9, one ulp below the
+    # preset's 2 pi * 4.9895e9
+    assert p.zeta == SAMPLE_A.zeta
+    assert p.omega1 == 4.9895 * TWO_PI * 1e9
+    assert p.omega1 == pytest.approx(SAMPLE_A.omega1, rel=1e-15)
+
+
+PRESET_MODELS = {
+    "ideal": (Ideal(), "ideal"),
+    "sample_a_depolarizing": (Depolarizing(0.9957), "sample_a"),
+    "sample_a_crosstalk": (CrossTalk(SAMPLE_A), "sample_a"),
+    "sample_a_decoherence": (Decoherence(SAMPLE_A), "sample_a"),
+    "sample_a_full": (Composite((CrossTalk(SAMPLE_A), Decoherence(SAMPLE_A))), "sample_a"),
+    "sample_b_decoherence": (Decoherence(SAMPLE_B), "sample_b"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(MODEL_PRESETS))
+def test_model_presets_build_the_bundled_models(preset):
+    assert sorted(MODEL_PRESETS) == sorted(PRESET_MODELS)
+    assert build_model({"preset": preset}) == PRESET_MODELS[preset]
+
+
+def test_config_rejects_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n# the same key again, in another case\nSEED = 2\n")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{cfg}:3: config key 'seed' repeats line 1" in err
+    assert not out.exists()
+
+
+def test_readme_config_section_names_every_key_and_preset():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Config file", 1)[1].split("\n#", 1)[0]
+    named = set(re.findall(r"`([a-z0-9_]+)`", section))
+    assert sorted((MODEL_KEYS | RUN_KEYS | MODEL_PRESETS.keys()) - named) == []
 
 
 def test_config_file_parsing(tmp_path):
@@ -214,7 +274,7 @@ def test_crosstalk_presets_honour_steps(steps):
     build = CrossTalk(SAMPLE_A) if steps is None else CrossTalk(SAMPLE_A, steps)
 
     def model(preset):
-        return _build_model(cfg, argparse.Namespace(preset=preset, model=None))[0]
+        return build_model({**cfg, "preset": preset})[0]
 
     assert model("sample_a_crosstalk") == build
     assert model("sample_a_full") == Composite((build, Decoherence(SAMPLE_A)))
@@ -226,7 +286,7 @@ def test_presets_honour_gate_time():
     a48, b48 = (p.with_gate_time(48 * 1e-9) for p in (SAMPLE_A, SAMPLE_B))
 
     def model(preset):
-        return _build_model(cfg, argparse.Namespace(preset=preset, model=None))[0]
+        return build_model({**cfg, "preset": preset})[0]
 
     assert model("sample_a_crosstalk") == CrossTalk(a48)
     assert model("sample_a_decoherence") == Decoherence(a48)
@@ -241,15 +301,47 @@ def test_presets_honour_gate_time():
         (("predict", "--preset", "sample_a"), "mu1 = 0\nmu2 = 0\n", "mu1, mu2"),
         (("simulate", "--preset", "ideal"), "gate_time_ns = 48\n", "gate_time_ns"),
         (("simulate", "--preset", "sample_a_depolarizing"), "t1_1_us = 9\n", "t1_1_us"),
+        (("simulate", "--preset", "sample_a_full"), "model = crosstalk\n", "model"),
+        (("simulate", "--preset", "sample_a_depolarizing"), "alpha1 = 0.9\n", "alpha1"),
+        (("simulate", "--preset", "sample_a_crosstalk"), "sample_label = x\n", "sample_label"),
+        (("simulate", "--preset", "sample_a_full", "--model", "ideal"), "", "model"),
+        (("simulate",), "preset = sample_a_depolarizing\nalpha1 = 0.9\nmodel = crosstalk\n",
+         "alpha1, model"),
+        (("simulate",), "model = depolarizing\nalpha1 = 0.99\nomega1_ghz = 5\n", "omega1_ghz"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\nalpha2 = 0.9\n", "alpha2"),
     ],
-    ids=["model_preset", "device_preset", "ideal", "depolarizing"],
+    ids=["model_preset", "device_preset", "ideal", "depolarizing", "preset_model",
+         "preset_alpha1", "preset_sample_label", "preset_model_flag", "preset_key_run_keys",
+         "depolarizing_device_key", "crosstalk_alpha2"],
 )
 def test_preset_device_key_errors_name_the_key(tmp_path, command, config, named, capsys):
-    # beside a preset only gate_time_ns may be set, and only on a device
+    # beside a preset only gate_time_ns and steps may be set, and a model
+    # refuses the model keys it does not read
     cfg = tmp_path / "keys.cfg"
     cfg.write_text(config)
     out = tmp_path / "o"
     assert run_cli(*command, "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [
+        (("--preset", "sample_a"), "granularity = clifford\nlengths = 1,2\n",
+         "remove: granularity, lengths"),
+        (("--preset", "sample_a"), "model = crosstalk\nsteps = 32\n", "remove: model"),
+        ((), "preset = sample_a\n", "device preset from --preset"),
+    ],
+    ids=["simulate_keys", "model", "preset_key"],
+)
+def test_predict_refuses_keys_it_does_not_read(tmp_path, command, config, named, capsys):
+    # predict reads only the device keys and steps
+    cfg = tmp_path / "pred.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert run_cli("predict", *command, "--config", str(cfg), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
     assert not out.exists()
@@ -410,6 +502,7 @@ def test_unreadable_inputs_are_config_errors(tmp_path, command, make_input, caps
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("m", [2**32, 10**400], ids=["2**32", "10**400"])

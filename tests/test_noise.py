@@ -97,20 +97,6 @@ def test_sample_presets():
     )
 
 
-def test_device_params_from_config_units():
-    cfg = {
-        "omega1_ghz": "4.9895", "omega2_ghz": "5.0554",
-        "t1_1_us": "9.7", "t1_2_us": "8.2", "t2_1_us": "10.3", "t2_2_us": "7.1",
-        "zeta_mhz": "1.1", "m12": "0.19", "m21": "0.32",
-        "mu1": "-0.088", "mu2": "-0.16", "nu1": "-0.025", "nu2": "-0.048",
-        "gate_time_ns": "24",
-    }
-    p = DeviceParams.from_config(cfg)
-    assert p.omega1 == pytest.approx(SAMPLE_A.omega1)
-    assert p.zeta == pytest.approx(SAMPLE_A.zeta)
-    assert p.gate_time == pytest.approx(24e-9)
-
-
 # ---------------------------------------------------------------------------
 # envelopes
 

@@ -8,14 +8,8 @@ from pathlib import Path
 import pytest
 
 from rbaddr.cli import main as rbaddr_main
-from rbaddr.cli import model_presets
-from rbaddr.noise import (
-    DEFAULT_EVOLVE_STEPS,
-    SAMPLE_A,
-    CrossTalk,
-    NoisyGateSet,
-    predict_addressability,
-)
+from rbaddr.cli import build_model
+from rbaddr.noise import SAMPLE_A, CrossTalk, NoisyGateSet, predict_addressability
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,7 +46,7 @@ def test_gate_time_sweep_rows_match_predictions(tmp_path):
 
 
 def test_protocol_demo_prints_the_prediction_of_a_composite_preset():
-    model = model_presets(DEFAULT_EVOLVE_STEPS)["sample_a_full"][0]
+    model = build_model({"preset": "sample_a_full"})[0]
     pred = predict_addressability(NoisyGateSet(model), gamma_max_m=0)
     out = run_script(
         "run_protocol_demo.py", "--preset", "sample_a_full", "--K", "4", "--lengths", "1,2,4,8,16"
