@@ -34,6 +34,7 @@ from .fitting import ALPHA_SOURCES, FitError, fit_protocol_curves
 from .noise import (
     DEFAULT_EVOLVE_STEPS,
     DEVICE_PRESETS,
+    MAX_EVOLVE_STEPS,
     MIN_EVOLVE_STEPS,
     TWO_PI,
     Composite,
@@ -205,8 +206,8 @@ def build_model(values: dict[str, str], device_preset: str | None = None):
     key that the preset fixes or the model does not read is a config error.
     """
     steps = int(values.get("steps", DEFAULT_EVOLVE_STEPS))
-    if steps < MIN_EVOLVE_STEPS:
-        raise ConfigError(f"steps must be at least {MIN_EVOLVE_STEPS}")
+    if not MIN_EVOLVE_STEPS <= steps <= MAX_EVOLVE_STEPS:
+        raise ConfigError(f"steps must be {MIN_EVOLVE_STEPS} to {MAX_EVOLVE_STEPS}")
     if "preset" in values:
         preset = values["preset"]
         if preset not in MODEL_PRESETS:

@@ -16,6 +16,9 @@ constrained by the device data and dominate the cross-talk error
 predictions; the gate time is configuration (default 24 ns).  A
 ``NoisyGateSet`` is one model at one noise granularity, built once per
 run; simulation and prediction read every element's channel from it.
+Its cross-talk slots are evolved in shares across the CPUs, each slot
+whole and with equal cost ``steps``; a slot's channel depends on neither
+its batch nor its share, so the bits do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .paulis import (
     ptms_from_unitaries,
     tensor,
 )
+from .parallel import run_jobs
 
 TWO_PI = 2 * np.pi
 
@@ -50,6 +54,10 @@ TWO_PI = 2 * np.pi
 DEFAULT_GATE_TIME = 24e-9
 DEFAULT_EVOLVE_STEPS = 256
 MIN_EVOLVE_STEPS = 16
+# Far past any useful precision (256 steps put the Magnus error near 1e-9);
+# the bound caps the run time, ~20 s per gate set, and the drive samples each
+# worker holds, 2 x (7, steps) floats or 7 MB.
+MAX_EVOLVE_STEPS = 2**16
 
 _CROSSTALK_FIELDS = ("zeta", "m12", "m21", "mu1", "mu2", "nu1", "nu2")
 
@@ -190,6 +198,9 @@ _ZZ = _P2[15]
 # Evolving the 48 slots of a gate set peaks at 1.45 MB (tracemalloc) with
 # 16 steps, 2.85 MB with 32, and 2.31 MB in four-slot blocks of all steps.
 EVOLVE_CHUNK_STEPS = 16
+# Estimated seconds of one Magnus step of one slot: 48 slots x 256 steps
+# took 70-120 ms (2-core Xeon VM).
+SLOT_STEP_SECONDS = 6e-6
 
 _GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 
@@ -289,21 +300,35 @@ def evolve_to_ptms(
 
     A slot is a pair drawn from GATE_ALPHABET, the generators played on
     drive lines 1 and 2 (None idle, ``(None, None)`` free evolution), as
-    in ``SLOTS``; anything else raises ValueError.
+    in ``SLOTS``; anything else raises ValueError, and so does a step count
+    outside [MIN_EVOLVE_STEPS, MAX_EVOLVE_STEPS].
 
     Fourth-order Magnus integrator with two Gauss-Legendre samples per
     step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)); doubling
     ``steps`` changes the PTM entries by less than 1e-8 at the default
-    settings.  All slots advance together through chunks of
+    settings.  The slots are split into shares across the CPUs
+    (``parallel.run_jobs``, cost ``steps`` slot steps each).  Within a
+    share, all slots advance together through chunks of
     EVOLVE_CHUNK_STEPS steps, one batched eigendecomposition per chunk,
     and each slot's step propagators are multiplied in time order, so a
-    slot's PTM does not depend on the batch it came in.
+    slot's PTM depends neither on its batch nor on its share.
     """
     rows = _slot_rows(slots)
-    if steps < MIN_EVOLVE_STEPS:
-        raise ValueError(f"need at least {MIN_EVOLVE_STEPS} steps per gate")
-    if p.gate_time == 0.0:
+    if not MIN_EVOLVE_STEPS <= steps <= MAX_EVOLVE_STEPS:
+        raise ValueError(f"need {MIN_EVOLVE_STEPS} to {MAX_EVOLVE_STEPS} steps per gate")
+    if p.gate_time == 0.0 or len(rows) == 0:
         return np.broadcast_to(np.eye(16), (len(rows), 16, 16)).copy()
+    ptms = run_jobs(
+        lambda share: _evolve_rows(p, rows[share], steps),
+        range(len(rows)),
+        [steps * SLOT_STEP_SECONDS] * len(rows),
+    )
+    return np.stack(ptms)
+
+
+def _evolve_rows(p: DeviceParams, rows: np.ndarray, steps: int) -> np.ndarray:
+    """PTMs of the slots of :func:`_slot_rows`, all advanced together; see
+    :func:`evolve_to_ptms`."""
     h = p.gate_time / steps
     nodes = [np.arange(steps) * h + c * h for c in _GAUSS_NODES]
     drives = [(t, *_drive_samples(p.gate_time, t)) for t in nodes]
@@ -435,8 +460,8 @@ class CrossTalk:
 
     def __post_init__(self):
         self.params.require_crosstalk()
-        if self.steps < MIN_EVOLVE_STEPS:
-            raise ValueError(f"need at least {MIN_EVOLVE_STEPS} steps per gate")
+        if not MIN_EVOLVE_STEPS <= self.steps <= MAX_EVOLVE_STEPS:
+            raise ValueError(f"need {MIN_EVOLVE_STEPS} to {MAX_EVOLVE_STEPS} steps per gate")
 
 
 @dataclass(frozen=True)

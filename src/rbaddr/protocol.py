@@ -12,13 +12,22 @@ populations give the traced projections p00+p01 (qubit 1), p00+p10
 granularity: once per generator slot (error scales with pulse count) or
 one channel per element for gate-independent models.
 
+The unit of work is a block: the K sequences of one (experiment, length),
+cost K (m + 1) sequence steps.  ``run_protocol`` deals the blocks of all
+three experiments into shares across the CPUs, longest first to the
+least-loaded share (``parallel.run_jobs``); ``run_experiment`` does the
+same for one experiment's blocks.  A block never splits, because
+``SpamModel.populations`` rounds with the batch size, and the gate set's
+tables are built before any share starts, so every curve is bit for bit
+the same at any CPU count.
+
 Sequence k of length m in an experiment draws its elements, then its
 shots, from its own stream: numpy's ``default_rng([seed, experiment code,
 m, k])`` stream, so results are independent of execution order.  The
 streams of a whole experiment are seeded in one batch, by numpy's
 SeedSequence hash in uint32 array arithmetic and PCG64's seeding step in
-Python ints, and drawn from one shared generator whose state is set per
-stream.  This relies on numpy's stream-compatibility guarantee for
+Python ints, and drawn from one generator per share whose state is set
+per stream.  This relies on numpy's stream-compatibility guarantee for
 SeedSequence and PCG64 (NEP 19); the draws themselves stay numpy's own.
 """
 
@@ -33,6 +42,7 @@ import numpy as np
 # element_slots stays importable here: bench/run.py wraps it under this name
 from .cliffords import CliffordGroup, element_slots, get_group  # noqa: F401
 from .noise import NoisyGateSet
+from .parallel import run_jobs
 from .paulis import computational_povm_vector, computational_state
 
 EXPERIMENT_GROUPS = {"exp1": "cxi", "exp2": "ixc", "exp3": "cxc"}
@@ -228,64 +238,92 @@ def stream_states(cfg: RBConfig, experiment: str) -> list[list[dict]]:
     return [states[i : i + cfg.K] for i in range(0, len(states), cfg.K)]
 
 
+# Estimated seconds of one sequence step (one element channel applied to one
+# sequence's state, with its share of drawing and recovery): a default
+# depolarizing run, 155k steps, took 0.07-0.11 s (2-core Xeon VM).
+SEQUENCE_STEP_SECONDS = 5e-7
+
+
+def _run_block(cfg, gateset, group, m, states, rng) -> np.ndarray:
+    """The (K, 4) read-out populations of the K sequences of length m, one
+    stream state each; ``rng`` serves every stream."""
+    bitgen = rng.bit_generator
+    rows, shot_states = [], []
+    for state in states:
+        bitgen.state = state
+        rows.append(group.sample_uniform(rng, m))
+        if cfg.shots is not None:  # each stream's shots follow its indices
+            shot_states.append(bitgen.state)
+    indices = np.stack(rows)
+    recovery = group.recovery_indices(indices)
+    pops = simulate_sequence(group, indices, recovery, gateset, cfg.spam)
+    if cfg.shots is None:
+        return pops
+    probs = np.clip(pops, 0.0, None)
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    counts = []
+    for state, p in zip(shot_states, probs):
+        bitgen.state = state
+        counts.append(rng.multinomial(cfg.shots, p))
+    return np.array(counts) / cfg.shots
+
+
+def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalCurve]]:
+    """Curves of each experiment, keyed as :func:`run_experiment` keys them;
+    the blocks of all of them run in one set of shares.  Streams and
+    element tables are made here, before any share starts."""
+    for experiment in experiments:
+        if experiment not in EXPERIMENT_GROUPS:
+            raise ValueError(f"unknown experiment '{experiment}'")
+    groups = {e: get_group(EXPERIMENT_GROUPS[e]) for e in experiments}
+    states = {e: stream_states(cfg, e) for e in experiments}
+    for group in groups.values():
+        gateset.element_table(group)
+    blocks = [(e, mi) for e in experiments for mi in range(len(cfg.lengths))]
+    costs = [cfg.K * (cfg.lengths[mi] + 1) * SEQUENCE_STEP_SECONDS for _, mi in blocks]
+
+    def work(share):
+        # one generator serves every stream; its own seed is overwritten
+        rng = np.random.Generator(np.random.PCG64())
+        return [
+            _run_block(cfg, gateset, groups[e], cfg.lengths[mi], states[e][mi], rng)
+            for e, mi in share
+        ]
+
+    pops = iter(run_jobs(work, blocks, costs))
+    ms = np.array(cfg.lengths)
+    out = {}
+    for experiment in experiments:
+        block_pops = [next(pops) for _ in cfg.lengths]
+        projections = PROJECTIONS if experiment == "exp3" else PROJECTIONS[:2]
+        out[experiment] = {}
+        for column, proj in enumerate(projections, start=1):
+            # p00 plus p01 (Q1), p10 (Q2) or p11 (CORR)
+            raw = np.stack([p[:, 0] + p[:, column] for p in block_pops])
+            out[experiment][proj] = SurvivalCurve(
+                experiment=experiment,
+                projection=proj,
+                m=ms.copy(),
+                mean=raw.mean(axis=1),
+                stderr=raw.std(axis=1, ddof=1) / np.sqrt(cfg.K),
+                K=cfg.K,
+                raw=raw if cfg.keep_raw else None,
+            )
+    return out
+
+
 def run_experiment(
     cfg: RBConfig, gateset: NoisyGateSet, experiment: str
 ) -> dict[str, SurvivalCurve]:
     """Run one experiment; returns curves keyed Q1, Q2 (and CORR for exp3)."""
-    if experiment not in EXPERIMENT_GROUPS:
-        raise ValueError(f"unknown experiment '{experiment}'")
-    group = get_group(EXPERIMENT_GROUPS[experiment])
-    projections = PROJECTIONS if experiment == "exp3" else PROJECTIONS[:2]
-    values = {proj: np.empty((len(cfg.lengths), cfg.K)) for proj in projections}
-    # one generator serves every stream; its own seed is overwritten
-    rng = np.random.Generator(np.random.PCG64())
-    bitgen = rng.bit_generator
-    for mi, (m, states) in enumerate(zip(cfg.lengths, stream_states(cfg, experiment))):
-        rows, shot_states = [], []
-        for state in states:
-            bitgen.state = state
-            rows.append(group.sample_uniform(rng, m))
-            if cfg.shots is not None:  # each stream's shots follow its indices
-                shot_states.append(bitgen.state)
-        indices = np.stack(rows)
-        recovery = group.recovery_indices(indices)
-        pops = simulate_sequence(group, indices, recovery, gateset, cfg.spam)
-        if cfg.shots is not None:
-            probs = np.clip(pops, 0.0, None)
-            probs = probs / probs.sum(axis=1, keepdims=True)
-            counts = []
-            for state, p in zip(shot_states, probs):
-                bitgen.state = state
-                counts.append(rng.multinomial(cfg.shots, p))
-            pops = np.array(counts) / cfg.shots
-        values["Q1"][mi] = pops[:, 0] + pops[:, 1]
-        values["Q2"][mi] = pops[:, 0] + pops[:, 2]
-        if "CORR" in values:
-            values["CORR"][mi] = pops[:, 0] + pops[:, 3]
-    curves = {}
-    ms = np.array(cfg.lengths)
-    for proj, raw in values.items():
-        curves[proj] = SurvivalCurve(
-            experiment=experiment,
-            projection=proj,
-            m=ms.copy(),
-            mean=raw.mean(axis=1),
-            stderr=raw.std(axis=1, ddof=1) / np.sqrt(cfg.K),
-            K=cfg.K,
-            raw=raw if cfg.keep_raw else None,
-        )
-    return curves
+    return _run_experiments(cfg, gateset, (experiment,))[experiment]
 
 
 def run_protocol(cfg: RBConfig, gateset: NoisyGateSet) -> list[SurvivalCurve]:
-    """All three experiments; curves in a fixed, deterministic order."""
-    out = []
-    for experiment in ("exp1", "exp2", "exp3"):
-        curves = run_experiment(cfg, gateset, experiment)
-        for proj in PROJECTIONS:
-            if proj in curves:
-                out.append(curves[proj])
-    return out
+    """All three experiments, their blocks in one set of shares; curves in a
+    fixed, deterministic order."""
+    curves = _run_experiments(cfg, gateset, ("exp1", "exp2", "exp3"))
+    return [curve for experiment in curves.values() for curve in experiment.values()]
 
 
 # ---------------------------------------------------------------------------

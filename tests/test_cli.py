@@ -485,6 +485,26 @@ def test_bad_model_values_are_config_errors(tmp_path, command, config, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\nsteps = 65537\n"),
+        (("simulate", "--preset", "sample_a_full"), "steps = 99999999999999999999\n"),
+        (("simulate", "--preset", "sample_a_depolarizing"), "steps = 65537\n"),
+        (("predict", "--preset", "sample_a"), "steps = 99999999999999999999\n"),
+    ],
+    ids=["crosstalk", "preset_full", "preset_depolarizing", "predict"],
+)
+def test_steps_above_the_bound_are_config_errors(tmp_path, command, config, capsys):
+    # refused before the output directory exists and before any allocation
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert run_cli(*command, "--config", str(cfg), "--out", str(out)) == 1
+    assert "config error: steps must be 16 to 65536" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [("simulate", "--config"), ("predict", "--config"), ("fit",)])
 @pytest.mark.parametrize(
     "make_input",

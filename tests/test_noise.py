@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rbaddr.cliffords import GENERATOR_ANGLES, element_slots, generator_ptm, get_group
 from rbaddr.noise import (
     EVOLVE_CHUNK_STEPS,
+    MAX_EVOLVE_STEPS,
     GATE_ALPHABET,
     SAMPLE_A,
     SAMPLE_B,
@@ -210,6 +211,15 @@ def test_untargeted_qubit_picks_up_residual_rotation():
 def test_min_steps_enforced():
     with pytest.raises(ValueError):
         evolve_to_ptm(SAMPLE_A, (None, None), steps=4)
+
+
+@pytest.mark.parametrize("steps", [MAX_EVOLVE_STEPS + 1, 10**20])
+def test_max_steps_enforced(steps):
+    # refused before the engine samples a single drive step
+    with pytest.raises(ValueError, match="16 to 65536 steps"):
+        evolve_to_ptms(SAMPLE_A, SLOTS, steps=steps)
+    with pytest.raises(ValueError, match="16 to 65536 steps"):
+        CrossTalk(SAMPLE_A, steps=steps)
 
 
 def test_depolarizing_cptp_range_edges_accepted():
@@ -463,16 +473,19 @@ def assert_one_batch_of_all_slots(batches):
     assert len(batches[0]) == len(set(batches[0])) == 48
 
 
-def test_predict_addressability_builds_each_slot_channel_once(evolved_pairs):
+def test_predict_addressability_builds_each_slot_channel_once(evolved_pairs, workers):
     # one gate set serves the three group averages, and its 48 slots are
-    # evolved in one batch
+    # evolved in one batch, in the parent even when the engine forks
+    workers(2)
     predict_addressability(NoisyGateSet(CrossTalk(SAMPLE_A, steps=16)), gamma_max_m=0)
     assert_one_batch_of_all_slots(evolved_pairs)
 
 
-def test_run_protocol_builds_each_slot_channel_once(evolved_pairs):
+def test_run_protocol_builds_each_slot_channel_once(evolved_pairs, workers):
     from rbaddr.protocol import RBConfig, run_protocol
 
+    # the parent builds the slot channels before the propagation forks
+    workers(2)
     gateset = NoisyGateSet(CrossTalk(SAMPLE_A, steps=16))
     run_protocol(RBConfig(lengths=(1, 2), K=2, seed=3), gateset)
     assert_one_batch_of_all_slots(evolved_pairs)
@@ -631,7 +644,8 @@ def test_engine_matches_reference_on_random_devices(
 BLOCK_ENGINE_PEAK_BYTES = 2_311_848
 
 
-def test_engine_memory_peak_stays_below_the_block_engine():
+def test_engine_memory_peak_stays_below_the_block_engine(workers):
+    workers(1)  # the whole engine in this process, where tracemalloc sees it
     evolve_to_ptms(SAMPLE_A, SLOTS)  # fill the per-process caches first
     tracemalloc.start()
     try:
