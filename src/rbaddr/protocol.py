@@ -270,13 +270,13 @@ def _run_block(cfg, gateset, group, m, states, rng) -> np.ndarray:
 
 def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalCurve]]:
     """Curves of each experiment, keyed as :func:`run_experiment` keys them;
-    the blocks of all of them run in one set of shares.  Streams and
-    element tables are made here, before any share starts."""
+    the blocks of all of them run in one set of shares.  The element
+    tables are built here, before any share starts; a share seeds the
+    streams of one experiment at a time."""
     for experiment in experiments:
         if experiment not in EXPERIMENT_GROUPS:
             raise ValueError(f"unknown experiment '{experiment}'")
     groups = {e: get_group(EXPERIMENT_GROUPS[e]) for e in experiments}
-    states = {e: stream_states(cfg, e) for e in experiments}
     for group in groups.values():
         gateset.element_table(group)
     blocks = [(e, mi) for e in experiments for mi in range(len(cfg.lengths))]
@@ -285,10 +285,13 @@ def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalC
     def work(share):
         # one generator serves every stream; its own seed is overwritten
         rng = np.random.Generator(np.random.PCG64())
-        return [
-            _run_block(cfg, gateset, groups[e], cfg.lengths[mi], states[e][mi], rng)
-            for e, mi in share
-        ]
+        pops, states = [], {}
+        for e, mi in share:  # a share lists one experiment's blocks together
+            if e not in states:
+                states.clear()  # one experiment's streams at a time
+                states[e] = stream_states(cfg, e)
+            pops.append(_run_block(cfg, gateset, groups[e], cfg.lengths[mi], states[e][mi], rng))
+        return pops
 
     pops = iter(run_jobs(work, blocks, costs))
     ms = np.array(cfg.lengths)
