@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from rbaddr.cliffords import GENERATOR_ANGLES, element_slots, generator_ptm, get_group
 from rbaddr.noise import (
     EVOLVE_CHUNK_STEPS,
-    MAX_EVOLVE_STEPS,
     GATE_ALPHABET,
+    MAX_EVOLVE_STEPS,
     SAMPLE_A,
     SAMPLE_B,
     SLOTS,

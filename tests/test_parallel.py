@@ -5,6 +5,7 @@ import os
 import signal
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,9 +51,8 @@ def forks(monkeypatch):
         (
             RBConfig(
                 lengths=(1, 2, 5, 11), K=6, seed=41, shots=80, keep_raw=True,
-                spam=SpamModel(
-                    SpamModel.perfect().prep, SpamModel.perfect().povm,
-                    0.88 * np.eye(4) + 0.03 * np.ones((4, 4)),
+                spam=replace(
+                    SpamModel.perfect(), assignment=0.88 * np.eye(4) + 0.03 * np.ones((4, 4))
                 ),
             ),
             lambda: NoisyGateSet(Depolarizing(0.97, 0.95), "clifford"),
