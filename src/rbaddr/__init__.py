@@ -22,7 +22,6 @@ from .noise import (
 )
 from .paulis import (
     depolarizing_ptm,
-    pauli_conjugation_ptm,
     project,
     projector_diag,
     ptm_from_kraus,
@@ -46,11 +45,8 @@ from .twirl import (
     TwirlOutcome,
     brute_force_twirl,
     gamma_decay_curve,
-    pauli_twirl,
-    schur_general_twirl,
     twirl_cxc,
     twirl_cxi,
-    twirl_full_clifford,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,8 +2,7 @@
 
 Conventions (fixed; everything downstream depends on them):
 
-* Single-qubit Pauli order ``I, X, Y, Z``, indexed 0..3 through the bit
-  pair (v, w): I=00, X=01, Y=10, Z=11.
+* Single-qubit Pauli order ``I, X, Y, Z``, indexed 0..3.
 * Multi-qubit index: qubit 1 carries the most significant bit pair, so
   for two qubits ``P[4*i + j] = kron(P1[i], P1[j])`` and the label order
   is ``II, IX, IY, IZ, XI, XX, ...``.
@@ -56,19 +55,6 @@ def pauli_matrices(n: int) -> tuple[np.ndarray, ...]:
     for m in mats:
         m.setflags(write=False)
     return mats
-
-
-def pauli_index_to_vw(index: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Binary vectors (v, w) of a Pauli index; qubit 1 first in each vector."""
-    if not 0 <= index < 4**n:
-        raise ValueError(f"index {index} out of range for {n} qubits")
-    v = np.zeros(n, dtype=np.int64)
-    w = np.zeros(n, dtype=np.int64)
-    for q in range(n - 1, -1, -1):
-        v[q] = (index >> 1) & 1
-        w[q] = index & 1
-        index >>= 2
-    return v, w
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +120,6 @@ def tensor(ptm_a: np.ndarray, ptm_b: np.ndarray) -> np.ndarray:
     return np.kron(ptm_a, ptm_b)
 
 
-def pauli_conjugation_ptm(k: int, n: int) -> np.ndarray:
-    """PTM of rho -> P_k rho P_k (diagonal, entries +-1).
-
-    Diagonal entry i is ``(-1)**(v_i . w_k + w_i . v_k)`` with the (v, w)
-    bit encoding; agrees entrywise with ``ptm_from_unitary(P_k)``.
-    """
-    vk, wk = pauli_index_to_vw(k, n)
-    diag = np.empty(4**n)
-    for i in range(4**n):
-        vi, wi = pauli_index_to_vw(i, n)
-        diag[i] = (-1.0) ** ((vi @ wk + wi @ vk) % 2)
-    return np.diag(diag)
-
-
 def depolarizing_ptm(alpha: float, n: int = 1) -> np.ndarray:
     """Depolarizing PTM diag(1, alpha, ..., alpha)."""
     diag = np.full(4**n, float(alpha))
@@ -181,16 +153,14 @@ def computational_povm_vector(bits: str) -> np.ndarray:
 def projector_diag(kind: str, n: int) -> np.ndarray:
     """Diagonal of a Pauli-subspace projector.
 
-    Kinds: 'identity' (P_0 only), 'nonidentity' (everything else), and for
-    n=2 the irreducible subsystem blocks 'q1' (non-identity on qubit 1,
-    identity on qubit 2), 'q2' (mirror) and 'corr' (non-identity on both).
+    Kinds: 'identity' (P_0 only), and for n=2 the irreducible subsystem
+    blocks 'q1' (non-identity on qubit 1, identity on qubit 2), 'q2'
+    (mirror) and 'corr' (non-identity on both).
     """
     size = 4**n
     diag = np.zeros(size)
     if kind == "identity":
         diag[0] = 1.0
-    elif kind == "nonidentity":
-        diag[1:] = 1.0
     elif kind in ("q1", "q2", "corr"):
         if n != 2:
             raise ValueError(f"projector '{kind}' is only defined for n=2")

@@ -1,10 +1,10 @@
-"""Group twirls of channels in the PTM representation.
+"""Group twirls of two-qubit channels in the PTM representation.
 
-Every analytic twirl here has a brute-force counterpart (explicit group
-average) so the closed forms can be validated entrywise.  Inverses in the
-averages use the transpose, valid because Clifford and Pauli PTMs are
-orthogonal; twirling over the full unitary group coincides with the full
-Clifford twirl and is not treated separately.
+The closed forms are the three twirls of the simultaneous protocol's
+experiments: CxC (``twirl_cxc``) and CxI / IxC (``twirl_cxi``).
+``brute_force_twirl`` is the explicit group average that ``rbaddr verify``
+checks them against entrywise.  Its inverses use the transpose, valid
+because Clifford PTMs are orthogonal.
 """
 
 from __future__ import annotations
@@ -14,29 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cliffords import CliffordGroup
-from .paulis import num_qubits, pauli_conjugation_ptm, project, projector_diag
-
-# Irreducible decompositions of the PTM representation for the standard
-# groups: list of irreps, each a list of copies, each copy an ordered list
-# of Pauli basis indices (the ordering aligns equivalent copies).
-IRREP_TABLES: dict[str, list[list[list[int]]]] = {
-    "c1": [[[0]], [[1, 2, 3]]],
-    "full": [[[0]], [list(range(1, 16))]],
-    "cxc": [
-        [[0]],
-        [[1, 2, 3]],
-        [[4, 8, 12]],
-        [[5, 6, 7, 9, 10, 11, 13, 14, 15]],
-    ],
-    "cxi": [
-        [[0], [1], [2], [3]],
-        [[4, 8, 12], [5, 9, 13], [6, 10, 14], [7, 11, 15]],
-    ],
-    "ixc": [
-        [[0], [4], [8], [12]],
-        [[1, 2, 3], [5, 6, 7], [9, 10, 11], [13, 14, 15]],
-    ],
-}
+from .paulis import num_qubits, project, projector_diag
 
 
 @dataclass(frozen=True)
@@ -90,35 +68,6 @@ def brute_force_twirl(ptm: np.ndarray, group: CliffordGroup) -> np.ndarray:
     return acc / len(group)
 
 
-def pauli_group_ptms(n: int) -> list[np.ndarray]:
-    """The 4**n Pauli-conjugation channels (diagonal sign PTMs)."""
-    return [pauli_conjugation_ptm(k, n) for k in range(4**n)]
-
-
-def pauli_twirl(ptm: np.ndarray) -> np.ndarray:
-    """Pauli-group twirl: only the diagonal survives."""
-    return np.diag(np.diag(ptm))
-
-
-def pauli_twirl_brute(ptm: np.ndarray) -> np.ndarray:
-    n = num_qubits(ptm)
-    chans = pauli_group_ptms(n)
-    return sum(c.T @ ptm @ c for c in chans) / len(chans)
-
-
-def twirl_full_clifford(ptm: np.ndarray) -> TwirlOutcome:
-    """Full-Clifford twirl: a depolarizing channel.
-
-    alpha = Tr(Pi R) / Tr(Pi) = (Tr R - 1) / (d^2 - 1) over the
-    non-identity block.
-    """
-    n = num_qubits(ptm)
-    alpha = project(ptm, projector_diag("nonidentity", n))
-    diag = np.full(4**n, alpha)
-    diag[0] = 1.0
-    return TwirlOutcome(np.diag(diag), {"alpha": alpha})
-
-
 def twirl_cxc(ptm: np.ndarray) -> TwirlOutcome:
     """CxC twirl: tensor products of depolarizing channels.
 
@@ -159,37 +108,6 @@ def twirl_cxi(ptm: np.ndarray, which: int = 1) -> SubsystemTwirlBlocks:
     else:
         raise ValueError("which must be 1 or 2")
     return SubsystemTwirlBlocks(which, marginal, gamma)
-
-
-def schur_general_twirl(
-    ptm: np.ndarray, irreps: list[list[list[int]]]
-) -> np.ndarray:
-    """Twirl from an explicit irrep decomposition with multiplicities.
-
-    ``irreps`` lists, per irrep, its copies as ordered basis-index sets;
-    equivalent copies must order their basis vectors consistently.  The
-    result is sum over (irrep j, copies k, k') of
-    Tr(Q^T R) / Tr(Q^T Q) * Q with Q built from the supplied bases.
-    """
-    size = ptm.shape[0]
-    out = np.zeros((size, size))
-    covered: set[int] = set()
-    for copies in irreps:
-        dim = len(copies[0])
-        if any(len(c) != dim for c in copies):
-            raise ValueError("copies of one irrep differ in dimension")
-        for c in copies:
-            covered.update(c)
-        for ca in copies:
-            for cb in copies:
-                q = np.zeros((size, size))
-                for l in range(dim):
-                    q[ca[l], cb[l]] = 1.0
-                weight = np.trace(q.T @ q)
-                out += (np.trace(q.T @ ptm) / weight) * q
-    if len(covered) != size:
-        raise ValueError("irrep decomposition does not span the space")
-    return out
 
 
 def gamma_decay_curve(blocks, m_values) -> np.ndarray:

@@ -34,18 +34,9 @@ from .noise import (
     predict_addressability,
     random_cptp_ptm,
 )
-from .paulis import pauli_conjugation_ptm, ptm_from_unitary, tensor
+from .paulis import tensor
 from .protocol import decay_single
-from .twirl import (
-    IRREP_TABLES,
-    brute_force_twirl,
-    pauli_twirl,
-    pauli_twirl_brute,
-    schur_general_twirl,
-    twirl_cxc,
-    twirl_cxi,
-    twirl_full_clifford,
-)
+from .twirl import brute_force_twirl, twirl_cxc, twirl_cxi
 
 VERIFY_SEED = 20120717
 
@@ -88,25 +79,19 @@ def check_group_integrity(n_sequences: int, max_m: int, tol: float) -> CheckResu
 
 
 def check_twirl_oracles(n_channels: int, tol: float) -> CheckResult:
+    """The three twirls ``predict`` runs, CxC and CxI on either qubit,
+    against brute-force group averages of random two-qubit channels."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(VERIFY_SEED + 1)
-    c1 = generate_c1()
     worst = 0.0
     for _ in range(n_channels):
-        r1 = random_cptp_ptm(1, rng)
-        worst = max(
-            worst,
-            float(np.max(np.abs(brute_force_twirl(r1, c1) - twirl_full_clifford(r1).twirled))),
-            float(np.max(np.abs(pauli_twirl(r1) - pauli_twirl_brute(r1)))),
-        )
+        random_cptp_ptm(1, rng)  # unused; drawn so that the channels below keep their values
         r2 = random_cptp_ptm(2, rng, n_kraus=5)
         worst = max(
             worst,
             float(np.max(np.abs(brute_force_twirl(r2, get_group("cxc")) - twirl_cxc(r2).twirled))),
             float(np.max(np.abs(brute_force_twirl(r2, get_group("cxi")) - twirl_cxi(r2, 1).reassembled()))),
             float(np.max(np.abs(brute_force_twirl(r2, get_group("ixc")) - twirl_cxi(r2, 2).reassembled()))),
-            float(np.max(np.abs(pauli_twirl(r2) - pauli_twirl_brute(r2)))),
-            float(np.max(np.abs(schur_general_twirl(r2, IRREP_TABLES["cxi"]) - brute_force_twirl(r2, get_group("cxi"))))),
         )
     ok = worst <= tol
     return _result(
@@ -114,21 +99,6 @@ def check_twirl_oracles(n_channels: int, tol: float) -> CheckResult:
         ok,
         f"max |analytic - brute force| = {worst:.2e} over {n_channels} channels",
         t0,
-    )
-
-
-def check_pauli_conjugation(tol: float) -> CheckResult:
-    t0 = time.perf_counter()
-    from .paulis import pauli_matrices
-
-    worst = 0.0
-    for n in (1, 2):
-        for k, pk in enumerate(pauli_matrices(n)):
-            direct = ptm_from_unitary(np.asarray(pk))
-            worst = max(worst, float(np.max(np.abs(direct - pauli_conjugation_ptm(k, n)))))
-    ok = worst <= tol
-    return _result(
-        "pauli_conjugation_signs", ok, f"max sign-rule deviation {worst:.2e}", t0
     )
 
 
@@ -292,7 +262,6 @@ def run_verification(level: str = "quick", tol_override: float | None = None):
             n_sequences=1000 if full else 100, max_m=100, tol=tol(1e-12)
         ),
         check_twirl_oracles(n_channels=50 if full else 8, tol=tol(1e-10)),
-        check_pauli_conjugation(tol=tol(1e-12)),
         check_product_delta_alpha(n_channels=50 if full else 10, tol=tol(1e-12)),
         check_fit_recovery(tol=tol(1e-8)),
         check_fit_coverage(

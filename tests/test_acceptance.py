@@ -24,6 +24,7 @@ from rbaddr.noise import (
 )
 from rbaddr.protocol import RBConfig, run_protocol
 from rbaddr.report import UVal, build_report
+from rbaddr import verify
 from rbaddr.verify import run_verification
 
 PUBLISHED_DR_ESTIMATES = {"dr1_given_2": 0.0034, "dr2_given_1": 0.007}
@@ -42,13 +43,33 @@ def report_line(number, passed, detail):
 
 
 def test_criterion_1_twirl_oracles(full_checks):
-    """50 random CPTP channels: analytic twirls match brute force at 1e-10."""
+    """50 random CPTP channels: the CxC and both CxI twirls match brute
+    force at 1e-10."""
     check = full_checks["twirl_oracles"]
     report_line(
         1,
         check.passed and check.seconds < 60,
         f"{check.detail} in {check.seconds:.1f}s",
     )
+
+
+@pytest.mark.parametrize(
+    "name, side", [("twirl_cxc", None), ("twirl_cxi", 1), ("twirl_cxi", 2)],
+    ids=["cxc", "cxi_qubit_1", "cxi_qubit_2"],
+)
+def test_twirl_oracles_compare_every_twirl_predict_runs(monkeypatch, name, side):
+    """A 1e-9 error in any of the three analytic twirls fails criterion 1's
+    check at its 1e-10 tolerance."""
+    real = getattr(verify, name)
+
+    def perturbed(ptm, *which):
+        out = real(ptm, *which)
+        if name == "twirl_cxc":
+            return replace(out, twirled=out.twirled + 1e-9)
+        return replace(out, gamma=out.gamma + 1e-9) if which == (side,) else out
+
+    monkeypatch.setattr(verify, name, perturbed)
+    assert not verify.check_twirl_oracles(n_channels=8, tol=1e-10).passed
 
 
 def test_criterion_2_group_integrity(full_checks):
