@@ -277,7 +277,10 @@ def _out_dir(args, command: str) -> Path:
     else:
         base = os.environ.get(OUT_ENV_VAR, "rbaddr_runs")
         out = Path(base) / command
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 

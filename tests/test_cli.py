@@ -525,6 +525,30 @@ def test_unreadable_inputs_are_config_errors(tmp_path, command, make_input, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("simulate", "--preset", "sample_a_depolarizing", *FAST_ARGS),
+        ("predict", "--preset", "sample_a"),
+        ("fit", "curves.csv"),
+        ("dump-group",),
+    ],
+    ids=["simulate", "predict", "fit", "dump-group"],
+)
+@pytest.mark.parametrize("out", ["taken", "taken/x"], ids=["file", "below_a_file"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, monkeypatch, command, out, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("curves.csv").write_text(
+        "experiment,projection,m,mean,stderr,K\n"
+        + "".join(f"exp1,Q1,{m},{0.99**m},0.002,10\n" for m in (1, 2, 4, 8, 16))
+    )
+    Path("taken").write_text("")
+    assert run_cli(*command, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("m", [2**32, 10**400], ids=["2**32", "10**400"])
 def test_fit_rejects_lengths_beyond_the_simulation_bound(tmp_path, capsys, m):
     # simulate refuses m >= 2**32; a huge m used to crash the fit's float conversion
