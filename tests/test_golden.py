@@ -162,15 +162,6 @@ def value_mismatches(got: dict, want: dict) -> list[str]:
     return problems
 
 
-def byte_mismatches(got: dict, want: dict) -> list[str]:
-    return [
-        f"{command}/{artifact}"
-        for command in want
-        for artifact, ref in want[command].items()
-        if got.get(command, {}).get(artifact, {}).get("sha256") != ref["sha256"]
-    ]
-
-
 def test_artifacts_match_the_golden_file(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     got = run_commands(tmp_path)
@@ -178,7 +169,12 @@ def test_artifacts_match_the_golden_file(tmp_path):
     problems = value_mismatches(got, golden["artifacts"])
     if fingerprint == golden["cpu_fingerprint"]:
         print(f"golden: byte check (CPU fingerprint {fingerprint} matches)")
-        problems += [f"{where}: bytes differ" for where in byte_mismatches(got, golden["artifacts"])]
+        problems += [
+            f"{command}/{artifact}: bytes differ"
+            for command, artifacts in golden["artifacts"].items()
+            for artifact, ref in artifacts.items()
+            if got.get(command, {}).get(artifact, {}).get("sha256") != ref["sha256"]
+        ]
     else:
         print(
             f"golden: value check to TOLERANCES (CPU fingerprint {fingerprint}, "
