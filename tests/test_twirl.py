@@ -33,16 +33,22 @@ def test_brute_force_twirl_idempotent(channels_2q):
     assert np.max(np.abs(once - twice)) < 1e-12
 
 
-def test_unitary_conjugation_twirl_alpha():
-    # the C1 twirl of any channel, here a rotation and amplitude damping,
-    # is depolarizing with alpha = (Tr R - 1) / 3
-    u = np.array([[np.cos(0.4), -1j * np.sin(0.4)], [-1j * np.sin(0.4), np.cos(0.4)]])
+def test_full_clifford_twirl_vs_brute_force_amplitude_damping():
+    # the C1 twirl of amplitude damping is depolarizing with alpha = (Tr R - 1) / 3
     gamma = 0.1
-    damping = [np.diag([1, np.sqrt(1 - gamma)]), np.sqrt(gamma) * np.eye(2, k=1)]
-    for r in (ptm_from_unitary(u), ptm_from_kraus(damping)):
-        brute = brute_force_twirl(r, generate_c1())
-        expected = (np.trace(r) - 1) / 3
-        assert np.allclose(brute, np.diag([1, expected, expected, expected]), atol=1e-12)
+    r = ptm_from_kraus([np.diag([1, np.sqrt(1 - gamma)]), np.sqrt(gamma) * np.eye(2, k=1)])
+    brute = brute_force_twirl(r, generate_c1())
+    expected = (np.trace(r) - 1) / 3
+    assert np.allclose(brute, np.diag([1, expected, expected, expected]), atol=1e-12)
+
+
+def test_unitary_conjugation_twirl_alpha():
+    # any unitary channel twirls to alpha = (Tr R - 1) / 3
+    u = np.array([[np.cos(0.4), -1j * np.sin(0.4)], [-1j * np.sin(0.4), np.cos(0.4)]])
+    r = ptm_from_unitary(u)
+    brute = brute_force_twirl(r, generate_c1())
+    expected = (np.trace(r) - 1) / 3
+    assert np.allclose(brute, np.diag([1, expected, expected, expected]), atol=1e-12)
 
 
 def test_oracle_all_groups(channels_2q):
