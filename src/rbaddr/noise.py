@@ -564,7 +564,11 @@ class NoisyGateSet:
     ``slot_channels`` holds the identity pad in row 0 and the channel of
     ``SLOTS[s]`` in row s + 1, all built as one batch: for a cross-talk
     model, one :func:`evolve_to_ptms` call.  ``element_table`` composes
-    each group's elements from it.
+    each group's elements from it.  ``monomial_table`` gives a group's
+    table as one source column and one factor per row when every row holds
+    at most one nonzero entry, as under Pauli-diagonal noise (ideal,
+    depolarizing, a Pauli-diagonal static error and composites of these),
+    so that propagation can gather and scale instead of multiplying.
     """
 
     def __init__(self, model: NoiseModel, granularity: str = "generator"):
@@ -575,6 +579,7 @@ class NoisyGateSet:
         self.model = model
         self.granularity = granularity
         self._tables: dict[str, np.ndarray] = {}
+        self._monomials: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
 
     @cached_property
     def slot_channels(self) -> np.ndarray:
@@ -619,6 +624,29 @@ class NoisyGateSet:
             table.setflags(write=False)
             self._tables[group.kind] = table
         return self._tables[group.kind]
+
+    def monomial_table(self, group: CliffordGroup) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(source, factor)``, both (len(group), 16), with
+        ``table[g, i] = factor[g, i] * e_source[g, i]`` for the group's
+        :meth:`element_table`, when every row of it has at most one nonzero
+        entry (source 0 and factor 0 for an all-zero row); None otherwise.
+
+        The test reads the table itself, not the model: a non-unital
+        column (decoherence) or a mixing channel (cross-talk, a ZZ
+        rotation) makes it None.
+        """
+        if group.kind not in self._monomials:
+            table = self.element_table(group)
+            nonzero = table != 0
+            form = None
+            if np.count_nonzero(nonzero, axis=2).max() <= 1:
+                source = nonzero.argmax(axis=2)
+                factor = np.take_along_axis(table, source[..., None], axis=2)[..., 0]
+                source.setflags(write=False)
+                factor.setflags(write=False)
+                form = (source, factor)
+            self._monomials[group.kind] = form
+        return self._monomials[group.kind]
 
 
 # ---------------------------------------------------------------------------

@@ -10,25 +10,29 @@ shared by the three experiments, K sequences at a time; the four final
 populations give the traced projections p00+p01 (qubit 1), p00+p10
 (qubit 2) and the correlation p00+p11.  The gate set fixes the noise
 granularity: once per generator slot (error scales with pulse count) or
-one channel per element for gate-independent models.
+one channel per element for gate-independent models.  A step is a
+batched mat-vec, or, when the gate set's table is monomial (Pauli-diagonal
+noise, ``NoisyGateSet.monomial_table``), a gather and a multiply with the
+same bits.
 
 The unit of work is a block: the K sequences of one (experiment, length),
-cost K (m + 1) sequence steps.  ``run_protocol`` deals the blocks of all
-three experiments into shares across the CPUs, longest first to the
-least-loaded share (``parallel.run_jobs``); ``run_experiment`` does the
-same for one experiment's blocks.  A block never splits, because
+cost K stream draws plus K (m + 1) steps of its table's kernel.
+``run_protocol`` deals the blocks of all three experiments into shares
+across the CPUs, longest first to the least-loaded share
+(``parallel.run_jobs``); ``run_experiment`` does the same for one
+experiment's blocks.  A block never splits, because
 ``SpamModel.populations`` rounds with the batch size, and the gate set's
 tables are built before any share starts, so every curve is bit for bit
 the same at any CPU count.
 
 Sequence k of length m in an experiment draws its elements, then its
 shots, from its own stream: numpy's ``default_rng([seed, experiment code,
-m, k])`` stream, so results are independent of execution order.  The
-streams of a whole experiment are seeded in one batch, by numpy's
-SeedSequence hash in uint32 array arithmetic and PCG64's seeding step in
-Python ints, and drawn from one generator per share whose state is set
-per stream.  This relies on numpy's stream-compatibility guarantee for
-SeedSequence and PCG64 (NEP 19); the draws themselves stay numpy's own.
+m, k])`` stream, so results are independent of execution order.  A share
+seeds the streams of its own blocks in one batch, by numpy's SeedSequence
+hash in uint32 array arithmetic and PCG64's seeding step in Python ints,
+and draws them from one generator whose state is set per stream.  This
+relies on numpy's stream-compatibility guarantee for SeedSequence and
+PCG64 (NEP 19); the draws themselves stay numpy's own.
 """
 
 from __future__ import annotations
@@ -147,18 +151,55 @@ def generate_sequence(
     return indices, group.recovery_index(indices)
 
 
+# (sequence, step) pairs whose sources and factors the gather kernel
+# takes at once: 2**10 of them hold 0.26 MB at any K.  Propagating a
+# K = 50, m = 512 block peaks at 0.74 MB (tracemalloc) in chunks of 2**10,
+# at 6.9 MB in one chunk.
+GATHER_CHUNK_SEQUENCE_STEPS = 2**10
+
+
 def simulate_sequence(
     group: CliffordGroup, indices, recovery, gateset: NoisyGateSet, spam: SpamModel
 ) -> np.ndarray:
     """Propagate one sequence, or K at once (indices (K, m), recovery (K,));
-    returns (p00, p01, p10, p11), with a leading K axis for a batch."""
-    table = gateset.element_table(group)
+    returns (p00, p01, p10, p11), with a leading K axis for a batch.
+
+    A step applies one element channel to each sequence's state: a gather
+    and a multiply when the gate set's table is monomial, else a batched
+    mat-vec; both give the same bits."""
     columns = np.column_stack([np.atleast_2d(indices), np.atleast_1d(recovery)])
-    state = np.broadcast_to(spam.prep, (len(columns), len(spam.prep)))
-    for column in columns.T:
-        state = np.einsum("rij,rj->ri", table[column], state)
+    monomial = gateset.monomial_table(group)
+    if monomial is None:
+        table = gateset.element_table(group)
+        state = np.broadcast_to(spam.prep, (len(columns), len(spam.prep)))
+        for column in columns.T:
+            state = np.einsum("rij,rj->ri", table[column], state)
+    else:
+        state = _gather_steps(columns, *monomial, spam.prep)
     pops = spam.populations(state.T).T
     return pops if np.ndim(indices) == 2 else pops[0]
+
+
+def _gather_steps(columns, source, factor, prep) -> np.ndarray:
+    """The (K, d) states after the steps ``columns`` (K, steps) under the
+    monomial table ``(source, factor)`` of ``NoisyGateSet.monomial_table``.
+
+    The batched mat-vec sums a row's one product ``t * s`` with exact
+    zeros, which returns ``t * s`` rounded once, as the multiply here does;
+    only the sign of a zero can differ, and the final ``+ 0.0`` makes every
+    zero +0.0, as that sum does."""
+    k, d = len(columns), len(prep)
+    state = np.broadcast_to(prep, (k, d)).copy()
+    offset = d * np.arange(k)[:, None]
+    steps = columns.T
+    chunk = max(1, GATHER_CHUNK_SEQUENCE_STEPS // k)
+    for first in range(0, len(steps), chunk):
+        block = steps[first : first + chunk]
+        rows = source[block]
+        rows += offset
+        for f, row in zip(factor[block], rows):
+            state = f * state.ravel()[row]
+    return state + 0.0
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -219,29 +260,44 @@ def _pcg64_state(seed: int, inc: int) -> dict:
     }
 
 
+def _stream_words(cfg: RBConfig, blocks) -> np.ndarray:
+    """PCG64's seed words (s0, s1, s2, s3) of ``np.random.default_rng([
+    cfg.seed, code, m, k])`` for each k < ``cfg.K`` of each block
+    ``(experiment, length index)``, where code is the experiment's code,
+    as a (len(blocks), 4, K) uint64 array; one hash for all of them."""
+    prefix = _uint32_words(cfg.seed)
+    entropy = np.empty((len(blocks), cfg.K, len(prefix) + 3), np.uint32)
+    entropy[..., :-3] = prefix
+    entropy[..., -3] = [[EXPERIMENT_CODES[e]] for e, _ in blocks]
+    entropy[..., -2] = [[cfg.lengths[mi]] for _, mi in blocks]
+    entropy[..., -1] = np.arange(cfg.K)
+    words = _seed_sequence_state(entropy.reshape(-1, entropy.shape[-1]))
+    return np.stack(words).reshape(4, len(blocks), cfg.K).swapaxes(0, 1)
+
+
+def _block_states(words: np.ndarray) -> list[dict]:
+    """The PCG64 states of one block's streams from its (4, K) seed words:
+    PCG64 seeds with seed = (s0, s1) and inc = (s2, s3), high word first."""
+    s0, s1, s2, s3 = words.tolist()
+    return [_pcg64_state(a << 64 | b, c << 64 | d) for a, b, c, d in zip(s0, s1, s2, s3)]
+
+
 def stream_states(cfg: RBConfig, experiment: str) -> list[list[dict]]:
     """The PCG64 state of ``np.random.default_rng([cfg.seed, code, m, k])``
     for each length m of ``cfg.lengths`` and each k < ``cfg.K``, where code
     is the experiment's code; one hash for the whole experiment."""
-    prefix = _uint32_words(cfg.seed) + [EXPERIMENT_CODES[experiment]]
-    entropy = np.empty((len(cfg.lengths), cfg.K, len(prefix) + 2), np.uint32)
-    entropy[..., :-2] = prefix
-    entropy[..., -2] = np.array(cfg.lengths)[:, None]
-    entropy[..., -1] = np.arange(cfg.K)
-    # PCG64 seeds with seed = (s0, s1) and inc = (s2, s3), high word first
-    s0, s1, s2, s3 = (
-        w.tolist() for w in _seed_sequence_state(entropy.reshape(-1, entropy.shape[-1]))
-    )
-    states = [
-        _pcg64_state(a << 64 | b, c << 64 | d) for a, b, c, d in zip(s0, s1, s2, s3)
-    ]
-    return [states[i : i + cfg.K] for i in range(0, len(states), cfg.K)]
+    words = _stream_words(cfg, [(experiment, mi) for mi in range(len(cfg.lengths))])
+    return [_block_states(block) for block in words]
 
 
-# Estimated seconds of one sequence step (one element channel applied to one
-# sequence's state, with its share of drawing and recovery): a default
-# depolarizing run, 155k steps, took 0.07-0.11 s (2-core Xeon VM).
-SEQUENCE_STEP_SECONDS = 5e-7
+# Estimated seconds of a block's work (2-core Xeon VM, K = 50, lengths 1..512):
+# seeding a stream, setting it and drawing its sequence took 8-12 us
+# whatever m; a sequence step (one element channel applied to one
+# sequence's state, with its share of the recovery scan) took 0.13-0.17 us
+# by gather and multiply and 0.3-0.45 us by batched mat-vec.
+STREAM_DRAW_SECONDS = 1e-5
+GATHER_STEP_SECONDS = 1.5e-7
+MATVEC_STEP_SECONDS = 4e-7
 
 
 def _run_block(cfg, gateset, group, m, states, rng) -> np.ndarray:
@@ -271,27 +327,29 @@ def _run_block(cfg, gateset, group, m, states, rng) -> np.ndarray:
 def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalCurve]]:
     """Curves of each experiment, keyed as :func:`run_experiment` keys them;
     the blocks of all of them run in one set of shares.  The element
-    tables are built here, before any share starts; a share seeds the
-    streams of one experiment at a time."""
+    tables and their monomial forms are built here, before any share
+    starts; a share seeds the streams of its own blocks only, in one hash,
+    and holds the stream states of one block at a time."""
     for experiment in experiments:
         if experiment not in EXPERIMENT_GROUPS:
             raise ValueError(f"unknown experiment '{experiment}'")
     groups = {e: get_group(EXPERIMENT_GROUPS[e]) for e in experiments}
-    for group in groups.values():
-        gateset.element_table(group)
+    step = {  # monomial_table builds the element table too
+        e: MATVEC_STEP_SECONDS if gateset.monomial_table(group) is None else GATHER_STEP_SECONDS
+        for e, group in groups.items()
+    }
     blocks = [(e, mi) for e in experiments for mi in range(len(cfg.lengths))]
-    costs = [cfg.K * (cfg.lengths[mi] + 1) * SEQUENCE_STEP_SECONDS for _, mi in blocks]
+    costs = [
+        cfg.K * (STREAM_DRAW_SECONDS + (cfg.lengths[mi] + 1) * step[e]) for e, mi in blocks
+    ]
 
     def work(share):
         # one generator serves every stream; its own seed is overwritten
         rng = np.random.Generator(np.random.PCG64())
-        pops, states = [], {}
-        for e, mi in share:  # a share lists one experiment's blocks together
-            if e not in states:
-                states.clear()  # one experiment's streams at a time
-                states[e] = stream_states(cfg, e)
-            pops.append(_run_block(cfg, gateset, groups[e], cfg.lengths[mi], states[e][mi], rng))
-        return pops
+        return [
+            _run_block(cfg, gateset, groups[e], cfg.lengths[mi], _block_states(words), rng)
+            for (e, mi), words in zip(share, _stream_words(cfg, share))
+        ]
 
     pops = iter(run_jobs(work, blocks, costs))
     ms = np.array(cfg.lengths)

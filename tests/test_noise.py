@@ -450,6 +450,65 @@ def test_clifford_element_table_matches_per_element_loop(model):
         assert np.array_equal(table, reference), kind
 
 
+# A Pauli channel on each qubit: diagonal in the Pauli basis, so every
+# element channel it makes is a monomial matrix
+_PAULI_DIAGONAL = np.diag(np.kron([1.0, 0.9, 0.9, 1.0], [1.0, 0.8, 0.75, 0.9]))
+
+MONOMIAL_MODELS = {
+    "ideal": (Ideal(), "generator"),
+    "depolarizing": (Depolarizing(0.97, 0.95), "generator"),
+    "alpha_zero": (Depolarizing(0.0), "generator"),
+    "alpha1_lower_bound": (Depolarizing(-1 / 3, 0.95), "generator"),
+    "joint_lower_bound": (Depolarizing(-1 / 15, joint=True), "generator"),
+    "per_clifford": (Depolarizing(0.97, 0.95), "clifford"),
+    "pauli_diagonal": (StaticError(_PAULI_DIAGONAL), "generator"),
+    "composite_per_clifford": (
+        Composite((Depolarizing(0.99), StaticError(_PAULI_DIAGONAL), Ideal())),
+        "clifford",
+    ),
+}
+
+
+@pytest.mark.parametrize("model, granularity", MONOMIAL_MODELS.values(), ids=MONOMIAL_MODELS)
+def test_monomial_table_holds_each_row_one_entry(model, granularity):
+    gateset = NoisyGateSet(model, granularity)
+    for kind in ("cxi", "ixc", "cxc"):
+        group = get_group(kind)
+        table = gateset.element_table(group)
+        form = gateset.monomial_table(group)
+        assert form is not None, kind
+        assert gateset.monomial_table(group) is form  # cached per group
+        source, factor = form
+        assert source.shape == factor.shape == (len(group), 16)
+        assert np.array_equal(factor, np.take_along_axis(table, source[..., None], axis=2)[..., 0])
+        rebuilt = np.zeros_like(table)
+        np.put_along_axis(rebuilt, source[..., None], factor[..., None], axis=2)
+        assert np.array_equal(rebuilt, table), kind  # every other entry is 0
+
+
+_CROSSTALK_16 = CrossTalk(SAMPLE_A, steps=16)
+
+
+@pytest.mark.parametrize(
+    "model, granularity",
+    [
+        (Decoherence(SAMPLE_A), "generator"),
+        (Decoherence(SAMPLE_A), "clifford"),
+        (_CROSSTALK_16, "generator"),
+        (StaticError(zz_rotation_ptm(0.2)), "generator"),
+        (Composite((Depolarizing(0.97, 0.95), StaticError(zz_rotation_ptm(0.2)))), "clifford"),
+        (Composite((Depolarizing(0.99), Decoherence(SAMPLE_A))), "generator"),
+        (Composite((Ideal(), _CROSSTALK_16)), "generator"),
+    ],
+    ids=["decoherence", "decoherence_per_clifford", "crosstalk", "zz_rotation",
+         "depolarizing_zz_rotation", "depolarizing_decoherence", "ideal_crosstalk"],
+)
+def test_monomial_table_is_none_for_mixing_or_non_unital_noise(model, granularity):
+    gateset = NoisyGateSet(model, granularity)
+    for kind in ("cxi", "ixc", "cxc"):
+        assert gateset.monomial_table(get_group(kind)) is None, kind
+
+
 def test_average_error_channel_matches_element_loop():
     # reference: compose each element's slot channels, then average
     # noisy(i) @ ideal(i)^T over the group one element at a time

@@ -32,6 +32,7 @@ from rbaddr.protocol import (
     simulate_sequence,
     stream_states,
     write_curves_csv,
+    _gather_steps,
 )
 from rbaddr.twirl import gamma_decay_curve
 
@@ -185,6 +186,50 @@ def test_run_experiment_matches_per_sequence_propagation(model, granularity, spa
                     assert abs(curve.raw[mi, k] - sums[proj]) < 1e-12
 
 
+# Pauli-diagonal noise, whose element tables are monomial (as in test_noise)
+_PAULI_DIAGONAL = np.diag(np.kron([1.0, 0.9, 0.9, 1.0], [1.0, 0.8, 0.75, 0.9]))
+_MONOMIAL_MODELS = {
+    "ideal": (Ideal(), "generator"),
+    "depolarizing": (Depolarizing(0.97, 0.95), "generator"),
+    "alpha_zero": (Depolarizing(0.0), "generator"),
+    "alpha1_lower_bound": (Depolarizing(-1 / 3, 0.95), "generator"),
+    "joint_lower_bound": (Depolarizing(-1 / 15, joint=True), "generator"),
+    "per_clifford": (Depolarizing(0.97, 0.95), "clifford"),
+    "pauli_diagonal": (StaticError(_PAULI_DIAGONAL), "generator"),
+    "composite_per_clifford": (
+        Composite((Depolarizing(0.99), StaticError(_PAULI_DIAGONAL), Ideal())),
+        "clifford",
+    ),
+}
+
+
+def _einsum_states(table, columns, prep):
+    """Reference propagation: the batched mat-vec of every step."""
+    state = np.broadcast_to(prep, (len(columns), len(prep)))
+    for column in columns.T:
+        state = np.einsum("rij,rj->ri", table[column], state)
+    return state
+
+
+@pytest.mark.parametrize("model, granularity", _MONOMIAL_MODELS.values(), ids=_MONOMIAL_MODELS)
+@pytest.mark.parametrize("kind", ["cxi", "ixc", "cxc"])
+@pytest.mark.parametrize("K, m", [(1, 1), (7, 40), (50, 300)])
+def test_gather_kernel_gives_the_matvec_bits(model, granularity, kind, K, m):
+    gateset = NoisyGateSet(model, granularity)
+    group = get_group(kind)
+    rng = np.random.default_rng([K, m])
+    indices = rng.integers(0, len(group), size=(K, m))
+    recovery = group.recovery_indices(indices)
+    columns = np.column_stack([indices, recovery])
+    prep = SpamModel.perfect().prep
+    reference = _einsum_states(gateset.element_table(group), columns, prep)
+    state = _gather_steps(columns, *gateset.monomial_table(group), prep)
+    assert state.tobytes() == reference.tobytes()  # signs of zeros included
+    for spam in (SpamModel.perfect(), _MISASSIGNED):
+        pops = simulate_sequence(group, indices, recovery, gateset, spam)
+        assert np.array_equal(pops, spam.populations(reference.T).T)
+
+
 def _per_sequence_curves(cfg, gateset, experiment):
     """Reference draw order, one stream per sequence k: its indices (and
     recovery) from generate_sequence, then, after propagation, its shots.
@@ -213,12 +258,13 @@ def _per_sequence_curves(cfg, gateset, experiment):
     return raw
 
 
-def _assert_per_sequence_draw_order(cfg, experiment, granularity):
-    # gate-independent, so both granularities apply; the ZZ rotation makes
-    # each sequence's populations depend on its elements
-    gateset = NoisyGateSet(
-        Composite((Depolarizing(0.97, 0.95), StaticError(zz_rotation_ptm(0.2)))), granularity
-    )
+# gate-independent, so both granularities apply; the ZZ rotation makes
+# each sequence's populations depend on its elements
+_ZZ_DEPOLARIZING = Composite((Depolarizing(0.97, 0.95), StaticError(zz_rotation_ptm(0.2))))
+
+
+def _assert_per_sequence_draw_order(cfg, experiment, granularity, model=_ZZ_DEPOLARIZING):
+    gateset = NoisyGateSet(model, granularity)
     curves = run_experiment(cfg, gateset, experiment)
     reference = _per_sequence_curves(cfg, gateset, experiment)
     assert set(curves) == set(reference)
@@ -229,14 +275,23 @@ def _assert_per_sequence_draw_order(cfg, experiment, granularity):
         assert np.array_equal(curve.stderr, raw.std(axis=1, ddof=1) / np.sqrt(cfg.K)), proj
 
 
-@pytest.mark.parametrize("experiment", ["exp1", "exp3"])
+@pytest.mark.parametrize(
+    "experiment, model",
+    [
+        pytest.param("exp1", _ZZ_DEPOLARIZING, id="exp1"),
+        pytest.param("exp3", _ZZ_DEPOLARIZING, id="exp3"),
+        # a monomial table: the gather kernel propagates
+        pytest.param("exp1", Depolarizing(0.97, 0.95), id="exp1-depolarizing"),
+        pytest.param("exp3", Depolarizing(0.97, 0.95), id="exp3-depolarizing"),
+    ],
+)
 @pytest.mark.parametrize("granularity", ["generator", "clifford"])
 @pytest.mark.parametrize("shots", [None, 200])
-def test_run_experiment_reproduces_per_sequence_draw_order(experiment, granularity, shots):
+def test_run_experiment_reproduces_per_sequence_draw_order(experiment, model, granularity, shots):
     cfg = RBConfig(
         lengths=(1, 2, 7, 20), K=5, seed=23, spam=_MISASSIGNED, shots=shots, keep_raw=True
     )
-    _assert_per_sequence_draw_order(cfg, experiment, granularity)
+    _assert_per_sequence_draw_order(cfg, experiment, granularity, model)
 
 
 @pytest.mark.parametrize("seed", [2**32, 2**64 + 5])
@@ -312,6 +367,30 @@ def test_run_experiment_shares_one_generator(rng_constructions, shots):
     run_experiment(cfg, NoisyGateSet(Depolarizing(0.99)), "exp3")
     assert rng_constructions["default_rng"] + rng_constructions["Generator"] <= 1
     assert rng_constructions["PCG64"] + rng_constructions["SeedSequence"] <= 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_share_seeds_only_its_own_streams(monkeypatch, workers, cpus):
+    # one hash per share, of the streams of the share's own blocks
+    import rbaddr.protocol as protocol
+
+    hashed = []
+    real = protocol._seed_sequence_state
+
+    def counting(entropy):
+        hashed.append(len(entropy))
+        return real(entropy)
+
+    monkeypatch.setattr(protocol, "_seed_sequence_state", counting)
+    workers(cpus)
+    cfg = RBConfig(lengths=(1, 2, 4, 8), K=3, seed=1)
+    run_protocol(cfg, NoisyGateSet(Depolarizing(0.99)))
+    everything = 3 * len(cfg.lengths) * cfg.K
+    assert len(hashed) == 1  # a child's hash is not seen here
+    if cpus == 1:
+        assert hashed == [everything]
+    else:
+        assert 0 < hashed[0] < everything and hashed[0] % cfg.K == 0
 
 
 def test_run_experiment_ideal_constant_one():
