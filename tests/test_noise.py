@@ -454,7 +454,7 @@ def test_clifford_element_table_matches_per_element_loop(model):
 # element channel it makes is a monomial matrix
 _PAULI_DIAGONAL = np.diag(np.kron([1.0, 0.9, 0.9, 1.0], [1.0, 0.8, 0.75, 0.9]))
 
-MONOMIAL_MODELS = {
+_MONOMIAL_MODELS = {
     "ideal": (Ideal(), "generator"),
     "depolarizing": (Depolarizing(0.97, 0.95), "generator"),
     "alpha_zero": (Depolarizing(0.0), "generator"),
@@ -469,7 +469,7 @@ MONOMIAL_MODELS = {
 }
 
 
-@pytest.mark.parametrize("model, granularity", MONOMIAL_MODELS.values(), ids=MONOMIAL_MODELS)
+@pytest.mark.parametrize("model, granularity", _MONOMIAL_MODELS.values(), ids=_MONOMIAL_MODELS)
 def test_monomial_table_holds_each_row_one_entry(model, granularity):
     gateset = NoisyGateSet(model, granularity)
     for kind in ("cxi", "ixc", "cxc"):
