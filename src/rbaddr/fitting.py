@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 
@@ -251,17 +251,35 @@ def _fit_single(model, m, y, stderr, seed, reason) -> DecayFit:
     return fit
 
 
+def _order_free(fit_fn):
+    """``fit_fn(m, y, stderr, ...)`` on the rows sorted by (m, y, stderr),
+    its residuals returned in the caller's row order: a fit is then a
+    function of the set of rows, bit for bit.  Rows already in ascending m
+    are fitted as given."""
+
+    @wraps(fit_fn)
+    def fit_rows(m, y, stderr, *args, **kwargs) -> DecayFit:
+        m, y, stderr = (np.asarray(a, dtype=float) for a in (m, y, stderr))
+        order = np.lexsort((stderr, y, m))
+        fit = fit_fn(m[order], y[order], stderr[order], *args, **kwargs)
+        fit.residuals = fit.residuals[np.argsort(order)]
+        return fit
+
+    return fit_rows
+
+
+@_order_free
 def fit_exponential(m, y, stderr) -> DecayFit:
     """Fit F(m) = A alpha^m + B to the points (m, y) with standard errors
     ``stderr``; points need positive standard errors (weights 1/sigma^2)
     and there must be at least four (three fit parameters).
     """
-    m, y, stderr = (np.asarray(a, dtype=float) for a in (m, y, stderr))
     if len(m) < 4:
         raise FitError("need at least 4 points to fit 3 parameters")
     return _fit_single("single_exponential", m, y, stderr, _initial_guess(m, y), ())
 
 
+@_order_free
 def fit_correlation_curve(m, y, stderr, alpha_1_2: float, alpha_2_1: float) -> DecayFit:
     """Extract alpha_12 from the two-qubit correlation decay.
 
@@ -271,7 +289,6 @@ def fit_correlation_curve(m, y, stderr, alpha_1_2: float, alpha_2_1: float) -> D
     zero, or the background fit is degenerate, the curve is refit to a
     single exponential.
     """
-    m, y, stderr = (np.asarray(a, dtype=float) for a in (m, y, stderr))
     f1, f2 = float(alpha_1_2), float(alpha_2_1)
     merged = abs(f1 - f2) < 1e-9
     bg_rates = (f1,) if merged else (f1, f2)
