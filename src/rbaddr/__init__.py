@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cliffords import CliffordElement, CliffordGroup, generate_c1, get_group, product_group
+from .cliffords import CliffordGroup, generate_c1, get_group, product_group
 from .fitting import DecayFit, fit_correlation_curve, fit_exponential, fit_protocol_curves
 from .noise import (
     SAMPLE_A,

@@ -11,14 +11,16 @@ Each group is built with a few array operations: one stacked matmul per
 closure frontier, one broadcast Kronecker product for all pairs of a
 product group, one stacked product for the tables.  On integer PTMs these
 are exact, so the result equals the one-element-at-a-time build bit for
-bit.  A group holds its PTMs as one read-only ``(|G|, d, d)`` array,
-``CliffordGroup.ptms``; each element's ``ptm`` is a view of it.
+bit.  A group is its arrays: the read-only ``(|G|, d, d)`` stack of PTMs
+``ptms``, each element's generator words ``words`` (one per qubit) and the
+tables ``mult_table`` and ``inv_table``; element ``i`` is row ``i`` of each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -55,26 +57,13 @@ def generator_ptm(name: str) -> np.ndarray:
     return ptm
 
 
-def _rounded(ptm: np.ndarray) -> np.ndarray | None:
-    """The integer PTM ``ptm`` is within ``_KEY_GUARD`` of, or None if there
-    is none (a non-finite entry has none)."""
-    if not np.all(np.isfinite(ptm)):
-        return None
-    rounded = np.rint(ptm)
-    if np.max(np.abs(ptm - rounded)) > _KEY_GUARD:
-        return None
-    return rounded
-
-
 def _canonical(ptm: np.ndarray) -> np.ndarray:
-    rounded = _rounded(ptm)
-    if rounded is None:
+    """The integer PTM ``ptm`` is within ``_KEY_GUARD`` of."""
+    rounded = np.rint(ptm)
+    # a non-finite entry is within the guard of no integer
+    if not np.all(np.isfinite(ptm)) or np.max(np.abs(ptm - rounded)) > _KEY_GUARD:
         raise ValueError("PTM is not a signed Pauli permutation")
     return rounded
-
-
-def _key(ptm: np.ndarray) -> bytes:
-    return np.rint(ptm).astype(np.int8).tobytes()
 
 
 def _one_row(indices) -> np.ndarray:
@@ -84,46 +73,21 @@ def _one_row(indices) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CliffordElement:
-    group_kind: str
-    index: int
-    ptm: np.ndarray
-    # one generator word per qubit, applied left to right
-    words: tuple[tuple[str, ...], ...]
-
-    @property
-    def n_slots(self) -> int:
-        """Generator slots the element occupies when played (max over qubits)."""
-        return max(len(w) for w in self.words)
-
-
-@dataclass(frozen=True)
 class CliffordGroup:
     kind: str
-    n: int
-    elements: tuple[CliffordElement, ...]
+    # every element's PTM, stacked (|G|, d, d)
+    ptms: np.ndarray = field(repr=False)
+    # per element, one generator word per qubit, applied left to right
+    words: tuple[tuple[tuple[str, ...], ...], ...] = field(repr=False)
     mult_table: np.ndarray  # mult_table[i, j] = index of (apply j, then i)
     inv_table: np.ndarray
-    _key_index: dict[bytes, int] = field(repr=False)
-    # every element's PTM, stacked (|G|, d, d); element i's ptm is ptms[i]
-    ptms: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for array in (self.ptms, self.mult_table, self.inv_table):
+            _read_only(array)
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def ptm(self, index: int) -> np.ndarray:
-        return self.ptms[index]
-
-    def lookup(self, ptm: np.ndarray) -> int:
-        """Index of a (numerically) signed-permutation PTM in the group."""
-        rounded = _rounded(ptm)
-        if rounded is None:
-            raise KeyError("PTM is not close to a signed Pauli permutation")
-        key = rounded.astype(np.int8).tobytes()
-        try:
-            return self._key_index[key]
-        except KeyError:
-            raise KeyError("PTM is not an element of this group") from None
+        return len(self.ptms)
 
     def recovery_indices(self, indices) -> np.ndarray:
         """Recovery of each row of a (K, m) index array, shape (K,): the
@@ -137,22 +101,20 @@ class CliffordGroup:
         return self.inv_table[total]
 
     def recovery_index(self, indices) -> int:
-        """Element undoing a sequence: ptm(r) @ ptm(i_m) ... ptm(i_1) = 1."""
+        """Element undoing a sequence: ptms[r] @ ptms[i_m] ... ptms[i_1] = 1."""
         return int(self.recovery_indices(_one_row(indices))[0])
 
     def sample_uniform(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m i.i.d. uniform element indices."""
         if m < 1:
             raise ValueError("sequence length must be >= 1")
-        return rng.integers(0, len(self.elements), size=m)
-
-    def word_slot_counts(self) -> np.ndarray:
-        return np.array([e.n_slots for e in self.elements])
+        return rng.integers(0, len(self), size=m)
 
     @property
     def mean_slots(self) -> float:
-        """Average generator slots per element (reported alongside fits)."""
-        return float(self.word_slot_counts().mean())
+        """Average generator slots per element (reported alongside fits):
+        an element occupies as many slots as its longest word."""
+        return float(np.mean([max(map(len, words)) for words in self.words]))
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +124,7 @@ def generate_c1() -> CliffordGroup:
     names = tuple(GENERATOR_ANGLES)
     ptms: list[np.ndarray] = [np.eye(4)]
     words: list[tuple[str, ...]] = [()]
-    seen = {_key(ptms[0]): 0}
+    seen = dict.fromkeys(_keys(ptms[0]), 0)
     frontier = [0]
     while frontier:
         # every (element, generator) product of the frontier, in that order
@@ -186,7 +148,7 @@ def generate_c1() -> CliffordGroup:
     # a signed permutation's inverse is its transpose
     mult = _indices(seen, stack[:, None] @ stack[None, :]).reshape(24, 24)
     inv = _indices(seen, stack.transpose(0, 2, 1))
-    return _group("c1", 1, stack, [(w,) for w in words], mult, inv, seen)
+    return CliffordGroup("c1", stack, tuple((w,) for w in words), mult, inv)
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +160,7 @@ def product_group(kind: str) -> CliffordGroup:
     """
     c1 = generate_c1()
     identity = (np.eye(4)[None], [()])
-    c1_side = (c1.ptms, [e.words[0] for e in c1.elements])
+    c1_side = (c1.ptms, [w for (w,) in c1.words])
     if kind == "cxc":
         (a, words_a), (b, words_b) = c1_side, c1_side
     elif kind == "cxi":
@@ -211,8 +173,7 @@ def product_group(kind: str) -> CliffordGroup:
     # the Kronecker product of every pair as one broadcast multiply (not
     # einsum, which sums into a zeroed output and so loses kron's -0.0)
     ptms = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, 16, 16)
-    words = [(wa, wb) for wa in words_a for wb in words_b]
-    key_index = {key: idx for idx, key in enumerate(_keys(ptms))}
+    words = tuple((wa, wb) for wa in words_a for wb in words_b)
 
     m1 = c1.mult_table
     inv1 = c1.inv_table
@@ -223,11 +184,12 @@ def product_group(kind: str) -> CliffordGroup:
     else:
         mult = m1.copy()
         inv = inv1.copy()
-    return _group(kind, 2, ptms, words, mult, inv, key_index)
+    return CliffordGroup(kind, ptms, words, mult, inv)
 
 
 def _keys(ptms: np.ndarray) -> list[bytes]:
-    """``_key`` of every matrix of a (..., d, d) stack, in C order."""
+    """Byte key (the int8 entries) of every matrix of a (..., d, d) stack,
+    in C order."""
     rows = np.rint(ptms).astype(np.int8).reshape(-1, ptms.shape[-1] ** 2)
     return [row.tobytes() for row in rows]
 
@@ -238,21 +200,11 @@ def _indices(key_index: dict[bytes, int], ptms: np.ndarray) -> np.ndarray:
 
 
 def _read_only(array: np.ndarray) -> None:
-    """Freeze ``array`` and the arrays it views, so that no view of it (an
-    element's PTM) can be made writeable again."""
+    """Freeze ``array`` and the arrays it views, so that no view of it can
+    be made writeable again."""
     while isinstance(array, np.ndarray):
         array.setflags(write=False)
         array = array.base
-
-
-def _group(kind, n, ptms, words, mult, inv, key_index) -> CliffordGroup:
-    """Freeze the shared arrays; every element's PTM is a view of ``ptms``."""
-    for array in (ptms, mult, inv):
-        _read_only(array)
-    elements = tuple(
-        CliffordElement(kind, i, ptms[i], word) for i, word in enumerate(words)
-    )
-    return CliffordGroup(kind, n, elements, mult, inv, key_index, ptms)
 
 
 def get_group(kind: str) -> CliffordGroup:
@@ -261,30 +213,23 @@ def get_group(kind: str) -> CliffordGroup:
     return product_group(kind)
 
 
-def element_slots(element: CliffordElement) -> list[tuple[str | None, str | None]]:
-    """Per-slot generator pairs; the shorter word is padded with idles."""
-    if element.group_kind == "c1":
-        return [(g, None) for g in element.words[0]]
-    w1, w2 = element.words
-    n = max(len(w1), len(w2))
-    return [
-        (w1[i] if i < len(w1) else None, w2[i] if i < len(w2) else None)
-        for i in range(n)
-    ]
+def element_slots(words: tuple[tuple[str, ...], ...]) -> list[tuple[str | None, str | None]]:
+    """Per-slot generator pairs of one element's per-qubit ``words``; the
+    shorter word is padded with idles, and C1's single word plays on qubit 1."""
+    w1, w2 = words if len(words) == 2 else (*words, ())
+    return list(zip_longest(w1, w2))
 
 
 def dump_group_csv(group: CliffordGroup, path) -> None:
     """Plain-text table of the group: index, per-qubit words, PTM entries."""
     import csv
 
-    size = group.elements[0].ptm.shape[0]
+    size = group.ptms.shape[-1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["index", "words"] + [f"r{i}{j}" for i in range(size) for j in range(size)]
         )
-        for e in group.elements:
-            word_str = "|".join(",".join(w) if w else "-" for w in e.words)
-            writer.writerow(
-                [e.index, word_str] + [int(v) for v in e.ptm.ravel()]
-            )
+        for index, (words, ptm) in enumerate(zip(group.words, group.ptms)):
+            word_str = "|".join(",".join(w) if w else "-" for w in words)
+            writer.writerow([index, word_str] + [int(v) for v in ptm.ravel()])

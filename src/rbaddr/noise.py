@@ -428,7 +428,8 @@ class Depolarizing:
     """Depolarizing error per generator slot.
 
     Product form dep(alpha1) (x) dep(alpha2) by default; ``joint`` applies
-    one correlated two-qubit depolarizing channel with parameter alpha1.
+    one correlated two-qubit depolarizing channel with parameter alpha1 and
+    refuses an alpha2.
     """
 
     alpha1: float
@@ -436,6 +437,8 @@ class Depolarizing:
     joint: bool = False
 
     def __post_init__(self):
+        if self.joint and self.alpha2 is not None:
+            raise ValueError("a joint depolarizing channel does not read alpha2")
         # CPTP range of depolarizing_ptm: -1/(d^2 - 1) <= alpha <= 1
         lo = -1 / 15 if self.joint else -1 / 3
         for name in ("alpha1", "alpha2"):
@@ -614,7 +617,7 @@ class NoisyGateSet:
             if self.granularity == "clifford":
                 table = _slot_errors(self.model, None) @ group.ptms
             else:
-                words = [element_slots(e) for e in group.elements]
+                words = [element_slots(w) for w in group.words]
                 positions = np.zeros((len(words), max(map(len, words))), dtype=np.int64)
                 for g, word in enumerate(words):
                     positions[g, : len(word)] = [_SLOT_ROW[slot] for slot in word]

@@ -92,7 +92,6 @@ def ptms_from_unitaries(unitaries: np.ndarray, atol: float = DEFAULT_ATOL) -> np
 def ptm_from_kraus(
     kraus: list[np.ndarray] | tuple[np.ndarray, ...],
     require_tp: bool = True,
-    atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
     """PTM of the channel rho -> sum_k K_k rho K_k^dag.
 
@@ -107,7 +106,7 @@ def ptm_from_kraus(
         raise ValueError(f"Kraus dimension {d} is not a power of 2")
     if require_tp:
         total = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
-        if np.linalg.norm(total - np.eye(d)) > max(atol, 1e-10):
+        if np.linalg.norm(total - np.eye(d)) > DEFAULT_ATOL:
             raise ValueError("Kraus set is not trace preserving")
     paulis = np.stack(pauli_matrices(n))
     # images[j] = sum_k K_k P_j K_k^dag; R[i, j] = Tr[P_i images[j]] / d

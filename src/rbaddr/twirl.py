@@ -21,7 +21,6 @@ from .paulis import num_qubits, project, projector_diag
 class TwirlOutcome:
     twirled: np.ndarray
     alphas: dict[str, float]
-    delta_alpha: float | None = None
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,11 @@ class SubsystemTwirlBlocks:
 
 def brute_force_twirl(ptm: np.ndarray, group: CliffordGroup) -> np.ndarray:
     """Exact group average sum_U R_U^T R R_U / |G|."""
-    if ptm.shape[0] != group.elements[0].ptm.shape[0]:
+    if ptm.shape[0] != group.ptms.shape[-1]:
         raise ValueError("PTM and group dimensions differ")
     acc = np.zeros_like(ptm)
-    for e in group.elements:
-        acc += e.ptm.T @ ptm @ e.ptm
+    for g in group.ptms:
+        acc += g.T @ ptm @ g
     return acc / len(group)
 
 
@@ -72,8 +71,8 @@ def twirl_cxc(ptm: np.ndarray) -> TwirlOutcome:
     """CxC twirl: tensor products of depolarizing channels.
 
     Block parameters alpha_{k|k'} = Tr(Pi_k R)/Tr(Pi_k); deviation of
-    alpha_12 from the product alpha_{1|2} alpha_{2|1} witnesses
-    correlated errors.
+    alpha_12 from the product alpha_{1|2} alpha_{2|1}
+    (``report.delta_alpha``) witnesses correlated errors.
     """
     if num_qubits(ptm) != 2:
         raise ValueError("CxC twirl requires a two-qubit PTM")
@@ -87,7 +86,7 @@ def twirl_cxc(ptm: np.ndarray) -> TwirlOutcome:
         + a_12 * projector_diag("corr", 2)
     )
     alphas = {"alpha_1_2": a_1_2, "alpha_2_1": a_2_1, "alpha_12": a_12}
-    return TwirlOutcome(np.diag(diag), alphas, a_12 - a_1_2 * a_2_1)
+    return TwirlOutcome(np.diag(diag), alphas)
 
 
 def twirl_cxi(ptm: np.ndarray, which: int = 1) -> SubsystemTwirlBlocks:

@@ -36,6 +36,7 @@ from .noise import (
 )
 from .paulis import tensor
 from .protocol import decay_single
+from .report import build_report
 from .twirl import brute_force_twirl, twirl_cxc, twirl_cxi
 
 VERIFY_SEED = 20120717
@@ -66,8 +67,8 @@ def check_group_integrity(n_sequences: int, max_m: int, tol: float) -> CheckResu
         rec = int(c1.recovery_indices(seq[None])[0])
         total = np.eye(4)
         for idx in seq:
-            total = c1.ptm(int(idx)) @ total
-        total = c1.ptm(rec) @ total
+            total = c1.ptms[idx] @ total
+        total = c1.ptms[rec] @ total
         worst = max(worst, float(np.max(np.abs(total - np.eye(4)))))
     ok = worst <= tol
     return _result(
@@ -103,13 +104,17 @@ def check_twirl_oracles(n_channels: int, tol: float) -> CheckResult:
 
 
 def check_product_delta_alpha(n_channels: int, tol: float) -> CheckResult:
+    """The correlation witness of product channels, by the report path
+    that ``predict`` runs."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(VERIFY_SEED + 2)
     worst = 0.0
     for _ in range(n_channels):
         a = random_cptp_ptm(1, rng)
         b = random_cptp_ptm(1, rng)
-        worst = max(worst, abs(twirl_cxc(tensor(a, b)).delta_alpha))
+        alphas = twirl_cxc(tensor(a, b)).alphas
+        witness = build_report({k: (v, 0.0) for k, v in alphas.items()}).dalpha.value
+        worst = max(worst, abs(witness))
     ok = worst <= tol
     return _result(
         "product_channel_delta_alpha",

@@ -24,6 +24,7 @@ from rbaddr.noise import (
 )
 from rbaddr.protocol import RBConfig, run_protocol
 from rbaddr.report import UVal, build_report
+from rbaddr import report as report_module
 from rbaddr import verify
 from rbaddr.verify import run_verification
 
@@ -70,6 +71,19 @@ def test_twirl_oracles_compare_every_twirl_predict_runs(monkeypatch, name, side)
 
     monkeypatch.setattr(verify, name, perturbed)
     assert not verify.check_twirl_oracles(n_channels=8, tol=1e-10).passed
+
+
+def test_correlation_witness_check_reads_the_report_formula(monkeypatch):
+    """A 1e-9 error in the report's witness, the one ``predict`` prints,
+    fails criterion 3's check at its 1e-12 tolerance."""
+    real = report_module.delta_alpha
+
+    def perturbed(*alphas):
+        out = real(*alphas)
+        return replace(out, value=out.value + 1e-9)
+
+    monkeypatch.setattr(report_module, "delta_alpha", perturbed)
+    assert not verify.check_product_delta_alpha(n_channels=10, tol=1e-12).passed
 
 
 def test_criterion_2_group_integrity(full_checks):
@@ -143,7 +157,7 @@ def test_criterion_5_depolarizing_consistency():
     and extracted rates match the word-length prediction within 3 sigma."""
     t0 = time.perf_counter()
     alpha_g = 0.999
-    lens = generate_c1().word_slot_counts().astype(float)
+    lens = np.array([len(word) for (word,) in generate_c1().words], dtype=float)
     pairs_max = np.array([max(a, b) for a in lens for b in lens])
     predicted = {
         "alpha_1": float(np.mean(alpha_g**lens)),

@@ -309,10 +309,12 @@ def test_presets_honour_gate_time():
          "alpha1, model"),
         (("simulate",), "model = depolarizing\nalpha1 = 0.99\nomega1_ghz = 5\n", "omega1_ghz"),
         (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\nalpha2 = 0.9\n", "alpha2"),
+        (("simulate",), "model = depolarizing\nalpha1 = 0.99\nalpha2 = 0.5\njoint = true\n",
+         "alpha2"),
     ],
     ids=["model_preset", "device_preset", "ideal", "depolarizing", "preset_model",
          "preset_alpha1", "preset_sample_label", "preset_model_flag", "preset_key_run_keys",
-         "depolarizing_device_key", "crosstalk_alpha2"],
+         "depolarizing_device_key", "crosstalk_alpha2", "joint_alpha2"],
 )
 def test_preset_device_key_errors_name_the_key(tmp_path, command, config, named, capsys):
     # beside a preset only gate_time_ns and steps may be set, and a model

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,8 @@ from hypothesis import strategies as st
 from rbaddr.cli import main as cli_main
 from rbaddr.cliffords import (
     GENERATOR_ANGLES,
-    CliffordElement,
     CliffordGroup,
     _canonical,
-    _key,
     dump_group_csv,
     element_slots,
     generate_c1,
@@ -22,37 +22,37 @@ from rbaddr.paulis import depolarizing_ptm, tensor
 KINDS = ("c1", "cxi", "ixc", "cxc")
 
 
+def _key(ptm: np.ndarray) -> bytes:
+    return np.rint(ptm).astype(np.int8).tobytes()
+
+
 def reference_generate_c1() -> CliffordGroup:
     """C1 built one element and one table entry at a time: the generator
     closure with one product per (element, generator), then a key lookup of
     every pair product and every transpose."""
-    identity = np.eye(4)
-    elements = [(identity, ())]
-    seen = {_key(identity): 0}
+    ptms = [np.eye(4)]
+    words = [()]
+    seen = {_key(ptms[0]): 0}
     frontier = [0]
     while frontier:
         next_frontier = []
         for idx in frontier:
-            base_ptm, base_word = elements[idx]
             for name in GENERATOR_ANGLES:
-                new_ptm = _canonical(generator_ptm(name) @ base_ptm)
+                new_ptm = _canonical(generator_ptm(name) @ ptms[idx])
                 key = _key(new_ptm)
                 if key not in seen:
-                    seen[key] = len(elements)
-                    elements.append((new_ptm, base_word + (name,)))
+                    seen[key] = len(ptms)
+                    ptms.append(new_ptm)
+                    words.append(words[idx] + (name,))
                     next_frontier.append(seen[key])
         frontier = next_frontier
     mult = np.empty((24, 24), dtype=np.int64)
     inv = np.empty(24, dtype=np.int64)
-    for i, (pi, _) in enumerate(elements):
+    for i, pi in enumerate(ptms):
         inv[i] = seen[_key(pi.T)]
-        for j, (pj, _) in enumerate(elements):
+        for j, pj in enumerate(ptms):
             mult[i, j] = seen[_key(pi @ pj)]
-    elems = tuple(
-        CliffordElement("c1", i, ptm, (word,)) for i, (ptm, word) in enumerate(elements)
-    )
-    ptms = np.stack([ptm for ptm, _ in elements])
-    return CliffordGroup("c1", 1, elems, mult, inv, seen, ptms)
+    return CliffordGroup("c1", np.stack(ptms), tuple((w,) for w in words), mult, inv)
 
 
 def reference_product_group(kind: str) -> CliffordGroup:
@@ -63,31 +63,37 @@ def reference_product_group(kind: str) -> CliffordGroup:
         "cxi": [(a, None) for a in range(24)],
         "ixc": [(None, b) for b in range(24)],
     }[kind]
-    elements = []
+    ptms = []
+    words = []
     key_index = {}
     for idx, (a, b) in enumerate(pairs):
         ptm = tensor(
-            c1.elements[a].ptm if a is not None else np.eye(4),
-            c1.elements[b].ptm if b is not None else np.eye(4),
+            c1.ptms[a] if a is not None else np.eye(4),
+            c1.ptms[b] if b is not None else np.eye(4),
         )
-        words = (
-            c1.elements[a].words[0] if a is not None else (),
-            c1.elements[b].words[0] if b is not None else (),
-        )
-        elements.append(CliffordElement(kind, idx, ptm, words))
+        ptms.append(ptm)
+        words.append((
+            c1.words[a][0] if a is not None else (),
+            c1.words[b][0] if b is not None else (),
+        ))
         key_index[_key(ptm)] = idx
     mult = np.empty((len(pairs), len(pairs)), dtype=np.int64)
     inv = np.empty(len(pairs), dtype=np.int64)
-    for i, ei in enumerate(elements):
-        inv[i] = key_index[_key(ei.ptm.T)]
-        for j, ej in enumerate(elements):
-            mult[i, j] = key_index[_key(ei.ptm @ ej.ptm)]
-    ptms = np.stack([e.ptm for e in elements])
-    return CliffordGroup(kind, 2, tuple(elements), mult, inv, key_index, ptms)
+    for i, pi in enumerate(ptms):
+        inv[i] = key_index[_key(pi.T)]
+        for j, pj in enumerate(ptms):
+            mult[i, j] = key_index[_key(pi @ pj)]
+    return CliffordGroup(kind, np.stack(ptms), tuple(words), mult, inv)
 
 
 def reference_group(kind: str) -> CliffordGroup:
     return reference_generate_c1() if kind == "c1" else reference_product_group(kind)
+
+
+def index_of(group: CliffordGroup, ptm: np.ndarray) -> int:
+    """The one element of ``group`` whose PTM equals ``ptm``."""
+    (match,) = np.flatnonzero(np.all(group.ptms == ptm, axis=(1, 2)))
+    return int(match)
 
 
 @pytest.fixture(scope="module")
@@ -108,28 +114,29 @@ def test_group_sizes(c1, cxc):
 
 
 def test_identity_at_index_zero(c1):
-    assert np.allclose(c1.ptm(0), np.eye(4))
-    assert c1.elements[0].words == ((),)
+    assert np.allclose(c1.ptms[0], np.eye(4))
+    assert c1.words[0] == ((),)
 
 
 def test_x180_element(c1):
-    idx = c1.lookup(generator_ptm("x180"))
-    assert np.allclose(c1.ptm(idx), np.diag([1, 1, -1, -1]))
+    idx = index_of(c1, generator_ptm("x180"))
+    assert np.allclose(c1.ptms[idx], np.diag([1, 1, -1, -1]))
+    assert c1.words[idx] == (("x180",),)
 
 
 def test_elements_are_signed_permutations(c1):
-    for e in c1.elements:
-        assert np.allclose(np.abs(e.ptm).sum(axis=0), 1)
-        assert np.allclose(np.abs(e.ptm).sum(axis=1), 1)
-        assert np.allclose(e.ptm.T @ e.ptm, np.eye(4))
+    for ptm in c1.ptms:
+        assert np.allclose(np.abs(ptm).sum(axis=0), 1)
+        assert np.allclose(np.abs(ptm).sum(axis=1), 1)
+        assert np.allclose(ptm.T @ ptm, np.eye(4))
 
 
 def test_words_reproduce_ptms(c1):
-    for e in c1.elements:
+    for (word,), expected in zip(c1.words, c1.ptms, strict=True):
         ptm = np.eye(4)
-        for gen in e.words[0]:
+        for gen in word:
             ptm = generator_ptm(gen) @ ptm
-        assert np.max(np.abs(ptm - e.ptm)) < 1e-12
+        assert np.max(np.abs(ptm - expected)) < 1e-12
 
 
 def test_group_axioms_exhaustive(c1):
@@ -152,37 +159,32 @@ def test_conjugation_transitivity(c1):
         basis = np.zeros(4)
         basis[j] = 1.0
         images = set()
-        for e in c1.elements:
-            out = e.ptm @ basis
+        for ptm in c1.ptms:
+            out = ptm @ basis
             k = int(np.argmax(np.abs(out)))
             images.add((k, int(np.sign(out[k]))))
         assert images == {(k, s) for k in (1, 2, 3) for s in (1, -1)}
 
 
-def test_lookup_round_trip_and_miss(c1):
-    for e in c1.elements:
-        assert c1.lookup(e.ptm) == e.index
-    with pytest.raises(KeyError):
-        c1.lookup(depolarizing_ptm(0.5))
-
-
 def test_cxi_acts_trivially_on_second_qubit():
     cxi = product_group("cxi")
-    for e in cxi.elements:
-        r4 = e.ptm.reshape(4, 4, 4, 4)
+    for ptm in cxi.ptms:
+        r4 = ptm.reshape(4, 4, 4, 4)
         # the {IX, IY, IZ} block is the identity for every element
         assert np.allclose(r4[0, :, 0, :], np.eye(4))
 
 
 def test_cxc_contains_cxi_as_subgroup(cxc):
+    # CxI element a is C1 element a beside the identity: CxC element 24 a
     cxi = product_group("cxi")
-    for e in cxi.elements:
-        assert cxc.lookup(e.ptm) >= 0
+    inside = np.array([index_of(cxc, ptm) for ptm in cxi.ptms])
+    assert np.array_equal(inside, 24 * np.arange(24))
+    assert np.array_equal(cxc.mult_table[np.ix_(inside, inside)], inside[cxi.mult_table])
 
 
 def test_recovery_empty_and_single(c1):
     assert c1.recovery_index([]) == 0
-    x180 = c1.lookup(generator_ptm("x180"))
+    x180 = index_of(c1, generator_ptm("x180"))
     assert c1.recovery_index([x180]) == x180  # self-inverse channel
 
 
@@ -193,8 +195,8 @@ def test_recovery_closes_sequences(indices):
     rec = c1.recovery_index(indices)
     total = np.eye(4)
     for i in indices:
-        total = c1.ptm(i) @ total
-    total = c1.ptm(rec) @ total
+        total = c1.ptms[i] @ total
+    total = c1.ptms[rec] @ total
     assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
 
@@ -205,9 +207,9 @@ def test_recovery_table_vs_brute_force(c1):
         seq = c1.sample_uniform(rng, m)
         total = np.eye(4)
         for i in seq:
-            total = c1.ptm(int(i)) @ total
-        brute = c1.lookup(total.T)
-        assert brute == c1.recovery_index(seq)
+            total = c1.ptms[i] @ total
+        # the inverse of a signed permutation is its transpose
+        assert np.array_equal(c1.ptms[c1.recovery_index(seq)], total.T)
 
 
 def _reference_recovery(group, indices):
@@ -241,7 +243,7 @@ def test_recovery_indices_close_cxc_sequences_in_ptms(cxc):
     for row, rec in zip(indices, cxc.recovery_indices(indices)):
         total = np.eye(16)
         for i in (*row, rec):
-            total = cxc.ptm(int(i)) @ total
+            total = cxc.ptms[i] @ total
         assert np.array_equal(total, np.eye(16))
 
 
@@ -268,40 +270,34 @@ def test_sample_uniform_frequencies(c1):
 
 
 def test_product_group_tables_match_ptms(cxc):
+    # exact on integer PTMs
     rng = np.random.default_rng(6)
     for _ in range(50):
         i, j = rng.integers(0, 576, 2)
-        expected = cxc.lookup(cxc.ptm(int(i)) @ cxc.ptm(int(j)))
-        assert cxc.mult_table[i, j] == expected
-    for kind in ("cxi", "ixc"):
-        group = product_group(kind)
-        for i in range(24):
-            for j in range(24):
-                expected = group.lookup(group.ptm(i) @ group.ptm(j))
-                assert group.mult_table[i, j] == expected, (kind, i, j)
+        assert np.array_equal(cxc.ptms[cxc.mult_table[i, j]], cxc.ptms[i] @ cxc.ptms[j])
+    for kind in ("c1", "cxi", "ixc"):
+        group = get_group(kind)
+        products = group.ptms[:, None] @ group.ptms[None, :]
+        assert np.array_equal(group.ptms[group.mult_table], products), kind
     for kind in KINDS:
         group = get_group(kind)
         eye = np.eye(group.ptms.shape[-1])
         for i in range(len(group)):
-            assert np.array_equal(group.ptm(int(group.inv_table[i])) @ group.ptm(i), eye)
+            assert np.array_equal(group.ptms[group.inv_table[i]] @ group.ptms[i], eye)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_array_built_group_matches_per_element_reference(kind):
     group, ref = get_group(kind), reference_group(kind)
-    assert (group.kind, group.n, len(group)) == (ref.kind, ref.n, len(ref))
-    for e, r in zip(group.elements, ref.elements):
-        assert (e.group_kind, e.index, e.words) == (r.group_kind, r.index, r.words)
-        assert e.ptm.dtype == r.ptm.dtype
-        # bytes, so that the signed zeros of np.kron count too
-        assert e.ptm.tobytes() == r.ptm.tobytes(), e.index
+    assert (group.kind, len(group)) == (ref.kind, len(ref))
+    assert group.words == ref.words
     assert group.ptms.dtype == ref.ptms.dtype
+    # bytes, so that the signed zeros of np.kron count too
     assert group.ptms.tobytes() == ref.ptms.tobytes()
     for table, ref_table in ((group.mult_table, ref.mult_table),
                              (group.inv_table, ref.inv_table)):
         assert table.dtype == ref_table.dtype
         assert np.array_equal(table, ref_table)
-    assert list(group._key_index.items()) == list(ref._key_index.items())
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -312,39 +308,40 @@ def test_shared_arrays_are_read_only(kind):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
-    for e in group.elements:
-        assert np.shares_memory(e.ptm, group.ptms)
-        assert not e.ptm.flags.writeable
+    for ptm in group.ptms:  # an element's PTM is a view of the stack
+        assert np.shares_memory(ptm, group.ptms)
+        assert not ptm.flags.writeable
         with pytest.raises(ValueError):
-            e.ptm.setflags(write=True)
+            ptm.setflags(write=True)
     with pytest.raises(ValueError):
-        group.elements[3].ptm[0, 0] = 5.0
+        group.ptms[3][0, 0] = 5.0
     with pytest.raises(ValueError):
-        group.elements[3].ptm[...] = 0.0
+        group.ptms[3][...] = 0.0
     assert group.ptms.tobytes() == before
 
 
-def test_lookup_and_canonical_reject_non_finite(c1, cxc):
-    nan_ptm = c1.ptm(5).copy()
+def test_canonical_rejects_non_finite(c1, cxc):
+    nan_ptm = c1.ptms[5].copy()
     nan_ptm[tuple(np.argwhere(nan_ptm == 0)[0])] = np.nan
-    inf_ptm = cxc.ptm(100).copy()
+    inf_ptm = cxc.ptms[100].copy()
     inf_ptm[tuple(np.argwhere(inf_ptm == 0)[0])] = np.inf
-    for group, ptm in ((c1, nan_ptm), (cxc, inf_ptm), (cxc, -inf_ptm)):
-        with pytest.raises(KeyError):
-            group.lookup(ptm)
+    for ptm in (nan_ptm, inf_ptm, -inf_ptm, depolarizing_ptm(0.5)):
         with pytest.raises(ValueError):
             _canonical(ptm)
+    assert np.array_equal(_canonical(c1.ptms[5] + 1e-9), c1.ptms[5])
 
 
-def test_element_slots_padding():
-    cxc = product_group("cxc")
-    for e in (cxc.elements[30], cxc.elements[571]):
-        slots = element_slots(e)
-        w1, w2 = e.words
+def test_element_slots_padding(c1, cxc):
+    for words in (cxc.words[30], cxc.words[571]):
+        slots = element_slots(words)
+        w1, w2 = words
         assert len(slots) == max(len(w1), len(w2))
         played1 = tuple(g for g, _ in slots if g is not None)
         played2 = tuple(g for _, g in slots if g is not None)
         assert played1 == w1 and played2 == w2
+    # C1's single word plays on qubit 1 beside idles
+    for (word,) in c1.words:
+        assert element_slots((word,)) == [(g, None) for g in word]
 
 
 def test_generator_names_cover_pulse_set():
@@ -365,6 +362,24 @@ def test_dump_group_cli_matches_per_element_reference(tmp_path):
     written = (tmp_path / "o" / "group_cxc.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
     assert written.count(b"\n") == 577
+
+
+# sha256 of each ``rbaddr dump-group`` file; the files hold integers and
+# generator words only, so the bytes do not depend on the CPU
+DUMP_GROUP_SHA256 = {
+    "c1": "dd406dc2bac32717e8d1e520ad658e35795dcccd7b3dd888afeaee33ae657dfd",
+    "cxi": "7445b2ddcf5909543141b6ccb80cb2b909bb0c5461275f6bf14b9c46c02276a7",
+    "ixc": "e5beafd28aeafde59c792803d774f0dc3794f3ff5e9a9f6d71437c0079415dfc",
+    "cxc": "e6b00c24c85ec007989041d9d7752f5a386b17b814b0ec6b205f04752c2a0547",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dump_group_bytes_are_pinned(tmp_path, kind):
+    # pins the element order, the words and the PTMs of every group
+    assert cli_main(["dump-group", "--group", kind, "--out", str(tmp_path)]) == 0
+    written = (tmp_path / f"group_{kind}.csv").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == DUMP_GROUP_SHA256[kind]
 
 
 def test_get_group_rejects_unknown():

@@ -8,7 +8,13 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbaddr.cliffords import GENERATOR_ANGLES, element_slots, generator_ptm, get_group
+from rbaddr.cliffords import (
+    GENERATOR_ANGLES,
+    _canonical,
+    element_slots,
+    generator_ptm,
+    get_group,
+)
 from rbaddr.noise import (
     EVOLVE_CHUNK_STEPS,
     GATE_ALPHABET,
@@ -227,6 +233,14 @@ def test_depolarizing_cptp_range_edges_accepted():
     Depolarizing(-1 / 15, joint=True)
 
 
+def test_joint_depolarizing_refuses_alpha2():
+    # the joint channel reads alpha1 only; an alpha2 beside it is not ignored
+    with pytest.raises(ValueError, match="alpha2"):
+        Depolarizing(0.99, 0.5, joint=True)
+    with pytest.raises(ValueError, match="alpha2"):
+        Depolarizing(0.99, 0.99, joint=True)
+
+
 # ---------------------------------------------------------------------------
 # decoherence
 
@@ -335,7 +349,8 @@ def test_noisy_gates_trace_preserving_and_ideal_in_group():
         for gate in (("x90", "y180"), (None, "x90"), ("ym90", None)):
             assert cptp_diagnostic(gateset.channel(gate), atol=1e-9).is_tp
     ideal_set = NoisyGateSet(Ideal())
-    assert group.lookup(ideal_set.channel(("x90", "y180"))) >= 0
+    ideal = _canonical(ideal_set.channel(("x90", "y180")))
+    assert np.count_nonzero(np.all(group.ptms == ideal, axis=(1, 2))) == 1
 
 
 def test_per_clifford_error_requires_gate_independence(evolved_pairs):
@@ -374,7 +389,7 @@ def test_predict_depolarizing_per_clifford_rate():
 def test_predict_depolarizing_per_generator_word_lengths():
     from rbaddr.cliffords import generate_c1
 
-    lens = generate_c1().word_slot_counts()
+    lens = np.array([len(word) for (word,) in generate_c1().words])
     alpha_g = 0.999
     gateset = NoisyGateSet(Depolarizing(alpha_g))
     pred = predict_alphas(gateset, "cxi")
@@ -403,9 +418,9 @@ def test_average_error_channel_is_trace_preserving():
 def reference_element_table(gateset, group):
     """Per element, its word's slot channels composed one at a time."""
     channels = []
-    for e in group.elements:
+    for words in group.words:
         channel = np.eye(16)
-        for slot in element_slots(e):
+        for slot in element_slots(words):
             channel = gateset.channel(slot) @ channel
         channels.append(channel)
     return np.stack(channels)
@@ -446,7 +461,7 @@ def test_clifford_element_table_matches_per_element_loop(model):
     for kind in ("cxi", "ixc", "cxc"):
         group = get_group(kind)
         table = gateset.element_table(group)
-        reference = np.stack([error @ e.ptm for e in group.elements])
+        reference = np.stack([error @ ptm for ptm in group.ptms])
         assert np.array_equal(table, reference), kind
 
 
@@ -518,8 +533,8 @@ def test_average_error_channel_matches_element_loop():
     for kind in ("cxi", "ixc", "cxc"):
         group = get_group(kind)
         acc = np.zeros((16, 16))
-        for e, channel in zip(group.elements, reference_element_table(gateset, group)):
-            acc += channel @ e.ptm.T
+        for ptm, channel in zip(group.ptms, reference_element_table(gateset, group)):
+            acc += channel @ ptm.T
         lam = average_error_channel(gateset, group)
         assert np.max(np.abs(lam - acc / len(group))) < 1e-12
     gateset = NoisyGateSet(Depolarizing(0.98, 0.97), "clifford")

@@ -68,8 +68,8 @@ def test_generate_sequence_closures(cxc):
         indices, recovery = generate_sequence(cxc, m, rng)
         total = np.eye(16)
         for i in indices:
-            total = cxc.ptm(int(i)) @ total
-        total = cxc.ptm(recovery) @ total
+            total = cxc.ptms[i] @ total
+        total = cxc.ptms[recovery] @ total
         assert np.max(np.abs(total - np.eye(16))) < 1e-12
 
 
@@ -102,7 +102,7 @@ def test_simulate_depolarizing_matches_word_count(cxc):
         cxc, indices, recovery, NoisyGateSet(Depolarizing(alpha)), SpamModel.perfect()
     )
     slots = sum(
-        len(element_slots(cxc.elements[int(i)])) for i in (*indices, recovery)
+        len(element_slots(cxc.words[i])) for i in (*indices, recovery)
     )
     expected_q1 = (1 + alpha**slots) / 2
     assert pops[0] + pops[1] == pytest.approx(expected_q1, abs=1e-12)
@@ -135,11 +135,10 @@ def _slot_loop_populations(group, indices, recovery, gateset, spam):
     slot of a gate-independent model gets)."""
     state = spam.prep.copy()
     for idx in (*indices, recovery):
-        element = group.elements[int(idx)]
         if gateset.granularity == "clifford":
-            state = gateset.error_factor(("x90", None)) @ (element.ptm @ state)
+            state = gateset.error_factor(("x90", None)) @ (group.ptms[idx] @ state)
         else:
-            for slot in element_slots(element):
+            for slot in element_slots(group.words[idx]):
                 state = gateset.channel(slot) @ state
     return spam.populations(state)
 
@@ -410,7 +409,7 @@ def test_run_experiment_depolarizing_fit_recovers_alpha():
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64, 128), K=40, seed=7)
     curves = run_experiment(cfg, NoisyGateSet(Depolarizing(alpha_g)), "exp3")
     fit = fit_curve(curves["Q1"])
-    lens = generate_c1().word_slot_counts()
+    lens = [len(word) for (word,) in generate_c1().words]
     expected = np.mean([alpha_g ** max(a, b) for a in lens for b in lens])
     assert abs(fit.alpha - expected) < 3 * fit.alpha_sigma
 
