@@ -286,8 +286,7 @@ def _out_dir(args, command: str) -> Path:
 
 def _dump_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -323,16 +322,20 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+@functools.lru_cache(maxsize=None)
+def _plot_lengths(max_m: int) -> np.ndarray:
+    """The distinct integer lengths of 64 geometric steps from 1 to max_m."""
+    ms = np.unique(np.rint(np.geomspace(1, max_m, 64)).astype(int))
+    ms.flags.writeable = False
+    return ms
+
+
 def _plot_data_rows(fits: dict) -> list[list]:
     rows = []
     for (experiment, projection), fit in sorted(fits.items()):
         if isinstance(fit, dict):  # failed fit
             continue
-        ms = np.unique(
-            np.rint(
-                np.geomspace(1, max(2, fit.curve_meta.get("max_m", 512)), 64)
-            ).astype(int)
-        )
+        ms = _plot_lengths(max(2, fit.curve_meta.get("max_m", 512)))
         for m, v in zip(ms, fit.evaluate(ms)):
             rows.append([experiment, projection, int(m), repr(float(v))])
     return rows

@@ -6,9 +6,12 @@ the Jacobian at the best fit: covariance (J^T W J)^-1 scaled by the
 reduced chi-square, with 68% intervals taken as one scaled sigma.
 Every fit, single-exponential or correlation, runs through ``_fit``.
 The LM loop evaluates the model once per trial point and reuses alpha^m
-as the next Jacobian's first column; it keeps every floating-point
-operation of the plain loop, which lives in the tests as the reference
-each fit must match bit for bit.
+as the next Jacobian's first column.  It solves each damped system with
+the LAPACK gufunc that ``np.linalg.solve`` wraps, without the wrapper's
+per-call checks: a singular system comes back as a NaN step, which the
+finite-chi2 test rejects just as the wrapper's LinAlgError was.  The loop
+keeps every floating-point operation of the plain loop, which lives in
+the tests as the reference each fit must match bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial, wraps
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 LM_MAX_ITER = 500
 LM_CHI2_RTOL = 1e-10
@@ -123,30 +127,28 @@ def _lm(p0, m, y, sigma, rates=()):
 
     def fill_jacobian(p, am):
         np.multiply(am, w, out=jac[:, 0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dalpha = p[0] * m * np.power(p[1], m_prev)
+        dalpha = p[0] * m * np.power(p[1], m_prev)
         np.multiply(dalpha, w, out=jac[:, 1])
 
+    scale = np.zeros((len(p0), len(p0)))
+    scale_diagonal = scale.reshape(-1)[:: len(p0) + 1]  # a writable view
     p = np.asarray(p0, dtype=float).copy()
     am, resid = trial(p)
     chi2 = float(resid @ resid)
     lam = LM_LAMBDA0
     converged = False
     iterations = 0
-    # a trial step that runs off is rejected; its overflow warning is noise
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a trial step that runs off, or the NaN step of a singular system, is
+    # rejected by the finite-chi2 test; its overflow or invalid flag is noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for iterations in range(1, LM_MAX_ITER + 1):
             fill_jacobian(p, am)
             g = jac.T @ resid
             jtj = jac.T @ jac
-            scale = np.diag(np.maximum(jtj.diagonal(), 1e-300))
+            np.maximum(jtj.diagonal(), 1e-300, out=scale_diagonal)
             step_ok = False
             for _ in range(50):
-                try:
-                    step = np.linalg.solve(jtj + lam * scale, g)
-                except np.linalg.LinAlgError:
-                    lam *= 10
-                    continue
+                step = _umath_linalg.solve1(jtj + lam * scale, g, signature="dd->d")
                 p_try = p + step
                 am_try, resid_try = trial(p_try)
                 chi2_try = float(resid_try @ resid_try)
@@ -163,7 +165,7 @@ def _lm(p0, m, y, sigma, rates=()):
             if rel_drop < LM_CHI2_RTOL or math.sqrt(step @ step) < LM_STEP_TOL:
                 converged = True
                 break
-    fill_jacobian(p, am)  # at the final point
+        fill_jacobian(p, am)  # at the final point
     jtj = jac.T @ jac
     flags: list[str] = []
     try:
@@ -214,11 +216,14 @@ def _fit(model, param_names, p0, m, y, stderr, rates) -> DecayFit:
     covariance scaled by chi2/dof.
 
     Callers check the point count (at least one more point than
-    parameters); a nonpositive standard error is refused here, before LM
-    would divide by it.
+    parameters); a nonpositive standard error, or one whose weight
+    1/stderr^2 overflows, is refused here, before LM would divide by it.
     """
     if np.any(stderr <= 0):
         raise FitError("all standard errors must be positive")
+    with np.errstate(divide="ignore", over="ignore"):
+        if not np.all(np.isfinite(1.0 / np.square(stderr))):
+            raise FitError("a standard error is too small: its weight 1/stderr^2 overflows")
     p, cov, chi2, resid, iterations, converged, flags = _lm(p0, m, y, stderr, rates)
     dof = len(m) - len(p0)
     chi2_red = chi2 / dof

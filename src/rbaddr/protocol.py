@@ -454,6 +454,8 @@ def read_curves_csv(path) -> list[SurvivalCurve]:
                 raise ValueError(f"non-finite mean or stderr at line {lineno}")
             if stderr <= 0:
                 raise ValueError(f"nonpositive stderr at line {lineno}")
+            if stderr * stderr == 0 or math.isinf(1 / (stderr * stderr)):
+                raise ValueError(f"stderr too small at line {lineno}: 1/stderr^2 overflows")
             key = (experiment, projection)
             if (*key, m) in first_line:
                 raise ValueError(

@@ -585,6 +585,22 @@ def test_fit_prints_no_warning_for_rejected_steps(tmp_path):
     assert result.stderr == ""
 
 
+def test_fit_rejects_a_stderr_whose_weight_overflows(tmp_path, capfd):
+    # 1e-200 squared underflows to 0: the fit used to exit 0 with r_1 = 0.0221 +- nan,
+    # after two numpy overflow warnings and two LAPACK DLASCL lines
+    csv = tmp_path / "tiny.csv"
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    rows += [f"exp1,Q1,{m},{0.5 * 0.99**m + 0.25},0.002,50" for m in (1, 2, 4, 8, 16, 32)]
+    rows.append(f"exp1,Q1,64,{0.5 * 0.99**64 + 0.25},1e-200,50")
+    csv.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("fit", str(csv), "--out", str(out)) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == "analysis error: stderr too small at line 8: 1/stderr^2 overflows\n"
+    assert not out.exists()
+
+
 def test_fit_rejects_nonfinite_mean(tmp_path):
     csv = tmp_path / "nan.csv"
     rows = ["experiment,projection,m,mean,stderr,K"]

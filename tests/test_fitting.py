@@ -1,5 +1,7 @@
+import itertools
 import warnings
 from functools import partial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -375,6 +377,24 @@ def test_zero_stderr_correlation_fails_before_the_fit(capfd):
     assert capfd.readouterr() == ("", "")
 
 
+def test_stderr_whose_weight_overflows_fails_before_the_fit(capfd):
+    # 1e-200 squared underflows to 0: its weight 1/stderr^2 used to overflow
+    # LM's matrix products into an alpha_1 with a NaN sigma
+    m = M_GRID
+    stderr = np.full(len(m), 0.002)
+    stderr[-1] = 1e-200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = fit_protocol_curves([as_curve(m, decay_single(m, 0.5, 0.99, 0.25), stderr,
+                                             "exp1", "Q1")])["fits"]
+    assert fits[("exp1", "Q1")] == {
+        "experiment": "exp1",
+        "projection": "Q1",
+        "error": "a standard error is too small: its weight 1/stderr^2 overflows",
+    }
+    assert capfd.readouterr() == ("", "")
+
+
 # ---------------------------------------------------------------------------
 # Reference Levenberg-Marquardt: the plain loop, which evaluates the model
 # and its Jacobian through separate functions on every trial point.  The
@@ -569,3 +589,72 @@ def test_lm_rejects_run_off_steps_without_warnings():
     )
     assert reference_warnings > 0  # the curve does run off
     assert library_warnings == 0
+
+
+# the sample-a correlation curve of a crosstalk simulation, K=50: the two
+# background rates nearly coincide and the background fit runs to the cap
+CAPPED_CORR_M = 2.0 ** np.arange(10)
+CAPPED_CORR_MEAN = np.array(
+    [0.9716, 0.9624, 0.9311, 0.8789, 0.7868, 0.6919, 0.5759, 0.5107, 0.5025, 0.5006]
+)
+CAPPED_CORR_STDERR = np.array(
+    [0.0025, 0.0021, 0.0035, 0.0078, 0.012, 0.013, 0.014, 0.0087, 0.0024, 0.00078]
+)
+CAPPED_CORR_RATES = (0.974, 0.9739)
+
+
+def test_lm_matches_reference_on_capped_two_rate_background_fit():
+    m, y, s = CAPPED_CORR_M, CAPPED_CORR_MEAN, CAPPED_CORR_STDERR
+    seed = fitting._initial_guess(m, y)
+    p0 = np.concatenate([seed[:2], [0.0, 0.0], seed[2:]])
+    names = ("A", "alpha", "A1", "A2", "B")
+
+    def background_fit():
+        return fitting._fit("correlation_with_background", names, p0, m, y, s,
+                            CAPPED_CORR_RATES)
+
+    run_with_both_lms(background_fit)
+    run_with_both_lms(lambda: fit_correlation_curve(m, y, s, *CAPPED_CORR_RATES))
+    fit = background_fit()
+    assert fit.iterations == LM_MAX_ITER and not fit.converged
+
+
+def failing_on(calls, solve, fail, failed):
+    """``solve`` except on the given call numbers, counted from 0, where
+    ``fail(a, b)`` answers instead; each failed call number goes to ``failed``."""
+    count = itertools.count()
+
+    def maybe_failing(a, b, **kwargs):
+        call = next(count)
+        if call in calls:
+            failed.append(call)
+            return fail(a, b)
+        return solve(a, b, **kwargs)
+
+    return maybe_failing
+
+
+def raise_singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def nan_step(a, b):
+    return np.full(len(b), np.nan)  # what the gufunc returns for a singular system
+
+
+@pytest.mark.parametrize("calls", [{0}, {1, 2, 3}, {4, 9, 10, 60}, set(range(30, 1000))],
+                         ids=["first", "run_of_three", "scattered", "every_later"])
+def test_singular_solves_match_reference(calls):
+    # the reference catches the LinAlgError of np.linalg.solve; the library's
+    # gufunc returns a NaN step, which fails the finite-chi2 test instead.
+    # The curve runs to the iteration cap, so every chosen call is reached;
+    # failing every call from the 30th on leaves no descent direction.
+    m, y, s = permutation_property_curve(0.5, 745)
+    reference_failed, library_failed = [], []
+    reference_solve = failing_on(calls, np.linalg.solve, raise_singular, reference_failed)
+    library_solve = failing_on(calls, fitting._umath_linalg.solve1, nan_step, library_failed)
+    with mock.patch.object(np.linalg, "solve", reference_solve), \
+            mock.patch.object(fitting, "_umath_linalg", SimpleNamespace(solve1=library_solve)):
+        assert run_with_both_lms(lambda: fit_exponential(m, y, s)) == (0, 0)
+    assert library_failed == reference_failed
+    assert set(library_failed) == (calls if len(calls) < 50 else set(range(30, 80)))

@@ -599,7 +599,7 @@ def test_curves_csv_round_trip(tmp_path):
 @st.composite
 def curve_sets(draw):
     """Valid curves: distinct keys, increasing m, finite means, positive
-    finite stderrs, one K per curve."""
+    finite stderrs with finite weights 1/stderr^2, one K per curve."""
     names = st.text(min_size=1, max_size=6)
     keys = draw(st.lists(st.tuples(names, names), min_size=1, max_size=4, unique=True))
     curves = []
@@ -609,7 +609,9 @@ def curve_sets(draw):
             st.floats(allow_nan=False, allow_infinity=False), min_size=len(m), max_size=len(m)
         ))
         stderr = draw(st.lists(
-            st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+            st.floats(min_value=0, exclude_min=True, allow_infinity=False).filter(
+                lambda s: s * s > 0 and 1 / (s * s) < float("inf")
+            ),
             min_size=len(m), max_size=len(m),
         ))
         curves.append(SurvivalCurve(
@@ -651,6 +653,14 @@ def test_read_curves_rejects_nonpositive_stderr(tmp_path):
         read_curves_csv(path)
 
 
+def test_read_curves_accepts_the_smallest_stderrs_with_finite_weights(tmp_path):
+    # 8e-155 squared is subnormal, yet its weight 1/stderr^2 is 1.5625e308
+    path = tmp_path / "tiny.csv"
+    path.write_text("experiment,projection,m,mean,stderr,K\nexp1,Q1,1,0.9,8e-155,5\n"
+                    "exp1,Q1,2,0.8,1e-154,5\n")
+    assert read_curves_csv(path)[0].stderr.tolist() == [8e-155, 1e-154]
+
+
 def test_read_curves_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n")
@@ -670,9 +680,11 @@ def test_read_curves_rejects_wrong_header(tmp_path):
         ("exp2,Q2,8,0.9,0.01,-3", "K=-3 < 2"),
         ("exp1,Q1,4294967296,0.9,0.01,5", r"m >= 2\*\*32"),
         ("exp1,Q1,1" + "0" * 400 + ",0.9,0.01,5", r"m >= 2\*\*32"),
+        ("exp1,Q1,8,0.9,1e-200,5", r"1/stderr\^2 overflows"),
+        ("exp1,Q1,8,0.9,7e-155,5", r"1/stderr\^2 overflows"),
     ],
     ids=["nan_mean", "inf_stderr", "duplicate_m", "mixed_K", "m_zero", "K_one", "K_negative",
-         "m_2_to_the_32", "m_huge"],
+         "m_2_to_the_32", "m_huge", "stderr_squared_underflows", "weight_overflows"],
 )
 def test_read_curves_rejects_bad_values(tmp_path, bad_row, message):
     path = tmp_path / "bad.csv"

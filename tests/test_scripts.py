@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import runpy
 import subprocess
@@ -74,3 +75,33 @@ def test_one_gate_set_per_command(command, evolved_pairs, monkeypatch, tmp_path,
         assert rbaddr_main(argv) == 0
     assert len(evolved_pairs) == 1
     assert len(evolved_pairs[0]) == len(set(evolved_pairs[0])) == 48
+
+
+def bench_line(units_per_s, setup_s):
+    metrics = {"setup_s": (setup_s, "s"), "unit_s_p50": (1 / units_per_s, "s"),
+               "units_per_s": (units_per_s, "1/s"), "peak_rss_mb": (40.0, "MB")}
+    return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+        name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}})
+
+
+def test_bench_ab_summary_of_canned_runs():
+    bench_ab = runpy.run_path(str(ROOT / "scripts" / "bench_ab.py"))
+    parent = [(30.0, 0.05), (31.0, 0.04), (29.0, 0.05), (30.5, 0.05), (30.2, 0.06)]
+    change = [(36.0, 0.05), (35.0, 0.05), (37.0, 0.04), (30.0, 0.05), (36.5, 0.05)]
+    pairs = [
+        {side: bench_ab["last_json_line"](f"workload fit_measured\n{bench_line(*run)}\n\n")
+         for side, run in (("parent", p), ("change", c))}
+        for p, c in zip(parent, change)
+    ]
+    better = {"setup_s": "lower", "unit_s_p50": "lower", "units_per_s": "higher",
+              "peak_rss_mb": "lower"}
+    summary = bench_ab["summarize"](pairs, better)
+    units = summary["units_per_s"]
+    assert units["parent"] == {"median": 30.2, "q1": 30.0, "q3": 30.5, "iqr": 0.5}
+    assert units["change"]["median"] == 36.0
+    assert units["change_over_parent"] == 36.0 / 30.2
+    assert (units["better"], units["change_wins"], units["pairs"]) == ("higher", 4, 5)
+    assert summary["unit_s_p50"]["change_wins"] == 4
+    # ties are not wins
+    assert summary["setup_s"]["change_wins"] == 2
+    assert summary["peak_rss_mb"]["change_wins"] == 0
