@@ -9,9 +9,10 @@ The LM loop evaluates the model once per trial point and reuses alpha^m
 as the next Jacobian's first column.  It solves each damped system with
 the LAPACK gufunc that ``np.linalg.solve`` wraps, without the wrapper's
 per-call checks: a singular system comes back as a NaN step, which the
-finite-chi2 test rejects just as the wrapper's LinAlgError was.  The loop
-keeps every floating-point operation of the plain loop, which lives in
-the tests as the reference each fit must match bit for bit.
+finite-chi2 test rejects, raising the damping as the reference loop does
+on np.linalg.solve's LinAlgError.  The loop keeps every floating-point
+operation of that plain loop, which lives in the tests as the reference
+each fit must match bit for bit.
 """
 
 from __future__ import annotations
