@@ -7,9 +7,12 @@ Each commit is exported with ``git archive`` into its own temporary
 directory, so both sides run committed files and the repository is left as
 it was.  For every workload, each pair runs ``bench/run.py --workload W
 --seconds S`` once from each checkout, the parent first in odd pairs and the
-change first in even ones.  The output keeps the last JSON line of every run
-and, per end-to-end metric, the median and inclusive quartiles of each side
-and the number of pairs the change won; it is rewritten after every pair.
+change first in even ones, each followed by ``rbaddr verify --level full``
+from the same checkout, whose wall time joins that run's metrics as
+``verify_full_s``.  The output keeps the last JSON line of every run and, per
+end-to-end metric and ``verify_full_s``, the median and inclusive quartiles
+of each side and the number of pairs the change won; it is rewritten after
+every pair.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,8 +34,9 @@ SIDES = ("parent", "change")
 DESCRIPTION = (
     "A/B runs of bench/run.py: the parent commit against the change, each from its own "
     "checkout, alternating which side runs first in each pair; the last JSON line of every "
-    "run, then per metric the median and quartiles (inclusive method) of each side and the "
-    "number of pairs the change won."
+    "run, with the wall time of `rbaddr verify --level full` run from the same checkout right "
+    "after it as the metric verify_full_s, then per metric the median and quartiles "
+    "(inclusive method) of each side and the number of pairs the change won."
 )
 
 
@@ -91,6 +96,20 @@ def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     return last_json_line(result.stdout)
 
 
+def verify_seconds(checkout: Path) -> float:
+    """Wall time of ``rbaddr verify --level full`` run from ``checkout``;
+    a failed check or a crash raises, as no time of a broken suite counts."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "rbaddr.cli", "verify", "--level", "full"],
+                            cwd=checkout, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if result.returncode != 0:
+        raise RuntimeError(f"verify --level full exited {result.returncode}: "
+                           f"{(result.stdout + result.stderr)[-500:]}")
+    return elapsed
+
+
 def machine() -> str:
     import numpy as np
 
@@ -119,7 +138,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {m["name"]: m["better"] for m in metrics}
+    better = {**{m["name"]: m["better"] for m in metrics}, "verify_full_s": "lower"}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(getattr(args, side), checkouts[side]) for side in SIDES}
@@ -137,8 +156,11 @@ def main(argv=None) -> int:
             report["workloads"].append(entry)
             for pair in range(1, args.pairs + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
-                runs = {side: run_bench(checkouts[side], workload, args.seconds, args.seed)
-                        for side in order}
+                runs = {}
+                for side in order:
+                    runs[side] = run_bench(checkouts[side], workload, args.seconds, args.seed)
+                    seconds = verify_seconds(checkouts[side])
+                    runs[side]["metrics"]["verify_full_s"] = {"value": seconds, "unit": "s"}
                 entry["pairs"].append({"pair": pair, "first": order[0],
                                        **{side: runs[side] for side in SIDES}})
                 if pair > 1:  # quartiles need two values

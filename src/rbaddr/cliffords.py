@@ -19,7 +19,7 @@ tables ``mult_table`` and ``inv_table``; element ``i`` is row ``i`` of each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -66,12 +66,6 @@ def _canonical(ptm: np.ndarray) -> np.ndarray:
     return rounded
 
 
-def _one_row(indices) -> np.ndarray:
-    """One sequence as a (1, m) index array; an empty one is an integer (1, 0)."""
-    row = np.asarray(indices)
-    return row.reshape(1, -1) if row.size else np.zeros((1, 0), dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class CliffordGroup:
     kind: str
@@ -89,20 +83,34 @@ class CliffordGroup:
     def __len__(self) -> int:
         return len(self.ptms)
 
-    def recovery_indices(self, indices) -> np.ndarray:
-        """Recovery of each row of a (K, m) index array, shape (K,): the
-        rows are composed one column of the multiplication table per step."""
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """(|G|, d): element g sends Pauli j to +-Pauli ``targets[g, j]``."""
+        targets = np.argmax(self.ptms != 0, axis=1)
+        targets.setflags(write=False)
+        return targets
+
+    def composites(self, indices) -> np.ndarray:
+        """Running composites of each row of a (K, m) index array, shape
+        (K, m + 1): column t composes the row's first t steps, by one
+        prefix scan over the flattened multiplication table."""
         indices = np.asarray(indices)
         if indices.ndim != 2:
             raise ValueError("expected a (K, m) array of element indices")
-        total = np.zeros(len(indices), dtype=np.int64)
-        for column in indices.T:
-            total = self.mult_table[column, total]
-        return self.inv_table[total]
+        flat = self.mult_table.ravel()
+        scan = np.zeros((indices.shape[1] + 1, len(indices)), dtype=np.int64)
+        for t, column in enumerate(indices.T * len(self)):
+            scan[t + 1] = flat[column + scan[t]]
+        return scan.T
+
+    def recovery_indices(self, indices) -> np.ndarray:
+        """Recovery of each row of a (K, m) index array, shape (K,): the
+        inverse of the row's last composite."""
+        return self.inv_table[self.composites(indices)[:, -1]]
 
     def recovery_index(self, indices) -> int:
         """Element undoing a sequence: ptms[r] @ ptms[i_m] ... ptms[i_1] = 1."""
-        return int(self.recovery_indices(_one_row(indices))[0])
+        return int(self.recovery_indices(np.asarray(indices, dtype=np.int64)[None])[0])
 
     def sample_uniform(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m i.i.d. uniform element indices."""

@@ -107,7 +107,8 @@ def _lm(p0, m, y, sigma, rates=()):
     weights, background powers and constant columns once per fit,
     alpha^m once per trial point (the next Jacobian's first column), the
     damping diagonal once per iteration.  Each number is computed by the
-    same operations in the same order as the model written out.
+    same operations in the same order as the model written out.  A
+    normal matrix that overflows at the final point raises FitError.
     """
     w = 1.0 / sigma
     m_prev = np.maximum(m - 1, 0)
@@ -167,7 +168,9 @@ def _lm(p0, m, y, sigma, rates=()):
                 converged = True
                 break
         fill_jacobian(p, am)  # at the final point
-    jtj = jac.T @ jac
+        jtj = jac.T @ jac
+    if not np.all(np.isfinite(jtj)):
+        raise FitError("the normal matrix J^T W J overflows at the fitted point")
     flags: list[str] = []
     try:
         cov = np.linalg.inv(jtj)

@@ -29,7 +29,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cliffords import (
+# element_slots stays importable here: bench/run.py wraps it under this name
+from .cliffords import (  # noqa: F401
     GENERATOR_ANGLES,
     CliffordGroup,
     element_slots,
@@ -493,6 +494,34 @@ SLOTS = tuple((a, b) for a in GATE_ALPHABET for b in GATE_ALPHABET if (a, b) != 
 _SLOT_ROW = {slot: row for row, slot in enumerate(SLOTS, start=1)}
 
 
+@lru_cache(maxsize=None)
+def _ideal_slot_ptms() -> np.ndarray:
+    """Read-only (49, 16, 16): the identity pad, then the ideal PTM of each
+    slot of ``SLOTS``, kron's bits by one broadcast product; pair (a, b) of
+    GATE_ALPHABET comes out at 7a + b, so (None, None), the pad, is last."""
+    one = np.stack([generator_ptm(g) for g in GATE_ALPHABET[:-1]] + [np.eye(4)])
+    pairs = (one[:, None, :, None, :, None] * one[None, :, None, :, None, :]).reshape(-1, 16, 16)
+    ptms = np.roll(pairs, 1, axis=0)
+    ptms.setflags(write=False)
+    return ptms
+
+
+@lru_cache(maxsize=None)
+def _slot_positions(kind: str) -> np.ndarray:
+    """(len(group), L): the ``slot_channels`` row, 7a + b + 1, of slot (a,
+    b) of GATE_ALPHABET of each element's padded word (``element_slots``),
+    or 0, the identity pad, past its end."""
+    code = {g: i for i, g in enumerate(GATE_ALPHABET)}
+    words = [word for pair in get_group(kind).words for word in pair]
+    lengths = np.array([len(word) for word in words])
+    letters = np.full((len(words), lengths.max()), code[None])
+    letters[np.arange(lengths.max()) < lengths[:, None]] = [code[g] for w in words for g in w]
+    rows = len(GATE_ALPHABET) * letters[::2] + letters[1::2] + 1
+    rows[rows == len(SLOTS) + 1] = 0
+    rows.setflags(write=False)
+    return rows
+
+
 def describe_model(model: NoiseModel) -> str:
     if isinstance(model, Ideal):
         return "ideal"
@@ -512,14 +541,6 @@ def describe_model(model: NoiseModel) -> str:
     raise TypeError(f"unknown noise model {model!r}")
 
 
-def ideal_gate_ptm(gate: tuple[str | None, str | None]) -> np.ndarray:
-    """PTM of one generator slot (idle = identity) on two qubits."""
-    g1, g2 = gate
-    p1 = generator_ptm(g1) if g1 is not None else np.eye(4)
-    p2 = generator_ptm(g2) if g2 is not None else np.eye(4)
-    return tensor(p1, p2)
-
-
 def _has_crosstalk(model: NoiseModel) -> bool:
     """Whether a CrossTalk factor sits anywhere in ``model``."""
     if isinstance(model, Composite):
@@ -527,12 +548,11 @@ def _has_crosstalk(model: NoiseModel) -> bool:
     return isinstance(model, CrossTalk)
 
 
-def _slot_errors(model: NoiseModel, ideal: np.ndarray | None) -> np.ndarray:
+def _slot_errors(model: NoiseModel) -> np.ndarray:
     """Error channels E with noisy = E @ ideal of the slots of ``SLOTS``:
     one (16, 16) channel when the error does not depend on the gate, else
     one per slot, (len(SLOTS), 16, 16).  A composite's factors act in
-    order.  Only a cross-talk factor reads ``ideal``, the slots' ideal
-    PTMs."""
+    order."""
     if isinstance(model, Ideal):
         return np.eye(16)
     if isinstance(model, Depolarizing):
@@ -550,11 +570,11 @@ def _slot_errors(model: NoiseModel, ideal: np.ndarray | None) -> np.ndarray:
         return model.ptm
     if isinstance(model, CrossTalk):
         noisy = evolve_to_ptms(model.params, SLOTS, model.steps)
-        return noisy @ ideal.swapaxes(1, 2)
+        return noisy @ _ideal_slot_ptms()[1:].swapaxes(1, 2)
     if isinstance(model, Composite):
         out = np.eye(16)
         for f in model.factors:
-            out = _slot_errors(f, ideal) @ out
+            out = _slot_errors(f) @ out
         return out
     raise TypeError(f"unknown noise model {model!r}")
 
@@ -567,11 +587,11 @@ class NoisyGateSet:
     ``slot_channels`` holds the identity pad in row 0 and the channel of
     ``SLOTS[s]`` in row s + 1, all built as one batch: for a cross-talk
     model, one :func:`evolve_to_ptms` call.  ``element_table`` composes
-    each group's elements from it.  ``monomial_table`` gives a group's
-    table as one source column and one factor per row when every row holds
-    at most one nonzero entry, as under Pauli-diagonal noise (ideal,
-    depolarizing, a Pauli-diagonal static error and composites of these),
-    so that propagation can gather and scale instead of multiplying.
+    each group's elements from it.  Under Pauli-diagonal noise (ideal,
+    depolarizing, a Pauli-diagonal static error and composites of these)
+    ``monomial_table`` gives each element channel as one factor per row of
+    its ideal PTM, composed from the slot channels without the dense
+    table, so that propagation can follow each Pauli's path instead.
     """
 
     def __init__(self, model: NoiseModel, granularity: str = "generator"):
@@ -587,8 +607,8 @@ class NoisyGateSet:
     @cached_property
     def slot_channels(self) -> np.ndarray:
         """Read-only (49, 16, 16): the identity, then each slot's channel."""
-        ideal = np.stack([ideal_gate_ptm(slot) for slot in SLOTS])
-        channels = np.concatenate([np.eye(16)[None], _slot_errors(self.model, ideal) @ ideal])
+        pad, ideal = np.split(_ideal_slot_ptms(), [1])
+        channels = np.concatenate([pad, _slot_errors(self.model) @ ideal])
         channels.setflags(write=False)
         return channels
 
@@ -602,7 +622,7 @@ class NoisyGateSet:
     def error_factor(self, gate: tuple[str | None, str | None]) -> np.ndarray:
         """Error channel E with noisy = E @ ideal for one slot; exact, as
         the ideal PTM is a signed permutation."""
-        return self.channel(gate) @ ideal_gate_ptm(gate).T
+        return self.channel(gate) @ _ideal_slot_ptms()[_SLOT_ROW[gate]].T
 
     def element_table(self, group: CliffordGroup) -> np.ndarray:
         """Noisy channel of every group element, shape (len(group), 16, 16).
@@ -615,14 +635,10 @@ class NoisyGateSet:
         """
         if group.kind not in self._tables:
             if self.granularity == "clifford":
-                table = _slot_errors(self.model, None) @ group.ptms
+                table = _slot_errors(self.model) @ group.ptms
             else:
-                words = [element_slots(w) for w in group.words]
-                positions = np.zeros((len(words), max(map(len, words))), dtype=np.int64)
-                for g, word in enumerate(words):
-                    positions[g, : len(word)] = [_SLOT_ROW[slot] for slot in word]
-                table = np.broadcast_to(np.eye(16), (len(words), 16, 16))
-                for column in positions.T:
+                table = np.broadcast_to(np.eye(16), (len(group), 16, 16))
+                for column in _slot_positions(group.kind).T:
                     table = self.slot_channels[column] @ table
             table.setflags(write=False)
             self._tables[group.kind] = table
@@ -631,25 +647,38 @@ class NoisyGateSet:
     def monomial_table(self, group: CliffordGroup) -> tuple[np.ndarray, np.ndarray] | None:
         """``(source, factor)``, both (len(group), 16), with
         ``table[g, i] = factor[g, i] * e_source[g, i]`` for the group's
-        :meth:`element_table`, when every row of it has at most one nonzero
-        entry (source 0 and factor 0 for an all-zero row); None otherwise.
-
-        The test reads the table itself, not the model: a non-unital
-        column (decoherence) or a mixing channel (cross-talk, a ZZ
-        rotation) makes it None.
+        :meth:`element_table`, where ``source`` is the group's own Pauli
+        permutation, when every slot channel (per Clifford, the error
+        channel) is nonzero only where its ideal PTM is; None otherwise, as
+        for decoherence, cross-talk, a ZZ rotation or a Pauli-permuting
+        static error.  The factors are composed per slot position without
+        the dense table, each the one nonzero product that the table's
+        matrix products round: the table's bits.
         """
         if group.kind not in self._monomials:
-            table = self.element_table(group)
-            nonzero = table != 0
-            form = None
-            if np.count_nonzero(nonzero, axis=2).max() <= 1:
-                source = nonzero.argmax(axis=2)
-                factor = np.take_along_axis(table, source[..., None], axis=2)[..., 0]
-                source.setflags(write=False)
-                factor.setflags(write=False)
-                form = (source, factor)
-            self._monomials[group.kind] = form
+            self._monomials[group.kind] = self._compose_monomial(group)
         return self._monomials[group.kind]
+
+    def _compose_monomial(self, group: CliffordGroup):
+        source = np.argsort(group.targets, axis=1)  # builds targets for the blocks too
+        if self.granularity == "clifford":
+            error = _slot_errors(self.model)
+            if np.any(error[~np.eye(16, dtype=bool)]):
+                return None
+            signs = np.take_along_axis(group.ptms, source[..., None], axis=2)[..., 0]
+            factor = np.diagonal(error) * signs
+        else:
+            ideal = _ideal_slot_ptms()
+            if np.any(self.slot_channels[ideal == 0]):
+                return None
+            slot_source = np.argmax(ideal != 0, axis=2)
+            slot_factor = np.take_along_axis(self.slot_channels, slot_source[..., None], 2)[..., 0]
+            factor = np.ones((len(group), 16))
+            for column in _slot_positions(group.kind).T:
+                factor = slot_factor[column] * np.take_along_axis(factor, slot_source[column], 1)
+        source.setflags(write=False)
+        factor.setflags(write=False)
+        return source, factor
 
 
 # ---------------------------------------------------------------------------

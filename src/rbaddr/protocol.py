@@ -2,18 +2,18 @@
 
 Experiment 1 twirls qubit 1 alone (CxI, qubit 2 idles), experiment 2
 mirrors it (IxC), experiment 3 runs independent random Cliffords on both
-qubits at once (CxC).  The recoveries of the K sequences of one length
-come from one batched recovery scan per length over the group's
-multiplication table.  Each sequence of m random elements plus its
+qubits at once (CxC).  One prefix scan per length over the group's
+multiplication table gives the K sequences' running composites, the last
+of which each recovery undoes.  Each sequence of m random elements plus its
 recovery is propagated through the noisy element channels of one gate set
 shared by the three experiments, K sequences at a time; the four final
 populations give the traced projections p00+p01 (qubit 1), p00+p10
 (qubit 2) and the correlation p00+p11.  The gate set fixes the noise
 granularity: once per generator slot (error scales with pulse count) or
-one channel per element for gate-independent models.  A step is a
-batched mat-vec, or, when the gate set's table is monomial (Pauli-diagonal
-noise, ``NoisyGateSet.monomial_table``), a gather and a multiply with the
-same bits.
+one channel per element for gate-independent models.  Under Pauli-diagonal
+noise (``NoisyGateSet.monomial_table``) each Pauli entry of the state
+follows its path through the composites, times the factors along it;
+other tables take a batched mat-vec per step.  Both give the same bits.
 
 The unit of work is a block: the K sequences of one (experiment, length),
 cost K stream draws plus K (m + 1) steps of its table's kernel.
@@ -151,55 +151,61 @@ def generate_sequence(
     return indices, group.recovery_index(indices)
 
 
-# (sequence, step) pairs whose sources and factors the gather kernel
-# takes at once: 2**10 of them hold 0.26 MB at any K.  Propagating a
-# K = 50, m = 512 block peaks at 0.74 MB (tracemalloc) in chunks of 2**10,
-# at 6.9 MB in one chunk.
-GATHER_CHUNK_SEQUENCE_STEPS = 2**10
+# (sequence, step, Pauli) factors the path kernel gathers at once, 0.13 MB
+# per array: a K = 50, m = 512 block from the perfect preparation's four
+# Paulis peaks at 0.41 MB (tracemalloc) in these chunks, at 2.5 MB in one.
+PATH_CHUNK_FACTORS = 2**14
 
 
 def simulate_sequence(
-    group: CliffordGroup, indices, recovery, gateset: NoisyGateSet, spam: SpamModel
+    group: CliffordGroup, indices, recovery, gateset: NoisyGateSet, spam: SpamModel, composites=None
 ) -> np.ndarray:
     """Propagate one sequence, or K at once (indices (K, m), recovery (K,));
     returns (p00, p01, p10, p11), with a leading K axis for a batch.
-
-    A step applies one element channel to each sequence's state: a gather
-    and a multiply when the gate set's table is monomial, else a batched
-    mat-vec; both give the same bits."""
-    columns = np.column_stack([np.atleast_2d(indices), np.atleast_1d(recovery)])
+    ``composites``, ``group.composites(indices)``, is scanned if not given.
+    Each Pauli follows its path (:func:`_path_states`) when the gate set
+    has a monomial table, else each step is a batched mat-vec: same bits."""
+    batch, recovery = np.atleast_2d(indices), np.atleast_1d(recovery)
     monomial = gateset.monomial_table(group)
     if monomial is None:
         table = gateset.element_table(group)
-        state = np.broadcast_to(spam.prep, (len(columns), len(spam.prep)))
-        for column in columns.T:
+        state = np.broadcast_to(spam.prep, (len(batch), len(spam.prep)))
+        for column in np.column_stack([batch, recovery]).T:
             state = np.einsum("rij,rj->ri", table[column], state)
     else:
-        state = _gather_steps(columns, *monomial, spam.prep)
+        scan = group.composites(batch) if composites is None else composites
+        state = _path_states(group, batch, recovery, scan, monomial[1], spam.prep)
     pops = spam.populations(state.T).T
     return pops if np.ndim(indices) == 2 else pops[0]
 
 
-def _gather_steps(columns, source, factor, prep) -> np.ndarray:
-    """The (K, d) states after the steps ``columns`` (K, steps) under the
-    monomial table ``(source, factor)`` of ``NoisyGateSet.monomial_table``.
+def _path_states(group, indices, recovery, composites, factor, prep) -> np.ndarray:
+    """The (K, d) states after the steps ``indices`` (K, m), scanned into
+    ``composites`` (K, m + 1), then ``recovery`` (K,), under the monomial
+    table ``(group's permutation, factor)``.
 
-    The batched mat-vec sums a row's one product ``t * s`` with exact
-    zeros, which returns ``t * s`` rounded once, as the multiply here does;
-    only the sign of a zero can differ, and the final ``+ 0.0`` makes every
-    zero +0.0, as that sum does."""
-    k, d = len(columns), len(prep)
-    state = np.broadcast_to(prep, (k, d)).copy()
-    offset = d * np.arange(k)[:, None]
-    steps = columns.T
-    chunk = max(1, GATHER_CHUNK_SEQUENCE_STEPS // k)
-    for first in range(0, len(steps), chunk):
-        block = steps[first : first + chunk]
-        rows = source[block]
-        rows += offset
-        for f, row in zip(factor[block], rows):
-            state = f * state.ravel()[row]
-    return state + 0.0
+    After steps whose composite is h, Pauli j of ``prep`` sits at
+    ``group.targets[h, j]``; each step scales it by its factor there.
+    ``np.multiply.reduce`` along the outer, step axis is the left fold of
+    the step-by-step product, so the bits are the mat-vec's, whose sums of
+    one product and exact zeros differ only in the sign of a zero: the
+    final ``+ 0.0`` makes every zero +0.0, as those sums do."""
+    (paulis,) = np.nonzero(prep)
+    targets = group.targets[:, paulis]
+    k, m = indices.shape
+    d = factor.shape[1]
+    flat = factor.ravel()
+    value = np.broadcast_to(prep[paulis], (k, len(paulis)))
+    chunk = max(1, PATH_CHUNK_FACTORS // max(1, k * len(paulis)))
+    for first in range(0, m, chunk):
+        rows = targets[composites[:, first + 1 : first + 1 + chunk].T]
+        rows += d * indices[:, first : first + chunk].T[..., None]
+        value = np.multiply.reduce(np.concatenate([value[None], flat[rows]]), axis=0)
+    last = group.mult_table[recovery, composites[:, -1]]
+    value = flat[targets[last] + d * recovery[:, None]] * value
+    state = np.zeros((k, d))
+    np.put_along_axis(state, targets[last], value + 0.0, axis=1)
+    return state
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -282,21 +288,13 @@ def _block_states(words: np.ndarray) -> list[dict]:
     return [_pcg64_state(a << 64 | b, c << 64 | d) for a, b, c, d in zip(s0, s1, s2, s3)]
 
 
-def stream_states(cfg: RBConfig, experiment: str) -> list[list[dict]]:
-    """The PCG64 state of ``np.random.default_rng([cfg.seed, code, m, k])``
-    for each length m of ``cfg.lengths`` and each k < ``cfg.K``, where code
-    is the experiment's code; one hash for the whole experiment."""
-    words = _stream_words(cfg, [(experiment, mi) for mi in range(len(cfg.lengths))])
-    return [_block_states(block) for block in words]
-
-
-# Estimated seconds of a block's work (2-core Xeon VM, K = 50, lengths 1..512):
-# seeding a stream, setting it and drawing its sequence took 8-12 us
-# whatever m; a sequence step (one element channel applied to one
-# sequence's state, with its share of the recovery scan) took 0.13-0.17 us
-# by gather and multiply and 0.3-0.45 us by batched mat-vec.
+# Estimated seconds of a block's work (2-core Xeon VM, K = 50, lengths 1..512,
+# fitted over whole blocks): seeding a stream, setting it and drawing its
+# sequence took 9-16 us whatever m; a sequence step (one element channel on
+# one sequence's state, with its share of the prefix scan) took 0.06-0.12 us
+# along Pauli paths and 0.44-0.50 us by batched mat-vec.
 STREAM_DRAW_SECONDS = 1e-5
-GATHER_STEP_SECONDS = 1.5e-7
+PATH_STEP_SECONDS = 1e-7
 MATVEC_STEP_SECONDS = 4e-7
 
 
@@ -311,8 +309,9 @@ def _run_block(cfg, gateset, group, m, states, rng) -> np.ndarray:
         if cfg.shots is not None:  # each stream's shots follow its indices
             shot_states.append(bitgen.state)
     indices = np.stack(rows)
-    recovery = group.recovery_indices(indices)
-    pops = simulate_sequence(group, indices, recovery, gateset, cfg.spam)
+    composites = group.composites(indices)
+    recovery = group.inv_table[composites[:, -1]]
+    pops = simulate_sequence(group, indices, recovery, gateset, cfg.spam, composites)
     if cfg.shots is None:
         return pops
     probs = np.clip(pops, 0.0, None)
@@ -326,18 +325,18 @@ def _run_block(cfg, gateset, group, m, states, rng) -> np.ndarray:
 
 def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalCurve]]:
     """Curves of each experiment, keyed as :func:`run_experiment` keys them;
-    the blocks of all of them run in one set of shares.  The element
-    tables and their monomial forms are built here, before any share
-    starts; a share seeds the streams of its own blocks only, in one hash,
-    and holds the stream states of one block at a time."""
+    the blocks of all of them run in one set of shares.  The table each
+    experiment's blocks read, monomial or dense, is built here, before any
+    share starts; a share seeds the streams of its own blocks only, in one
+    hash, and holds the stream states of one block at a time."""
     for experiment in experiments:
         if experiment not in EXPERIMENT_GROUPS:
             raise ValueError(f"unknown experiment '{experiment}'")
     groups = {e: get_group(EXPERIMENT_GROUPS[e]) for e in experiments}
-    step = {  # monomial_table builds the element table too
-        e: MATVEC_STEP_SECONDS if gateset.monomial_table(group) is None else GATHER_STEP_SECONDS
-        for e, group in groups.items()
-    }
+    step = {e: PATH_STEP_SECONDS for e, g in groups.items() if gateset.monomial_table(g)}
+    for e in groups.keys() - step.keys():
+        gateset.element_table(groups[e])
+        step[e] = MATVEC_STEP_SECONDS
     blocks = [(e, mi) for e in experiments for mi in range(len(cfg.lengths))]
     costs = [
         cfg.K * (STREAM_DRAW_SECONDS + (cfg.lengths[mi] + 1) * step[e]) for e, mi in blocks

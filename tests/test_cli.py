@@ -601,6 +601,29 @@ def test_fit_rejects_a_stderr_whose_weight_overflows(tmp_path, capfd):
     assert not out.exists()
 
 
+def test_fit_records_an_error_when_the_normal_matrix_overflows(tmp_path, capfd, recwarn):
+    # 8e-155 passes the weight check (1/stderr^2 is finite), but two such
+    # rows overflow J^T W J: the fit used to exit 0 with r_1 = 0.0221 +- nan,
+    # a bare NaN in fits.json, a numpy warning and two LAPACK DLASCL lines
+    csv = tmp_path / "tiny.csv"
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    rows += [f"exp1,Q1,{m},{0.5 * 0.99**m + 0.25},{8e-155 if m in (32, 64) else 0.002},50"
+             for m in range(1, 65)]
+    csv.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("fit", str(csv), "--out", str(out)) == 0
+    captured = capfd.readouterr()
+    assert captured.err == "" and "DLASCL" not in captured.out
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    fits = json.loads((out / "fits.json").read_text(), parse_constant=refuse)
+    (curve,) = fits["curves"]
+    assert curve["error"] == "the normal matrix J^T W J overflows at the fitted point"
+
+
 def test_fit_rejects_nonfinite_mean(tmp_path):
     csv = tmp_path / "nan.csv"
     rows = ["experiment,projection,m,mean,stderr,K"]

@@ -237,6 +237,35 @@ def test_recovery_indices_match_per_row_walk(kind, K, m):
         assert type(one) is int and one == rec
 
 
+@pytest.mark.parametrize("kind", ["c1", "cxi", "ixc", "cxc"])
+@pytest.mark.parametrize("K, m", [(1, 0), (1, 1), (7, 13), (50, 64)])
+def test_composites_match_per_row_walk(kind, K, m):
+    group = get_group(kind)
+    indices = np.random.default_rng([K, m, 7]).integers(0, len(group), size=(K, m))
+    composites = group.composites(indices)
+    assert composites.shape == (K, m + 1)
+    for row, scanned in zip(indices, composites):
+        total, walk = 0, [0]  # the identity before the first step
+        for idx in row:
+            total = int(group.mult_table[idx, total])
+            walk.append(total)
+        assert scanned.tolist() == walk
+    # the last column is the composite the recovery undoes
+    assert np.array_equal(group.inv_table[composites[:, -1]], group.recovery_indices(indices))
+    with pytest.raises(ValueError):
+        group.composites(indices[0])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_targets_follow_each_pauli(kind):
+    group = get_group(kind)
+    d = group.ptms.shape[-1]
+    for ptm, targets in zip(group.ptms, group.targets):
+        # column j of a signed permutation is +-e_targets[j]
+        assert np.array_equal(np.abs(ptm), np.eye(d)[targets].T)
+    assert not group.targets.flags.writeable
+
+
 def test_recovery_indices_close_cxc_sequences_in_ptms(cxc):
     rng = np.random.default_rng(41)
     indices = rng.integers(0, len(cxc), size=(6, 9))

@@ -34,7 +34,6 @@ from rbaddr.noise import (
     decoherence_ptm,
     evolve_to_ptm,
     evolve_to_ptms,
-    ideal_gate_ptm,
     predict_addressability,
     predict_alphas,
     zz_rotation_ptm,
@@ -43,6 +42,8 @@ from rbaddr.noise import (
     _envelope_shape,
     _hamiltonian_samples,
     _shape_integral,
+    _ideal_slot_ptms,
+    _slot_positions,
     _slot_rows,
     _term_operators,
 )
@@ -56,6 +57,13 @@ from rbaddr.paulis import (
 from rbaddr.verify import check_evolution_convergence
 
 TWO_PI = 2 * np.pi
+
+
+def ideal_gate_ptm(gate):
+    """PTM of one generator slot (idle = identity) on two qubits, one kron
+    per slot: the reference for the gate set's stacked ideal PTMs."""
+    g1, g2 = gate
+    return np.kron(generator_ptm(g1) if g1 else np.eye(4), generator_ptm(g2) if g2 else np.eye(4))
 
 
 def decoupled_params(**overrides):
@@ -481,7 +489,29 @@ _MONOMIAL_MODELS = {
         Composite((Depolarizing(0.99), StaticError(_PAULI_DIAGONAL), Ideal())),
         "clifford",
     ),
+    "alpha_zero_per_clifford": (Depolarizing(0.0), "clifford"),
+    "pauli_diagonal_zeros": (
+        StaticError(np.diag(np.kron([1.0, 0.0, -0.5, 1.0], [1.0, 0.8, 0.0, -0.9]))),
+        "generator",
+    ),
 }
+
+
+def test_ideal_slot_ptms_are_the_kron_bits():
+    ideal = _ideal_slot_ptms()
+    assert ideal[0].tobytes() == np.eye(16).tobytes()  # the identity pad
+    reference = np.stack([ideal_gate_ptm(slot) for slot in SLOTS])
+    assert ideal[1:].tobytes() == reference.tobytes()  # -0.0 entries included
+
+
+@pytest.mark.parametrize("kind", ["cxi", "ixc", "cxc"])
+def test_slot_positions_follow_element_slots(kind):
+    group = get_group(kind)
+    positions = _slot_positions(kind)
+    assert positions.shape == (len(group), max(len(element_slots(w)) for w in group.words))
+    for words, row in zip(group.words, positions):
+        slots = [SLOTS.index(slot) + 1 for slot in element_slots(words)]
+        assert row.tolist() == slots + [0] * (len(row) - len(slots))
 
 
 @pytest.mark.parametrize("model, granularity", _MONOMIAL_MODELS.values(), ids=_MONOMIAL_MODELS)
@@ -499,6 +529,8 @@ def test_monomial_table_holds_each_row_one_entry(model, granularity):
         rebuilt = np.zeros_like(table)
         np.put_along_axis(rebuilt, source[..., None], factor[..., None], axis=2)
         assert np.array_equal(rebuilt, table), kind  # every other entry is 0
+        # a Pauli's source is where the ideal element takes it from
+        assert np.array_equal(source, np.argmax(group.ptms != 0, axis=2)), kind
 
 
 _CROSSTALK_16 = CrossTalk(SAMPLE_A, steps=16)
@@ -514,9 +546,13 @@ _CROSSTALK_16 = CrossTalk(SAMPLE_A, steps=16)
         (Composite((Depolarizing(0.97, 0.95), StaticError(zz_rotation_ptm(0.2)))), "clifford"),
         (Composite((Depolarizing(0.99), Decoherence(SAMPLE_A))), "generator"),
         (Composite((Ideal(), _CROSSTALK_16)), "generator"),
+        # monomial element channels, but Paulis land off their ideal targets
+        (StaticError(ideal_gate_ptm(("x90", None))), "generator"),
+        (StaticError(ideal_gate_ptm(("x90", "y180"))), "clifford"),
     ],
     ids=["decoherence", "decoherence_per_clifford", "crosstalk", "zz_rotation",
-         "depolarizing_zz_rotation", "depolarizing_decoherence", "ideal_crosstalk"],
+         "depolarizing_zz_rotation", "depolarizing_decoherence", "ideal_crosstalk",
+         "pauli_permuting", "pauli_permuting_per_clifford"],
 )
 def test_monomial_table_is_none_for_mixing_or_non_unital_noise(model, granularity):
     gateset = NoisyGateSet(model, granularity)

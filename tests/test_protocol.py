@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbaddr.cliffords import element_slots, get_group
+from rbaddr.cliffords import element_slots, generator_ptm, get_group
 from rbaddr.fitting import fit_exponential
 from rbaddr.noise import (
     SAMPLE_A,
@@ -30,9 +30,10 @@ from rbaddr.protocol import (
     run_experiment,
     run_protocol,
     simulate_sequence,
-    stream_states,
     write_curves_csv,
-    _gather_steps,
+    _block_states,
+    _path_states,
+    _stream_words,
 )
 from rbaddr.twirl import gamma_decay_curve
 
@@ -191,7 +192,13 @@ _MONOMIAL_MODELS = {
     "ideal": (Ideal(), "generator"),
     "depolarizing": (Depolarizing(0.97, 0.95), "generator"),
     "alpha_zero": (Depolarizing(0.0), "generator"),
+    "alpha_lower_bound": (Depolarizing(-1 / 3), "generator"),
     "alpha1_lower_bound": (Depolarizing(-1 / 3, 0.95), "generator"),
+    # zero factors on some Paulis only, and negative ones on others
+    "pauli_diagonal_zeros": (
+        StaticError(np.diag(np.kron([1.0, 0.0, -0.5, 1.0], [1.0, 0.8, 0.0, -0.9]))),
+        "generator",
+    ),
     "joint_lower_bound": (Depolarizing(-1 / 15, joint=True), "generator"),
     "per_clifford": (Depolarizing(0.97, 0.95), "clifford"),
     "pauli_diagonal": (StaticError(_PAULI_DIAGONAL), "generator"),
@@ -210,23 +217,67 @@ def _einsum_states(table, columns, prep):
     return state
 
 
+# every Pauli entry nonzero, with both signs and a -0.0 entry
+_DENSE_PREP = np.random.default_rng(5).normal(size=16)
+_DENSE_PREP[7] = -0.0
+
+
 @pytest.mark.parametrize("model, granularity", _MONOMIAL_MODELS.values(), ids=_MONOMIAL_MODELS)
 @pytest.mark.parametrize("kind", ["cxi", "ixc", "cxc"])
 @pytest.mark.parametrize("K, m", [(1, 1), (7, 40), (50, 300)])
 def test_gather_kernel_gives_the_matvec_bits(model, granularity, kind, K, m):
+    # the path kernel, which replaced the per-step gather, against the einsum
     gateset = NoisyGateSet(model, granularity)
     group = get_group(kind)
     rng = np.random.default_rng([K, m])
     indices = rng.integers(0, len(group), size=(K, m))
+    composites = group.composites(indices)
     recovery = group.recovery_indices(indices)
     columns = np.column_stack([indices, recovery])
-    prep = SpamModel.perfect().prep
-    reference = _einsum_states(gateset.element_table(group), columns, prep)
-    state = _gather_steps(columns, *gateset.monomial_table(group), prep)
-    assert state.tobytes() == reference.tobytes()  # signs of zeros included
+    _, factor = gateset.monomial_table(group)
+    for prep in (SpamModel.perfect().prep, _DENSE_PREP, np.abs(_DENSE_PREP)):
+        reference = _einsum_states(gateset.element_table(group), columns, prep)
+        state = _path_states(group, indices, recovery, composites, factor, prep)
+        assert state.tobytes() == reference.tobytes()  # signs of zeros included
+    reference = _einsum_states(gateset.element_table(group), columns, SpamModel.perfect().prep)
     for spam in (SpamModel.perfect(), _MISASSIGNED):
-        pops = simulate_sequence(group, indices, recovery, gateset, spam)
-        assert np.array_equal(pops, spam.populations(reference.T).T)
+        for given in (None, composites):
+            pops = simulate_sequence(group, indices, recovery, gateset, spam, given)
+            assert np.array_equal(pops, spam.populations(reference.T).T)
+
+
+@pytest.mark.parametrize("kind", ["cxi", "cxc"])
+def test_pauli_permuting_noise_takes_the_matvec_bits(kind):
+    # every element channel is monomial, but not in its ideal PTM's pattern:
+    # a Pauli's position then depends on more than the composite
+    x90 = np.kron(generator_ptm("x90"), np.eye(4))
+    gateset = NoisyGateSet(StaticError(x90))
+    group = get_group(kind)
+    assert gateset.monomial_table(group) is None
+    table = gateset.element_table(group)
+    assert np.count_nonzero(table, axis=2).max() == 1
+    indices = np.random.default_rng(9).integers(0, len(group), size=(6, 30))
+    recovery = group.recovery_indices(indices)
+    reference = _einsum_states(table, np.column_stack([indices, recovery]), _DENSE_PREP)
+    spam = replace(SpamModel.perfect(), prep=_DENSE_PREP)
+    pops = simulate_sequence(group, indices, recovery, gateset, spam)
+    assert pops.tobytes() == spam.populations(reference.T).T.tobytes()
+
+
+@pytest.mark.parametrize("model", [Depolarizing(0.97, 0.95), Depolarizing(0.99, joint=True)],
+                         ids=["product", "joint"])
+@pytest.mark.parametrize("granularity", ["generator", "clifford"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_depolarizing_runs_never_build_the_dense_table(monkeypatch, workers, model,
+                                                       granularity, cpus):
+    def refuse(self, group):
+        raise AssertionError(f"dense element table of {group.kind} built")
+
+    monkeypatch.setattr(NoisyGateSet, "element_table", refuse)
+    workers(cpus)
+    gateset = NoisyGateSet(model, granularity)
+    curves = run_protocol(RBConfig(lengths=(1, 2, 5), K=3, seed=4), gateset)
+    assert len(curves) == 7
 
 
 def _per_sequence_curves(cfg, gateset, experiment):
@@ -316,6 +367,14 @@ def _random_configs(count):
             seed = seed << 64 | int(rng.integers(0, 2**63)) << int(rng.integers(0, 64))
         lengths = np.unique(rng.integers(1, 2**32, size=int(rng.integers(1, 6))))
         yield RBConfig(lengths=tuple(lengths), K=int(rng.integers(2, 9)), seed=seed)
+
+
+def stream_states(cfg: RBConfig, experiment: str) -> list[list[dict]]:
+    """The PCG64 state of ``np.random.default_rng([cfg.seed, code, m, k])``
+    for each length m of ``cfg.lengths`` and each k < ``cfg.K``, where code
+    is the experiment's code, as a run's shares seed them: one hash."""
+    words = _stream_words(cfg, [(experiment, mi) for mi in range(len(cfg.lengths))])
+    return [_block_states(block) for block in words]
 
 
 @pytest.mark.parametrize(

@@ -105,3 +105,15 @@ def test_bench_ab_summary_of_canned_runs():
     # ties are not wins
     assert summary["setup_s"]["change_wins"] == 2
     assert summary["peak_rss_mb"]["change_wins"] == 0
+
+
+def test_bench_ab_times_the_full_verify(tmp_path):
+    verify_seconds = runpy.run_path(str(ROOT / "scripts" / "bench_ab.py"))["verify_seconds"]
+    assert verify_seconds(ROOT) > 0
+    # a checkout whose suite fails gives no time
+    package = tmp_path / "src" / "rbaddr"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("print('FAIL a check'); raise SystemExit(3)\n")
+    with pytest.raises(RuntimeError, match="exited 3"):
+        verify_seconds(tmp_path)
