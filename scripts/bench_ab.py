@@ -9,10 +9,12 @@ it was.  For every workload, each pair runs ``bench/run.py --workload W
 --seconds S`` once from each checkout, the parent first in odd pairs and the
 change first in even ones, each followed by ``rbaddr verify --level full``
 from the same checkout, whose wall time joins that run's metrics as
-``verify_full_s``.  The output keeps the last JSON line of every run and, per
-end-to-end metric and ``verify_full_s``, the median and inclusive quartiles
-of each side and the number of pairs the change won; it is rewritten after
-every pair.
+``verify_full_s``.  After the pairs, the tier-1 suite (``pytest -q
+--continue-on-collection-errors``) runs once from each checkout; its wall time
+and outcome counts are recorded as ``pytest_s``, failures included.  The output
+keeps the last JSON line of every run and, per end-to-end metric and
+``verify_full_s``, the median and inclusive quartiles of each side and the
+number of pairs the change won; it is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import contextlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -36,7 +39,9 @@ DESCRIPTION = (
     "checkout, alternating which side runs first in each pair; the last JSON line of every "
     "run, with the wall time of `rbaddr verify --level full` run from the same checkout right "
     "after it as the metric verify_full_s, then per metric the median and quartiles "
-    "(inclusive method) of each side and the number of pairs the change won."
+    "(inclusive method) of each side and the number of pairs the change won; pytest_s is "
+    "the wall time and outcome counts of one tier-1 pytest run from each checkout after "
+    "the pairs."
 )
 
 
@@ -110,6 +115,28 @@ def verify_seconds(checkout: Path) -> float:
     return elapsed
 
 
+def pytest_counts(stdout: str) -> dict[str, int]:
+    """Outcome counts of pytest's closing summary line, such as
+    ``{"passed": 553, "failed": 1}`` for "553 passed, 1 failed in 127.00s"."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    return {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", lines[-1])} if lines else {}
+
+
+def pytest_run(checkout: Path) -> dict:
+    """Wall time and outcome counts of the tier-1 suite run from
+    ``checkout``.  A failure is recorded, not raised: one property test
+    fails about once in 40 runs."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    elapsed = time.perf_counter() - start
+    return {"value": elapsed, "unit": "s", "returncode": result.returncode,
+            **pytest_counts(result.stdout)}
+
+
 def machine() -> str:
     import numpy as np
 
@@ -169,6 +196,10 @@ def main(argv=None) -> int:
                 units = {side: runs[side]["metrics"]["units_per_s"]["value"] for side in SIDES}
                 print(f"{workload} pair {pair}: units_per_s parent {units['parent']:.4g} "
                       f"change {units['change']:.4g}", flush=True)
+        report["pytest_s"] = {side: pytest_run(checkouts[side]) for side in SIDES}
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        for side in SIDES:
+            print(f"pytest {side}: {report['pytest_s'][side]}", flush=True)
     return 0
 
 

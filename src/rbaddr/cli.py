@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -253,7 +252,10 @@ def _rb_config(values: dict[str, str]) -> RBConfig:
     """Run settings from the merged values; bad values exit 1."""
     kwargs = {"seed": int(values.get("seed", 0))}
     if "lengths" in values:
-        kwargs["lengths"] = tuple(int(x) for x in values["lengths"].split(",") if x.strip())
+        items = values["lengths"].split(",")
+        if not all(item.strip() for item in items):
+            raise ConfigError(f"lengths has an empty item: '{values['lengths']}'")
+        kwargs["lengths"] = tuple(int(x) for x in items)
     if "k" in values:
         kwargs["K"] = int(values["k"])
     if "shots" in values:
@@ -289,8 +291,24 @@ def _dump_json(path: Path, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@functools.lru_cache(maxsize=None)
+def _sha256_type():
+    """SHA-256 of the interpreter's built-in module, ``_sha2`` (Python 3.12
+    on) or ``_sha256``: ``hashlib`` maps OpenSSL's libcrypto (~3.7 MB
+    resident) to hash a few small files.  ``hashlib`` only where neither
+    module exists."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _sha256_type()(path.read_bytes()).hexdigest()
 
 
 def _write_manifest(
@@ -396,9 +414,7 @@ def cmd_simulate(args) -> int:
     gateset = _gateset(values, model)
     out = _out_dir(args, "simulate")
 
-    config_digest = hashlib.sha256(
-        json.dumps(sorted(cfg.items())).encode()
-    ).hexdigest()
+    config_digest = _sha256_type()(json.dumps(sorted(cfg.items())).encode()).hexdigest()
     provenance = {
         "model": describe_model(model),
         "seed": rb_cfg.seed,

@@ -14,6 +14,9 @@ are exact, so the result equals the one-element-at-a-time build bit for
 bit.  A group is its arrays: the read-only ``(|G|, d, d)`` stack of PTMs
 ``ptms``, each element's generator words ``words`` (one per qubit) and the
 tables ``mult_table`` and ``inv_table``; element ``i`` is row ``i`` of each.
+The tables are int16, as every index is below 576 (CxC's ``mult_table``
+takes 0.66 MB instead of 2.65 MB as int64); arithmetic on a table value
+that can exceed int16 runs in int64.
 """
 
 from __future__ import annotations
@@ -98,8 +101,9 @@ class CliffordGroup:
         if indices.ndim != 2:
             raise ValueError("expected a (K, m) array of element indices")
         flat = self.mult_table.ravel()
+        # int64 flat indices: column + scan[t] reaches |G|**2 - 1
         scan = np.zeros((indices.shape[1] + 1, len(indices)), dtype=np.int64)
-        for t, column in enumerate(indices.T * len(self)):
+        for t, column in enumerate(np.multiply(indices.T, len(self), dtype=np.int64)):
             scan[t + 1] = flat[column + scan[t]]
         return scan.T
 
@@ -186,7 +190,7 @@ def product_group(kind: str) -> CliffordGroup:
     m1 = c1.mult_table
     inv1 = c1.inv_table
     if kind == "cxc":
-        # the product factorizes per qubit
+        # the product factorizes per qubit; 24 * a + b <= 575 stays int16
         mult = (24 * m1[:, None, :, None] + m1[None, :, None, :]).reshape(576, 576)
         inv = 24 * np.repeat(inv1, 24) + np.tile(inv1, 24)
     else:
@@ -204,7 +208,7 @@ def _keys(ptms: np.ndarray) -> list[bytes]:
 
 def _indices(key_index: dict[bytes, int], ptms: np.ndarray) -> np.ndarray:
     """Group index of every matrix of a (..., d, d) stack, in C order."""
-    return np.array([key_index[key] for key in _keys(ptms)], dtype=np.int64)
+    return np.array([key_index[key] for key in _keys(ptms)], dtype=np.int16)
 
 
 def _read_only(array: np.ndarray) -> None:

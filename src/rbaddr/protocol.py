@@ -202,6 +202,7 @@ def _path_states(group, indices, recovery, composites, factor, prep) -> np.ndarr
         rows += d * indices[:, first : first + chunk].T[..., None]
         value = np.multiply.reduce(np.concatenate([value[None], flat[rows]]), axis=0)
     last = group.mult_table[recovery, composites[:, -1]]
+    # an int16 recovery keeps its dtype: d * recovery <= 16 * 575 = 9,200
     value = flat[targets[last] + d * recovery[:, None]] * value
     state = np.zeros((k, d))
     np.put_along_axis(state, targets[last], value + 0.0, axis=1)

@@ -9,7 +9,8 @@ The ``full`` level is the release oracle set: acceptance criteria 1-4
 (``tests/test_acceptance.py``) take their verdicts from its twirl,
 group-integrity, product-channel and CI-coverage checks, which hold the
 acceptance sample counts and tolerances.  Only the full level runs the
-qubit-relabeling check, which the acceptance suite reads too.
+qubit-relabeling and frame-rotation checks, which the acceptance suite
+reads too.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .noise import (
     predict_addressability,
     random_cptp_ptm,
 )
-from .paulis import tensor
+from .paulis import ptm_from_unitary, tensor
 from .protocol import decay_single
 from .report import build_report
 from .twirl import brute_force_twirl, twirl_cxc, twirl_cxi
@@ -253,6 +254,48 @@ def check_qubit_relabeling(tol: float) -> CheckResult:
     )
 
 
+# Each generator's image when pi/2 is added to its drive phase: x -> y ->
+# -x -> -y, since xm90's amplitudes are the negatives of x90's.  y180
+# would go to a -x pulse of amplitude pi, which is not in the alphabet.
+_PHASE_SHIFTED = {"x90": "y90", "y90": "xm90", "xm90": "ym90", "ym90": "x90",
+                  "x180": "y180", None: None}
+
+
+def check_frame_rotation(tol: float) -> CheckResult:
+    """Adding pi/2 to both drive phases of the sample-a cross-talk drive is
+    the frame rotation V = Rz(pi/2) (x) Rz(pi/2): it turns each drive term's
+    X/Y pair by pi/2 and commutes with ZZ and with the Z-conditioned terms'
+    other factor.  So the channel of every slot whose generators both have
+    a phase-shifted image (35 of the 48) maps to P E P^T with P the PTM of
+    V.  Negative control: the opposite rotation, P^T E P, must miss by more
+    than ``tol``."""
+    t0 = time.perf_counter()
+    channels = evolve_to_ptms(SAMPLE_A, SLOTS)
+    # a signed permutation, made exact by rounding
+    rz = np.rint(ptm_from_unitary(np.diag(np.exp([-0.25j * np.pi, 0.25j * np.pi]))))
+    rotation = tensor(rz, rz)
+    pairs = [
+        (SLOTS.index(slot), SLOTS.index(tuple(_PHASE_SHIFTED[g] for g in slot)))
+        for slot in SLOTS
+        if all(g in _PHASE_SHIFTED for g in slot)
+    ]
+    source, image = np.array(pairs).T
+
+    def deviation(p):
+        return float(np.max(np.abs(channels[image] - p @ channels[source] @ p.T)))
+
+    err = deviation(rotation)
+    control = deviation(rotation.T)
+    ok = err <= tol < control
+    return _result(
+        "frame_rotation",
+        ok,
+        f"phase-shifted slot vs rotated channel {err:.2e} over {len(pairs)} slot pairs; "
+        f"opposite rotation {control:.2e}",
+        t0,
+    )
+
+
 def run_verification(level: str = "quick", tol_override: float | None = None):
     """Run the oracle suite; returns a list of CheckResult."""
     if level not in ("quick", "full"):
@@ -279,4 +322,5 @@ def run_verification(level: str = "quick", tol_override: float | None = None):
     ]
     if full:
         checks.append(check_qubit_relabeling(tol=tol(1e-12)))
+        checks.append(check_frame_rotation(tol=tol(1e-12)))
     return checks

@@ -152,6 +152,31 @@ def test_qubit_relabeling_swaps_every_output(full_checks):
     assert check.passed, check.detail
 
 
+def test_joint_frame_rotation_maps_slot_channels(full_checks):
+    """Adding pi/2 to both drive phases is Rz(pi/2) (x) Rz(pi/2): the 35
+    slots with a phase-shifted image map to P E P^T at 1e-12; the opposite
+    rotation misses (negative control)."""
+    check = full_checks["frame_rotation"]
+    print(f"[frame rotation] {'PASS' if check.passed else 'FAIL'}: {check.detail} "
+          f"in {check.seconds:.2f}s")
+    assert check.passed, check.detail
+    assert "over 35 slot pairs" in check.detail
+
+
+def test_frame_rotation_check_sees_one_slot_off(monkeypatch):
+    """A 1e-9 error in one slot channel, (y90, idle), the image of (x90,
+    idle), fails the frame-rotation check at its 1e-12 tolerance."""
+    real = verify.evolve_to_ptms
+
+    def perturbed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[verify.SLOTS.index(("y90", None)), 1, 1] += 1e-9
+        return out
+
+    monkeypatch.setattr(verify, "evolve_to_ptms", perturbed)
+    assert not verify.check_frame_rotation(tol=1e-12).passed
+
+
 def test_criterion_5_depolarizing_consistency():
     """Per-generator depolarizing noise: every curve's reduced chi2 <= 2
     and extracted rates match the word-length prediction within 3 sigma."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import os
@@ -162,6 +163,33 @@ def test_cli_import_leaves_the_oracle_suite_out():
     result = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.stdout.strip() == "False"
+
+
+def test_commands_hash_without_openssl(tmp_path):
+    # the manifest digests come from the interpreter's own SHA-256, so no
+    # command but ``simulate`` (whose numpy.random imports it) loads _hashlib
+    cfg = tmp_path / "predict.cfg"
+    cfg.write_text("steps = 16\n")
+    csv = tmp_path / "curves.csv"
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    rows += [f"exp1,Q1,{m},{0.5 * 0.99**m + 0.25},0.002,20" for m in (1, 2, 4, 8, 16, 32, 64)]
+    csv.write_text("\n".join(rows) + "\n")
+    code = ("import sys; from rbaddr.cli import main; code = main(sys.argv[1:]); "
+            "print('_hashlib' in sys.modules); raise SystemExit(code)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    for argv in (("predict", "--preset", "sample_a", "--config", str(cfg)), ("fit", str(csv))):
+        out = tmp_path / argv[0]
+        result = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
+        manifest = json.loads((out / "manifest.json").read_text())
+        digests = {out / name: digest for name, digest in manifest["outputs"].items()}
+        digests.update((Path(name), digest) for name, digest in manifest["inputs"].items())
+        assert len(digests) == (1 if argv[0] == "predict" else 5)
+        for path, digest in digests.items():
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_joint_reads_boolean_words_in_any_case():
@@ -431,9 +459,11 @@ def test_usage_error_exit_code():
     [
         ("--lengths", "4,2"), ("--K", "1"), ("--K", "0"), ("--lengths", ""),
         ("--seed", "-1"), "seed = -1\n", "shots = 0\n", "shots = -5\n",
+        ("--lengths", "1,,2"), "lengths = 1,2,\n",
     ],
     ids=["lengths", "K", "K_zero", "lengths_empty", "seed_negative",
-         "config_seed_negative", "config_shots_zero", "config_shots_negative"],
+         "config_seed_negative", "config_shots_zero", "config_shots_negative",
+         "lengths_empty_item", "config_lengths_trailing_comma"],
 )
 def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
     if isinstance(settings, str):  # the contents of a config file
@@ -444,7 +474,11 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         "simulate", "--model", "ideal", *settings, "--out", str(tmp_path / "o")
     )
     assert code == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert not (tmp_path / "o").exists()
+    if ",," in str(settings) or ",\n" in str(settings):
+        assert "lengths" in err
 
 
 @pytest.mark.parametrize(

@@ -46,8 +46,8 @@ def reference_generate_c1() -> CliffordGroup:
                     words.append(words[idx] + (name,))
                     next_frontier.append(seen[key])
         frontier = next_frontier
-    mult = np.empty((24, 24), dtype=np.int64)
-    inv = np.empty(24, dtype=np.int64)
+    mult = np.empty((24, 24), dtype=np.int16)
+    inv = np.empty(24, dtype=np.int16)
     for i, pi in enumerate(ptms):
         inv[i] = seen[_key(pi.T)]
         for j, pj in enumerate(ptms):
@@ -77,8 +77,8 @@ def reference_product_group(kind: str) -> CliffordGroup:
             c1.words[b][0] if b is not None else (),
         ))
         key_index[_key(ptm)] = idx
-    mult = np.empty((len(pairs), len(pairs)), dtype=np.int64)
-    inv = np.empty(len(pairs), dtype=np.int64)
+    mult = np.empty((len(pairs), len(pairs)), dtype=np.int16)
+    inv = np.empty(len(pairs), dtype=np.int16)
     for i, pi in enumerate(ptms):
         inv[i] = key_index[_key(pi.T)]
         for j, pj in enumerate(ptms):

@@ -264,6 +264,32 @@ def test_pauli_permuting_noise_takes_the_matvec_bits(kind):
     assert pops.tobytes() == spam.populations(reference.T).T.tobytes()
 
 
+def test_top_element_gives_the_bits_of_int64_tables(cxc):
+    # the tables are int16: 575 * 576 would overflow it, 16 * 575 does not
+    top = len(cxc) - 1
+    wide = replace(cxc, mult_table=cxc.mult_table.astype(np.int64),
+                   inv_table=cxc.inv_table.astype(np.int64))
+    indices = np.random.default_rng(575).integers(0, len(cxc), size=(5, 24))
+    indices[0] = top
+    indices[1, ::3] = top
+    # rows 2 and 3 end on the step whose composite is top's inverse, then top
+    for row, goal in ((2, int(cxc.inv_table[top])), (3, top)):
+        before = wide.composites(indices[row : row + 1, :-1])[0, -1]
+        indices[row, -1] = wide.mult_table[goal, wide.inv_table[before]]
+    reference = wide.composites(indices)
+    recovery = wide.recovery_indices(indices)
+    assert recovery[2] == top and reference[3, -1] == top
+    factor = NoisyGateSet(Depolarizing(0.97, 0.95)).monomial_table(cxc)[1]
+    state = _path_states(wide, indices, recovery, reference, factor, _DENSE_PREP)
+    for steps in (indices, indices.astype(np.int16)):
+        composites = cxc.composites(steps)
+        assert composites.tobytes() == reference.tobytes()
+        narrow = cxc.recovery_indices(steps)
+        assert narrow.dtype == np.int16 and np.array_equal(narrow, recovery)
+        got = _path_states(cxc, steps, narrow, composites, factor, _DENSE_PREP)
+        assert got.tobytes() == state.tobytes()
+
+
 @pytest.mark.parametrize("model", [Depolarizing(0.97, 0.95), Depolarizing(0.99, joint=True)],
                          ids=["product", "joint"])
 @pytest.mark.parametrize("granularity", ["generator", "clifford"])

@@ -117,3 +117,19 @@ def test_bench_ab_times_the_full_verify(tmp_path):
     (package / "cli.py").write_text("print('FAIL a check'); raise SystemExit(3)\n")
     with pytest.raises(RuntimeError, match="exited 3"):
         verify_seconds(tmp_path)
+
+
+def test_bench_ab_counts_the_suite_without_raising(tmp_path):
+    bench_ab = runpy.run_path(str(ROOT / "scripts" / "bench_ab.py"))
+    summary = "....F\n1 failed, 553 passed, 2 warnings in 127.00s (0:02:07)\n"
+    assert bench_ab["pytest_counts"](summary) == {"failed": 1, "passed": 553, "warnings": 2}
+    assert bench_ab["pytest_counts"]("") == {}
+    # a checkout with one passing and one failing test
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_one.py").write_text(
+        "def test_passes():\n    pass\n\n\ndef test_fails():\n    assert False\n"
+    )
+    run = bench_ab["pytest_run"](tmp_path)
+    assert (run["passed"], run["failed"], run["returncode"], run["unit"]) == (1, 1, 1, "s")
+    assert run["value"] > 0
