@@ -116,10 +116,12 @@ def verify_seconds(checkout: Path) -> float:
 
 
 def pytest_counts(stdout: str) -> dict[str, int]:
-    """Outcome counts of pytest's closing summary line, such as
-    ``{"passed": 553, "failed": 1}`` for "553 passed, 1 failed in 127.00s"."""
+    """Outcome counts of pytest's closing summary line, passed and failed
+    always: ``{"passed": 553, "failed": 1}`` for "553 passed, 1 failed in
+    127.00s"."""
     lines = [line for line in stdout.splitlines() if line.strip()]
-    return {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", lines[-1])} if lines else {}
+    found = re.findall(r"(\d+) ([a-z]+)", lines[-1]) if lines else []
+    return {"passed": 0, "failed": 0, **{word: int(n) for n, word in found}}
 
 
 def pytest_run(checkout: Path) -> dict:

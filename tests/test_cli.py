@@ -466,6 +466,7 @@ def test_usage_error_exit_code():
          "lengths_empty_item", "config_lengths_trailing_comma"],
 )
 def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
+    about_lengths = "lengths" in str(settings)
     if isinstance(settings, str):  # the contents of a config file
         cfg = tmp_path / "run.cfg"
         cfg.write_text(settings)
@@ -477,8 +478,7 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert not (tmp_path / "o").exists()
-    if ",," in str(settings) or ",\n" in str(settings):
-        assert "lengths" in err
+    assert "lengths" in err or not about_lengths
 
 
 @pytest.mark.parametrize(

@@ -272,7 +272,7 @@ def test_top_element_gives_the_bits_of_int64_tables(cxc):
     indices = np.random.default_rng(575).integers(0, len(cxc), size=(5, 24))
     indices[0] = top
     indices[1, ::3] = top
-    # rows 2 and 3 end on the step whose composite is top's inverse, then top
+    # row 2's last step makes its composite top's inverse (recovery top), row 3's top
     for row, goal in ((2, int(cxc.inv_table[top])), (3, top)):
         before = wide.composites(indices[row : row + 1, :-1])[0, -1]
         indices[row, -1] = wide.mult_table[goal, wide.inv_table[before]]
