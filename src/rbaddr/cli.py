@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -71,6 +72,7 @@ DEVICE_KEYS = {
     "gate_time_ns": ("gate_time", (1e-9,)),
 }
 REQUIRED_DEVICE_KEYS = ("omega1_ghz", "omega2_ghz", "t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us")
+POSITIVE_DEVICE_KEYS = ("t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us", "gate_time_ns")
 # The keys that choose the noise model and the keys of the run itself.
 MODEL_KEYS = {
     "preset", "model", "alpha1", "alpha2", "joint", "sample_label", "steps", *DEVICE_KEYS,
@@ -122,6 +124,19 @@ def _config_values(build):
             raise ConfigError(str(exc)) from exc
 
     return wrapper
+
+
+def _number(key: str, text: str, kind: type = float):
+    """``text``, a value of config key ``key``, as ``kind``: an int, or a
+    finite float; anything else is a config error that names the key."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {noun}, not '{text}'")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,15 +199,16 @@ def _device(values: dict[str, str], preset: str | None) -> DeviceParams:
         fields = asdict(DEVICE_PRESETS[preset])
     for key in keys:
         name, factors = DEVICE_KEYS[key]
-        value = float(values[key])
+        value = _number(key, values[key])
         for factor in factors:
             value = value * factor
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} = {values[key]} is out of range")
+        # DeviceParams admits a zero-duration gate; a configured gate must take time
+        if key in POSITIVE_DEVICE_KEYS and not value > 0:
+            raise ConfigError(f"{key} must be positive, not '{values[key]}'")
         fields[name] = value
-    device = DeviceParams(**fields)
-    # DeviceParams admits a zero-duration gate; a configured gate must take time
-    if device.gate_time <= 0:
-        raise ConfigError("gate_time_ns must be positive")
-    return device
+    return DeviceParams(**fields)
 
 
 @_config_values
@@ -204,7 +220,7 @@ def build_model(values: dict[str, str], device_preset: str | None = None):
     ``device_preset`` (``predict --preset``) or on the device keys.  A model
     key that the preset fixes or the model does not read is a config error.
     """
-    steps = int(values.get("steps", DEFAULT_EVOLVE_STEPS))
+    steps = _number("steps", values["steps"], int) if "steps" in values else DEFAULT_EVOLVE_STEPS
     if not MIN_EVOLVE_STEPS <= steps <= MAX_EVOLVE_STEPS:
         raise ConfigError(f"steps must be {MIN_EVOLVE_STEPS} to {MAX_EVOLVE_STEPS}")
     if "preset" in values:
@@ -234,11 +250,12 @@ def build_model(values: dict[str, str], device_preset: str | None = None):
     if name == "depolarizing":
         if "alpha1" not in values:
             raise ConfigError("depolarizing model needs config key 'alpha1'")
-        alpha2 = float(values["alpha2"]) if "alpha2" in values else None
+        alpha2 = _number("alpha2", values["alpha2"]) if "alpha2" in values else None
         joint = values.get("joint", "false").lower()
         if joint not in BOOLEAN_WORDS:
             raise ConfigError(f"joint must be one of {'/'.join(BOOLEAN_WORDS)}, not '{joint}'")
-        return Depolarizing(float(values["alpha1"]), alpha2, BOOLEAN_WORDS[joint]), label
+        alpha1 = _number("alpha1", values["alpha1"])
+        return Depolarizing(alpha1, alpha2, BOOLEAN_WORDS[joint]), label
     device = _device(values, device_preset)
     if name == "decoherence":
         return Decoherence(device), label
@@ -250,16 +267,16 @@ def build_model(values: dict[str, str], device_preset: str | None = None):
 @_config_values
 def _rb_config(values: dict[str, str]) -> RBConfig:
     """Run settings from the merged values; bad values exit 1."""
-    kwargs = {"seed": int(values.get("seed", 0))}
+    kwargs = {"seed": _number("seed", values["seed"], int) if "seed" in values else 0}
     if "lengths" in values:
         items = values["lengths"].split(",")
         if not all(item.strip() for item in items):
             raise ConfigError(f"lengths has an empty item: '{values['lengths']}'")
-        kwargs["lengths"] = tuple(int(x) for x in items)
+        kwargs["lengths"] = tuple(_number("lengths", x, int) for x in items)
     if "k" in values:
-        kwargs["K"] = int(values["k"])
+        kwargs["K"] = _number("k", values["k"], int)
     if "shots" in values:
-        kwargs["shots"] = int(values["shots"])
+        kwargs["shots"] = _number("shots", values["shots"], int)
     return RBConfig(**kwargs)
 
 

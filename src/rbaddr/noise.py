@@ -17,8 +17,10 @@ predictions; the gate time is configuration (default 24 ns).  A
 ``NoisyGateSet`` is one model at one noise granularity, built once per
 run; simulation and prediction read every element's channel from it.
 Its cross-talk slots are evolved in shares across the CPUs, each slot
-whole and with equal cost ``steps``; a slot's channel depends on neither
-its batch nor its share, so the bits do not depend on the CPU count.
+whole and with equal cost ``steps``, 36 of the 48 integrated and the
+other 12 derived from them exactly by Z (x) Z conjugation; a slot's
+channel depends on neither its batch nor its share, so the bits do not
+depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -291,6 +293,32 @@ def _hamiltonian_samples(p: DeviceParams, rows, times, amps, phases) -> np.ndarr
     return out
 
 
+# Each generator's negation in GATE_ALPHABET, -1 for none: xm90's amplitudes
+# are the exact negatives of x90's (ym90's of y90's), and the idle entry's
+# zeros are their own.  A pi pulse of the opposite sign is not in the alphabet.
+_NEGATIONS = {"x90": "xm90", "xm90": "x90", "y90": "ym90", "ym90": "y90", None: None}
+_NEGATED = np.array(
+    [GATE_ALPHABET.index(_NEGATIONS[g]) if g in _NEGATIONS else -1 for g in GATE_ALPHABET]
+)
+# Z (x) Z = diag(d), d = (1, -1, -1, 1), as the signs outer(d, d) that D U D
+# puts on U's entries
+_ZZ_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
+
+
+def _slot_roots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root of each slot of :func:`_slot_rows` and whether the slot is
+    its root's image.  A slot whose two generators both have a negation
+    shares a root with the slot of the negated pair, the one of the two that
+    comes first in GATE_ALPHABET order (as in ``SLOTS``); 12 of the 48
+    ``SLOTS`` are images."""
+    negated = _NEGATED[rows]
+    size = len(GATE_ALPHABET)
+    image = np.all(negated >= 0, axis=1) & (
+        size * negated[:, 0] + negated[:, 1] < size * rows[:, 0] + rows[:, 1]
+    )
+    return np.where(image[:, None], negated, rows), image
+
+
 def evolve_to_ptms(
     p: DeviceParams,
     slots,
@@ -307,29 +335,42 @@ def evolve_to_ptms(
     Fourth-order Magnus integrator with two Gauss-Legendre samples per
     step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)); doubling
     ``steps`` changes the PTM entries by less than 1e-8 at the default
-    settings.  The slots are split into shares across the CPUs
-    (``parallel.run_jobs``, cost ``steps`` slot steps each).  Within a
-    share, all slots advance together through chunks of
-    EVOLVE_CHUNK_STEPS steps, one batched eigendecomposition per chunk,
-    and each slot's step propagators are multiplied in time order, so a
-    slot's PTM depends neither on its batch nor on its share.
+    settings.  Only the distinct roots of the slots (:func:`_slot_roots`)
+    are integrated, 36 for ``SLOTS``.  Conjugating by D = Z (x) Z negates
+    every drive term and keeps ZZ, so the negated pair evolves to D U D,
+    and the engine's arithmetic is odd in the drive amplitudes: an image's
+    unitary is its root's times the signs outer(d, d), bit for bit what
+    integrating it gives wherever the slot Hamiltonians' spectra are not
+    degenerate (with couplings exactly zero, to ~1e-14).  The roots are
+    split into shares across the CPUs (``parallel.run_jobs``, cost
+    ``steps`` slot steps each).  Within a share, all roots advance together
+    through chunks of EVOLVE_CHUNK_STEPS steps, one batched
+    eigendecomposition per chunk, and each root's step propagators are
+    multiplied in time order; one PTM conversion then takes every
+    requested slot's unitary.  So a slot's PTM depends neither on its batch
+    nor on its share, and an image asked for alone is still derived from
+    its root.
     """
     rows = _slot_rows(slots)
     if not MIN_EVOLVE_STEPS <= steps <= MAX_EVOLVE_STEPS:
         raise ValueError(f"need {MIN_EVOLVE_STEPS} to {MAX_EVOLVE_STEPS} steps per gate")
     if p.gate_time == 0.0 or len(rows) == 0:
         return np.broadcast_to(np.eye(16), (len(rows), 16, 16)).copy()
-    ptms = run_jobs(
-        lambda share: _evolve_rows(p, rows[share], steps),
-        range(len(rows)),
-        [steps * SLOT_STEP_SECONDS] * len(rows),
+    roots, image = _slot_roots(rows)
+    distinct, which = np.unique(roots, axis=0, return_inverse=True)
+    unitaries = run_jobs(
+        lambda share: _evolve_rows(p, distinct[share], steps),
+        range(len(distinct)),
+        [steps * SLOT_STEP_SECONDS] * len(distinct),
     )
-    return np.stack(ptms)
+    u = np.stack(unitaries)[which.reshape(-1)]
+    u[image] *= _ZZ_SIGNS
+    return ptms_from_unitaries(u, atol=1e-8)
 
 
 def _evolve_rows(p: DeviceParams, rows: np.ndarray, steps: int) -> np.ndarray:
-    """PTMs of the slots of :func:`_slot_rows`, all advanced together; see
-    :func:`evolve_to_ptms`."""
+    """Unitaries of the slots of :func:`_slot_rows`, all advanced together,
+    shape (len(rows), 4, 4); see :func:`evolve_to_ptms`."""
     h = p.gate_time / steps
     nodes = [np.arange(steps) * h + c * h for c in _GAUSS_NODES]
     drives = [(t, *_drive_samples(p.gate_time, t)) for t in nodes]
@@ -358,7 +399,7 @@ def _evolve_rows(p: DeviceParams, rows: np.ndarray, steps: int) -> np.ndarray:
         props = v @ vh
         for k in range(props.shape[1]):
             u = props[:, k] @ u
-    return ptms_from_unitaries(u, atol=1e-8)
+    return u
 
 
 def evolve_to_ptm(

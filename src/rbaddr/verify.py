@@ -9,8 +9,8 @@ The ``full`` level is the release oracle set: acceptance criteria 1-4
 (``tests/test_acceptance.py``) take their verdicts from its twirl,
 group-integrity, product-channel and CI-coverage checks, which hold the
 acceptance sample counts and tolerances.  Only the full level runs the
-qubit-relabeling and frame-rotation checks, which the acceptance suite
-reads too.
+qubit-relabeling, frame-rotation, Z (x) Z conjugation and idle ZZ phase
+checks, which the acceptance suite reads too.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import numpy as np
 from .cliffords import generate_c1, get_group
 from .fitting import fit_exponential
 from .noise import (
+    DEFAULT_EVOLVE_STEPS,
+    GATE_ALPHABET,
     SAMPLE_A,
     SLOTS,
     Composite,
@@ -30,12 +32,17 @@ from .noise import (
     Decoherence,
     DeviceParams,
     NoisyGateSet,
+    _evolve_rows,
+    _slot_roots,
+    _slot_rows,
     decoherence_ptm,
+    evolve_to_ptm,
     evolve_to_ptms,
     predict_addressability,
     random_cptp_ptm,
+    zz_rotation_ptm,
 )
-from .paulis import ptm_from_unitary, tensor
+from .paulis import ptm_from_unitary, ptms_from_unitaries, tensor
 from .protocol import decay_single
 from .report import build_report
 from .twirl import brute_force_twirl, twirl_cxc, twirl_cxi
@@ -296,6 +303,53 @@ def check_frame_rotation(tol: float) -> CheckResult:
     )
 
 
+def check_zz_conjugation(
+    tol: float, p: DeviceParams = SAMPLE_A, steps: int = DEFAULT_EVOLVE_STEPS
+) -> CheckResult:
+    """The engine integrates a slot's root and derives the 12 image slots,
+    whose generators negate an earlier slot's, as D U D with D = Z (x) Z
+    (``noise._slot_roots``).  Integrating those 12 slots directly must give
+    the engine's channels to ``tol`` (0 by default: bit for bit).  Negative
+    control: the roots' channels conjugated by Z (x) I instead must miss by
+    more than ``tol``."""
+    t0 = time.perf_counter()
+    channels = evolve_to_ptms(p, SLOTS, steps)
+    rows = _slot_rows(SLOTS)
+    roots, image = _slot_roots(rows)
+    direct = ptms_from_unitaries(_evolve_rows(p, rows[image], steps), atol=1e-8)
+    err = float(np.max(np.abs(channels[image] - direct)))
+    # the PTM of Z (x) I: a diagonal of signs, made exact by rounding
+    z1 = np.rint(ptm_from_unitary(np.diag([1.0, 1.0, -1.0, -1.0])))
+    root_index = [SLOTS.index(tuple(GATE_ALPHABET[g] for g in root)) for root in roots[image]]
+    control = float(np.max(np.abs(z1 @ channels[root_index] @ z1 - direct)))
+    ok = err <= tol < control
+    return _result(
+        "zz_conjugation",
+        ok,
+        f"derived vs integrated image slot {err:.2e} over {len(direct)} slots at "
+        f"{p.gate_time * 1e9:g} ns, {steps} steps; Z (x) I conjugation {control:.2e}",
+        t0,
+    )
+
+
+def check_idle_zz_phase(tol: float) -> CheckResult:
+    """Free evolution of the sample-a device for t = pi / zeta accumulates
+    the ZZ rotation exp(-i (pi/4) ZZ), the PTM ``zz_rotation_ptm(pi/2)``
+    (64 Magnus steps).  Negative control: the -pi/2 rotation must miss by
+    more than ``tol``."""
+    t0 = time.perf_counter()
+    ptm = evolve_to_ptm(SAMPLE_A.with_gate_time(np.pi / SAMPLE_A.zeta), (None, None), steps=64)
+    err = float(np.max(np.abs(ptm - zz_rotation_ptm(np.pi / 2))))
+    control = float(np.max(np.abs(ptm - zz_rotation_ptm(-np.pi / 2))))
+    ok = err <= tol < control
+    return _result(
+        "idle_zz_phase",
+        ok,
+        f"idle evolution vs pi/2 ZZ rotation {err:.2e}; -pi/2 rotation {control:.2e}",
+        t0,
+    )
+
+
 def run_verification(level: str = "quick", tol_override: float | None = None):
     """Run the oracle suite; returns a list of CheckResult."""
     if level not in ("quick", "full"):
@@ -323,4 +377,6 @@ def run_verification(level: str = "quick", tol_override: float | None = None):
     if full:
         checks.append(check_qubit_relabeling(tol=tol(1e-12)))
         checks.append(check_frame_rotation(tol=tol(1e-12)))
+        checks.append(check_zz_conjugation(tol=tol(0.0)))
+        checks.append(check_idle_zz_phase(tol=tol(1e-9)))
     return checks

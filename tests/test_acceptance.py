@@ -177,6 +177,25 @@ def test_frame_rotation_check_sees_one_slot_off(monkeypatch):
     assert not verify.check_frame_rotation(tol=1e-12).passed
 
 
+def test_zz_conjugation_derives_the_image_slots_exactly(full_checks):
+    """The 12 slots the engine derives by Z (x) Z conjugation equal their
+    direct integration on sample a bit for bit; conjugating by Z (x) I
+    misses (negative control)."""
+    check = full_checks["zz_conjugation"]
+    print(f"[zz conjugation] {'PASS' if check.passed else 'FAIL'}: {check.detail} "
+          f"in {check.seconds:.2f}s")
+    assert check.passed, check.detail
+    assert "0.00e+00 over 12 slots" in check.detail
+
+
+def test_idle_evolution_accumulates_the_zz_phase(full_checks):
+    """Free evolution for t = pi / zeta is the pi/2 ZZ rotation at 1e-9;
+    the -pi/2 rotation misses (negative control)."""
+    check = full_checks["idle_zz_phase"]
+    print(f"[idle ZZ phase] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
+    assert check.passed, check.detail
+
+
 def test_criterion_5_depolarizing_consistency():
     """Per-generator depolarizing noise: every curve's reduced chi2 <= 2
     and extracted rates match the word-length prediction within 3 sigma."""

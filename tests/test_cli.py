@@ -455,18 +455,21 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
-    "settings",
+    "settings, key",
     [
-        ("--lengths", "4,2"), ("--K", "1"), ("--K", "0"), ("--lengths", ""),
-        ("--seed", "-1"), "seed = -1\n", "shots = 0\n", "shots = -5\n",
-        ("--lengths", "1,,2"), "lengths = 1,2,\n",
+        (("--lengths", "4,2"), "lengths"), (("--K", "1"), "K"), (("--K", "0"), "K"),
+        (("--lengths", ""), "lengths"), (("--seed", "-1"), "seed"), ("seed = -1\n", "seed"),
+        ("shots = 0\n", "shots"), ("shots = -5\n", "shots"), (("--lengths", "1,,2"), "lengths"),
+        ("lengths = 1,2,\n", "lengths"), ("k = 2.5\n", "k"), ("seed = x\n", "seed"),
+        ("shots = 1.5\n", "shots"), ("steps = 16.5\n", "steps"), ("lengths = 1,2.5\n", "lengths"),
     ],
     ids=["lengths", "K", "K_zero", "lengths_empty", "seed_negative",
          "config_seed_negative", "config_shots_zero", "config_shots_negative",
-         "lengths_empty_item", "config_lengths_trailing_comma"],
+         "lengths_empty_item", "config_lengths_trailing_comma", "config_k_not_integer",
+         "config_seed_not_integer", "config_shots_not_integer", "config_steps_not_integer",
+         "config_lengths_item_not_integer"],
 )
-def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
-    about_lengths = "lengths" in str(settings)
+def test_bad_run_settings_are_config_errors(tmp_path, settings, key, capsys):
     if isinstance(settings, str):  # the contents of a config file
         cfg = tmp_path / "run.cfg"
         cfg.write_text(settings)
@@ -478,30 +481,35 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert not (tmp_path / "o").exists()
-    assert "lengths" in err or not about_lengths
+    assert re.search(rf"\b{key}\b", err), err
 
 
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, key",
     [
-        (("simulate",), "model = depolarizing\nalpha1 = abc\n"),
-        (("simulate",), "model = depolarizing\nalpha1 = 1.5\n"),
-        (("simulate",), "model = depolarizing\nalpha1 = 0.99\nalpha2 = -0.34\n"),
-        (("simulate",), "model = depolarizing\nalpha1 = -0.07\njoint = true\n"),
-        (("predict", "--preset", "sample_a"), "gate_time_ns = abc\n"),
-        (("predict", "--preset", "sample_a"), "gate_time_ns = 0\n"),
-        (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\ngate_time_ns = 0\n"),
-        (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = -1\n"),
-        (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = nan\n"),
-        (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\nsteps = 4\n"),
-        (("simulate",), "model = depolarizing\nalpha1 = 0.99\nsteps = abc\n"),
-        (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nsteps = 3\n"),
-        (("simulate", "--preset", "sample_a_crosstalk"), "granularity = clifford\n"),
-        (("predict", "--preset", "sample_a"), "steps = 3\n"),
-        (("simulate", "--preset", "sample_a_crosstalk"), "steps = 3\n"),
-        (("simulate",), "model = depolarizing\nalpha1 = 0.99\njoint = ture\n"),
-        (("simulate", "--preset", "sample_a_crosstalk"), "gate_time_ns = 0\n"),
-        (("simulate", "--preset", "sample_b_decoherence"), SAMPLE_A_DEVICE),
+        (("simulate",), "model = depolarizing\nalpha1 = abc\n", "alpha1"),
+        (("simulate",), "model = depolarizing\nalpha1 = 1.5\n", "alpha1"),
+        (("simulate",), "model = depolarizing\nalpha1 = 0.99\nalpha2 = -0.34\n", "alpha2"),
+        (("simulate",), "model = depolarizing\nalpha1 = -0.07\njoint = true\n", "alpha1"),
+        (("predict", "--preset", "sample_a"), "gate_time_ns = abc\n", "gate_time_ns"),
+        (("predict", "--preset", "sample_a"), "gate_time_ns = 0\n", "gate_time_ns"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\ngate_time_ns = 0\n", "gate_time_ns"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = -1\n", "t1_1_us"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nt1_1_us = nan\n", "t1_1_us"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\nsteps = 4\n", "steps"),
+        (("simulate",), "model = depolarizing\nalpha1 = 0.99\nsteps = abc\n", "steps"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = decoherence\nsteps = 3\n", "steps"),
+        (("simulate", "--preset", "sample_a_crosstalk"), "granularity = clifford\n", "granularity"),
+        (("predict", "--preset", "sample_a"), "steps = 3\n", "steps"),
+        (("simulate", "--preset", "sample_a_crosstalk"), "steps = 3\n", "steps"),
+        (("simulate",), "model = depolarizing\nalpha1 = 0.99\njoint = ture\n", "joint"),
+        (("simulate", "--preset", "sample_a_crosstalk"), "gate_time_ns = 0\n", "gate_time_ns"),
+        (("simulate", "--preset", "sample_b_decoherence"), SAMPLE_A_DEVICE, "omega1_ghz"),
+        (("predict", "--preset", "sample_a"), "gate_time_ns = -3\n", "gate_time_ns"),
+        (("simulate",), SAMPLE_A_DEVICE + "model = crosstalk\ngate_time_ns = 1e-320\n",
+         "gate_time_ns"),
+        (("simulate",), SAMPLE_A_DEVICE.replace("4.9895", "1e300") + "model = crosstalk\n",
+         "omega1_ghz"),
     ],
     ids=[
         "alpha_unparsable", "alpha_not_cptp", "alpha2_not_cptp",
@@ -510,15 +518,18 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, capsys):
         "t1_negative", "t1_nan", "steps_too_few", "clifford_granularity_crosstalk",
         "depolarizing_steps_unparsable", "decoherence_steps_too_few",
         "predict_steps_too_few", "preset_steps_too_few", "joint_misspelt",
-        "preset_gate_time_zero", "preset_device_keys",
+        "preset_gate_time_zero", "preset_device_keys", "gate_time_negative",
+        "gate_time_underflows", "omega_overflows",
     ],
 )
-def test_bad_model_values_are_config_errors(tmp_path, command, config, capsys):
+def test_bad_model_values_are_config_errors(tmp_path, command, config, key, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config)
     code = run_cli(*command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert re.search(rf"\b{key}\b", err), err
 
 
 @pytest.mark.parametrize(

@@ -24,10 +24,12 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 GOLDEN = Path(__file__).with_name("golden_artifacts.json")
 
@@ -52,11 +54,18 @@ COMMANDS = {
     "fit_sample_a_full": ["fit", "sample_a_full/curves.csv"],
 }
 
+# Kernel settings that emulate other CPUs in one process: three OpenBLAS
+# kernels, and numpy with its AVX-512 loops off.
+EMULATED_CPUS = {
+    "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas_sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "openblas_prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy_no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
 # For a machine whose fingerprint differs: |got - want| <= tol * max(1, |want|)
 # per artifact.  Each tol is the next power of ten above ten times the
-# largest such difference measured on one machine under three emulated
-# CPUs (OPENBLAS_CORETYPE=Sandybridge, =Prescott, =Haswell) and with numpy's
-# AVX-512 loops off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"):
+# largest such difference measured on one machine under ``EMULATED_CPUS``:
 # curves.csv 3.7e-12, predictions.json 6.0e-14, report.json 3.8e-11,
 # plot_data.csv 6.7e-10, and fits.json 5.3e-7, in the residuals of
 # clifford_granularity's exp1/Q1 fit, where Levenberg-Marquardt stops at
@@ -181,6 +190,27 @@ def test_artifacts_match_the_golden_file(tmp_path):
             f"golden file written at {golden['cpu_fingerprint']})"
         )
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("setting", EMULATED_CPUS.values(), ids=EMULATED_CPUS.keys())
+def test_image_slots_stay_exact_under_other_kernels(setting):
+    """The Magnus engine derives 12 of the 48 slot channels by Z (x) Z
+    conjugation, bit for bit what integrating them gives only while the
+    kernels keep the arithmetic's sign symmetry.  A kernel that breaks it
+    fails here on any machine, not only in the byte check on the machine
+    that wrote the golden file."""
+    code = (
+        "from rbaddr.verify import check_zz_conjugation\n"
+        "check = check_zz_conjugation(0.0, steps=64)\n"
+        "print(check.detail)\n"
+        "raise SystemExit(0 if check.passed else 1)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, **setting}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def regenerate() -> None:

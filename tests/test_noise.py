@@ -54,7 +54,7 @@ from rbaddr.paulis import (
     ptm_from_kraus,
     tensor,
 )
-from rbaddr.verify import check_evolution_convergence
+from rbaddr.verify import check_evolution_convergence, check_idle_zz_phase, check_zz_conjugation
 
 TWO_PI = 2 * np.pi
 
@@ -173,12 +173,9 @@ def test_hamiltonian_zz_term():
 
 
 def test_idle_zz_evolution_phase():
-    # free evolution for t = 1/(2 * 1.1 MHz) accumulates a pi/2 ZZ rotation
-    zeta = TWO_PI * 1.1e6
-    t = 1 / (2 * 1.1e6)
-    p = decoupled_params(zeta=zeta, gate_time=t)
-    ptm = evolve_to_ptm(p, (None, None), steps=64)
-    assert np.max(np.abs(ptm - zz_rotation_ptm(np.pi / 2))) < 1e-9
+    # free evolution for t = pi / zeta accumulates a pi/2 ZZ rotation
+    check = check_idle_zz_phase(tol=1e-9)
+    assert check.passed, check.detail
 
 
 def test_missing_crosstalk_params_rejected():
@@ -613,10 +610,11 @@ def test_single_qubit_table_builds_every_slot_channel(evolved_pairs):
 # the batched Magnus engine against the per-pair, per-step loop it replaced
 
 
-def reference_evolve_to_ptm(p, slot, steps):
-    """One slot, one Magnus step at a time, in the engine's arithmetic order."""
+def reference_evolve_unitary(p, slot, steps):
+    """One slot integrated directly, one Magnus step at a time, in the
+    engine's arithmetic order."""
     if p.gate_time == 0.0:
-        return np.eye(16)
+        return np.eye(4, dtype=complex)
     static = (p.zeta / 4 * pauli_matrices(2)[15]).astype(complex)
     terms = []
     for which, name in ((1, slot[0]), (2, slot[1])):
@@ -651,6 +649,31 @@ def reference_evolve_to_ptm(p, slot, steps):
         w, v = np.linalg.eigh(1j * omega)
         u = ((v * np.exp(-1j * w)) @ v.conj().T) @ u
     assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-8
+    return u
+
+
+NEGATED = {"x90": "xm90", "xm90": "x90", "y90": "ym90", "ym90": "y90", None: None}
+ALL_PAIRS = [(a, b) for a in GATE_ALPHABET for b in GATE_ALPHABET]  # SLOTS order
+ZZ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])  # the diagonal of Z (x) Z
+
+
+def root_of(slot):
+    """The slot the engine integrates for ``slot``: of the slot and its
+    negated pair, the first in SLOTS order."""
+    if not all(g in NEGATED for g in slot):
+        return slot
+    return min(slot, tuple(NEGATED[g] for g in slot), key=ALL_PAIRS.index)
+
+
+IMAGES = [slot for slot in SLOTS if root_of(slot) != slot]
+
+
+def reference_evolve_to_ptm(p, slot, steps):
+    """The PTM the engine gives: the slot's root integrated directly, then,
+    for an image, conjugated by Z (x) Z entry by entry."""
+    u = reference_evolve_unitary(p, root_of(slot), steps)
+    if root_of(slot) != slot:
+        u = ZZ_SIGNS[:, None] * u * ZZ_SIGNS
     return ptm_from_kraus([u], require_tp=False)
 
 
@@ -726,27 +749,81 @@ def test_engine_chunk_boundaries(steps, slots):
 
 
 couplings = st.sampled_from([0.0, -0.0]) | st.floats(-0.4, 0.4)
-
-
-@given(
+RANDOM_DEVICES = dict(
     zeta_mhz=st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0),
     m12=couplings, m21=couplings, mu1=couplings, mu2=couplings, nu1=couplings, nu2=couplings,
     gate_time_ns=st.floats(8.0, 64.0),
     steps=st.integers(16, 80),
 )
+
+
+def random_device(zeta_mhz, m12, m21, mu1, mu2, nu1, nu2, gate_time_ns):
+    return replace(
+        SAMPLE_A, zeta=TWO_PI * 1e6 * zeta_mhz, m12=m12, m21=m21, mu1=mu1, mu2=mu2,
+        nu1=nu1, nu2=nu2, gate_time=gate_time_ns * 1e-9,
+    )
+
+
+@given(**RANDOM_DEVICES)
 @settings(max_examples=20, deadline=None)
 def test_engine_matches_reference_on_random_devices(
     zeta_mhz, m12, m21, mu1, mu2, nu1, nu2, gate_time_ns, steps
 ):
     # the terms each slot shares with others sum in the per-slot order:
     # ZZ shifts of either sign, zero (of either sign) and negative couplings
-    p = replace(
-        SAMPLE_A, zeta=TWO_PI * 1e6 * zeta_mhz, m12=m12, m21=m21, mu1=mu1, mu2=mu2,
-        nu1=nu1, nu2=nu2, gate_time=gate_time_ns * 1e-9,
-    )
+    p = random_device(zeta_mhz, m12, m21, mu1, mu2, nu1, nu2, gate_time_ns)
     ptms = evolve_to_ptms(p, SLOTS, steps)
     for ptm, slot in zip(ptms, SLOTS):
         assert np.array_equal(ptm, reference_evolve_to_ptm(p, slot, steps)), slot
+
+
+@given(**RANDOM_DEVICES)
+@settings(max_examples=20, deadline=None)
+def test_derived_images_match_direct_integration_on_random_devices(
+    zeta_mhz, m12, m21, mu1, mu2, nu1, nu2, gate_time_ns, steps
+):
+    # bit for bit where no slot Hamiltonian has a degenerate spectrum; with
+    # couplings exactly zero LAPACK's eigenvectors are not sign-equivariant
+    # and the two differ in the last bits
+    p = random_device(zeta_mhz, m12, m21, mu1, mu2, nu1, nu2, gate_time_ns)
+    ptms = evolve_to_ptms(p, IMAGES, steps)
+    for ptm, slot in zip(ptms, IMAGES):
+        direct = ptm_from_kraus([reference_evolve_unitary(p, slot, steps)], require_tp=False)
+        assert np.max(np.abs(ptm - direct)) <= 1e-13, slot
+
+
+@pytest.mark.parametrize("gate_time_ns", [8, 18, 24, 41.7, 64])
+@pytest.mark.parametrize("steps", [17, 64, 256])
+def test_derived_images_equal_direct_integration_on_sample_a(gate_time_ns, steps):
+    check = check_zz_conjugation(0.0, SAMPLE_A.with_gate_time(gate_time_ns * 1e-9), steps)
+    assert check.passed, check.detail
+
+
+def test_an_image_asked_for_alone_is_derived_from_its_root():
+    # without couplings, where a derived image and direct integration may
+    # differ in the last bits, every image alone is its row of the batch
+    p = decoupled_params(gate_time=8e-9)
+    batch = evolve_to_ptms(p, SLOTS, 16)
+    assert len(IMAGES) == 12
+    for slot in IMAGES:
+        assert np.array_equal(evolve_to_ptm(p, slot, 16), batch[SLOTS.index(slot)]), slot
+
+
+def test_engine_integrates_the_36_roots_of_the_48_slots(workers, monkeypatch):
+    import rbaddr.noise as noise
+
+    workers(1)  # every share in this process, where the patch counts it
+    integrated = []
+    engine = noise._evolve_rows
+
+    def counting(p, rows, steps):
+        integrated.extend(tuple(GATE_ALPHABET[g] for g in row) for row in rows)
+        return engine(p, rows, steps)
+
+    monkeypatch.setattr(noise, "_evolve_rows", counting)
+    evolve_to_ptms(SAMPLE_A, SLOTS, 16)
+    assert len(integrated) == 36
+    assert set(integrated) == {root_of(slot) for slot in SLOTS}
 
 
 # tracemalloc peak of evolving the 48 slots of the sample-a gate set four
