@@ -10,6 +10,9 @@ fingerprint matches the stored one, every artifact must match byte for
 byte.  Elsewhere each artifact's text around its numbers must match
 exactly and its numbers to the tolerances in ``TOLERANCES``.
 
+``test_image_slots_stay_exact_under_other_kernels`` runs the engine's
+Z (x) Z exactness check under each of ``EMULATED_CPUS`` in a child process.
+
 Regenerate with ``python tests/test_golden.py`` (no options).  The golden
 file changes only together with a CHANGES.md entry that says which entries
 changed and why.

@@ -671,8 +671,9 @@ IMAGES = [slot for slot in SLOTS if root_of(slot) != slot]
 def reference_evolve_to_ptm(p, slot, steps):
     """The PTM the engine gives: the slot's root integrated directly, then,
     for an image, conjugated by Z (x) Z entry by entry."""
-    u = reference_evolve_unitary(p, root_of(slot), steps)
-    if root_of(slot) != slot:
+    root = root_of(slot)
+    u = reference_evolve_unitary(p, root, steps)
+    if root != slot:
         u = ZZ_SIGNS[:, None] * u * ZZ_SIGNS
     return ptm_from_kraus([u], require_tp=False)
 
