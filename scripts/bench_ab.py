@@ -9,9 +9,10 @@ it was.  For every workload, each pair runs ``bench/run.py --workload W
 --seconds S`` once from each checkout, the parent first in odd pairs and the
 change first in even ones, each followed by ``rbaddr verify --level full``
 from the same checkout, whose wall time joins that run's metrics as
-``verify_full_s``.  After the pairs, the tier-1 suite (``pytest -q
---continue-on-collection-errors``) runs once from each checkout; its wall time
-and outcome counts are recorded as ``pytest_s``, failures included.  The output
+``verify_full_s``.  After the pairs, the tier-1 suite (``pytest -q -rf
+--continue-on-collection-errors``) runs once from each checkout; its wall time,
+outcome counts and the node ids of its failing tests are recorded as
+``pytest_s``, failures included.  The output
 keeps the last JSON line of every run and, per end-to-end metric and
 ``verify_full_s``, the median and inclusive quartiles of each side and the
 number of pairs the change won; it is rewritten after every pair.
@@ -40,8 +41,8 @@ DESCRIPTION = (
     "run, with the wall time of `rbaddr verify --level full` run from the same checkout right "
     "after it as the metric verify_full_s, then per metric the median and quartiles "
     "(inclusive method) of each side and the number of pairs the change won; pytest_s is "
-    "the wall time and outcome counts of one tier-1 pytest run from each checkout after "
-    "the pairs."
+    "the wall time, outcome counts and failing node ids of one tier-1 pytest run from each "
+    "checkout after the pairs."
 )
 
 
@@ -125,18 +126,20 @@ def pytest_counts(stdout: str) -> dict[str, int]:
 
 
 def pytest_run(checkout: Path) -> dict:
-    """Wall time and outcome counts of the tier-1 suite run from
-    ``checkout``.  A failure is recorded, not raised: one property test
-    fails about once in 40 runs."""
+    """Wall time, outcome counts and failing node ids (from the ``-rf``
+    summary's FAILED lines) of the tier-1 suite run from ``checkout``.  A
+    failure is recorded, not raised: one property test fails about once in
+    40 runs."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        [sys.executable, "-m", "pytest", "-q", "-rf", "--continue-on-collection-errors"],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
     elapsed = time.perf_counter() - start
+    failing = re.findall(r"^FAILED (.+?)(?: - .*)?$", result.stdout, flags=re.MULTILINE)
     return {"value": elapsed, "unit": "s", "returncode": result.returncode,
-            **pytest_counts(result.stdout)}
+            **pytest_counts(result.stdout), "failing": failing}
 
 
 def machine() -> str:

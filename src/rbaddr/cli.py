@@ -208,6 +208,10 @@ def _device(values: dict[str, str], preset: str | None) -> DeviceParams:
         if key in POSITIVE_DEVICE_KEYS and not value > 0:
             raise ConfigError(f"{key} must be positive, not '{values[key]}'")
         fields[name] = value
+    for q in (1, 2):  # DeviceParams refuses this too, but cannot name the keys
+        if fields[f"t2_{q}"] > 2 * fields[f"t1_{q}"]:
+            t2, limit = values[f"t2_{q}_us"], 2e6 * fields[f"t1_{q}"]
+            raise ConfigError(f"t2_{q}_us = {t2} exceeds 2 * t1_{q}_us = {limit:g}")
     return DeviceParams(**fields)
 
 

@@ -22,7 +22,7 @@ that can exceed int16 runs in int64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -78,20 +78,17 @@ class CliffordGroup:
     words: tuple[tuple[tuple[str, ...], ...], ...] = field(repr=False)
     mult_table: np.ndarray  # mult_table[i, j] = index of (apply j, then i)
     inv_table: np.ndarray
+    # (|G|, d): element g sends Pauli j to +-Pauli targets[g, j]; built with
+    # the group, so before any share of a run starts
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for array in (self.ptms, self.mult_table, self.inv_table):
+        object.__setattr__(self, "targets", np.argmax(self.ptms != 0, axis=1))
+        for array in (self.ptms, self.mult_table, self.inv_table, self.targets):
             _read_only(array)
 
     def __len__(self) -> int:
         return len(self.ptms)
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        """(|G|, d): element g sends Pauli j to +-Pauli ``targets[g, j]``."""
-        targets = np.argmax(self.ptms != 0, axis=1)
-        targets.setflags(write=False)
-        return targets
 
     def composites(self, indices) -> np.ndarray:
         """Running composites of each row of a (K, m) index array, shape

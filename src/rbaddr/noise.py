@@ -628,11 +628,11 @@ class NoisyGateSet:
     ``slot_channels`` holds the identity pad in row 0 and the channel of
     ``SLOTS[s]`` in row s + 1, all built as one batch: for a cross-talk
     model, one :func:`evolve_to_ptms` call.  ``element_table`` composes
-    each group's elements from it.  Under Pauli-diagonal noise (ideal,
-    depolarizing, a Pauli-diagonal static error and composites of these)
-    ``monomial_table`` gives each element channel as one factor per row of
-    its ideal PTM, composed from the slot channels without the dense
-    table, so that propagation can follow each Pauli's path instead.
+    each group's element channels along one walk (:meth:`_walk`); under
+    Pauli-diagonal noise (ideal, depolarizing, a Pauli-diagonal static
+    error and composites of these) ``monomial_table`` composes only each
+    row's one nonzero entry, so that propagation can follow each Pauli's
+    path instead.
     """
 
     def __init__(self, model: NoiseModel, granularity: str = "generator"):
@@ -643,13 +643,18 @@ class NoisyGateSet:
         self.model = model
         self.granularity = granularity
         self._tables: dict[str, np.ndarray] = {}
-        self._monomials: dict[str, tuple[np.ndarray, np.ndarray] | None] = {}
+        self._monomials: dict[str, np.ndarray | None] = {}
+
+    @cached_property
+    def _error(self) -> np.ndarray:
+        """The model's error channel, evaluated once: see :func:`_slot_errors`."""
+        return _slot_errors(self.model)
 
     @cached_property
     def slot_channels(self) -> np.ndarray:
         """Read-only (49, 16, 16): the identity, then each slot's channel."""
         pad, ideal = np.split(_ideal_slot_ptms(), [1])
-        channels = np.concatenate([pad, _slot_errors(self.model) @ ideal])
+        channels = np.concatenate([pad, self._error @ ideal])
         channels.setflags(write=False)
         return channels
 
@@ -665,61 +670,49 @@ class NoisyGateSet:
         the ideal PTM is a signed permutation."""
         return self.channel(gate) @ _ideal_slot_ptms()[_SLOT_ROW[gate]].T
 
-    def element_table(self, group: CliffordGroup) -> np.ndarray:
-        """Noisy channel of every group element, shape (len(group), 16, 16).
+    def _walk(self, group: CliffordGroup):
+        """``(ideal, channels, positions)``: element g's channel is the product
+        of ``channels[positions[g]]``, first rightmost, each noisy ``ideal``: per
+        generator, the slot channels along the element's padded word; per
+        Clifford, each element's PTM under the error channel, at one position."""
+        if self.granularity == "clifford":
+            return group.ptms, self._error @ group.ptms, np.arange(len(group))[:, None]
+        return _ideal_slot_ptms(), self.slot_channels, _slot_positions(group.kind)
 
-        Per Clifford, the element's ideal PTM under one error channel;
-        per generator, the product of its padded word's slot channels, one
-        stacked product per slot position over the whole group (a word
-        shorter than the longest is padded with the identity, which leaves
-        the product exact).
-        """
+    def element_table(self, group: CliffordGroup) -> np.ndarray:
+        """Noisy channel of every group element, shape (len(group), 16, 16):
+        one stacked product per position of the walk over the whole group;
+        the identity pad past a short word's end leaves the product exact."""
         if group.kind not in self._tables:
-            if self.granularity == "clifford":
-                table = _slot_errors(self.model) @ group.ptms
-            else:
-                table = np.broadcast_to(np.eye(16), (len(group), 16, 16))
-                for column in _slot_positions(group.kind).T:
-                    table = self.slot_channels[column] @ table
+            _, channels, positions = self._walk(group)
+            table = np.broadcast_to(np.eye(16), (len(group), 16, 16))
+            for column in positions.T:
+                table = channels[column] @ table
             table.setflags(write=False)
             self._tables[group.kind] = table
         return self._tables[group.kind]
 
-    def monomial_table(self, group: CliffordGroup) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(source, factor)``, both (len(group), 16), with
-        ``table[g, i] = factor[g, i] * e_source[g, i]`` for the group's
-        :meth:`element_table`, where ``source`` is the group's own Pauli
-        permutation, when every slot channel (per Clifford, the error
-        channel) is nonzero only where its ideal PTM is; None otherwise, as
-        for decoherence, cross-talk, a ZZ rotation or a Pauli-permuting
-        static error.  The factors are composed per slot position without
-        the dense table, each the one nonzero product that the table's
-        matrix products round: the table's bits.
-        """
+    def monomial_table(self, group: CliffordGroup) -> np.ndarray | None:
+        """Read-only ``factor`` (len(group), 16) with ``table[g, i] =
+        factor[g, i] * e_source[g, i]`` for the group's :meth:`element_table`
+        and its Pauli permutation ``source = np.argsort(group.targets, 1)``,
+        when every channel of the walk is nonzero only where its ideal PTM
+        is; None otherwise, as for decoherence, cross-talk, a ZZ rotation or
+        a Pauli-permuting static error.  Composed per position without the
+        dense table, each factor is the one nonzero product that the table's
+        matrix products round: the table's bits."""
         if group.kind not in self._monomials:
-            self._monomials[group.kind] = self._compose_monomial(group)
+            ideal, channels, positions = self._walk(group)
+            factor = None
+            if not np.any(channels[ideal == 0]):
+                source = np.argmax(ideal != 0, axis=2)
+                step = np.take_along_axis(channels, source[..., None], 2)[..., 0]
+                factor = np.ones((len(group), 16))
+                for column in positions.T:
+                    factor = step[column] * np.take_along_axis(factor, source[column], 1)
+                factor.setflags(write=False)
+            self._monomials[group.kind] = factor
         return self._monomials[group.kind]
-
-    def _compose_monomial(self, group: CliffordGroup):
-        source = np.argsort(group.targets, axis=1)  # builds targets for the blocks too
-        if self.granularity == "clifford":
-            error = _slot_errors(self.model)
-            if np.any(error[~np.eye(16, dtype=bool)]):
-                return None
-            signs = np.take_along_axis(group.ptms, source[..., None], axis=2)[..., 0]
-            factor = np.diagonal(error) * signs
-        else:
-            ideal = _ideal_slot_ptms()
-            if np.any(self.slot_channels[ideal == 0]):
-                return None
-            slot_source = np.argmax(ideal != 0, axis=2)
-            slot_factor = np.take_along_axis(self.slot_channels, slot_source[..., None], 2)[..., 0]
-            factor = np.ones((len(group), 16))
-            for column in _slot_positions(group.kind).T:
-                factor = slot_factor[column] * np.take_along_axis(factor, slot_source[column], 1)
-        source.setflags(write=False)
-        factor.setflags(write=False)
-        return source, factor
 
 
 # ---------------------------------------------------------------------------

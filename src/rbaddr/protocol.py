@@ -174,7 +174,7 @@ def simulate_sequence(
             state = np.einsum("rij,rj->ri", table[column], state)
     else:
         scan = group.composites(batch) if composites is None else composites
-        state = _path_states(group, batch, recovery, scan, monomial[1], spam.prep)
+        state = _path_states(group, batch, recovery, scan, monomial, spam.prep)
     pops = spam.populations(state.T).T
     return pops if np.ndim(indices) == 2 else pops[0]
 
@@ -182,7 +182,7 @@ def simulate_sequence(
 def _path_states(group, indices, recovery, composites, factor, prep) -> np.ndarray:
     """The (K, d) states after the steps ``indices`` (K, m), scanned into
     ``composites`` (K, m + 1), then ``recovery`` (K,), under the monomial
-    table ``(group's permutation, factor)``.
+    table's ``factor``.
 
     After steps whose composite is h, Pauli j of ``prep`` sits at
     ``group.targets[h, j]``; each step scales it by its factor there.
@@ -334,7 +334,7 @@ def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalC
         if experiment not in EXPERIMENT_GROUPS:
             raise ValueError(f"unknown experiment '{experiment}'")
     groups = {e: get_group(EXPERIMENT_GROUPS[e]) for e in experiments}
-    step = {e: PATH_STEP_SECONDS for e, g in groups.items() if gateset.monomial_table(g)}
+    step = {e: PATH_STEP_SECONDS for e in groups if gateset.monomial_table(groups[e]) is not None}
     for e in groups.keys() - step.keys():
         gateset.element_table(groups[e])
         step[e] = MATVEC_STEP_SECONDS

@@ -177,11 +177,12 @@ def check_decoherence_semigroup(tol: float) -> CheckResult:
     return _result("decoherence_semigroup", ok, f"composition deviation {err:.2e}", t0)
 
 
-def check_evolution_convergence(tol: float) -> CheckResult:
+def check_evolution_convergence(tol: float, coarse: np.ndarray | None = None) -> CheckResult:
     """Step doubling (256 vs 512 Magnus steps) of every generator pair of
-    the sample-a cross-talk gate set, in one batch per step count."""
+    the sample-a cross-talk gate set, in one batch per step count (the
+    256-step batch ``coarse`` is integrated here if not given)."""
     t0 = time.perf_counter()
-    coarse = evolve_to_ptms(SAMPLE_A, SLOTS, steps=256)
+    coarse = evolve_to_ptms(SAMPLE_A, SLOTS, steps=256) if coarse is None else coarse
     fine = evolve_to_ptms(SAMPLE_A, SLOTS, steps=512)
     errs = np.max(np.abs(coarse - fine), axis=(1, 2))
     worst = int(np.argmax(errs))
@@ -268,16 +269,16 @@ _PHASE_SHIFTED = {"x90": "y90", "y90": "xm90", "xm90": "ym90", "ym90": "x90",
                   "x180": "y180", None: None}
 
 
-def check_frame_rotation(tol: float) -> CheckResult:
+def check_frame_rotation(tol: float, channels: np.ndarray | None = None) -> CheckResult:
     """Adding pi/2 to both drive phases of the sample-a cross-talk drive is
     the frame rotation V = Rz(pi/2) (x) Rz(pi/2): it turns each drive term's
     X/Y pair by pi/2 and commutes with ZZ and with the Z-conditioned terms'
     other factor.  So the channel of every slot whose generators both have
     a phase-shifted image (35 of the 48) maps to P E P^T with P the PTM of
     V.  Negative control: the opposite rotation, P^T E P, must miss by more
-    than ``tol``."""
+    than ``tol``.  The sample-a ``channels`` are integrated here if not given."""
     t0 = time.perf_counter()
-    channels = evolve_to_ptms(SAMPLE_A, SLOTS)
+    channels = evolve_to_ptms(SAMPLE_A, SLOTS) if channels is None else channels
     # a signed permutation, made exact by rounding
     rz = np.rint(ptm_from_unitary(np.diag(np.exp([-0.25j * np.pi, 0.25j * np.pi]))))
     rotation = tensor(rz, rz)
@@ -304,16 +305,18 @@ def check_frame_rotation(tol: float) -> CheckResult:
 
 
 def check_zz_conjugation(
-    tol: float, p: DeviceParams = SAMPLE_A, steps: int = DEFAULT_EVOLVE_STEPS
+    tol: float, p: DeviceParams = SAMPLE_A, steps: int = DEFAULT_EVOLVE_STEPS,
+    channels: np.ndarray | None = None,
 ) -> CheckResult:
     """The engine integrates a slot's root and derives the 12 image slots,
     whose generators negate an earlier slot's, as D U D with D = Z (x) Z
     (``noise._slot_roots``).  Integrating those 12 slots directly must give
     the engine's channels to ``tol`` (0 by default: bit for bit).  Negative
     control: the roots' channels conjugated by Z (x) I instead must miss by
-    more than ``tol``."""
+    more than ``tol``.  The engine's ``channels`` are integrated here if not
+    given."""
     t0 = time.perf_counter()
-    channels = evolve_to_ptms(p, SLOTS, steps)
+    channels = evolve_to_ptms(p, SLOTS, steps) if channels is None else channels
     rows = _slot_rows(SLOTS)
     roots, image = _slot_roots(rows)
     direct = ptms_from_unitaries(_evolve_rows(p, rows[image], steps), atol=1e-8)
@@ -351,10 +354,12 @@ def check_idle_zz_phase(tol: float) -> CheckResult:
 
 
 def run_verification(level: str = "quick", tol_override: float | None = None):
-    """Run the oracle suite; returns a list of CheckResult."""
+    """Run the oracle suite; returns a list of CheckResult.  The sample-a
+    slot channels three checks read are integrated once, in no check's time."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     full = level == "full"
+    sample_a = evolve_to_ptms(SAMPLE_A, SLOTS)
 
     def tol(default):
         return default if tol_override is None else tol_override
@@ -372,11 +377,11 @@ def run_verification(level: str = "quick", tol_override: float | None = None):
             hi=0.78 if full else 0.85,
         ),
         check_decoherence_semigroup(tol=tol(1e-12)),
-        check_evolution_convergence(tol=tol(1e-8)),
+        check_evolution_convergence(tol=tol(1e-8), coarse=sample_a),
     ]
     if full:
         checks.append(check_qubit_relabeling(tol=tol(1e-12)))
-        checks.append(check_frame_rotation(tol=tol(1e-12)))
-        checks.append(check_zz_conjugation(tol=tol(0.0)))
+        checks.append(check_frame_rotation(tol=tol(1e-12), channels=sample_a))
+        checks.append(check_zz_conjugation(tol=tol(0.0), channels=sample_a))
         checks.append(check_idle_zz_phase(tol=tol(1e-9)))
     return checks

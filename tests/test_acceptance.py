@@ -25,7 +25,7 @@ from rbaddr.noise import (
 from rbaddr.protocol import RBConfig, run_protocol
 from rbaddr.report import UVal, build_report
 from rbaddr import report as report_module
-from rbaddr import verify
+from rbaddr import noise, verify
 from rbaddr.verify import run_verification
 
 PUBLISHED_DR_ESTIMATES = {"dr1_given_2": 0.0034, "dr2_given_1": 0.007}
@@ -175,6 +175,24 @@ def test_frame_rotation_check_sees_one_slot_off(monkeypatch):
 
     monkeypatch.setattr(verify, "evolve_to_ptms", perturbed)
     assert not verify.check_frame_rotation(tol=1e-12).passed
+
+
+def test_full_verification_integrates_the_sample_a_batch_twice(monkeypatch):
+    """The step-doubling, frame-rotation and Z (x) Z checks share one
+    integration of the sample-a slots at the default steps; the
+    qubit-relabeling gate set makes the other."""
+    real = noise.evolve_to_ptms
+    sample_a = []
+
+    def counting(p, slots, steps=noise.DEFAULT_EVOLVE_STEPS):
+        sample_a.append(p == SAMPLE_A and steps == noise.DEFAULT_EVOLVE_STEPS)
+        return real(p, slots, steps)
+
+    monkeypatch.setattr(noise, "evolve_to_ptms", counting)
+    monkeypatch.setattr(verify, "evolve_to_ptms", counting)
+    checks = run_verification("full")
+    assert all(check.passed for check in checks), [c.name for c in checks if not c.passed]
+    assert sample_a.count(True) == 2
 
 
 def test_zz_conjugation_derives_the_image_slots_exactly(full_checks):

@@ -357,6 +357,28 @@ def test_preset_device_key_errors_name_the_key(tmp_path, command, config, named,
 
 
 @pytest.mark.parametrize(
+    "command, t2, named",
+    [
+        ("simulate", "t2_1_us = 30", "t2_1_us = 30 exceeds 2 * t1_1_us = 19.4"),
+        ("simulate", "t2_2_us = 16.5", "t2_2_us = 16.5 exceeds 2 * t1_2_us = 16.4"),
+        ("predict", "t2_2_us = 16.5", "t2_2_us = 16.5 exceeds 2 * t1_2_us = 16.4"),
+    ],
+    ids=["qubit_1", "qubit_2", "predict_qubit_2"],
+)
+def test_t2_above_twice_t1_names_its_keys(tmp_path, command, t2, named, capsys):
+    # DeviceParams refuses the pair too, but its message cannot name the keys
+    key = t2.split(" = ")[0]
+    device = re.sub(rf"^{key} = .*$", t2, SAMPLE_A_DEVICE, flags=re.MULTILINE)
+    model = "model = decoherence\n" if command == "simulate" else ""
+    cfg = tmp_path / "t2.cfg"
+    cfg.write_text(model + device)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, config, named",
     [
         (("--preset", "sample_a"), "granularity = clifford\nlengths = 1,2\n",

@@ -8,6 +8,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbaddr import noise
 from rbaddr.cliffords import (
     GENERATOR_ANGLES,
     _canonical,
@@ -517,17 +518,37 @@ def test_monomial_table_holds_each_row_one_entry(model, granularity):
     for kind in ("cxi", "ixc", "cxc"):
         group = get_group(kind)
         table = gateset.element_table(group)
-        form = gateset.monomial_table(group)
-        assert form is not None, kind
-        assert gateset.monomial_table(group) is form  # cached per group
-        source, factor = form
-        assert source.shape == factor.shape == (len(group), 16)
+        factor = gateset.monomial_table(group)
+        assert factor is not None, kind
+        assert gateset.monomial_table(group) is factor  # cached per group
+        source = np.argsort(group.targets, axis=1)
+        assert factor.shape == (len(group), 16)
         assert np.array_equal(factor, np.take_along_axis(table, source[..., None], axis=2)[..., 0])
         rebuilt = np.zeros_like(table)
         np.put_along_axis(rebuilt, source[..., None], factor[..., None], axis=2)
         assert np.array_equal(rebuilt, table), kind  # every other entry is 0
         # a Pauli's source is where the ideal element takes it from
         assert np.array_equal(source, np.argmax(group.ptms != 0, axis=2)), kind
+
+
+def test_per_clifford_tables_evaluate_the_error_channel_once(monkeypatch):
+    # all six tables, dense and monomial for the three groups, read one E
+    real = noise._slot_errors
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(noise, "_slot_errors", counting)
+    gateset = NoisyGateSet(Depolarizing(0.97, 0.95), "clifford")
+    for kind in ("cxi", "ixc", "cxc"):
+        group = get_group(kind)
+        gateset.element_table(group)
+        factor = gateset.monomial_table(group)
+        assert isinstance(factor, np.ndarray) and factor.shape == (len(group), 16), kind
+        assert not factor.flags.writeable, kind
+    assert calls == [gateset.model]
 
 
 _CROSSTALK_16 = CrossTalk(SAMPLE_A, steps=16)

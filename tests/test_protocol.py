@@ -234,7 +234,7 @@ def test_gather_kernel_gives_the_matvec_bits(model, granularity, kind, K, m):
     composites = group.composites(indices)
     recovery = group.recovery_indices(indices)
     columns = np.column_stack([indices, recovery])
-    _, factor = gateset.monomial_table(group)
+    factor = gateset.monomial_table(group)
     for prep in (SpamModel.perfect().prep, _DENSE_PREP, np.abs(_DENSE_PREP)):
         reference = _einsum_states(gateset.element_table(group), columns, prep)
         state = _path_states(group, indices, recovery, composites, factor, prep)
@@ -279,7 +279,7 @@ def test_top_element_gives_the_bits_of_int64_tables(cxc):
     reference = wide.composites(indices)
     recovery = wide.recovery_indices(indices)
     assert recovery[2] == top and reference[3, -1] == top
-    factor = NoisyGateSet(Depolarizing(0.97, 0.95)).monomial_table(cxc)[1]
+    factor = NoisyGateSet(Depolarizing(0.97, 0.95)).monomial_table(cxc)
     state = _path_states(wide, indices, recovery, reference, factor, _DENSE_PREP)
     for steps in (indices, indices.astype(np.int16)):
         composites = cxc.composites(steps)

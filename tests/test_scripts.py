@@ -124,12 +124,17 @@ def test_bench_ab_counts_the_suite_without_raising(tmp_path):
     summary = "....F\n1 failed, 553 passed, 2 warnings in 127.00s (0:02:07)\n"
     assert bench_ab["pytest_counts"](summary) == {"failed": 1, "passed": 553, "warnings": 2}
     assert bench_ab["pytest_counts"]("") == {"passed": 0, "failed": 0}
-    # a checkout with one passing and one failing test
+    # a checkout with one passing and two failing tests, one with a space in its id
     (tmp_path / "src").mkdir()
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_one.py").write_text(
-        "def test_passes():\n    pass\n\n\ndef test_fails():\n    assert False\n"
+        "import pytest\n\n\ndef test_passes():\n    pass\n\n\ndef test_fails():\n"
+        "    assert False\n\n\n@pytest.mark.parametrize('word', ['two words'])\n"
+        "def test_fails_too(word):\n    assert not word\n"
     )
     run = bench_ab["pytest_run"](tmp_path)
-    assert (run["passed"], run["failed"], run["returncode"], run["unit"]) == (1, 1, 1, "s")
+    assert (run["passed"], run["failed"], run["returncode"], run["unit"]) == (1, 2, 1, "s")
+    assert run["failing"] == [
+        "tests/test_one.py::test_fails", "tests/test_one.py::test_fails_too[two words]",
+    ]
     assert run["value"] > 0
