@@ -11,9 +11,9 @@ Each group is built with a few array operations: one stacked matmul per
 closure frontier, one broadcast Kronecker product for all pairs of a
 product group, one stacked product for the tables.  On integer PTMs these
 are exact, so the result equals the one-element-at-a-time build bit for
-bit.  A group is its arrays: the read-only ``(|G|, d, d)`` stack of PTMs
-``ptms``, each element's generator words ``words`` (one per qubit) and the
-tables ``mult_table`` and ``inv_table``; element ``i`` is row ``i`` of each.
+bit.  A group is its arrays, row ``i`` of each for element ``i``: the
+read-only ``(|G|, d, d)`` PTMs ``ptms``, the generator words ``words``
+(one per qubit), the tables ``mult_table`` and ``inv_table``, and ``targets``.
 The tables are int16, as every index is below 576 (CxC's ``mult_table``
 takes 0.66 MB instead of 2.65 MB as int64); arithmetic on a table value
 that can exceed int16 runs in int64.
