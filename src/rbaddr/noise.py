@@ -681,12 +681,13 @@ class NoisyGateSet:
 
     def element_table(self, group: CliffordGroup) -> np.ndarray:
         """Noisy channel of every group element, shape (len(group), 16, 16):
-        one stacked product per position of the walk over the whole group;
-        the identity pad past a short word's end leaves the product exact."""
+        the channels at the walk's first position over the whole group, then
+        one stacked product per further position; the identity pad past a
+        short word's end leaves the product exact."""
         if group.kind not in self._tables:
             _, channels, positions = self._walk(group)
-            table = np.broadcast_to(np.eye(16), (len(group), 16, 16))
-            for column in positions.T:
+            table = channels[positions[:, 0]]
+            for column in positions.T[1:]:
                 table = channels[column] @ table
             table.setflags(write=False)
             self._tables[group.kind] = table

@@ -29,10 +29,15 @@ Sequence k of length m in an experiment draws its elements, then its
 shots, from its own stream: numpy's ``default_rng([seed, experiment code,
 m, k])`` stream, so results are independent of execution order.  A share
 seeds the streams of its own blocks in one batch, by numpy's SeedSequence
-hash in uint32 array arithmetic and PCG64's seeding step in Python ints,
-and draws them from one generator whose state is set per stream.  This
-relies on numpy's stream-compatibility guarantee for SeedSequence and
-PCG64 (NEP 19); the draws themselves stay numpy's own.
+hash and PCG64's seeding step in uint64 array arithmetic.  The index draws
+are an in-tree copy of ``Generator.integers``: PCG64's XSL-RR outputs
+(O'Neill 2014), each stream's states reached by jump-ahead from a table,
+fed through Lemire's bounded draw with numpy's rejection rule, in chunks
+of ``DRAW_CHUNK_OUTPUTS``; tier-1 tests pin it to numpy, rejections and
+the stream state it leaves included.  A run without shots so never
+imports ``numpy.random``.  Shots stay numpy's own ``multinomial``, from
+each stream's state after its index draws.  All of this relies on numpy's
+stream-compatibility guarantee for SeedSequence and PCG64 (NEP 19).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +71,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
@@ -124,8 +131,9 @@ class RBConfig:
             raise ValueError("need K >= 2 sequences per length")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if self.shots is not None and not 1 <= self.shots < 2**63:
+            # numpy's multinomial counts in int64
+            raise ValueError(f"shots must be 1 to 2**63 - 1, not {self.shots}")
         object.__setattr__(self, "lengths", lengths)
 
 
@@ -255,18 +263,6 @@ def _seed_sequence_state(entropy: np.ndarray) -> list[np.ndarray]:
     return [lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])]
 
 
-def _pcg64_state(seed: int, inc: int) -> dict:
-    """PCG64's state after seeding with 128-bit ``seed`` and stream ``inc``."""
-    inc = (inc << 1 | 1) & _MASK128
-    state = ((inc + seed) * _PCG_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _stream_words(cfg: RBConfig, blocks) -> np.ndarray:
     """PCG64's seed words (s0, s1, s2, s3) of ``np.random.default_rng([
     cfg.seed, code, m, k])`` for each k < ``cfg.K`` of each block
@@ -282,34 +278,137 @@ def _stream_words(cfg: RBConfig, blocks) -> np.ndarray:
     return np.stack(words).reshape(4, len(blocks), cfg.K).swapaxes(0, 1)
 
 
-def _block_states(words: np.ndarray) -> list[dict]:
-    """The PCG64 states of one block's streams from its (4, K) seed words:
-    PCG64 seeds with seed = (s0, s1) and inc = (s2, s3), high word first."""
-    s0, s1, s2, s3 = words.tolist()
-    return [_pcg64_state(a << 64 | b, c << 64 | d) for a, b, c, d in zip(s0, s1, s2, s3)]
+# A 128-bit PCG64 value is a (high, low) pair of uint64 arrays; numpy's
+# unsigned ufuncs wrap modulo 2**64.
+_LOW32, _32 = np.uint64(_MASK32), np.uint64(32)
+_PCG_MULT_WORDS = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
 
 
-# Estimated seconds of a block's work (2-core Xeon VM, K = 50, lengths 1..512,
-# fitted over whole blocks): seeding a stream, setting it and drawing its
-# sequence took 9-16 us whatever m; a sequence step (one element channel on
-# one sequence's state, with its share of the prefix scan) took 0.06-0.12 us
-# along Pauli paths and 0.44-0.50 us by batched mat-vec.
-STREAM_DRAW_SECONDS = 1e-5
+def _mul128(a, b):
+    """``a * b`` modulo 2**128 of broadcasting (high, low) pairs: the low
+    words' full product from their 32-bit halves, the cross terms modulo
+    2**64."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _32, b_lo & _LOW32, b_lo >> _32
+    cross0, cross1 = a1 * b0, a0 * b1
+    carry = ((a0 * b0 >> _32) + (cross0 & _LOW32) + (cross1 & _LOW32)) >> _32
+    high = a1 * b1 + (cross0 >> _32) + (cross1 >> _32) + carry
+    return high + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add128(a, b):
+    """``a + b`` modulo 2**128 of broadcasting (high, low) pairs."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _seeded_streams(words):
+    """PCG64's (state, inc) after seeding from (s0, s1, s2, s3) seed words
+    (``_stream_words``): seed (s0, s1) and stream (s2, s3), high word first,
+    as ``pcg_setseq_128_srandom_r`` in numpy's pcg64.h seeds them."""
+    s0, s1, s2, s3 = words
+    inc = (s2 << np.uint64(1) | s3 >> np.uint64(63), s3 << np.uint64(1) | np.uint64(1))
+    return _add128(_mul128(_add128(inc, (s0, s1)), _PCG_MULT_WORDS), inc), inc
+
+
+def _pcg64_states(state, inc, has_uint32, uinteger) -> list[dict]:
+    """numpy's ``PCG64.state`` dicts of streams held as (high, low) pairs."""
+    columns = np.broadcast_arrays(*state, *inc, has_uint32, uinteger)
+    return [
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+            "has_uint32": has,
+            "uinteger": word,
+        }
+        for s_hi, s_lo, i_hi, i_lo, has, word in zip(*(c.tolist() for c in columns))
+    ]
+
+
+@lru_cache(maxsize=None)
+def _jump_table(count: int):
+    """(MULT**i, MULT**(i - 1) + ... + MULT + 1) for i = 1..count, as two
+    (high, low) pairs of length ``count``: a stream's state i steps after
+    ``state`` is ``A_i * state + C_i * inc``."""
+    a, c, rows = 1, 0, []
+    for _ in range(count):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        rows.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    table = np.array(rows, dtype=np.uint64).T
+    table.setflags(write=False)
+    return (table[0], table[1]), (table[2], table[3])
+
+
+# PCG64 outputs the draw computes at once, over all of a block's streams:
+# 32 KB per uint64 array.  Drawing a K = 50, m = 512 block peaks at 0.86 MB
+# (tracemalloc), its 0.2 MB of indices included, in these chunks; at 1.5 MB
+# in one.
+DRAW_CHUNK_OUTPUTS = 2**12
+
+
+def _draw_block(words, n: int, m: int):
+    """``Generator.integers(0, n, m)`` (1 < n <= 2**32) of each stream of a
+    block, seeded from its (4, K) seed words, as a (K, m) int64 array, and
+    each stream's state after its draw as ``_pcg64_states`` arguments.
+
+    Output i of a stream is PCG64's XSL-RR of its state i steps on
+    (O'Neill 2014), split into two uint32 words, low half first.  Word w
+    gives index ``w * n >> 32`` unless ``w * n mod 2**32 < 2**32 mod n``,
+    when numpy skips it (Lemire 2019, numpy's rejection rule).  The streams
+    advance together, ``DRAW_CHUNK_OUTPUTS`` outputs at a time, until each
+    has m indices."""
+    state, inc = _seeded_streams(words)
+    k = len(words[0])
+    width = max(1, DRAW_CHUNK_OUTPUTS // k)
+    jump, offset = _jump_table(width)
+    threshold, n = np.uint64((1 << 32) % n), np.uint64(n)
+    indices = np.empty((k, m), np.int64)
+    filled = np.zeros(k, np.int64)
+    after = (np.empty(k, np.uint64), np.empty(k, np.uint64))
+    has_uint32, uinteger = np.empty(k, np.int64), np.empty(k, np.uint64)
+    while (first := int(filled.min())) < m:
+        w = min(width, (m - first + 1) // 2)
+        hi, lo = _add128(
+            _mul128((state[0][:, None], state[1][:, None]), (jump[0][:w], jump[1][:w])),
+            _mul128((inc[0][:, None], inc[1][:, None]), (offset[0][:w], offset[1][:w])),
+        )
+        mixed, rotate = hi ^ lo, hi >> np.uint64(58)
+        out = mixed >> rotate | mixed << (np.uint64(64) - rotate & np.uint64(63))
+        word = np.stack([out & _LOW32, out >> _32], axis=2).reshape(k, 2 * w)
+        scaled = word * n
+        accept = (scaled & _LOW32) >= threshold
+        if accept.all() and first == filled.max():  # no word skipped: the usual case
+            rank = filled[:, None] + np.arange(1, 2 * w + 1)
+            indices[:, first : first + 2 * w] = (scaled >> _32)[:, : m - first]
+        else:
+            rank = filled[:, None] + np.cumsum(accept, axis=1)
+            keep = accept & (rank <= m)
+            indices[np.nonzero(keep)[0], rank[keep] - 1] = scaled[keep] >> _32
+        # the state of each stream that took its m-th index from this chunk
+        (done,) = np.nonzero((filled < m) & (rank[:, -1] >= m))
+        last = np.argmax(rank[done] >= m, axis=1)
+        after[0][done], after[1][done] = hi[done, last // 2], lo[done, last // 2]
+        has_uint32[done], uinteger[done] = 1 - last % 2, word[done, last | 1]
+        filled, state = rank[:, -1], (hi[:, -1], lo[:, -1])
+    return indices, (after, inc, has_uint32, uinteger)
+
+
+# Estimated seconds of a block's work (2-core Xeon VM, one CPU, K = 50,
+# lengths 1..512, fitted over whole blocks): a stream's share of seeding and
+# of the draw's fixed cost took 1.2-4 us whatever m; a sequence step (its
+# index draw, one element channel on one sequence's state and its share of
+# the prefix scan) took 0.09-0.13 us along Pauli paths and 0.38-0.39 us by
+# batched mat-vec.
+STREAM_DRAW_SECONDS = 3e-6
 PATH_STEP_SECONDS = 1e-7
 MATVEC_STEP_SECONDS = 4e-7
 
 
-def _run_block(cfg, gateset, group, m, states, rng) -> np.ndarray:
+def _run_block(cfg, gateset, group, m, words, rng) -> np.ndarray:
     """The (K, 4) read-out populations of the K sequences of length m, one
-    stream state each; ``rng`` serves every stream."""
-    bitgen = rng.bit_generator
-    rows, shot_states = [], []
-    for state in states:
-        bitgen.state = state
-        rows.append(group.sample_uniform(rng, m))
-        if cfg.shots is not None:  # each stream's shots follow its indices
-            shot_states.append(bitgen.state)
-    indices = np.stack(rows)
+    stream per sequence, seeded from the block's (4, K) ``words``; ``rng``
+    draws every stream's shots, from where its indices left the stream."""
+    indices, after = _draw_block(words, len(group), m)
     composites = group.composites(indices)
     recovery = group.inv_table[composites[:, -1]]
     pops = simulate_sequence(group, indices, recovery, gateset, cfg.spam, composites)
@@ -318,8 +417,8 @@ def _run_block(cfg, gateset, group, m, states, rng) -> np.ndarray:
     probs = np.clip(pops, 0.0, None)
     probs = probs / probs.sum(axis=1, keepdims=True)
     counts = []
-    for state, p in zip(shot_states, probs):
-        bitgen.state = state
+    for state, p in zip(_pcg64_states(*after), probs):
+        rng.bit_generator.state = state
         counts.append(rng.multinomial(cfg.shots, p))
     return np.array(counts) / cfg.shots
 
@@ -344,10 +443,10 @@ def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalC
     ]
 
     def work(share):
-        # one generator serves every stream; its own seed is overwritten
-        rng = np.random.Generator(np.random.PCG64())
+        # shots only: one generator serves every stream; its own seed is overwritten
+        rng = None if cfg.shots is None else np.random.Generator(np.random.PCG64())
         return [
-            _run_block(cfg, gateset, groups[e], cfg.lengths[mi], _block_states(words), rng)
+            _run_block(cfg, gateset, groups[e], cfg.lengths[mi], words, rng)
             for (e, mi), words in zip(share, _stream_words(cfg, share))
         ]
 

@@ -167,7 +167,8 @@ def test_cli_import_leaves_the_oracle_suite_out():
 
 def test_commands_hash_without_openssl(tmp_path):
     # the manifest digests come from the interpreter's own SHA-256, so no
-    # command but ``simulate`` (whose numpy.random imports it) loads _hashlib
+    # command loads _hashlib unless ``simulate`` draws shots (numpy.random
+    # imports it)
     cfg = tmp_path / "predict.cfg"
     cfg.write_text("steps = 16\n")
     csv = tmp_path / "curves.csv"
@@ -190,6 +191,25 @@ def test_commands_hash_without_openssl(tmp_path):
         assert len(digests) == (1 if argv[0] == "predict" else 5)
         for path, digest in digests.items():
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("shots, loaded", [(None, "False False"), ("10", "True True")])
+def test_only_shots_load_numpy_random(tmp_path, shots, loaded):
+    # the index draws are protocol's own PCG64 copy; shots are numpy's
+    # multinomial, and numpy.random imports _hashlib through secrets
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = depolarizing\nalpha1 = 0.99\n" + (f"shots = {shots}\n" if shots else ""))
+    code = ("import sys; from rbaddr.cli import main; code = main(sys.argv[1:]); "
+            "print('numpy.random' in sys.modules, '_hashlib' in sys.modules); "
+            "raise SystemExit(code)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = ["simulate", "--config", str(cfg), "--lengths", "1,2", "--K", "2",
+            "--out", str(tmp_path / "o")]
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == loaded
 
 
 def test_joint_reads_boolean_words_in_any_case():
@@ -484,12 +504,13 @@ def test_usage_error_exit_code():
         ("shots = 0\n", "shots"), ("shots = -5\n", "shots"), (("--lengths", "1,,2"), "lengths"),
         ("lengths = 1,2,\n", "lengths"), ("k = 2.5\n", "k"), ("seed = x\n", "seed"),
         ("shots = 1.5\n", "shots"), ("steps = 16.5\n", "steps"), ("lengths = 1,2.5\n", "lengths"),
+        ("shots = 9223372036854775808\n", "shots"), ("shots = 1000000000000000000000\n", "shots"),
     ],
     ids=["lengths", "K", "K_zero", "lengths_empty", "seed_negative",
          "config_seed_negative", "config_shots_zero", "config_shots_negative",
          "lengths_empty_item", "config_lengths_trailing_comma", "config_k_not_integer",
          "config_seed_not_integer", "config_shots_not_integer", "config_steps_not_integer",
-         "config_lengths_item_not_integer"],
+         "config_lengths_item_not_integer", "config_shots_2_to_the_63", "config_shots_huge"],
 )
 def test_bad_run_settings_are_config_errors(tmp_path, settings, key, capsys):
     if isinstance(settings, str):  # the contents of a config file

@@ -31,8 +31,10 @@ from rbaddr.protocol import (
     run_protocol,
     simulate_sequence,
     write_curves_csv,
-    _block_states,
+    _draw_block,
     _path_states,
+    _pcg64_states,
+    _seeded_streams,
     _stream_words,
 )
 from rbaddr.twirl import gamma_decay_curve
@@ -400,7 +402,7 @@ def stream_states(cfg: RBConfig, experiment: str) -> list[list[dict]]:
     for each length m of ``cfg.lengths`` and each k < ``cfg.K``, where code
     is the experiment's code, as a run's shares seed them: one hash."""
     words = _stream_words(cfg, [(experiment, mi) for mi in range(len(cfg.lengths))])
-    return [_block_states(block) for block in words]
+    return [_pcg64_states(*_seeded_streams(block), 0, 0) for block in words]
 
 
 @pytest.mark.parametrize(
@@ -422,6 +424,44 @@ def test_stream_states_are_default_rng_streams(cfg, cxc):
                 assert np.array_equal(
                     cxc.sample_uniform(rng, 6), cxc.sample_uniform(reference, 6)
                 )
+
+
+def _assert_draws_are_generator_integers(cfg, experiment, n):
+    """``_draw_block`` gives each stream of ``cfg``'s blocks of
+    ``experiment`` numpy's ``Generator.integers(0, n, m)`` and leaves the
+    PCG64 state, buffered uint32 included, that numpy's draw leaves."""
+    blocks = [(experiment, mi) for mi in range(len(cfg.lengths))]
+    for (_, mi), words in zip(blocks, _stream_words(cfg, blocks)):
+        m = cfg.lengths[mi]
+        indices, after = _draw_block(words, n, m)
+        for k, state in enumerate(_pcg64_states(*after)):
+            reference = np.random.default_rng([cfg.seed, EXPERIMENT_CODES[experiment], m, k])
+            assert np.array_equal(indices[k], reference.integers(0, n, m)), (n, m, k)
+            assert state == reference.bit_generator.state, (n, m, k)
+
+
+def test_draws_of_a_default_run_are_generator_integers():
+    for experiment, kind in EXPERIMENT_GROUPS.items():
+        _assert_draws_are_generator_integers(RBConfig(seed=12345), experiment, len(get_group(kind)))
+
+
+# 2**32 mod n of these bounds skips ~25%, ~50%, ~7% and none of the words
+@pytest.mark.parametrize("n", [24, 576, 3 * 2**30 + 5, 2**31 + 1, 4 * 10**9, 2**32])
+@pytest.mark.parametrize("chunk", [None, 8])
+def test_draw_kernel_is_generator_integers(monkeypatch, n, chunk):
+    # chunks of 8 outputs split streams whose words were skipped across chunks
+    import rbaddr.protocol as protocol
+
+    if chunk:
+        monkeypatch.setattr(protocol, "DRAW_CHUNK_OUTPUTS", chunk)
+    cfg = RBConfig(lengths=(1, 2, 3, 7, 64, 515), K=4, seed=2**64 + 9)
+    _assert_draws_are_generator_integers(cfg, "exp3", n)
+
+
+def test_shots_must_fit_numpy_multinomial():
+    assert RBConfig(shots=2**63 - 1).shots == 2**63 - 1
+    with pytest.raises(ValueError, match="shots"):
+        RBConfig(shots=2**63)
 
 
 @pytest.fixture
@@ -451,6 +491,8 @@ def test_run_experiment_shares_one_generator(rng_constructions, shots):
     run_experiment(cfg, NoisyGateSet(Depolarizing(0.99)), "exp3")
     assert rng_constructions["default_rng"] + rng_constructions["Generator"] <= 1
     assert rng_constructions["PCG64"] + rng_constructions["SeedSequence"] <= 1
+    if shots is None:  # the index draws need no numpy generator
+        assert not any(rng_constructions.values())
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
