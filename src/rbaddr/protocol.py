@@ -28,16 +28,12 @@ the same at any CPU count.
 Sequence k of length m in an experiment draws its elements, then its
 shots, from its own stream: numpy's ``default_rng([seed, experiment code,
 m, k])`` stream, so results are independent of execution order.  A share
-seeds the streams of its own blocks in one batch, by numpy's SeedSequence
-hash and PCG64's seeding step in uint64 array arithmetic.  The index draws
-are an in-tree copy of ``Generator.integers``: PCG64's XSL-RR outputs
-(O'Neill 2014), each stream's states reached by jump-ahead from a table,
-fed through Lemire's bounded draw with numpy's rejection rule, in chunks
-of ``DRAW_CHUNK_OUTPUTS``; tier-1 tests pin it to numpy, rejections and
-the stream state it leaves included.  A run without shots so never
-imports ``numpy.random``.  Shots stay numpy's own ``multinomial``, from
-each stream's state after its index draws.  All of this relies on numpy's
-stream-compatibility guarantee for SeedSequence and PCG64 (NEP 19).
+seeds the streams of its own blocks in one batch and draws their indices
+with ``rbaddr.streams``, an in-tree copy of numpy's SeedSequence hash,
+PCG64 and ``Generator.integers`` that tier-1 tests pin to numpy bit for
+bit; a run without shots so never imports ``numpy.random``.  Shots stay
+numpy's own ``multinomial``, from each stream's state after its index
+draws.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,16 +58,7 @@ DEFAULT_LENGTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 CSV_HEADER = ["experiment", "projection", "m", "mean", "stderr", "K"]
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# seeding multiplier (O'Neill 2014, numpy's pcg64.h)
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
+_MASK32 = 0xFFFFFFFF  # a length is one uint32 word of its streams' seeds
 
 
 @dataclass(frozen=True)
@@ -217,180 +203,21 @@ def _path_states(group, indices, recovery, composites, factor, prep) -> np.ndarr
     return state
 
 
-def _uint32_words(n: int) -> list[int]:
-    """The uint32 words SeedSequence makes of a non-negative int, least
-    significant first (0 is one word)."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_sequence_state(entropy: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
-    (N, L) uint32 entropy array with L >= 4, as four length-N uint64
-    columns."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, entropy.shape[1]):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    const = _INIT_B
-    words = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        words.append((value ^ value >> 16).astype(np.uint64))
-    # each uint64 is two consecutive uint32 words, little-endian
-    return [lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])]
-
-
 def _stream_words(cfg: RBConfig, blocks) -> np.ndarray:
     """PCG64's seed words (s0, s1, s2, s3) of ``np.random.default_rng([
     cfg.seed, code, m, k])`` for each k < ``cfg.K`` of each block
     ``(experiment, length index)``, where code is the experiment's code,
     as a (len(blocks), 4, K) uint64 array; one hash for all of them."""
-    prefix = _uint32_words(cfg.seed)
+    from . import streams  # only runs that draw load the stream code
+
+    prefix = streams.uint32_words(cfg.seed)
     entropy = np.empty((len(blocks), cfg.K, len(prefix) + 3), np.uint32)
     entropy[..., :-3] = prefix
     entropy[..., -3] = [[EXPERIMENT_CODES[e]] for e, _ in blocks]
     entropy[..., -2] = [[cfg.lengths[mi]] for _, mi in blocks]
     entropy[..., -1] = np.arange(cfg.K)
-    words = _seed_sequence_state(entropy.reshape(-1, entropy.shape[-1]))
+    words = streams.seed_sequence_state(entropy.reshape(-1, entropy.shape[-1]))
     return np.stack(words).reshape(4, len(blocks), cfg.K).swapaxes(0, 1)
-
-
-# A 128-bit PCG64 value is a (high, low) pair of uint64 arrays; numpy's
-# unsigned ufuncs wrap modulo 2**64.
-_LOW32, _32 = np.uint64(_MASK32), np.uint64(32)
-_PCG_MULT_WORDS = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
-
-
-def _mul128(a, b):
-    """``a * b`` modulo 2**128 of broadcasting (high, low) pairs: the low
-    words' full product from their 32-bit halves, the cross terms modulo
-    2**64."""
-    (a_hi, a_lo), (b_hi, b_lo) = a, b
-    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _32, b_lo & _LOW32, b_lo >> _32
-    cross0, cross1 = a1 * b0, a0 * b1
-    carry = ((a0 * b0 >> _32) + (cross0 & _LOW32) + (cross1 & _LOW32)) >> _32
-    high = a1 * b1 + (cross0 >> _32) + (cross1 >> _32) + carry
-    return high + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
-
-
-def _add128(a, b):
-    """``a + b`` modulo 2**128 of broadcasting (high, low) pairs."""
-    low = a[1] + b[1]
-    return a[0] + b[0] + (low < b[1]), low
-
-
-def _seeded_streams(words):
-    """PCG64's (state, inc) after seeding from (s0, s1, s2, s3) seed words
-    (``_stream_words``): seed (s0, s1) and stream (s2, s3), high word first,
-    as ``pcg_setseq_128_srandom_r`` in numpy's pcg64.h seeds them."""
-    s0, s1, s2, s3 = words
-    inc = (s2 << np.uint64(1) | s3 >> np.uint64(63), s3 << np.uint64(1) | np.uint64(1))
-    return _add128(_mul128(_add128(inc, (s0, s1)), _PCG_MULT_WORDS), inc), inc
-
-
-def _pcg64_states(state, inc, has_uint32, uinteger) -> list[dict]:
-    """numpy's ``PCG64.state`` dicts of streams held as (high, low) pairs."""
-    columns = np.broadcast_arrays(*state, *inc, has_uint32, uinteger)
-    return [
-        {
-            "bit_generator": "PCG64",
-            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-            "has_uint32": has,
-            "uinteger": word,
-        }
-        for s_hi, s_lo, i_hi, i_lo, has, word in zip(*(c.tolist() for c in columns))
-    ]
-
-
-@lru_cache(maxsize=None)
-def _jump_table(count: int):
-    """(MULT**i, MULT**(i - 1) + ... + MULT + 1) for i = 1..count, as two
-    (high, low) pairs of length ``count``: a stream's state i steps after
-    ``state`` is ``A_i * state + C_i * inc``."""
-    a, c, rows = 1, 0, []
-    for _ in range(count):
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        rows.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
-    table = np.array(rows, dtype=np.uint64).T
-    table.setflags(write=False)
-    return (table[0], table[1]), (table[2], table[3])
-
-
-# PCG64 outputs the draw computes at once, over all of a block's streams:
-# 32 KB per uint64 array.  Drawing a K = 50, m = 512 block peaks at 0.86 MB
-# (tracemalloc), its 0.2 MB of indices included, in these chunks; at 1.5 MB
-# in one.
-DRAW_CHUNK_OUTPUTS = 2**12
-
-
-def _draw_block(words, n: int, m: int):
-    """``Generator.integers(0, n, m)`` (1 < n <= 2**32) of each stream of a
-    block, seeded from its (4, K) seed words, as a (K, m) int64 array, and
-    each stream's state after its draw as ``_pcg64_states`` arguments.
-
-    Output i of a stream is PCG64's XSL-RR of its state i steps on
-    (O'Neill 2014), split into two uint32 words, low half first.  Word w
-    gives index ``w * n >> 32`` unless ``w * n mod 2**32 < 2**32 mod n``,
-    when numpy skips it (Lemire 2019, numpy's rejection rule).  The streams
-    advance together, ``DRAW_CHUNK_OUTPUTS`` outputs at a time, until each
-    has m indices."""
-    state, inc = _seeded_streams(words)
-    k = len(words[0])
-    width = max(1, DRAW_CHUNK_OUTPUTS // k)
-    jump, offset = _jump_table(width)
-    threshold, n = np.uint64((1 << 32) % n), np.uint64(n)
-    indices = np.empty((k, m), np.int64)
-    filled = np.zeros(k, np.int64)
-    after = (np.empty(k, np.uint64), np.empty(k, np.uint64))
-    has_uint32, uinteger = np.empty(k, np.int64), np.empty(k, np.uint64)
-    while (first := int(filled.min())) < m:
-        w = min(width, (m - first + 1) // 2)
-        hi, lo = _add128(
-            _mul128((state[0][:, None], state[1][:, None]), (jump[0][:w], jump[1][:w])),
-            _mul128((inc[0][:, None], inc[1][:, None]), (offset[0][:w], offset[1][:w])),
-        )
-        mixed, rotate = hi ^ lo, hi >> np.uint64(58)
-        out = mixed >> rotate | mixed << (np.uint64(64) - rotate & np.uint64(63))
-        word = np.stack([out & _LOW32, out >> _32], axis=2).reshape(k, 2 * w)
-        scaled = word * n
-        accept = (scaled & _LOW32) >= threshold
-        if accept.all() and first == filled.max():  # no word skipped: the usual case
-            rank = filled[:, None] + np.arange(1, 2 * w + 1)
-            indices[:, first : first + 2 * w] = (scaled >> _32)[:, : m - first]
-        else:
-            rank = filled[:, None] + np.cumsum(accept, axis=1)
-            keep = accept & (rank <= m)
-            indices[np.nonzero(keep)[0], rank[keep] - 1] = scaled[keep] >> _32
-        # the state of each stream that took its m-th index from this chunk
-        (done,) = np.nonzero((filled < m) & (rank[:, -1] >= m))
-        last = np.argmax(rank[done] >= m, axis=1)
-        after[0][done], after[1][done] = hi[done, last // 2], lo[done, last // 2]
-        has_uint32[done], uinteger[done] = 1 - last % 2, word[done, last | 1]
-        filled, state = rank[:, -1], (hi[:, -1], lo[:, -1])
-    return indices, (after, inc, has_uint32, uinteger)
 
 
 # Estimated seconds of a block's work (2-core Xeon VM, one CPU, K = 50,
@@ -408,7 +235,9 @@ def _run_block(cfg, gateset, group, m, words, rng) -> np.ndarray:
     """The (K, 4) read-out populations of the K sequences of length m, one
     stream per sequence, seeded from the block's (4, K) ``words``; ``rng``
     draws every stream's shots, from where its indices left the stream."""
-    indices, after = _draw_block(words, len(group), m)
+    from . import streams
+
+    indices, after = streams.draw_indices(words, len(group), m)
     composites = group.composites(indices)
     recovery = group.inv_table[composites[:, -1]]
     pops = simulate_sequence(group, indices, recovery, gateset, cfg.spam, composites)
@@ -417,7 +246,7 @@ def _run_block(cfg, gateset, group, m, words, rng) -> np.ndarray:
     probs = np.clip(pops, 0.0, None)
     probs = probs / probs.sum(axis=1, keepdims=True)
     counts = []
-    for state, p in zip(_pcg64_states(*after), probs):
+    for state, p in zip(streams.pcg64_states(*after), probs):
         rng.bit_generator.state = state
         counts.append(rng.multinomial(cfg.shots, p))
     return np.array(counts) / cfg.shots

@@ -156,8 +156,10 @@ def test_fit_rejects_fewer_than_two_sequences(tmp_path, capsys, k):
 
 
 def test_cli_import_leaves_the_oracle_suite_out():
-    # only ``rbaddr verify`` needs rbaddr.verify; every other command skips it
-    code = "import sys, rbaddr.cli; print('rbaddr.verify' in sys.modules)"
+    # only ``rbaddr verify`` needs rbaddr.verify and only ``simulate``
+    # rbaddr.streams; every other command skips them
+    code = ("import sys, rbaddr.cli; "
+            "print('rbaddr.verify' in sys.modules or 'rbaddr.streams' in sys.modules)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], check=True, env=env,

@@ -31,12 +31,10 @@ from rbaddr.protocol import (
     run_protocol,
     simulate_sequence,
     write_curves_csv,
-    _draw_block,
     _path_states,
-    _pcg64_states,
-    _seeded_streams,
     _stream_words,
 )
+from rbaddr.streams import draw_indices, pcg64_states, seeded_streams
 from rbaddr.twirl import gamma_decay_curve
 
 
@@ -402,7 +400,7 @@ def stream_states(cfg: RBConfig, experiment: str) -> list[list[dict]]:
     for each length m of ``cfg.lengths`` and each k < ``cfg.K``, where code
     is the experiment's code, as a run's shares seed them: one hash."""
     words = _stream_words(cfg, [(experiment, mi) for mi in range(len(cfg.lengths))])
-    return [_pcg64_states(*_seeded_streams(block), 0, 0) for block in words]
+    return [pcg64_states(*seeded_streams(block), 0, 0) for block in words]
 
 
 @pytest.mark.parametrize(
@@ -427,14 +425,14 @@ def test_stream_states_are_default_rng_streams(cfg, cxc):
 
 
 def _assert_draws_are_generator_integers(cfg, experiment, n):
-    """``_draw_block`` gives each stream of ``cfg``'s blocks of
+    """``draw_indices`` gives each stream of ``cfg``'s blocks of
     ``experiment`` numpy's ``Generator.integers(0, n, m)`` and leaves the
     PCG64 state, buffered uint32 included, that numpy's draw leaves."""
     blocks = [(experiment, mi) for mi in range(len(cfg.lengths))]
     for (_, mi), words in zip(blocks, _stream_words(cfg, blocks)):
         m = cfg.lengths[mi]
-        indices, after = _draw_block(words, n, m)
-        for k, state in enumerate(_pcg64_states(*after)):
+        indices, after = draw_indices(words, n, m)
+        for k, state in enumerate(pcg64_states(*after)):
             reference = np.random.default_rng([cfg.seed, EXPERIMENT_CODES[experiment], m, k])
             assert np.array_equal(indices[k], reference.integers(0, n, m)), (n, m, k)
             assert state == reference.bit_generator.state, (n, m, k)
@@ -450,10 +448,10 @@ def test_draws_of_a_default_run_are_generator_integers():
 @pytest.mark.parametrize("chunk", [None, 8])
 def test_draw_kernel_is_generator_integers(monkeypatch, n, chunk):
     # chunks of 8 outputs split streams whose words were skipped across chunks
-    import rbaddr.protocol as protocol
+    import rbaddr.streams as streams
 
     if chunk:
-        monkeypatch.setattr(protocol, "DRAW_CHUNK_OUTPUTS", chunk)
+        monkeypatch.setattr(streams, "DRAW_CHUNK_OUTPUTS", chunk)
     cfg = RBConfig(lengths=(1, 2, 3, 7, 64, 515), K=4, seed=2**64 + 9)
     _assert_draws_are_generator_integers(cfg, "exp3", n)
 
@@ -498,16 +496,16 @@ def test_run_experiment_shares_one_generator(rng_constructions, shots):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_each_share_seeds_only_its_own_streams(monkeypatch, workers, cpus):
     # one hash per share, of the streams of the share's own blocks
-    import rbaddr.protocol as protocol
+    import rbaddr.streams as streams
 
     hashed = []
-    real = protocol._seed_sequence_state
+    real = streams.seed_sequence_state
 
     def counting(entropy):
         hashed.append(len(entropy))
         return real(entropy)
 
-    monkeypatch.setattr(protocol, "_seed_sequence_state", counting)
+    monkeypatch.setattr(streams, "seed_sequence_state", counting)
     workers(cpus)
     cfg = RBConfig(lengths=(1, 2, 4, 8), K=3, seed=1)
     run_protocol(cfg, NoisyGateSet(Depolarizing(0.99)))
