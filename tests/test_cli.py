@@ -197,7 +197,7 @@ def test_commands_hash_without_openssl(tmp_path):
 
 @pytest.mark.parametrize("shots, loaded", [(None, "False False"), ("10", "True True")])
 def test_only_shots_load_numpy_random(tmp_path, shots, loaded):
-    # the index draws are protocol's own PCG64 copy; shots are numpy's
+    # the index draws are rbaddr.streams' PCG64 copy; shots are numpy's
     # multinomial, and numpy.random imports _hashlib through secrets
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = depolarizing\nalpha1 = 0.99\n" + (f"shots = {shots}\n" if shots else ""))
