@@ -47,7 +47,7 @@ from .noise import (
     describe_model,
     predict_addressability,
 )
-from .protocol import RBConfig, read_curves_csv, run_protocol, write_curves_csv
+from .protocol import RBConfig, check_run_size, read_curves_csv, run_protocol, write_curves_csv
 from .report import build_report
 
 OUT_ENV_VAR = "RB_ADDR_OUT"
@@ -281,7 +281,9 @@ def _rb_config(values: dict[str, str]) -> RBConfig:
         kwargs["K"] = _number("k", values["k"], int)
     if "shots" in values:
         kwargs["shots"] = _number("shots", values["shots"], int)
-    return RBConfig(**kwargs)
+    cfg = RBConfig(**kwargs)
+    check_run_size(cfg)
+    return cfg
 
 
 @_config_values

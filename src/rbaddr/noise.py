@@ -15,7 +15,8 @@ quarter of the gate on each side.  Gate duration and pulse shape are not
 constrained by the device data and dominate the cross-talk error
 predictions; the gate time is configuration (default 24 ns).  A
 ``NoisyGateSet`` is one model at one noise granularity, built once per
-run; simulation and prediction read every element's channel from it.
+run; simulation and prediction read every element's channel from it.  A
+per-slot ``StaticError`` builds one from given slot channels.
 Its cross-talk slots are evolved in shares across the CPUs, each slot
 whole and with equal cost ``steps``, 36 of the 48 integrated and the
 other 12 derived from them exactly by Z (x) Z conjugation; a slot's
@@ -61,6 +62,9 @@ MIN_EVOLVE_STEPS = 16
 # the bound caps the run time, ~20 s per gate set, and the drive samples each
 # worker holds, 2 x (7, steps) floats or 7 MB.
 MAX_EVOLVE_STEPS = 2**16
+# The largest simulate run: its arrays' estimated peak (protocol.check_run_size),
+# where a default run needs ~1.3 MB; not a property of the machine.
+MAX_RUN_BYTES = 2**30
 
 _CROSSTALK_FIELDS = ("zeta", "m12", "m21", "mu1", "mu2", "nu1", "nu2")
 
@@ -511,11 +515,15 @@ class CrossTalk:
 
 @dataclass(frozen=True)
 class StaticError:
-    """A fixed gate-independent channel applied after every slot."""
+    """Given error channels: one (16, 16) channel after every slot, or
+    ``ptm[s]`` after slot s of ``SLOTS``, shape (48, 16, 16), which makes
+    the gate set of given slot channels (see :class:`NoisyGateSet`)."""
 
     ptm: np.ndarray
 
     def __post_init__(self):
+        if self.ptm.shape not in ((16, 16), (len(SLOTS), 16, 16)):
+            raise ValueError(f"a static error is (16, 16) or (48, 16, 16), not {self.ptm.shape}")
         self.ptm.setflags(write=False)
 
 
@@ -582,11 +590,12 @@ def describe_model(model: NoiseModel) -> str:
     raise TypeError(f"unknown noise model {model!r}")
 
 
-def _has_crosstalk(model: NoiseModel) -> bool:
-    """Whether a CrossTalk factor sits anywhere in ``model``."""
+def _gate_dependent(model: NoiseModel) -> bool:
+    """Whether a CrossTalk or a per-slot StaticError sits anywhere in
+    ``model``, read from its structure: nothing is integrated."""
     if isinstance(model, Composite):
-        return any(_has_crosstalk(f) for f in model.factors)
-    return isinstance(model, CrossTalk)
+        return any(_gate_dependent(f) for f in model.factors)
+    return isinstance(model, CrossTalk) or isinstance(model, StaticError) and model.ptm.ndim == 3
 
 
 def _slot_errors(model: NoiseModel) -> np.ndarray:
@@ -623,7 +632,10 @@ def _slot_errors(model: NoiseModel) -> np.ndarray:
 class NoisyGateSet:
     """Noisy channels of the 48 played slots and of every group element, for
     one model at one noise granularity (per generator slot, or per Clifford
-    for a model without cross-talk), built once.
+    for a gate-independent model), built once.  The gate set of given slot
+    channels C is ``NoisyGateSet(StaticError(E))`` with ``E[s] = C[s] @
+    ideal[s].T`` for the ideal slot PTMs, exact as they are signed
+    permutations; E can also be one factor of a ``Composite``.
 
     ``slot_channels`` holds the identity pad in row 0 and the channel of
     ``SLOTS[s]`` in row s + 1, all built as one batch: for a cross-talk
@@ -638,7 +650,7 @@ class NoisyGateSet:
     def __init__(self, model: NoiseModel, granularity: str = "generator"):
         if granularity not in ("generator", "clifford"):
             raise ValueError("granularity must be 'generator' or 'clifford'")
-        if granularity == "clifford" and _has_crosstalk(model):
+        if granularity == "clifford" and _gate_dependent(model):
             raise ValueError("per-Clifford noise granularity requires a gate-independent model")
         self.model = model
         self.granularity = granularity

@@ -46,7 +46,7 @@ import numpy as np
 
 # element_slots stays importable here: bench/run.py wraps it under this name
 from .cliffords import CliffordGroup, element_slots, get_group  # noqa: F401
-from .noise import NoisyGateSet
+from .noise import MAX_RUN_BYTES, NoisyGateSet
 from .parallel import run_jobs
 from .paulis import computational_povm_vector, computational_state
 
@@ -229,6 +229,24 @@ def _stream_words(cfg: RBConfig, blocks) -> np.ndarray:
 STREAM_DRAW_SECONDS = 3e-6
 PATH_STEP_SECONDS = 1e-7
 MATVEC_STEP_SECONDS = 4e-7
+# Bytes a run holds (tracemalloc, one CPU): per stream of the blocks a share
+# seeds in one hash (entropy, words, read-out), 130-170; per sequence of the
+# block in hand (a mat-vec step's gathered channels), ~2500; per step of its
+# (K, m + 1) index and composite arrays, 24.
+STREAM_BYTES, SEQUENCE_BYTES, STEP_BYTES = 200, 2600, 32
+
+
+def check_run_size(cfg: RBConfig) -> None:
+    """Refuse, naming the key, a run whose arrays would need more than
+    ``MAX_RUN_BYTES`` by the estimate above, before any of it starts."""
+    streams = 3 * len(cfg.lengths) * STREAM_BYTES + SEQUENCE_BYTES  # per sequence index k
+    steps = (cfg.lengths[-1] + 1) * STEP_BYTES
+    need = cfg.K * (streams + steps)
+    if need > MAX_RUN_BYTES:
+        key = (f"k = {cfg.K} over {len(cfg.lengths)} lengths" if streams > steps
+               else f"lengths up to {cfg.lengths[-1]} at k = {cfg.K}")
+        raise ValueError(f"{key}: ~{need / 2**30:.3g} GiB of arrays, "
+                         f"above the {MAX_RUN_BYTES / 2**30:g} GiB bound")
 
 
 def _run_block(cfg, gateset, group, m, words, rng) -> np.ndarray:

@@ -10,7 +10,9 @@ The ``full`` level is the release oracle set: acceptance criteria 1-4
 group-integrity, product-channel and CI-coverage checks, which hold the
 acceptance sample counts and tolerances.  Only the full level runs the
 qubit-relabeling, frame-rotation, Z (x) Z conjugation and idle ZZ phase
-checks, which the acceptance suite reads too.
+checks, which the acceptance suite reads too.  The step-doubling,
+relabeling, frame-rotation and Z (x) Z checks each take the cross-talk gate
+set they check; ``run_verification`` builds sample a's once for all four.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from .cliffords import generate_c1, get_group
 from .fitting import fit_exponential
 from .noise import (
-    DEFAULT_EVOLVE_STEPS,
     GATE_ALPHABET,
     SAMPLE_A,
     SLOTS,
@@ -32,6 +33,7 @@ from .noise import (
     Decoherence,
     DeviceParams,
     NoisyGateSet,
+    StaticError,
     _evolve_rows,
     _slot_roots,
     _slot_rows,
@@ -177,14 +179,13 @@ def check_decoherence_semigroup(tol: float) -> CheckResult:
     return _result("decoherence_semigroup", ok, f"composition deviation {err:.2e}", t0)
 
 
-def check_evolution_convergence(tol: float, coarse: np.ndarray | None = None) -> CheckResult:
-    """Step doubling (256 vs 512 Magnus steps) of every generator pair of
-    the sample-a cross-talk gate set, in one batch per step count (the
-    256-step batch ``coarse`` is integrated here if not given)."""
+def check_evolution_convergence(tol: float, gateset: NoisyGateSet) -> CheckResult:
+    """Step doubling of every generator pair of a cross-talk gate set: its
+    slot channels against one batch at twice its model's steps (256 vs 512
+    Magnus steps for sample a)."""
     t0 = time.perf_counter()
-    coarse = evolve_to_ptms(SAMPLE_A, SLOTS, steps=256) if coarse is None else coarse
-    fine = evolve_to_ptms(SAMPLE_A, SLOTS, steps=512)
-    errs = np.max(np.abs(coarse - fine), axis=(1, 2))
+    fine = evolve_to_ptms(gateset.model.params, SLOTS, 2 * gateset.model.steps)
+    errs = np.max(np.abs(gateset.slot_channels[1:] - fine), axis=(1, 2))
     worst = int(np.argmax(errs))
     err = float(errs[worst])
     ok = err <= tol
@@ -224,34 +225,35 @@ _MIRROR_ALPHAS = {
 }
 
 
-def check_qubit_relabeling(tol: float) -> CheckResult:
-    """Relabeling the qubits of the sample-a cross-talk + decoherence model
-    swaps every output.  Each slot channel of the relabeled device equals
-    the SWAP conjugate of the mirrored slot's channel of the device, and
-    the predicted alphas map alpha_1 <-> alpha_2, alpha_1|2 <-> alpha_2|1
-    and keep alpha_12.  Negative control: the same relabeling without the
-    coupling sign flips must miss by more than ``tol``."""
+def check_qubit_relabeling(tol: float, gateset: NoisyGateSet) -> CheckResult:
+    """Relabeling the qubits of a cross-talk + decoherence device swaps
+    every output: each relabeled slot channel is the SWAP conjugate of the
+    mirrored slot's channel, and the predicted alphas map alpha_1 <->
+    alpha_2, alpha_1|2 <-> alpha_2|1 and keep alpha_12.  The device is
+    ``gateset``'s error, as given channels, then decoherence.  Negative
+    control: without the coupling sign flips the relabeling must miss."""
     t0 = time.perf_counter()
+    p, steps = gateset.model.params, gateset.model.steps
 
-    def outputs(p):
-        gateset = NoisyGateSet(Composite((CrossTalk(p), Decoherence(p))))
-        return gateset.slot_channels[1:], predict_addressability(gateset, gamma_max_m=0)["alphas"]
+    def outputs(crosstalk, q):
+        noisy = NoisyGateSet(Composite((crosstalk, Decoherence(q))))
+        return noisy.slot_channels[1:], predict_addressability(noisy, gamma_max_m=0)["alphas"]
 
-    channels, alphas = outputs(SAMPLE_A)
+    channels, alphas = outputs(StaticError(gateset._error), p)
     # slot (a, b) -> (b, a), and Pauli index 4 i + j of P_i (x) P_j -> 4 j + i
     mirror = [SLOTS.index((b, a)) for a, b in SLOTS]
     swap = [4 * (k % 4) + k // 4 for k in range(16)]
     mirrored = channels[mirror][:, swap][:, :, swap]
 
-    def deviation(p):
-        relabeled, relabeled_alphas = outputs(p)
+    def deviation(q):
+        relabeled, relabeled_alphas = outputs(CrossTalk(q, steps), q)
         return max(
             float(np.max(np.abs(relabeled - mirrored))),
             *(abs(relabeled_alphas[k] - alphas[m]) for k, m in _MIRROR_ALPHAS.items()),
         )
 
-    err = deviation(_swap_qubits(SAMPLE_A))
-    control = deviation(_swap_qubits(SAMPLE_A, flip_signs=False))
+    err = deviation(_swap_qubits(p))
+    control = deviation(_swap_qubits(p, flip_signs=False))
     ok = err <= tol < control
     return _result(
         "qubit_relabeling",
@@ -269,16 +271,16 @@ _PHASE_SHIFTED = {"x90": "y90", "y90": "xm90", "xm90": "ym90", "ym90": "x90",
                   "x180": "y180", None: None}
 
 
-def check_frame_rotation(tol: float, channels: np.ndarray | None = None) -> CheckResult:
-    """Adding pi/2 to both drive phases of the sample-a cross-talk drive is
-    the frame rotation V = Rz(pi/2) (x) Rz(pi/2): it turns each drive term's
-    X/Y pair by pi/2 and commutes with ZZ and with the Z-conditioned terms'
-    other factor.  So the channel of every slot whose generators both have
-    a phase-shifted image (35 of the 48) maps to P E P^T with P the PTM of
-    V.  Negative control: the opposite rotation, P^T E P, must miss by more
-    than ``tol``.  The sample-a ``channels`` are integrated here if not given."""
+def check_frame_rotation(tol: float, gateset: NoisyGateSet) -> CheckResult:
+    """Adding pi/2 to both drive phases of a cross-talk drive is the frame
+    rotation V = Rz(pi/2) (x) Rz(pi/2): it turns each drive term's X/Y pair
+    by pi/2 and commutes with ZZ and with the Z-conditioned terms' other
+    factor.  So the channel of every slot of ``gateset`` whose generators
+    both have a phase-shifted image (35 of the 48) maps to P E P^T with P
+    the PTM of V.  Negative control: the opposite rotation, P^T E P, must
+    miss by more than ``tol``."""
     t0 = time.perf_counter()
-    channels = evolve_to_ptms(SAMPLE_A, SLOTS) if channels is None else channels
+    channels = gateset.slot_channels[1:]
     # a signed permutation, made exact by rounding
     rz = np.rint(ptm_from_unitary(np.diag(np.exp([-0.25j * np.pi, 0.25j * np.pi]))))
     rotation = tensor(rz, rz)
@@ -304,19 +306,16 @@ def check_frame_rotation(tol: float, channels: np.ndarray | None = None) -> Chec
     )
 
 
-def check_zz_conjugation(
-    tol: float, p: DeviceParams = SAMPLE_A, steps: int = DEFAULT_EVOLVE_STEPS,
-    channels: np.ndarray | None = None,
-) -> CheckResult:
+def check_zz_conjugation(tol: float, gateset: NoisyGateSet) -> CheckResult:
     """The engine integrates a slot's root and derives the 12 image slots,
     whose generators negate an earlier slot's, as D U D with D = Z (x) Z
-    (``noise._slot_roots``).  Integrating those 12 slots directly must give
-    the engine's channels to ``tol`` (0 by default: bit for bit).  Negative
-    control: the roots' channels conjugated by Z (x) I instead must miss by
-    more than ``tol``.  The engine's ``channels`` are integrated here if not
-    given."""
+    (``noise._slot_roots``).  Integrating those 12 slots of the cross-talk
+    ``gateset`` directly must give its channels to ``tol`` (0: bit for
+    bit).  Negative control: the roots' channels conjugated by Z (x) I
+    instead must miss by more than ``tol``."""
     t0 = time.perf_counter()
-    channels = evolve_to_ptms(p, SLOTS, steps) if channels is None else channels
+    p, steps = gateset.model.params, gateset.model.steps
+    channels = gateset.slot_channels[1:]
     rows = _slot_rows(SLOTS)
     roots, image = _slot_roots(rows)
     direct = ptms_from_unitaries(_evolve_rows(p, rows[image], steps), atol=1e-8)
@@ -355,11 +354,12 @@ def check_idle_zz_phase(tol: float) -> CheckResult:
 
 def run_verification(level: str = "quick", tol_override: float | None = None):
     """Run the oracle suite; returns a list of CheckResult.  The sample-a
-    slot channels three checks read are integrated once, in no check's time."""
+    gate set four checks read is integrated once, in no check's time."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     full = level == "full"
-    sample_a = evolve_to_ptms(SAMPLE_A, SLOTS)
+    sample_a = NoisyGateSet(CrossTalk(SAMPLE_A))
+    sample_a.slot_channels  # the one integration, before any check starts its clock
 
     def tol(default):
         return default if tol_override is None else tol_override
@@ -377,11 +377,11 @@ def run_verification(level: str = "quick", tol_override: float | None = None):
             hi=0.78 if full else 0.85,
         ),
         check_decoherence_semigroup(tol=tol(1e-12)),
-        check_evolution_convergence(tol=tol(1e-8), coarse=sample_a),
+        check_evolution_convergence(tol(1e-8), sample_a),
     ]
     if full:
-        checks.append(check_qubit_relabeling(tol=tol(1e-12)))
-        checks.append(check_frame_rotation(tol=tol(1e-12), channels=sample_a))
-        checks.append(check_zz_conjugation(tol=tol(0.0), channels=sample_a))
+        checks.append(check_qubit_relabeling(tol(1e-12), sample_a))
+        checks.append(check_frame_rotation(tol(1e-12), sample_a))
+        checks.append(check_zz_conjugation(tol(0.0), sample_a))
         checks.append(check_idle_zz_phase(tol=tol(1e-9)))
     return checks

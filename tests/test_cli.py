@@ -530,6 +530,32 @@ def test_bad_run_settings_are_config_errors(tmp_path, settings, key, capsys):
 
 
 @pytest.mark.parametrize(
+    "run, key",
+    [("lengths = 1,2\nk = 100000000\n", "k"), ("lengths = 100000000\nk = 2\n", "lengths")],
+    ids=["k", "lengths"],
+)
+def test_runs_too_large_to_hold_are_refused_up_front(tmp_path, run, key):
+    # a child that may map at most 2 GiB: a run that started anyway would
+    # fail on its first big array (4.47 GiB and 1.49 GiB) with a traceback
+    import resource
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = depolarizing\nalpha1 = 0.99\n" + run)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "rbaddr.cli", "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+    )
+    assert result.returncode == 1
+    message = rf"config error: {key} .* GiB of arrays, above the 1 GiB bound\n"
+    assert re.fullmatch(message, result.stderr), result.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "command, config, key",
     [
         (("simulate",), "model = depolarizing\nalpha1 = abc\n", "alpha1"),

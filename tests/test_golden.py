@@ -203,8 +203,9 @@ def test_image_slots_stay_exact_under_other_kernels(setting):
     fails here on any machine, not only in the byte check on the machine
     that wrote the golden file."""
     code = (
+        "from rbaddr.noise import SAMPLE_A, CrossTalk, NoisyGateSet\n"
         "from rbaddr.verify import check_zz_conjugation\n"
-        "check = check_zz_conjugation(0.0, steps=64)\n"
+        "check = check_zz_conjugation(0.0, NoisyGateSet(CrossTalk(SAMPLE_A, steps=64)))\n"
         "print(check.detail)\n"
         "raise SystemExit(0 if check.passed else 1)\n"
     )

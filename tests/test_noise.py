@@ -8,6 +8,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gate_sets import near_identity_slot_errors, pauli_slot_errors
 from rbaddr import noise
 from rbaddr.cliffords import (
     GENERATOR_ANGLES,
@@ -201,7 +202,7 @@ def test_zero_duration_gate_is_identity():
 
 
 def test_step_doubling_convergence():
-    check = check_evolution_convergence(tol=1e-8)
+    check = check_evolution_convergence(1e-8, NoisyGateSet(CrossTalk(SAMPLE_A)))
     assert check.passed, check.detail
 
 
@@ -360,13 +361,38 @@ def test_noisy_gates_trace_preserving_and_ideal_in_group():
 
 
 def test_per_clifford_error_requires_gate_independence(evolved_pairs):
-    # the refusal reads the model's structure and evolves nothing
+    # the refusal reads the model's structure and evolves nothing; a
+    # per-slot static error is gate-dependent too, alone or nested
     nested = Composite((Depolarizing(0.99), Composite((Decoherence(SAMPLE_A), CrossTalk(SAMPLE_A)))))
-    for model in (CrossTalk(SAMPLE_A), nested):
+    per_slot = StaticError(np.broadcast_to(np.eye(16), (len(SLOTS), 16, 16)).copy())
+    in_composite = Composite((Depolarizing(0.99), Composite((per_slot, Ideal()))))
+    for model in (CrossTalk(SAMPLE_A), nested, per_slot, in_composite):
         with pytest.raises(ValueError, match="gate-independent"):
             NoisyGateSet(model, "clifford")
     assert evolved_pairs == []
     assert NoisyGateSet(Depolarizing(0.99), "clifford").granularity == "clifford"
+    assert NoisyGateSet(StaticError(np.eye(16)), "clifford").granularity == "clifford"
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (16,), (47, 16, 16), (49, 16, 16), (48, 16, 4)])
+def test_static_error_refuses_other_shapes(shape):
+    # refused when built, not at the first product with a slot channel
+    with pytest.raises(ValueError, match=re.escape(f"not {shape}")):
+        StaticError(np.zeros(shape))
+
+
+@pytest.mark.parametrize("decoherence", [False, True], ids=["crosstalk", "crosstalk_decoherence"])
+def test_given_slot_channels_make_the_same_gate_set(decoherence):
+    # the cross-talk gate set's own errors, given back per slot, rebuild its
+    # slot channels and predictions bit for bit, alone and composed
+    crosstalk = CrossTalk(SAMPLE_A, steps=16)
+    given = StaticError(NoisyGateSet(crosstalk)._error)
+    extra = (Decoherence(SAMPLE_A),) if decoherence else ()
+    built, rebuilt = (NoisyGateSet(Composite((m, *extra))) for m in (crosstalk, given))
+    assert rebuilt.slot_channels.tobytes() == built.slot_channels.tobytes()
+    a, b = (predict_addressability(gateset, 8) for gateset in (built, rebuilt))
+    for key in ("alphas", "gamma_exponential_deviation"):
+        assert a[key] == b[key], key
 
 
 @pytest.mark.parametrize("granularity", ["per_pulse", "Clifford", None])
@@ -443,7 +469,16 @@ def reference_element_table(gateset, group):
 )
 def test_element_table_matches_per_element_loop(model):
     # identity padding of the shorter words is exact, so the match is too
-    gateset = NoisyGateSet(model)
+    assert_element_table_matches_per_element_loop(NoisyGateSet(model))
+
+
+@given(error=near_identity_slot_errors())
+@settings(max_examples=20, deadline=None)
+def test_element_table_matches_per_element_loop_on_random_gate_sets(error):
+    assert_element_table_matches_per_element_loop(NoisyGateSet(error))
+
+
+def assert_element_table_matches_per_element_loop(gateset):
     for kind in ("cxi", "ixc", "cxc"):
         group = get_group(kind)
         table = gateset.element_table(group)
@@ -514,7 +549,16 @@ def test_slot_positions_follow_element_slots(kind):
 
 @pytest.mark.parametrize("model, granularity", _MONOMIAL_MODELS.values(), ids=_MONOMIAL_MODELS)
 def test_monomial_table_holds_each_row_one_entry(model, granularity):
-    gateset = NoisyGateSet(model, granularity)
+    assert_monomial_table_holds_each_row_one_entry(NoisyGateSet(model, granularity))
+
+
+@given(error=pauli_slot_errors())
+@settings(max_examples=25, deadline=None)
+def test_monomial_table_holds_each_row_one_entry_under_per_slot_pauli_channels(error):
+    assert_monomial_table_holds_each_row_one_entry(NoisyGateSet(error))
+
+
+def assert_monomial_table_holds_each_row_one_entry(gateset):
     for kind in ("cxi", "ixc", "cxc"):
         group = get_group(kind)
         table = gateset.element_table(group)
@@ -817,7 +861,8 @@ def test_derived_images_match_direct_integration_on_random_devices(
 @pytest.mark.parametrize("gate_time_ns", [8, 18, 24, 41.7, 64])
 @pytest.mark.parametrize("steps", [17, 64, 256])
 def test_derived_images_equal_direct_integration_on_sample_a(gate_time_ns, steps):
-    check = check_zz_conjugation(0.0, SAMPLE_A.with_gate_time(gate_time_ns * 1e-9), steps)
+    gateset = NoisyGateSet(CrossTalk(SAMPLE_A.with_gate_time(gate_time_ns * 1e-9), steps))
+    check = check_zz_conjugation(0.0, gateset)
     assert check.passed, check.detail
 
 

@@ -18,6 +18,7 @@ from rbaddr.noise import (
     StaticError,
     zz_rotation_ptm,
 )
+from gate_sets import pauli_slot_errors
 from rbaddr.protocol import (
     EXPERIMENT_CODES,
     EXPERIMENT_GROUPS,
@@ -227,7 +228,21 @@ _DENSE_PREP[7] = -0.0
 @pytest.mark.parametrize("K, m", [(1, 1), (7, 40), (50, 300)])
 def test_gather_kernel_gives_the_matvec_bits(model, granularity, kind, K, m):
     # the path kernel, which replaced the per-step gather, against the einsum
-    gateset = NoisyGateSet(model, granularity)
+    assert_gather_kernel_gives_the_matvec_bits(NoisyGateSet(model, granularity), kind, K, m)
+
+
+@given(
+    error=pauli_slot_errors(),
+    kind=st.sampled_from(["cxi", "ixc", "cxc"]),
+    shape=st.sampled_from([(1, 1), (7, 40), (50, 300)]),
+)
+@settings(max_examples=25, deadline=None)
+def test_gather_kernel_gives_the_matvec_bits_under_per_slot_pauli_channels(error, kind, shape):
+    # gate-dependent monomial tables: each slot's own Pauli channel
+    assert_gather_kernel_gives_the_matvec_bits(NoisyGateSet(error), kind, *shape)
+
+
+def assert_gather_kernel_gives_the_matvec_bits(gateset, kind, K, m):
     group = get_group(kind)
     rng = np.random.default_rng([K, m])
     indices = rng.integers(0, len(group), size=(K, m))

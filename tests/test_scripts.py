@@ -138,3 +138,12 @@ def test_bench_ab_counts_the_suite_without_raising(tmp_path):
         "tests/test_one.py::test_fails", "tests/test_one.py::test_fails_too[two words]",
     ]
     assert run["value"] > 0
+
+
+def test_verify_mutants_each_change_one_line_of_the_tree():
+    # the runner refuses a mutant whose old text is not found exactly once
+    mutants = runpy.run_path(str(ROOT / "scripts" / "verify_mutants.py"))["MUTANTS"]
+    assert [m[0] for m in mutants] == [f"M{i}" for i in range(1, 10)]
+    for name, _, path, old, new in mutants:
+        assert (ROOT / path).read_text().count(old) == 1, name
+        assert old != new and old.count("\n") == new.count("\n") == 1, name
