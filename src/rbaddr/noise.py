@@ -595,7 +595,7 @@ def _gate_dependent(model: NoiseModel) -> bool:
     ``model``, read from its structure: nothing is integrated."""
     if isinstance(model, Composite):
         return any(_gate_dependent(f) for f in model.factors)
-    return isinstance(model, CrossTalk) or isinstance(model, StaticError) and model.ptm.ndim == 3
+    return isinstance(model, CrossTalk) or (isinstance(model, StaticError) and model.ptm.ndim == 3)
 
 
 def _slot_errors(model: NoiseModel) -> np.ndarray:

@@ -11,13 +11,6 @@ from rbaddr.paulis import ptms_from_unitaries
 seeds = st.integers(0, 2**32 - 1)
 
 
-def _diagonal_ptms(diagonals: np.ndarray) -> np.ndarray:
-    """(n, 16, 16) with the given (n, 16) diagonals and +0.0 elsewhere."""
-    ptms = np.zeros(diagonals.shape + (16,))
-    ptms[:, np.arange(16), np.arange(16)] = diagonals
-    return ptms
-
-
 @st.composite
 def pauli_slot_errors(draw) -> StaticError:
     """Per-slot Pauli channels, not CPTP in general: every slot's error is
@@ -27,7 +20,9 @@ def pauli_slot_errors(draw) -> StaticError:
     rng = np.random.default_rng(draw(seeds))
     diagonals = rng.choice(pool, size=(len(SLOTS), 16))
     diagonals[:, 0] = 1.0
-    return StaticError(_diagonal_ptms(diagonals))
+    ptms = np.zeros((len(SLOTS), 16, 16))  # +0.0 off the diagonal, as np.diag gives
+    ptms[:, np.arange(16), np.arange(16)] = diagonals
+    return StaticError(ptms)
 
 
 @st.composite

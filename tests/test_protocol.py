@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gate_sets import pauli_slot_errors
 from rbaddr.cliffords import element_slots, generator_ptm, get_group
 from rbaddr.fitting import fit_exponential
 from rbaddr.noise import (
@@ -18,7 +19,6 @@ from rbaddr.noise import (
     StaticError,
     zz_rotation_ptm,
 )
-from gate_sets import pauli_slot_errors
 from rbaddr.protocol import (
     EXPERIMENT_CODES,
     EXPERIMENT_GROUPS,
