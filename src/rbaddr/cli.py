@@ -72,6 +72,7 @@ DEVICE_KEYS = {
     "gate_time_ns": ("gate_time", (1e-9,)),
 }
 REQUIRED_DEVICE_KEYS = ("omega1_ghz", "omega2_ghz", "t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us")
+CROSSTALK_DEVICE_KEYS = ("zeta_mhz", "m12", "m21", "mu1", "mu2", "nu1", "nu2")
 POSITIVE_DEVICE_KEYS = ("t1_1_us", "t1_2_us", "t2_1_us", "t2_2_us", "gate_time_ns")
 # The keys that choose the noise model and the keys of the run itself.
 MODEL_KEYS = {
@@ -179,13 +180,13 @@ def parse_config_file(path) -> dict[str, str]:
     return cfg
 
 
-def _device(values: dict[str, str], preset: str | None) -> DeviceParams:
+def _device(values: dict[str, str], preset: str | None, required) -> DeviceParams:
     """The device the device keys describe, or the device preset at the
-    configured gate time."""
+    configured gate time; without a preset, the keys ``required`` must be set."""
     keys = DEVICE_KEYS.keys() & values.keys()
     fields = {}
     if preset is None:
-        missing = [key for key in REQUIRED_DEVICE_KEYS if key not in keys]
+        missing = [key for key in required if key not in keys]
         if missing:
             raise ConfigError("missing device parameters: " + ", ".join(missing))
     elif preset not in DEVICE_PRESETS:
@@ -260,7 +261,8 @@ def build_model(values: dict[str, str], device_preset: str | None = None):
             raise ConfigError(f"joint must be one of {'/'.join(BOOLEAN_WORDS)}, not '{joint}'")
         alpha1 = _number("alpha1", values["alpha1"])
         return Depolarizing(alpha1, alpha2, BOOLEAN_WORDS[joint]), label
-    device = _device(values, device_preset)
+    crosstalk = CROSSTALK_DEVICE_KEYS if name != "decoherence" else ()
+    device = _device(values, device_preset, REQUIRED_DEVICE_KEYS + crosstalk)
     if name == "decoherence":
         return Decoherence(device), label
     if name == "crosstalk":

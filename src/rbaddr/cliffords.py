@@ -21,6 +21,7 @@ that can exceed int16 runs in int64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
@@ -92,16 +93,33 @@ class CliffordGroup:
 
     def composites(self, indices) -> np.ndarray:
         """Running composites of each row of a (K, m) index array, shape
-        (K, m + 1): column t composes the row's first t steps, by one
-        prefix scan over the flattened multiplication table."""
+        (K, m + 1): column t composes the row's first t steps.
+
+        A blocked prefix scan over the flattened multiplication table, in
+        blocks of b ~ sqrt(m) steps: b steps compose every block's steps
+        from its start, all blocks at once, then one step per block puts
+        the composite before it on the right of each of its columns.
+        Composition is associative, so the integers are those of the
+        column-by-column scan; besides the output, each step holds (K,
+        m / b)- or (K, b)-sized arrays."""
         indices = np.asarray(indices)
         if indices.ndim != 2:
             raise ValueError("expected a (K, m) array of element indices")
+        k, m = indices.shape
+        size = len(self)
         flat = self.mult_table.ravel()
-        # int64 flat indices: column + scan[t] reaches |G|**2 - 1
-        scan = np.zeros((indices.shape[1] + 1, len(indices)), dtype=np.int64)
-        for t, column in enumerate(np.multiply(indices.T, len(self), dtype=np.int64)):
-            scan[t + 1] = flat[column + scan[t]]
+        b = math.isqrt(max(m - 1, 0)) + 1
+        # (m + 1, K), element 0 the identity: row t composes steps 1..t
+        scan = np.zeros((m + 1, k), dtype=np.int64)
+        scan[1::b] = indices[:, ::b].T
+        for s in range(1, b):
+            rows = scan[1 + s :: b]
+            # int64 flat indices: row * size + column reaches size**2 - 1
+            step = np.multiply(indices[:, s::b].T, size, dtype=np.int64)
+            rows[...] = flat[step + scan[s::b][: len(rows)]]
+        for first in range(1 + b, m + 1, b):
+            block = scan[first : first + b]
+            block[...] = flat[block * size + scan[first - 1]]
         return scan.T
 
     def recovery_indices(self, indices) -> np.ndarray:

@@ -15,8 +15,10 @@ quarter of the gate on each side.  Gate duration and pulse shape are not
 constrained by the device data and dominate the cross-talk error
 predictions; the gate time is configuration (default 24 ns).  A
 ``NoisyGateSet`` is one model at one noise granularity, built once per
-run; simulation and prediction read every element's channel from it.  A
-per-slot ``StaticError`` builds one from given slot channels.
+run; simulation and prediction read every element's channel from it,
+composed in place in cache-sized element chunks, so that a table's build
+holds little more than the table.  A per-slot ``StaticError`` builds one
+from given slot channels.
 Its cross-talk slots are evolved in shares across the CPUs, each slot
 whole and with equal cost ``steps``, 36 of the 48 integrated and the
 other 12 derived from them exactly by Z (x) Z conjugation; a slot's
@@ -629,6 +631,13 @@ def _slot_errors(model: NoiseModel) -> np.ndarray:
     raise TypeError(f"unknown noise model {model!r}")
 
 
+# Elements an element table composes at a time, in place, 128 KB of
+# channels per chunk.  The sample-a CxC table (1.18 MB) took 0.46 ms in
+# chunks of 64, 0.44 ms of 128, 0.64 ms of 16 and 1.79 ms as whole-group
+# products (one CPU, median of 41), which peaked at 3.39 MB (tracemalloc).
+TABLE_CHUNK_ELEMENTS = 64
+
+
 class NoisyGateSet:
     """Noisy channels of the 48 played slots and of every group element, for
     one model at one noise granularity (per generator slot, or per Clifford
@@ -640,7 +649,8 @@ class NoisyGateSet:
     ``slot_channels`` holds the identity pad in row 0 and the channel of
     ``SLOTS[s]`` in row s + 1, all built as one batch: for a cross-talk
     model, one :func:`evolve_to_ptms` call.  ``element_table`` composes
-    each group's element channels along one walk (:meth:`_walk`); under
+    each group's element channels along one walk (:meth:`_walk`), in place
+    and a chunk of elements at a time; under
     Pauli-diagonal noise (ideal, depolarizing, a Pauli-diagonal static
     error and composites of these) ``monomial_table`` composes only each
     row's one nonzero entry, so that propagation can follow each Pauli's
@@ -683,24 +693,32 @@ class NoisyGateSet:
         return self.channel(gate) @ _ideal_slot_ptms()[_SLOT_ROW[gate]].T
 
     def _walk(self, group: CliffordGroup):
-        """``(ideal, channels, positions)``: element g's channel is the product
-        of ``channels[positions[g]]``, first rightmost, each noisy ``ideal``: per
-        generator, the slot channels along the element's padded word; per
-        Clifford, each element's PTM under the error channel, at one position."""
+        """``(ideal, channels, positions, error)``: element g's channel is the
+        product of ``channels[positions[g]]``, first rightmost, then ``error``
+        if not None, each noisy ``ideal``: per generator, the slot channels
+        along the element's padded word; per Clifford, each element's PTM at
+        one position, then the error channel."""
         if self.granularity == "clifford":
-            return group.ptms, self._error @ group.ptms, np.arange(len(group))[:, None]
-        return _ideal_slot_ptms(), self.slot_channels, _slot_positions(group.kind)
+            return group.ptms, group.ptms, np.arange(len(group))[:, None], self._error
+        return _ideal_slot_ptms(), self.slot_channels, _slot_positions(group.kind), None
 
     def element_table(self, group: CliffordGroup) -> np.ndarray:
         """Noisy channel of every group element, shape (len(group), 16, 16):
         the channels at the walk's first position over the whole group, then
-        one stacked product per further position; the identity pad past a
-        short word's end leaves the product exact."""
+        each chunk of TABLE_CHUNK_ELEMENTS elements carried in place through
+        the further positions and the error, one stacked product each; a
+        stacked product is one matrix product per element, so the chunks
+        keep each channel's bits, and the identity pad past a short word's
+        end leaves the product exact."""
         if group.kind not in self._tables:
-            _, channels, positions = self._walk(group)
+            _, channels, positions, error = self._walk(group)
             table = channels[positions[:, 0]]
-            for column in positions.T[1:]:
-                table = channels[column] @ table
+            for first in range(0, len(table), TABLE_CHUNK_ELEMENTS):
+                part = table[first : first + TABLE_CHUNK_ELEMENTS]
+                for column in positions[first : first + TABLE_CHUNK_ELEMENTS, 1:].T:
+                    np.matmul(channels[column], part, out=part)
+                if error is not None:
+                    np.matmul(error, part, out=part)
             table.setflags(write=False)
             self._tables[group.kind] = table
         return self._tables[group.kind]
@@ -715,7 +733,9 @@ class NoisyGateSet:
         dense table, each factor is the one nonzero product that the table's
         matrix products round: the table's bits."""
         if group.kind not in self._monomials:
-            ideal, channels, positions = self._walk(group)
+            ideal, channels, positions, error = self._walk(group)
+            if error is not None:
+                channels = error @ channels
             factor = None
             if not np.any(channels[ideal == 0]):
                 source = np.argmax(ideal != 0, axis=2)

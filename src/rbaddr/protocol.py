@@ -149,6 +149,12 @@ def generate_sequence(
 # per array: a K = 50, m = 512 block from the perfect preparation's four
 # Paulis peaks at 0.41 MB (tracemalloc) in these chunks, at 2.5 MB in one.
 PATH_CHUNK_FACTORS = 2**14
+# Sequences the mat-vec kernel carries through all steps at once, each
+# step's gathered channels 0.5 MB; a row's reduction does not depend on the
+# rows beside it.  Cross-talk mat-vec steps of K = 16384 sequences took
+# 240-340 ns per sequence step in chunks of 256, 370-430 ns in chunks of
+# 512-2048 and 630 ns unchunked (one CPU).
+MATVEC_CHUNK_SEQUENCES = 256
 
 
 def simulate_sequence(
@@ -158,14 +164,20 @@ def simulate_sequence(
     returns (p00, p01, p10, p11), with a leading K axis for a batch.
     ``composites``, ``group.composites(indices)``, is scanned if not given.
     Each Pauli follows its path (:func:`_path_states`) when the gate set
-    has a monomial table, else each step is a batched mat-vec: same bits."""
+    has a monomial table, else each step is a batched mat-vec, over
+    MATVEC_CHUNK_SEQUENCES sequences at a time: same bits."""
     batch, recovery = np.atleast_2d(indices), np.atleast_1d(recovery)
     monomial = gateset.monomial_table(group)
     if monomial is None:
         table = gateset.element_table(group)
-        state = np.broadcast_to(spam.prep, (len(batch), len(spam.prep)))
-        for column in np.column_stack([batch, recovery]).T:
-            state = np.einsum("rij,rj->ri", table[column], state)
+        steps = np.column_stack([batch, recovery])
+        state = np.empty((len(batch), len(spam.prep)))
+        for first in range(0, len(batch), MATVEC_CHUNK_SEQUENCES):
+            rows = steps[first : first + MATVEC_CHUNK_SEQUENCES]
+            part = np.broadcast_to(spam.prep, (len(rows), len(spam.prep)))
+            for column in rows.T:
+                part = np.einsum("rij,rj->ri", table[column], part)
+            state[first : first + len(rows)] = part
     else:
         scan = group.composites(batch) if composites is None else composites
         state = _path_states(group, batch, recovery, scan, monomial, spam.prep)
@@ -231,9 +243,9 @@ PATH_STEP_SECONDS = 1e-7
 MATVEC_STEP_SECONDS = 4e-7
 # Bytes a run holds (tracemalloc, one CPU): per stream of the blocks a share
 # seeds in one hash (entropy, words, read-out), 130-170; per sequence of the
-# block in hand (a mat-vec step's gathered channels), ~2500; per step of its
-# (K, m + 1) index and composite arrays, 24.
-STREAM_BYTES, SEQUENCE_BYTES, STEP_BYTES = 200, 2600, 32
+# block in hand (its state and populations), 190 by mat-vec and 290 along
+# Pauli paths; per step of its (K, m + 1) index and composite arrays, 16-24.
+STREAM_BYTES, SEQUENCE_BYTES, STEP_BYTES = 200, 320, 32
 
 
 def check_run_size(cfg: RBConfig) -> None:
@@ -245,7 +257,9 @@ def check_run_size(cfg: RBConfig) -> None:
     if need > MAX_RUN_BYTES:
         key = (f"k = {cfg.K} over {len(cfg.lengths)} lengths" if streams > steps
                else f"lengths up to {cfg.lengths[-1]} at k = {cfg.K}")
-        raise ValueError(f"{key}: ~{need / 2**30:.3g} GiB of arrays, "
+        from decimal import Decimal  # a k past float's range still prints
+
+        raise ValueError(f"{key}: ~{Decimal(need) / 2**30:.3g} GiB of arrays, "
                          f"above the {MAX_RUN_BYTES / 2**30:g} GiB bound")
 
 
@@ -369,13 +383,22 @@ def write_curves_csv(curves: list[SurvivalCurve], path) -> None:
                 )
 
 
+def _csv_rows(reader):
+    """The rows of a ``csv.reader``; a line it cannot split (a field past
+    its size limit) is a ValueError that names the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
+
+
 def read_curves_csv(path) -> list[SurvivalCurve]:
     """Parse the curve CSV schema back into SurvivalCurve objects."""
     rows: dict[tuple[str, str], list[tuple[int, float, float, int]]] = {}
     first_line: dict[tuple[str, str, int], int] = {}
     order: list[tuple[str, str]] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(csv.reader(fh))
         header = next(reader, None)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}")

@@ -256,6 +256,36 @@ def test_composites_match_per_row_walk(kind, K, m):
         group.composites(indices[0])
 
 
+def _column_scan(group, indices):
+    """The column-by-column prefix scan that the blocked scan replaced: one
+    gather over the flattened table per step, all rows at once."""
+    flat = group.mult_table.ravel()
+    scan = np.zeros((indices.shape[1] + 1, len(indices)), dtype=np.int64)
+    for t, column in enumerate(np.multiply(indices.T, len(group), dtype=np.int64)):
+        scan[t + 1] = flat[column + scan[t]]
+    return scan.T
+
+
+@given(
+    kind=st.sampled_from(["cxi", "cxc"]),
+    k=st.sampled_from([1, 2, 5]),
+    # m = 1 and the block edges: perfect squares and one step either side
+    m=st.one_of(st.just(1), st.builds(lambda r, d: max(1, r * r + d),
+                                      st.integers(1, 23), st.sampled_from([-1, 0, 1]))),
+    seed=st.integers(0, 2**32 - 1),
+    wide=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_blocked_scan_gives_the_column_scan(kind, k, m, seed, wide):
+    group = get_group(kind)
+    indices = np.random.default_rng(seed).integers(0, len(group), size=(k, m))
+    indices = indices if wide else indices.astype(np.int16)
+    composites = group.composites(indices)
+    reference = _column_scan(group, indices)
+    assert composites.dtype == reference.dtype and composites.strides == reference.strides
+    assert composites.tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_targets_follow_each_pauli(kind):
     group = get_group(kind)

@@ -910,6 +910,32 @@ def test_engine_memory_peak_stays_below_the_block_engine(workers):
     assert peak <= BLOCK_ENGINE_PEAK_BYTES
 
 
+# Beyond the table it returns, an element-table build holds one chunk's
+# gathered channels and the copy of the chunk that an in-place product
+# makes; the margin is three chunks.  Whole-group products peaked at
+# 3.39 MB for the sample-a CxC table.
+TABLE_BUILD_MARGIN_BYTES = 3 * noise.TABLE_CHUNK_ELEMENTS * 16 * 16 * 8
+
+
+@pytest.mark.parametrize(
+    "model, granularity",
+    [(CrossTalk(SAMPLE_A, steps=16), "generator"), (Decoherence(SAMPLE_A), "clifford")],
+    ids=["crosstalk", "decoherence_per_clifford"],
+)
+def test_element_table_build_peaks_at_the_table_plus_a_margin(model, granularity):
+    gateset = NoisyGateSet(model, granularity)
+    group = get_group("cxc")
+    gateset.slot_channels, gateset._error  # the channels, outside the build
+    tracemalloc.start()
+    try:
+        table = gateset.element_table(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 576 * 16 * 16 * 8
+    assert peak <= table.nbytes + TABLE_BUILD_MARGIN_BYTES
+
+
 @pytest.mark.parametrize(
     "slot", [("x90",), ("x45", None), ("x90", None, None), ["x90", None], "x9", (None, "idle")]
 )

@@ -22,6 +22,7 @@ from rbaddr.noise import (
 from rbaddr.protocol import (
     EXPERIMENT_CODES,
     EXPERIMENT_GROUPS,
+    MATVEC_CHUNK_SEQUENCES,
     RBConfig,
     SpamModel,
     SurvivalCurve,
@@ -259,6 +260,24 @@ def assert_gather_kernel_gives_the_matvec_bits(gateset, kind, K, m):
         for given in (None, composites):
             pops = simulate_sequence(group, indices, recovery, gateset, spam, given)
             assert np.array_equal(pops, spam.populations(reference.T).T)
+
+
+@pytest.mark.parametrize("extra", [1, 3])
+def test_matvec_chunks_give_the_unchunked_bits(extra):
+    # a block of one chunk and a few sequences more: each row's reduction
+    # is the one the whole block's einsum makes, and the populations, taken
+    # once for the block, keep their bits too
+    group = get_group("cxc")
+    gateset = NoisyGateSet(Composite((Depolarizing(0.97, 0.95), StaticError(zz_rotation_ptm(0.2)))))
+    assert gateset.monomial_table(group) is None
+    k = MATVEC_CHUNK_SEQUENCES + extra
+    indices = np.random.default_rng(k).integers(0, len(group), size=(k, 6))
+    recovery = group.recovery_indices(indices)
+    columns = np.column_stack([indices, recovery])
+    for spam in (replace(SpamModel.perfect(), prep=_DENSE_PREP), _MISASSIGNED):
+        reference = _einsum_states(gateset.element_table(group), columns, spam.prep)
+        pops = simulate_sequence(group, indices, recovery, gateset, spam)
+        assert pops.tobytes() == spam.populations(reference.T).T.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["cxi", "cxc"])
