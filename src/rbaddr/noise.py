@@ -634,7 +634,7 @@ def _slot_errors(model: NoiseModel) -> np.ndarray:
 # Elements an element table composes at a time, in place, 128 KB of
 # channels per chunk.  The sample-a CxC table (1.18 MB) took 0.46 ms in
 # chunks of 64, 0.44 ms of 128, 0.64 ms of 16 and 1.79 ms as whole-group
-# products (one CPU, median of 41), which peaked at 3.39 MB (tracemalloc).
+# products (one CPU, median of 41), which peaked at 3.54 MB (tracemalloc).
 TABLE_CHUNK_ELEMENTS = 64
 
 

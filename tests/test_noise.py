@@ -913,7 +913,7 @@ def test_engine_memory_peak_stays_below_the_block_engine(workers):
 # Beyond the table it returns, an element-table build holds one chunk's
 # gathered channels and the copy of the chunk that an in-place product
 # makes; the margin is three chunks.  Whole-group products peaked at
-# 3.39 MB for the sample-a CxC table.
+# 3.54 MB for the sample-a CxC table.
 TABLE_BUILD_MARGIN_BYTES = 3 * noise.TABLE_CHUNK_ELEMENTS * 16 * 16 * 8
 
 
