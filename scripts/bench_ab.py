@@ -12,7 +12,9 @@ from the same checkout, whose wall time joins that run's metrics as
 ``verify_full_s``.  After the pairs, the tier-1 suite (``pytest -q -rf
 --continue-on-collection-errors``) runs once from each checkout; its wall time,
 outcome counts and the node ids of its failing tests are recorded as
-``pytest_s``, failures included.  The output
+``pytest_s``, failures included.  ``src_lines`` records each side's source
+size: the lines of each ``src/rbaddr/*.py`` of its export, as ``wc -l``
+counts them, and their total.  The output
 keeps the last JSON line of every run and, per end-to-end metric and
 ``verify_full_s``, the median and inclusive quartiles of each side and the
 number of pairs the change won; it is rewritten after every pair.
@@ -42,7 +44,8 @@ DESCRIPTION = (
     "after it as the metric verify_full_s, then per metric the median and quartiles "
     "(inclusive method) of each side and the number of pairs the change won; pytest_s is "
     "the wall time, outcome counts and failing node ids of one tier-1 pytest run from each "
-    "checkout after the pairs."
+    "checkout after the pairs; src_lines is each side's `wc -l` of every src/rbaddr/*.py and "
+    "their total."
 )
 
 
@@ -88,6 +91,14 @@ def export(rev: str, dest: Path) -> str:
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {commit} failed")
     return commit
+
+
+def src_lines(checkout: Path) -> dict[str, int]:
+    """Lines of each ``src/rbaddr/*.py`` of ``checkout`` as ``wc -l`` counts
+    them (newline characters), and their ``total``."""
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in sorted((checkout / "src" / "rbaddr").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
 
 
 def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -181,6 +192,7 @@ def main(argv=None) -> int:
             "parent_commit": commits["parent"],
             "change_commit": commits["change"],
             "machine": machine(),
+            "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
             "workloads": [],
         }
         for workload in args.workload:

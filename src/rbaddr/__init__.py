@@ -41,7 +41,6 @@ from .protocol import (
 )
 from .report import AddressabilityReport, UVal, build_report, delta_alpha, delta_r, gate_error
 from .twirl import (
-    SubsystemTwirlBlocks,
     TwirlOutcome,
     brute_force_twirl,
     gamma_decay_curve,

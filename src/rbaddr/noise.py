@@ -180,6 +180,11 @@ def _envelope_shape(t, gate_time: float) -> np.ndarray:
     return np.where(inside, up * down, 0.0)
 
 
+# 2-point Gauss-Legendre nodes on a unit panel, of the envelope quadrature
+# and of each Magnus step.
+_GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
+
+
 @lru_cache(maxsize=16)
 def _shape_integral(gate_time: float) -> float:
     """Integral of the unit-peak shape over the gate, computed once per
@@ -190,8 +195,7 @@ def _shape_integral(gate_time: float) -> float:
     """
     npanels = 4096
     h = gate_time / npanels
-    offs = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
-    t = (np.arange(npanels)[:, None] + offs[None, :]) * h
+    t = (np.arange(npanels)[:, None] + np.array(_GAUSS_NODES)[None, :]) * h
     return float(_envelope_shape(t, gate_time).sum() * h / 2)
 
 
@@ -210,8 +214,6 @@ EVOLVE_CHUNK_STEPS = 16
 # Estimated seconds of one Magnus step of one slot: 48 slots x 256 steps
 # took 70-120 ms (2-core Xeon VM).
 SLOT_STEP_SECONDS = 6e-6
-
-_GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 
 GATE_ALPHABET = tuple(GENERATOR_ANGLES) + (None,)
 
@@ -731,15 +733,21 @@ class NoisyGateSet:
         is; None otherwise, as for decoherence, cross-talk, a ZZ rotation or
         a Pauli-permuting static error.  Composed per position without the
         dense table, each factor is the one nonzero product that the table's
-        matrix products round: the table's bits."""
+        matrix products round: the table's bits.  The error of a per-Clifford
+        walk is applied a chunk of TABLE_CHUNK_ELEMENTS channels at a time,
+        as in :meth:`element_table`."""
         if group.kind not in self._monomials:
             ideal, channels, positions, error = self._walk(group)
-            if error is not None:
-                channels = error @ channels
+            source = np.argmax(ideal != 0, axis=2)
+            step = np.empty(source.shape)
             factor = None
-            if not np.any(channels[ideal == 0]):
-                source = np.argmax(ideal != 0, axis=2)
-                step = np.take_along_axis(channels, source[..., None], 2)[..., 0]
+            for first in range(0, len(ideal), TABLE_CHUNK_ELEMENTS):
+                rows = slice(first, first + TABLE_CHUNK_ELEMENTS)
+                part = channels[rows] if error is None else error @ channels[rows]
+                if np.any(part[ideal[rows] == 0]):
+                    break
+                step[rows] = np.take_along_axis(part, source[rows, :, None], 2)[..., 0]
+            else:
                 factor = np.ones((len(group), 16))
                 for column in positions.T:
                     factor = step[column] * np.take_along_axis(factor, source[column], 1)
@@ -758,11 +766,10 @@ def average_error_channel(gateset: NoisyGateSet, group: CliffordGroup) -> np.nda
 
 
 def predict_alphas(gateset: NoisyGateSet, group_kind: str):
-    """Twirl of the exact average error channel for one experiment group.
-
-    Returns a TwirlOutcome for 'cxc' and SubsystemTwirlBlocks for
-    'cxi'/'ixc'; these are per-Clifford depolarizing parameters.
-    """
+    """Twirl of the exact average error channel for one experiment group
+    ('cxi', 'ixc' or 'cxc'): a TwirlOutcome whose alphas are per-Clifford
+    depolarizing parameters, ``alpha_1``, ``alpha_2`` or the three CxC
+    ones."""
     from .twirl import twirl_cxc, twirl_cxi
 
     lam = average_error_channel(gateset, get_group(group_kind))
@@ -785,18 +792,21 @@ def predict_addressability(gateset: NoisyGateSet, gamma_max_m: int = 128) -> dic
     from .report import build_report
     from .twirl import gamma_decay_curve
 
-    blocks1 = predict_alphas(gateset, "cxi")
-    blocks2 = predict_alphas(gateset, "ixc")
-    out3 = predict_alphas(gateset, "cxc")
-    alphas = {"alpha_1": blocks1.alpha, "alpha_2": blocks2.alpha}
-    alphas.update((k, out3.alphas[k]) for k in ("alpha_1_2", "alpha_2_1", "alpha_12"))
+    exp1, exp2, exp3 = (predict_alphas(gateset, kind) for kind in ("cxi", "ixc", "cxc"))
+    alphas = {**exp1.alphas, **exp2.alphas, **exp3.alphas}
     report = build_report({k: (alpha, 0.0) for k, alpha in alphas.items()})
 
     ms = np.arange(gamma_max_m + 1)
     gamma_dev = {}
-    for name, blocks in (("exp1", blocks1), ("exp2", blocks2)):
-        curve = gamma_decay_curve(blocks, ms)
-        gamma_dev[name] = float(np.max(np.abs(curve - blocks.alpha**ms)))
+    # each gamma block read back out of its twirled PTM and copied: numpy's
+    # matmul takes BLAS only for unit-stride rows, and its own loop may round
+    # differently
+    for name, gamma, alpha in (
+        ("exp1", exp1.twirled.reshape(4, 4, 4, 4)[1, :, 1, :], alphas["alpha_1"]),
+        ("exp2", exp2.twirled.reshape(4, 4, 4, 4)[:, 1, :, 1], alphas["alpha_2"]),
+    ):
+        curve = gamma_decay_curve(gamma.copy(), ms)
+        gamma_dev[name] = float(np.max(np.abs(curve - alpha**ms)))
 
     group = get_group("c1")
     return {

@@ -1,7 +1,8 @@
 """Group twirls of two-qubit channels in the PTM representation.
 
 The closed forms are the three twirls of the simultaneous protocol's
-experiments: CxC (``twirl_cxc``) and CxI / IxC (``twirl_cxi``).
+experiments: CxC (``twirl_cxc``) and CxI / IxC (``twirl_cxi``), each
+returning a :class:`TwirlOutcome`.
 ``brute_force_twirl`` is the explicit group average that ``rbaddr verify``
 checks them against entrywise.  Its inverses use the transpose, valid
 because Clifford PTMs are orthogonal.
@@ -19,42 +20,10 @@ from .paulis import num_qubits, project, projector_diag
 
 @dataclass(frozen=True)
 class TwirlOutcome:
+    """The twirled 16x16 PTM and the alphas read from it, by report name."""
+
     twirled: np.ndarray
     alphas: dict[str, float]
-
-
-@dataclass(frozen=True)
-class SubsystemTwirlBlocks:
-    """Block content of a single-subsystem (CxI or IxC) twirl.
-
-    ``gamma`` is the d2^2 x d2^2 matrix repeated three times over the
-    twirled qubit's X/Y/Z sector; its (0,0) element's powers govern the
-    traced-out decay and approach alpha^m as the error vanishes.
-    """
-
-    which: int  # twirled qubit (1 or 2)
-    marginal: np.ndarray
-    gamma: np.ndarray
-
-    @property
-    def alpha(self) -> float:
-        """Leading depolarizing parameter Tr(Pi_k R) / Tr(Pi_k)."""
-        return float(self.gamma[0, 0])
-
-    def reassembled(self) -> np.ndarray:
-        """The full 16x16 twirled PTM rebuilt from the blocks."""
-        out = np.zeros((4, 4, 4, 4))
-        for j in range(4):
-            for l in range(4):
-                if self.which == 1:
-                    out[0, j, 0, l] = self.marginal[j, l]
-                    for n in range(1, 4):
-                        out[n, j, n, l] = self.gamma[j, l]
-                else:
-                    out[j, 0, l, 0] = self.marginal[j, l]
-                    for n in range(1, 4):
-                        out[j, n, l, n] = self.gamma[j, l]
-        return out.reshape(16, 16)
 
 
 def brute_force_twirl(ptm: np.ndarray, group: CliffordGroup) -> np.ndarray:
@@ -89,29 +58,36 @@ def twirl_cxc(ptm: np.ndarray) -> TwirlOutcome:
     return TwirlOutcome(np.diag(diag), alphas)
 
 
-def twirl_cxi(ptm: np.ndarray, which: int = 1) -> SubsystemTwirlBlocks:
+def twirl_cxi(ptm: np.ndarray, which: int = 1) -> TwirlOutcome:
     """Single-subsystem twirl (Clifford on qubit ``which``, identity on the other).
 
-    Returns the marginal map of the untwirled qubit and the gamma block;
-    all other matrix elements of the twirl vanish.
+    The twirled PTM keeps two blocks and zeros elsewhere: the marginal map
+    of the other qubit, where qubit ``which`` carries the identity, and the
+    gamma block, the 4x4 average of the other qubit's blocks over qubit
+    ``which``'s X, Y and Z, repeated on each of the three.  ``alphas`` holds
+    gamma's (0, 0) element, the leading depolarizing parameter
+    Tr(Pi_k R) / Tr(Pi_k), as ``alpha_1`` or ``alpha_2``; the powers of
+    gamma govern the traced-out decay (:func:`gamma_decay_curve`).
     """
     if num_qubits(ptm) != 2:
         raise ValueError("subsystem twirl requires a two-qubit PTM")
-    r4 = ptm.reshape(4, 4, 4, 4)
-    if which == 1:
-        marginal = r4[0, :, 0, :].copy()
-        gamma = (r4[1, :, 1, :] + r4[2, :, 2, :] + r4[3, :, 3, :]) / 3
-    elif which == 2:
-        marginal = r4[:, 0, :, 0].copy()
-        gamma = (r4[:, 1, :, 1] + r4[:, 2, :, 2] + r4[:, 3, :, 3]) / 3
-    else:
+    if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    return SubsystemTwirlBlocks(which, marginal, gamma)
+    # index order (twirled qubit, other qubit) on both sides of the map
+    order = (0, 1, 2, 3) if which == 1 else (1, 0, 3, 2)
+    r4 = ptm.reshape(4, 4, 4, 4).transpose(order)
+    twirled = np.zeros((16, 16))
+    t4 = twirled.reshape(4, 4, 4, 4).transpose(order)
+    t4[0, :, 0, :] = r4[0, :, 0, :]
+    gamma = (r4[1, :, 1, :] + r4[2, :, 2, :] + r4[3, :, 3, :]) / 3
+    for n in (1, 2, 3):
+        t4[n, :, n, :] = gamma
+    return TwirlOutcome(twirled, {f"alpha_{which}": float(gamma[0, 0])})
 
 
-def gamma_decay_curve(blocks, m_values) -> np.ndarray:
-    """(Gamma^m)_{0,0} for each m, by repeated multiplication."""
-    gamma = blocks.gamma if isinstance(blocks, SubsystemTwirlBlocks) else blocks
+def gamma_decay_curve(gamma: np.ndarray, m_values) -> np.ndarray:
+    """(Gamma^m)_{0,0} for each m of a square matrix ``gamma``, such as
+    :func:`twirl_cxi`'s gamma block, by repeated multiplication."""
     m_values = np.asarray(m_values, dtype=np.int64)
     if np.any(m_values < 0):
         raise ValueError("m must be nonnegative")

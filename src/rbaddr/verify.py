@@ -98,12 +98,10 @@ def check_twirl_oracles(n_channels: int, tol: float) -> CheckResult:
     for _ in range(n_channels):
         random_cptp_ptm(1, rng)  # unused; drawn so that the channels below keep their values
         r2 = random_cptp_ptm(2, rng, n_kraus=5)
-        worst = max(
-            worst,
-            float(np.max(np.abs(brute_force_twirl(r2, get_group("cxc")) - twirl_cxc(r2).twirled))),
-            float(np.max(np.abs(brute_force_twirl(r2, get_group("cxi")) - twirl_cxi(r2, 1).reassembled()))),
-            float(np.max(np.abs(brute_force_twirl(r2, get_group("ixc")) - twirl_cxi(r2, 2).reassembled()))),
-        )
+        for kind, outcome in (("cxc", twirl_cxc(r2)), ("cxi", twirl_cxi(r2, 1)),
+                              ("ixc", twirl_cxi(r2, 2))):
+            brute = brute_force_twirl(r2, get_group(kind))
+            worst = max(worst, float(np.max(np.abs(brute - outcome.twirled))))
     ok = worst <= tol
     return _result(
         "twirl_oracles",

@@ -425,7 +425,7 @@ def test_predict_depolarizing_per_generator_word_lengths():
     alpha_g = 0.999
     gateset = NoisyGateSet(Depolarizing(alpha_g))
     pred = predict_alphas(gateset, "cxi")
-    assert pred.alpha == pytest.approx(np.mean(alpha_g ** lens.astype(float)))
+    assert pred.alphas["alpha_1"] == pytest.approx(np.mean(alpha_g ** lens.astype(float)))
     out = predict_alphas(gateset, "cxc")
     expected = np.mean(
         [alpha_g ** max(a, b) for a in lens for b in lens]
@@ -934,6 +934,27 @@ def test_element_table_build_peaks_at_the_table_plus_a_margin(model, granularity
         tracemalloc.stop()
     assert table.nbytes == 576 * 16 * 16 * 8
     assert peak <= table.nbytes + TABLE_BUILD_MARGIN_BYTES
+
+
+@pytest.mark.parametrize(
+    "model, monomial", [(Depolarizing(0.99), True), (Decoherence(SAMPLE_A), False)],
+    ids=["depolarizing", "decoherence"],
+)
+def test_per_clifford_monomial_table_peaks_below_a_dense_table(model, monomial):
+    # Per Clifford the error is applied a chunk of elements at a time, so the
+    # build never holds a dense (576, 16, 16) stack of the group's channels
+    # (1.18 MB); the whole-group product and its mask gather peaked at 2.44 MB.
+    gateset = NoisyGateSet(model, "clifford")
+    group = get_group("cxc")
+    gateset._error  # the error channel, outside the build
+    tracemalloc.start()
+    try:
+        factor = gateset.monomial_table(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (factor is not None) == monomial
+    assert peak < 576 * 16 * 16 * 8
 
 
 @pytest.mark.parametrize(

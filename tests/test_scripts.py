@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import runpy
@@ -138,6 +139,33 @@ def test_bench_ab_counts_the_suite_without_raising(tmp_path):
         "tests/test_one.py::test_fails", "tests/test_one.py::test_fails_too[two words]",
     ]
     assert run["value"] > 0
+
+
+def test_bench_ab_records_the_source_lines_of_each_side(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+
+    def export(rev, dest):
+        # wc -l counts newlines: an unterminated last line adds none
+        package = dest / "src" / "rbaddr"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\ny = 2\n" if rev == "old" else "x = 1\n")
+        (package / "b.py").write_text("z = 3\n\nw = 4")
+        (package / "notes.txt").write_text("not source\n")
+        return rev
+
+    monkeypatch.setattr(bench_ab, "export", export)
+    monkeypatch.setattr(bench_ab, "run_bench", lambda *args: json.loads(bench_line(30.0, 0.05)))
+    monkeypatch.setattr(bench_ab, "verify_seconds", lambda checkout: 1.0)
+    monkeypatch.setattr(bench_ab, "pytest_run", lambda checkout: {})
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "old", "--change", "new", "--workload", "fit_measured", "--pairs", "1"]
+    assert bench_ab.main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {
+        "parent": {"a.py": 2, "b.py": 2, "total": 4},
+        "change": {"a.py": 1, "b.py": 2, "total": 3},
+    }
 
 
 def test_verify_mutants_each_change_one_line_of_the_tree():

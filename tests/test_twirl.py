@@ -5,15 +5,17 @@ from rbaddr.cliffords import generate_c1, get_group
 from rbaddr.noise import random_cptp_ptm, zz_rotation_ptm
 from rbaddr.paulis import depolarizing_ptm, ptm_from_kraus, ptm_from_unitary, tensor
 from rbaddr.report import delta_alpha
-from rbaddr.twirl import (
-    SubsystemTwirlBlocks,
-    brute_force_twirl,
-    gamma_decay_curve,
-    twirl_cxc,
-    twirl_cxi,
-)
+from rbaddr.twirl import brute_force_twirl, gamma_decay_curve, twirl_cxc, twirl_cxi
 
 RNG = np.random.default_rng(2012)
+
+
+def blocks(outcome, which: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The marginal and gamma blocks of a CxI (``which`` 1) or IxC twirl."""
+    r4 = outcome.twirled.reshape(4, 4, 4, 4)
+    if which == 1:
+        return r4[0, :, 0, :], r4[1, :, 1, :]
+    return r4[:, 0, :, 0], r4[:, 1, :, 1]
 
 
 def witness(outcome) -> float:
@@ -62,8 +64,8 @@ def test_oracle_all_groups(channels_2q):
     for r in channels_2q[:5]:
         outcome = twirl_cxc(r)
         assert np.max(np.abs(brute_force_twirl(r, get_group("cxc")) - outcome.twirled)) < 1e-10
-        assert np.max(np.abs(brute_force_twirl(r, get_group("cxi")) - twirl_cxi(r, 1).reassembled())) < 1e-10
-        assert np.max(np.abs(brute_force_twirl(r, get_group("ixc")) - twirl_cxi(r, 2).reassembled())) < 1e-10
+        assert np.max(np.abs(brute_force_twirl(r, get_group("cxi")) - twirl_cxi(r, 1).twirled)) < 1e-10
+        assert np.max(np.abs(brute_force_twirl(r, get_group("ixc")) - twirl_cxi(r, 2).twirled)) < 1e-10
         assert all(abs(a) <= 1 + 1e-12 for a in outcome.alphas.values())
 
 
@@ -114,23 +116,34 @@ def test_depolarizing_fixed_point_of_pauli_twirl(channels_2q):
 
 def test_cxi_product_channel_blocks():
     r = tensor(depolarizing_ptm(0.9), np.eye(4))
-    blocks = twirl_cxi(r, 1)
-    assert np.allclose(blocks.gamma, 0.9 * np.eye(4), atol=1e-12)
-    assert np.allclose(blocks.marginal, np.eye(4), atol=1e-12)
-    assert blocks.alpha == pytest.approx(0.9)
+    outcome = twirl_cxi(r, 1)
+    marginal, gamma = blocks(outcome)
+    assert np.allclose(gamma, 0.9 * np.eye(4), atol=1e-12)
+    assert np.allclose(marginal, np.eye(4), atol=1e-12)
+    assert outcome.alphas == {"alpha_1": pytest.approx(0.9)}
 
 
 def test_cxi_identity():
-    blocks = twirl_cxi(np.eye(16), 1)
-    assert np.allclose(blocks.gamma, np.eye(4))
+    assert np.allclose(blocks(twirl_cxi(np.eye(16), 1))[1], np.eye(4))
+
+
+def test_ixc_is_the_mirrored_cxi(channels_2q):
+    # S R S^T for the SWAP permutation S of the Pauli indices: qubit 2's
+    # twirl of the mirrored channel is qubit 1's twirl, mirrored, bit for bit
+    swap = np.arange(16).reshape(4, 4).T.ravel()
+    for r in channels_2q:
+        mirrored = twirl_cxi(r[np.ix_(swap, swap)], 2)
+        direct = twirl_cxi(r, 1)
+        assert np.array_equal(mirrored.twirled, direct.twirled[np.ix_(swap, swap)])
+        assert mirrored.alphas == {"alpha_2": direct.alphas["alpha_1"]}
 
 
 def test_gamma_leading_element_is_projector_trace(channels_2q):
     from rbaddr.paulis import project, projector_diag
 
     r = channels_2q[3]
-    assert twirl_cxi(r, 1).alpha == pytest.approx(project(r, projector_diag("q1", 2)))
-    assert twirl_cxi(r, 2).alpha == pytest.approx(project(r, projector_diag("q2", 2)))
+    assert twirl_cxi(r, 1).alphas["alpha_1"] == pytest.approx(project(r, projector_diag("q1", 2)))
+    assert twirl_cxi(r, 2).alphas["alpha_2"] == pytest.approx(project(r, projector_diag("q2", 2)))
 
 
 def test_marginal_block_is_partial_trace_map():
@@ -141,7 +154,7 @@ def test_marginal_block_is_partial_trace_map():
 
     rng = np.random.default_rng(77)
     kraus = random_cptp_kraus(2, rng, n_kraus=5)
-    blocks = twirl_cxi(ptm_from_kraus(kraus), 1)
+    marginal = blocks(twirl_cxi(ptm_from_kraus(kraus), 1))[0]
     p1 = pauli_matrices(1)
     direct = np.empty((4, 4))
     for l in range(4):
@@ -150,7 +163,7 @@ def test_marginal_block_is_partial_trace_map():
         out2 = np.trace(out.reshape(2, 2, 2, 2), axis1=0, axis2=2) / 2
         for j in range(4):
             direct[j, l] = np.trace(np.asarray(p1[j]) @ out2).real / 2
-    assert np.max(np.abs(blocks.marginal - direct)) < 1e-12
+    assert np.max(np.abs(marginal - direct)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +171,8 @@ def test_marginal_block_is_partial_trace_map():
 
 
 def test_gamma_decay_scalar_block():
-    blocks = SubsystemTwirlBlocks(1, np.eye(4), 0.95 * np.eye(4))
     ms = np.array([0, 1, 5, 20])
-    assert np.allclose(gamma_decay_curve(blocks, ms), 0.95 ** ms.astype(float))
+    assert np.allclose(gamma_decay_curve(0.95 * np.eye(4), ms), 0.95 ** ms.astype(float))
 
 
 def test_gamma_decay_m_zero_is_one():
@@ -172,8 +184,8 @@ def test_crosstalk_gamma_near_exponential():
     # small coherent errors keep (Gamma^m)_00 within 1e-3 of alpha^m
     from rbaddr.noise import SAMPLE_A, CrossTalk, NoisyGateSet, predict_alphas
 
-    blocks = predict_alphas(NoisyGateSet(CrossTalk(SAMPLE_A)), "cxi")
+    outcome = predict_alphas(NoisyGateSet(CrossTalk(SAMPLE_A)), "cxi")
     ms = np.arange(0, 129)
-    curve = gamma_decay_curve(blocks, ms)
-    deviation = np.max(np.abs(curve - blocks.alpha ** ms.astype(float)))
+    curve = gamma_decay_curve(blocks(outcome)[1], ms)
+    deviation = np.max(np.abs(curve - outcome.alphas["alpha_1"] ** ms.astype(float)))
     assert deviation < 1e-3
