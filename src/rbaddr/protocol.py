@@ -26,20 +26,20 @@ tables are built before any share starts, so every curve is bit for bit
 the same at any CPU count.
 
 Sequence k of length m in an experiment draws its elements, then its
-shots, from its own stream: numpy's ``default_rng([seed, experiment code,
-m, k])`` stream, so results are independent of execution order.  A share
-seeds the streams of its own blocks in one batch and draws their indices
-with ``rbaddr.streams``, an in-tree copy of numpy's SeedSequence hash,
-PCG64 and ``Generator.integers`` that tier-1 tests pin to numpy bit for
-bit; a run without shots so never imports ``numpy.random``.  Shots stay
-numpy's own ``multinomial``, from each stream's state after its index
-draws.
+shots, from numpy's ``default_rng([seed, experiment code, m, k])`` stream,
+whatever the execution order.  A share seeds its blocks' streams in one
+hash and draws their indices with ``streams.draw_blocks``, which packs
+short consecutive blocks into one draw; ``rbaddr.streams`` copies numpy's
+SeedSequence, PCG64 and ``Generator.integers``, pinned to numpy bit for bit
+by tier-1 tests, so a run without shots never imports ``numpy.random``.
+Shots are numpy's ``multinomial``, from each stream's state after its draw.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +94,13 @@ class SpamModel:
         return p
 
 
+def _integral(name: str, value) -> int:
+    try:  # operator.index refuses a float; the error names the field
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be integral, not {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RBConfig:
     """Configuration of one benchmarking run."""
@@ -106,7 +113,9 @@ class RBConfig:
     keep_raw: bool = False
 
     def __post_init__(self):
-        lengths = tuple(int(m) for m in self.lengths)
+        lengths = tuple(_integral("lengths", m) for m in self.lengths)
+        for name in ("K", "seed") if self.shots is None else ("K", "seed", "shots"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
         if not lengths or any(m < 1 for m in lengths):
             raise ValueError("sequence lengths must all be >= 1")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -216,29 +225,20 @@ def _path_states(group, indices, recovery, composites, factor, prep) -> np.ndarr
 
 
 def _stream_words(cfg: RBConfig, blocks) -> np.ndarray:
-    """PCG64's seed words (s0, s1, s2, s3) of ``np.random.default_rng([
-    cfg.seed, code, m, k])`` for each k < ``cfg.K`` of each block
-    ``(experiment, length index)``, where code is the experiment's code,
-    as a (len(blocks), 4, K) uint64 array; one hash for all of them."""
+    """``streams.stream_words`` of the blocks ``(experiment, length index)``."""
     from . import streams  # only runs that draw load the stream code
 
-    prefix = streams.uint32_words(cfg.seed)
-    entropy = np.empty((len(blocks), cfg.K, len(prefix) + 3), np.uint32)
-    entropy[..., :-3] = prefix
-    entropy[..., -3] = [[EXPERIMENT_CODES[e]] for e, _ in blocks]
-    entropy[..., -2] = [[cfg.lengths[mi]] for _, mi in blocks]
-    entropy[..., -1] = np.arange(cfg.K)
-    words = streams.seed_sequence_state(entropy.reshape(-1, entropy.shape[-1]))
-    return np.stack(words).reshape(4, len(blocks), cfg.K).swapaxes(0, 1)
+    return streams.stream_words(cfg.seed, [EXPERIMENT_CODES[e] for e, _ in blocks],
+                                [cfg.lengths[mi] for _, mi in blocks], cfg.K)
 
 
-# Estimated seconds of a block's work (2-core Xeon VM, one CPU, K = 50,
-# lengths 1..512, fitted over whole blocks): a stream's share of seeding and
-# of the draw's fixed cost took 1.2-4 us whatever m; a sequence step (its
-# index draw, one element channel on one sequence's state and its share of
-# the prefix scan) took 0.09-0.13 us along Pauli paths and 0.38-0.39 us by
-# batched mat-vec.
-STREAM_DRAW_SECONDS = 3e-6
+# Estimated seconds of a block's work (2-core Xeon VM, K = 50, fitted over
+# whole one-CPU shares of 2-30 lengths up to 1000): a stream's share of
+# seeding, of its packed draw's fixed cost and of its block's took 0.8-3.2
+# us, some 20 path steps; a sequence step (its index draw, one element
+# channel on one sequence's state and its share of the prefix scan) took
+# 0.10-0.15 us along Pauli paths and 0.38-0.54 us by batched mat-vec.
+STREAM_DRAW_SECONDS = 2e-6
 PATH_STEP_SECONDS = 1e-7
 MATVEC_STEP_SECONDS = 4e-7
 # Bytes a run holds (tracemalloc, one CPU): per stream of the blocks a share
@@ -263,18 +263,17 @@ def check_run_size(cfg: RBConfig) -> None:
                          f"above the {MAX_RUN_BYTES / 2**30:g} GiB bound")
 
 
-def _run_block(cfg, gateset, group, m, words, rng) -> np.ndarray:
-    """The (K, 4) read-out populations of the K sequences of length m, one
-    stream per sequence, seeded from the block's (4, K) ``words``; ``rng``
-    draws every stream's shots, from where its indices left the stream."""
-    from . import streams
-
-    indices, after = streams.draw_indices(words, len(group), m)
+def _run_block(cfg, gateset, group, indices, after, rng) -> np.ndarray:
+    """The (K, 4) read-out populations of the K sequences of ``indices`` (K,
+    m), one stream per sequence; ``rng`` draws every stream's shots, from
+    the state ``after`` its indices (``streams.pcg64_states`` arguments)."""
     composites = group.composites(indices)
     recovery = group.inv_table[composites[:, -1]]
     pops = simulate_sequence(group, indices, recovery, gateset, cfg.spam, composites)
     if cfg.shots is None:
         return pops
+    from . import streams
+
     probs = np.clip(pops, 0.0, None)
     probs = probs / probs.sum(axis=1, keepdims=True)
     counts = []
@@ -289,10 +288,9 @@ def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalC
     the blocks of all of them run in one set of shares.  The table each
     experiment's blocks read, monomial or dense, is built here, before any
     share starts; a share seeds the streams of its own blocks only, in one
-    hash, and holds the stream states of one block at a time."""
-    for experiment in experiments:
-        if experiment not in EXPERIMENT_GROUPS:
-            raise ValueError(f"unknown experiment '{experiment}'")
+    hash, and holds the indices of one draw at a time."""
+    if unknown := [e for e in experiments if e not in EXPERIMENT_GROUPS]:
+        raise ValueError(f"unknown experiment '{unknown[0]}'")
     groups = {e: get_group(EXPERIMENT_GROUPS[e]) for e in experiments}
     step = {e: PATH_STEP_SECONDS for e in groups if gateset.monomial_table(groups[e]) is not None}
     for e in groups.keys() - step.keys():
@@ -304,12 +302,14 @@ def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalC
     ]
 
     def work(share):
+        from . import streams
+
         # shots only: one generator serves every stream; its own seed is overwritten
         rng = None if cfg.shots is None else np.random.Generator(np.random.PCG64())
-        return [
-            _run_block(cfg, gateset, groups[e], cfg.lengths[mi], words, rng)
-            for (e, mi), words in zip(share, _stream_words(cfg, share))
-        ]
+        sizes, lengths = [len(groups[e]) for e, _ in share], [cfg.lengths[mi] for _, mi in share]
+        draws = streams.draw_blocks(_stream_words(cfg, share), sizes, lengths)
+        # map drops each block's indices before the next draw
+        return list(map(lambda b, d: _run_block(cfg, gateset, groups[b[0]], *d, rng), share, draws))
 
     pops = iter(run_jobs(work, blocks, costs))
     ms = np.array(cfg.lengths)

@@ -1,20 +1,18 @@
 """numpy's ``default_rng(seed words)`` streams, computed in numpy arrays.
 
 ``seed_sequence_state`` is numpy's SeedSequence hash of many entropy rows
-at once, in uint32 array arithmetic; ``seeded_streams`` is PCG64's seeding
-step of each row.  ``draw_indices`` is a copy of
-``Generator.integers(0, n, m)`` for many streams at once: each stream's
-PCG64 states are reached by jump-ahead from a cached table, their XSL-RR
-outputs (O'Neill 2014) are split into uint32 words, and each word goes
-through Lemire's bounded draw (ACM TOMACS 2019) with numpy's rejection
-rule, in chunks of ``DRAW_CHUNK_OUTPUTS``.  ``pcg64_states`` gives the
-``PCG64.state`` dicts that hand a stream back to numpy.  Nothing here
-imports ``numpy.random`` (which, through ``secrets``, maps OpenSSL's
-libcrypto), and tier-1 tests pin every function to numpy's own, rejection
-draws and the stream state a draw leaves included.  This copy relies on
-numpy's stream-compatibility guarantee for SeedSequence and PCG64
-(NEP 19).  ``rbaddr.protocol`` imports this module only when it draws, so
-commands that never draw neither compile nor load it.
+(``stream_words`` makes a run's rows), ``seeded_streams`` PCG64's seeding
+of each.  ``draw_indices`` is ``Generator.integers(0, n, m)`` of many
+streams, each with its own m: it lays the (stream, output) pairs they need
+end to end in one flat list and computes ``DRAW_CHUNK_OUTPUTS`` of them at
+a time, by PCG64 jump-ahead and XSL-RR output (O'Neill 2014) and Lemire's
+bounded draw with numpy's rejection rule (ACM TOMACS 2019).
+``draw_blocks`` packs a share's short blocks into one draw per chunk.
+``pcg64_states`` hands a stream back to numpy.  Nothing here imports
+``numpy.random`` (which maps OpenSSL's libcrypto); tier-1 tests pin every
+function to numpy's own, rejections and post-draw states included, which
+relies on numpy's stream compatibility (NEP 19).  Only ``simulate`` loads
+this module.
 """
 
 from __future__ import annotations
@@ -81,6 +79,20 @@ def seed_sequence_state(entropy: np.ndarray) -> list[np.ndarray]:
     return [lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])]
 
 
+def stream_words(seed: int, codes, lengths, k: int) -> np.ndarray:
+    """PCG64's seed words (s0, s1, s2, s3) of ``default_rng([seed, code, m,
+    i])`` for each i < k of each block (code, m), as a (blocks, 4, k) uint64
+    array; one hash for all of them."""
+    prefix = uint32_words(seed)
+    entropy = np.empty((len(codes), k, len(prefix) + 3), np.uint32)
+    entropy[..., :-3] = prefix
+    entropy[..., -3] = np.reshape(codes, (-1, 1))
+    entropy[..., -2] = np.reshape(lengths, (-1, 1))
+    entropy[..., -1] = np.arange(k)
+    words = seed_sequence_state(entropy.reshape(-1, entropy.shape[-1]))
+    return np.stack(words).reshape(4, len(codes), k).swapaxes(0, 1)
+
+
 # A 128-bit PCG64 value is a (high, low) pair of uint64 arrays; numpy's
 # unsigned ufuncs wrap modulo 2**64.
 _LOW32, _32 = np.uint64(_MASK32), np.uint64(32)
@@ -88,15 +100,23 @@ _PCG_MULT_WORDS = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
 
 
 def _mul128(a, b):
-    """``a * b`` modulo 2**128 of broadcasting (high, low) pairs: the low
-    words' full product from their 32-bit halves, the cross terms modulo
-    2**64."""
+    """``a * b`` modulo 2**128 of (high, low) pairs: the low words' full
+    product by 32-bit halves (each partial sum below 2**64), the cross
+    terms modulo 2**64."""
     (a_hi, a_lo), (b_hi, b_lo) = a, b
-    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _32, b_lo & _LOW32, b_lo >> _32
-    cross0, cross1 = a1 * b0, a0 * b1
-    carry = ((a0 * b0 >> _32) + (cross0 & _LOW32) + (cross1 & _LOW32)) >> _32
-    high = a1 * b1 + (cross0 >> _32) + (cross1 >> _32) + carry
-    return high + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+    a0, b0 = a_lo & _LOW32, b_lo & _LOW32
+    middle = a0 * b0 >> _32
+    a1, b1 = a_lo >> _32, b_lo >> _32
+    b0 *= a1
+    middle += b0
+    a0 *= b1
+    a0 += middle & _LOW32
+    a1 *= b1
+    a1 += middle >> _32
+    a1 += a0 >> _32
+    a1 += a_lo * b_hi
+    a1 += a_hi * b_lo
+    return a1, a_lo * b_lo
 
 
 def _add128(a, b):
@@ -130,68 +150,133 @@ def pcg64_states(state, inc, has_uint32, uinteger) -> list[dict]:
 
 
 @lru_cache(maxsize=None)
-def _jump_table(count: int):
-    """(MULT**i, MULT**(i - 1) + ... + MULT + 1) for i = 1..count, as two
-    (high, low) pairs of length ``count``: a stream's state i steps after
-    ``state`` is ``A_i * state + C_i * inc``."""
+def _jump_table(count: int) -> np.ndarray:
+    """(A_i, C_i) for i = 1..count as (2, count, 2) (high, low) words, where
+    the state i steps after ``state`` is ``A_i * state + C_i * inc``."""
     a, c, rows = 1, 0, []
     for _ in range(count):
         a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        rows.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
-    table = np.array(rows, dtype=np.uint64).T
+        rows.append(((a >> 64, a & _MASK64), (c >> 64, c & _MASK64)))
+    table = np.array(rows, dtype=np.uint64).swapaxes(0, 1).copy()
     table.setflags(write=False)
-    return (table[0], table[1]), (table[2], table[3])
+    return table
 
 
-# PCG64 outputs ``draw_indices`` computes at once, over all its streams:
-# 32 KB per uint64 array.  Drawing a K = 50, m = 512 block peaks at 0.86 MB
-# (tracemalloc), its 0.2 MB of indices included, in these chunks; at 1.5 MB
-# in one.
+# (stream, output) pairs drawn at once, 32 KB per uint64 array: a default
+# share's draws peak at 0.75 MiB (tracemalloc), 0.2 MB of indices included.
 DRAW_CHUNK_OUTPUTS = 2**12
 
 
-def draw_indices(words, n: int, m: int):
-    """``Generator.integers(0, n, m)`` (1 < n <= 2**32) of each of K
-    streams, seeded from their (4, K) seed words, as a (K, m) int64 array,
-    and each stream's state after its draw as ``pcg64_states`` arguments.
+def draw_indices(words, n: int, m):
+    """``Generator.integers(0, n, m)`` (1 < n <= 2**32) of K streams seeded
+    from their (4, K) words, and their states after it as ``pcg64_states``
+    arguments.  One length m gives (K, m) indices; K lengths, one flat array.
 
-    Output i of a stream is PCG64's XSL-RR of its state i steps on
-    (O'Neill 2014), split into two uint32 words, low half first.  Word w
-    gives index ``w * n >> 32`` unless ``w * n mod 2**32 < 2**32 mod n``,
-    when numpy skips it (Lemire 2019, numpy's rejection rule).  The streams
-    advance together, ``DRAW_CHUNK_OUTPUTS`` outputs at a time, until each
-    has m indices."""
-    state, inc = seeded_streams(words)
-    k = len(words[0])
-    width = max(1, DRAW_CHUNK_OUTPUTS // k)
-    jump, offset = _jump_table(width)
-    threshold, n = np.uint64((1 << 32) % n), np.uint64(n)
-    indices = np.empty((k, m), np.int64)
-    filled = np.zeros(k, np.int64)
-    after = (np.empty(k, np.uint64), np.empty(k, np.uint64))
-    has_uint32, uinteger = np.empty(k, np.int64), np.empty(k, np.uint64)
-    while (first := int(filled.min())) < m:
-        w = min(width, (m - first + 1) // 2)
-        hi, lo = _add128(
-            _mul128((state[0][:, None], state[1][:, None]), (jump[0][:w], jump[1][:w])),
-            _mul128((inc[0][:, None], inc[1][:, None]), (offset[0][:w], offset[1][:w])),
+    Output j of a stream is PCG64's XSL-RR of ``A_j * state + C_j * inc``,
+    split into two uint32 words, low half first; word w gives index
+    ``w * n >> 32`` unless ``w * n mod 2**32 < 2**32 mod n`` (numpy's
+    rejection).  A pass lays the outputs each stream lacks end to end,
+    ``DRAW_CHUNK_OUTPUTS`` to a chunk; a stream that had a word skipped gets
+    its missing outputs in the next pass."""
+    walk = np.stack(seeded_streams(words)).reshape(4, -1)  # state, inc
+    k, inc = walk.shape[1], walk[2:]
+    need = np.zeros(k, np.int64) + m  # the indices each stream lacks
+    indices = np.empty(int(need.sum()), np.int64)
+    dest = np.cumsum(need) - need  # where its next index goes
+    # state (high, low), has_uint32 and uinteger after the draw
+    after = np.concatenate([walk[:2], np.zeros((2, k), np.uint64)])
+    threshold, low_n, n = np.uint32((1 << 32) % n), np.uint32(n & _MASK32), np.uint64(n)
+    todo = np.arange(k)
+    while (left := need > 0).any():
+        todo, need, dest, walk = todo[left], need[left], dest[left], walk[:, left]
+        outputs = (need + 1) // 2
+        ends = np.cumsum(outputs)
+        table = _jump_table(1 << (int(min(outputs.max(), DRAW_CHUNK_OUTPUTS)) - 1).bit_length())
+        for q in range(0, int(ends[-1]), DRAW_CHUNK_OUTPUTS):
+            size = min(DRAW_CHUNK_OUTPUTS, int(ends[-1]) - q)
+            a, b = ends.searchsorted([q, q + size - 1], "right")
+            rows = slice(a, b + 1)  # the streams with pairs in the chunk
+            stop = ends[rows] - q
+            stop[-1] = size
+            run = stop.copy()
+            run[1:] -= stop[:-1]
+            step = np.arange(size)  # from where the stream's last chunk left it
+            step -= np.repeat(stop - run, run)
+
+            def jump(part):
+                origin = np.repeat(walk[part : part + 2, rows], run, axis=1)
+                return _mul128(origin, np.take(table[part // 2], step, axis=0).T)
+
+            hi, lo = jump(0)
+            carry_hi, carry_lo = jump(2)
+            lo += carry_lo
+            hi += carry_hi
+            hi += lo < carry_lo
+            del step, carry_hi, carry_lo
+            out, rotate = hi ^ lo, hi >> np.uint64(58)
+            spill = out << (np.uint64(64) - rotate & np.uint64(63))
+            out >>= rotate
+            out |= spill
+            del rotate, spill
+            words = out.astype("<u8", copy=False).view("<u4")  # low half first
+            accept = words * low_n >= threshold
+            scaled = np.multiply(words, n, dtype=np.uint64)
+            scaled >>= _32
+            first, take = 2 * (stop - run), np.minimum(2 * run, need[rows])
+            if accept.all() and (dest[a + 1 : b + 1] == dest[a:b] + take[:-1]).all():
+                # no word skipped: the indices lie end to end but for the
+                # high word past a stream's odd last index
+                last = first + take - 1
+                if (take < 2 * run).any():
+                    accept[last[take < 2 * run] + 1] = False
+                    scaled = scaled[accept]
+                indices[dest[a] : dest[a] + len(scaled)] = scaled
+                gained = take
+            else:
+                word_row = np.repeat(np.arange(len(run)), 2 * run)
+                rank = np.cumsum(accept)
+                rank -= (rank[first] - accept[first])[word_row]
+                keep = accept & (rank <= need[rows][word_row])
+                indices[(dest[rows] - 1)[word_row][keep] + rank[keep]] = scaled[keep]
+                gained = np.minimum(rank[2 * stop - 1], need[rows])
+                last = np.zeros(len(run), np.int64)
+                last[gained == need[rows]] = np.flatnonzero(keep & (rank == need[rows][word_row]))
+            need[rows] -= gained
+            dest[rows] += gained
+            # the state of each stream whose last index came from this chunk
+            done = need[rows] == 0
+            pair, r = last[done] // 2, todo[rows][done]
+            after[0, r], after[1, r], after[3, r] = hi[pair], lo[pair], out[pair] >> _32
+            after[2, r] = 1 - last[done] % 2
+            walk[0, rows], walk[1, rows] = hi[stop - 1], lo[stop - 1]
+    if np.ndim(m) == 0:
+        indices = indices.reshape(k, m)
+    return indices, (after[:2], inc, after[2], after[3])
+
+
+def draw_blocks(words, sizes, lengths):
+    """Each block's ``draw_indices``, in order, from its (4, K) ``words[b]``,
+    bound ``sizes[b]`` and length ``lengths[b]``.  Consecutive blocks of one
+    size whose first-pass outputs fit one chunk share a draw, a larger
+    block has its own; a block's (K, m) indices are a view of its draw."""
+    k, b = words.shape[-1], 0
+    while b < len(lengths):
+        end, outputs = b + 1, k * ((lengths[b] + 1) // 2)
+        while end < len(lengths) and sizes[end] == sizes[b]:
+            outputs += k * ((lengths[end] + 1) // 2)
+            if outputs > DRAW_CHUNK_OUTPUTS:
+                break
+            end += 1
+        seeds = words[b:end].swapaxes(0, 1).reshape(4, -1)
+        flat, (state, inc, has_uint32, uinteger) = draw_indices(
+            seeds, sizes[b], np.repeat(lengths[b:end], k)
         )
-        mixed, rotate = hi ^ lo, hi >> np.uint64(58)
-        out = mixed >> rotate | mixed << (np.uint64(64) - rotate & np.uint64(63))
-        word = np.stack([out & _LOW32, out >> _32], axis=2).reshape(k, 2 * w)
-        scaled = word * n
-        accept = (scaled & _LOW32) >= threshold
-        if accept.all() and first == filled.max():  # no word skipped: the usual case
-            rank = filled[:, None] + np.arange(1, 2 * w + 1)
-            indices[:, first : first + 2 * w] = (scaled >> _32)[:, : m - first]
-        else:
-            rank = filled[:, None] + np.cumsum(accept, axis=1)
-            keep = accept & (rank <= m)
-            indices[np.nonzero(keep)[0], rank[keep] - 1] = scaled[keep] >> _32
-        # the state of each stream that took its m-th index from this chunk
-        (done,) = np.nonzero((filled < m) & (rank[:, -1] >= m))
-        last = np.argmax(rank[done] >= m, axis=1)
-        after[0][done], after[1][done] = hi[done, last // 2], lo[done, last // 2]
-        has_uint32[done], uinteger[done] = 1 - last % 2, word[done, last | 1]
-        filled, state = rank[:, -1], (hi[:, -1], lo[:, -1])
-    return indices, (after, inc, has_uint32, uinteger)
+        start = 0
+        for i, m in enumerate(lengths[b:end]):
+            rows = slice(i * k, (i + 1) * k)
+            yield flat[start : start + k * m].reshape(k, m), (
+                state[:, rows], inc[:, rows], has_uint32[rows], uinteger[rows]
+            )
+            start += k * m
+        del flat  # held only by the last block's view while the next draws
+        b = end

@@ -1,3 +1,5 @@
+import collections
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +38,7 @@ from rbaddr.protocol import (
     _path_states,
     _stream_words,
 )
-from rbaddr.streams import draw_indices, pcg64_states, seeded_streams
+from rbaddr.streams import draw_blocks, draw_indices, pcg64_states, seeded_streams, stream_words
 from rbaddr.twirl import gamma_decay_curve
 
 
@@ -488,6 +490,65 @@ def test_draw_kernel_is_generator_integers(monkeypatch, n, chunk):
         monkeypatch.setattr(streams, "DRAW_CHUNK_OUTPUTS", chunk)
     cfg = RBConfig(lengths=(1, 2, 3, 7, 64, 515), K=4, seed=2**64 + 9)
     _assert_draws_are_generator_integers(cfg, "exp3", n)
+
+
+# A share of blocks (code, n, m): lengths odd and even, both group sizes, and
+# bounds that skip ~25% and ~50% of the words.
+_SHARE = [
+    (1, 24, 1), (1, 24, 3), (1, 24, 7), (3, 576, 2), (3, 576, 9),
+    (2, 3 * 2**30 + 5, 5), (2, 3 * 2**30 + 5, 64), (1, 2**31 + 1, 2),
+    (1, 2**31 + 1, 33), (3, 24, 4), (3, 24, 1),
+]
+
+
+# chunks of 8 pairs split long streams and pack no blocks; chunks of 12 split
+# a block's K = 3 streams across chunks (m = 9: 5 pairs each) and pack the
+# first two blocks (3 + 6 pairs)
+@pytest.mark.parametrize("chunk", [None, 8, 12])
+def test_packed_draws_are_generator_integers(monkeypatch, chunk):
+    import rbaddr.streams as streams
+
+    if chunk:
+        monkeypatch.setattr(streams, "DRAW_CHUNK_OUTPUTS", chunk)
+    seed, k = 2**64 + 9, 3
+    codes, sizes, lengths = map(list, zip(*_SHARE))
+    calls = []
+    monkeypatch.setattr(streams, "draw_indices", lambda *a: calls.append(a) or draw_indices(*a))
+    draws = draw_blocks(stream_words(seed, codes, lengths, k), sizes, lengths)
+    for (code, n, m), (indices, after) in zip(_SHARE, draws, strict=True):
+        assert indices.shape == (k, m)
+        for i, state in enumerate(pcg64_states(*after)):
+            reference = np.random.default_rng([seed, code, m, i])
+            assert np.array_equal(indices[i], reference.integers(0, n, m)), (code, n, m, i)
+            assert state == reference.bit_generator.state, (code, n, m, i)
+    assert len(calls) == len(_SHARE) if chunk == 8 else len(calls) < len(_SHARE)
+
+
+def test_packed_draw_of_a_default_share_peaks_below_one_block():
+    # the bound is the peak of drawing one K = 50, m = 512 block on its own
+    cfg = RBConfig(seed=3)
+    blocks = [(e, mi) for e in EXPERIMENT_CODES for mi in range(len(cfg.lengths))]
+    words = _stream_words(cfg, blocks)
+    sizes = [len(get_group(EXPERIMENT_GROUPS[e])) for e, _ in blocks]
+    lengths = [cfg.lengths[mi] for _, mi in blocks]
+    tracemalloc.start()
+    try:
+        collections.deque(draw_blocks(words, sizes, lengths), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.86 * 2**20
+
+
+@pytest.mark.parametrize("field, value", [("lengths", (1.7, 4)), ("shots", 2.5), ("K", 2.5), ("seed", 1.5)])
+def test_config_refuses_non_integral_values(field, value):
+    # a float length would be truncated, and 2.5 shots would divide the
+    # counts of a 2-shot multinomial by 2.5
+    with pytest.raises(ValueError, match=f"{field} must be integral"):
+        RBConfig(**{field: value})
+    cfg = RBConfig(lengths=np.array([1, 4]), K=np.int64(3), seed=np.uint64(7), shots=np.int32(9))
+    assert (cfg.lengths, cfg.K, cfg.seed, cfg.shots) == ((1, 4), 3, 7, 9)
+    assert all(type(v) is int for v in (*cfg.lengths, cfg.K, cfg.seed, cfg.shots))
 
 
 def test_shots_must_fit_numpy_multinomial():
