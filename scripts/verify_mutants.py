@@ -1,4 +1,4 @@
-"""Kill matrix of ``rbaddr verify --level full`` over nine one-line mutants.
+"""Kill matrix of ``rbaddr verify --level full`` over eleven one-line mutants.
 
 Each mutant replaces one line of ``src/`` (file, old text, new text).  The
 script extracts a ``git archive`` of a commit into a temporary directory,
@@ -54,6 +54,12 @@ MUTANTS = (
      "    static = (p.zeta / 8 * _ZZ).astype(complex)\n"),
     ("M9", "line-2 detuning sign flipped", "src/rbaddr/noise.py", _PHASE,
      _PHASE.replace("* times", "* (1 - 2 * line) * times")),
+    ("M10", "pulse area normalised to the flat top alone", "src/rbaddr/noise.py",
+     "    return (1 - RAMP_FRAC) * gate_time\n",
+     "    return (1 - 2 * RAMP_FRAC) * gate_time\n"),
+    ("M11", "each element's word played in reverse", "src/rbaddr/noise.py",
+     "        row[: len(element)] = [_SLOT_ROW[slot] for slot in element]\n",
+     "        row[: len(element)] = [_SLOT_ROW[slot] for slot in element[::-1]]\n"),
 )
 
 

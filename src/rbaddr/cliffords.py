@@ -28,7 +28,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .paulis import ptm_from_unitary
+from .paulis import pauli_matrices, ptm_from_unitary
 
 GENERATOR_ANGLES: dict[str, tuple[str, float]] = {
     "x90": ("x", np.pi / 2),
@@ -39,17 +39,12 @@ GENERATOR_ANGLES: dict[str, tuple[str, float]] = {
     "y180": ("y", np.pi),
 }
 
-_AXES = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
-
 _KEY_GUARD = 1e-6
 
 
 def rotation_unitary(axis: str, angle: float) -> np.ndarray:
     """exp(-i * angle * sigma_axis / 2)."""
-    sigma = _AXES[axis]
+    sigma = pauli_matrices(1)["ixyz".index(axis)]
     return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * sigma
 
 
@@ -140,8 +135,8 @@ class CliffordGroup:
     @property
     def mean_slots(self) -> float:
         """Average generator slots per element (reported alongside fits):
-        an element occupies as many slots as its longest word."""
-        return float(np.mean([max(map(len, words)) for words in self.words]))
+        the length of its ``element_slots``."""
+        return float(np.mean([len(element_slots(words)) for words in self.words]))
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,11 @@ static.
 Every pulse is one of the six generator rotations of
 ``cliffords.GENERATOR_ANGLES``, played for the device's gate time under
 one envelope shape: a flat top with smooth C-infinity edges over a
-quarter of the gate on each side.  Gate duration and pulse shape are not
-constrained by the device data and dominate the cross-talk error
-predictions; the gate time is configuration (default 24 ns).  A
+quarter of the gate on each side.  Its area is exactly (1 - RAMP_FRAC)
+times the gate time, so the shape is sampled only at the Magnus nodes.
+Gate duration and pulse shape are not constrained by the device data and
+dominate the cross-talk error predictions; the gate time is
+configuration (default 24 ns).  A
 ``NoisyGateSet`` is one model at one noise granularity, built once per
 run; simulation and prediction read every element's channel from it,
 composed in place in cache-sized element chunks, so that a table's build
@@ -34,8 +36,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# element_slots stays importable here: bench/run.py wraps it under this name
-from .cliffords import (  # noqa: F401
+# _slot_positions reads element_slots by this module's name, the one
+# bench/run.py wraps
+from .cliffords import (
     GENERATOR_ANGLES,
     CliffordGroup,
     element_slots,
@@ -180,23 +183,17 @@ def _envelope_shape(t, gate_time: float) -> np.ndarray:
     return np.where(inside, up * down, 0.0)
 
 
-# 2-point Gauss-Legendre nodes on a unit panel, of the envelope quadrature
-# and of each Magnus step.
+# 2-point Gauss-Legendre nodes on a unit panel, of each Magnus step.
 _GAUSS_NODES = (0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6)
 
 
-@lru_cache(maxsize=16)
 def _shape_integral(gate_time: float) -> float:
-    """Integral of the unit-peak shape over the gate, computed once per
-    gate time.
+    """Integral of the unit-peak shape over the gate, exactly.
 
-    Composite 2-point Gauss-Legendre; 4096 panels put the quadrature error
-    far below evolution error.
+    The smooth step obeys s(x) + s(1 - x) = 1, so each ramp integrates to
+    half its width, and the shape to the flat top plus one ramp.
     """
-    npanels = 4096
-    h = gate_time / npanels
-    t = (np.arange(npanels)[:, None] + np.array(_GAUSS_NODES)[None, :]) * h
-    return float(_envelope_shape(t, gate_time).sum() * h / 2)
+    return (1 - RAMP_FRAC) * gate_time
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +558,14 @@ def _ideal_slot_ptms() -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _slot_positions(kind: str) -> np.ndarray:
-    """(len(group), L): the ``slot_channels`` row, 7a + b + 1, of slot (a,
-    b) of GATE_ALPHABET of each element's padded word (``element_slots``),
-    or 0, the identity pad, past its end."""
-    code = {g: i for i, g in enumerate(GATE_ALPHABET)}
-    words = [word for pair in get_group(kind).words for word in pair]
-    lengths = np.array([len(word) for word in words])
-    letters = np.full((len(words), lengths.max()), code[None])
-    letters[np.arange(lengths.max()) < lengths[:, None]] = [code[g] for w in words for g in w]
-    rows = len(GATE_ALPHABET) * letters[::2] + letters[1::2] + 1
-    rows[rows == len(SLOTS) + 1] = 0
+    """(len(group), L): the ``slot_channels`` row of each slot of each
+    element's ``element_slots``, or 0, the identity pad, past its end.
+    Each pass holds one element's slots at a time: a list of the whole
+    group's raised ``predict``'s peak RSS by ~0.2 MB."""
+    words = get_group(kind).words
+    rows = np.zeros((len(words), max(map(len, map(element_slots, words)))), dtype=np.int64)
+    for row, element in zip(rows, map(element_slots, words)):
+        row[: len(element)] = [_SLOT_ROW[slot] for slot in element]
     rows.setflags(write=False)
     return rows
 

@@ -18,6 +18,7 @@ from rbaddr.cliffords import (
     get_group,
 )
 from rbaddr.noise import (
+    DEFAULT_GATE_TIME,
     EVOLVE_CHUNK_STEPS,
     GATE_ALPHABET,
     MAX_EVOLVE_STEPS,
@@ -129,6 +130,31 @@ def test_envelope_calibration_integral():
     assert np.all(amps[idle] == 0.0) and phases[x180] == 0.0
 
 
+def reference_shape_integral(gate_time):
+    """Integral of the unit-peak envelope by composite 2-point Gauss-Legendre
+    on 4096 panels, the quadrature the closed form replaced."""
+    npanels = 4096
+    h = gate_time / npanels
+    nodes = np.array([0.5 - math.sqrt(3) / 6, 0.5 + math.sqrt(3) / 6])
+    t = (np.arange(npanels)[:, None] + nodes[None, :]) * h
+    return float(_envelope_shape(t, gate_time).sum() * h / 2)
+
+
+def test_shape_integral_is_the_quadrature_bit_for_bit():
+    # the ramps' halves cancel exactly: s(x) + s(1 - x) = 1
+    rng = np.random.default_rng(31)
+    gate_times = np.concatenate([
+        rng.uniform(8e-9, 64e-9, 600),
+        rng.uniform(18e-9, 30e-9, 600),
+        np.exp(rng.uniform(math.log(1e-13), math.log(1e-2), 800)),
+        [DEFAULT_GATE_TIME],
+    ])
+    mismatched = [
+        t for t in gate_times.tolist() if _shape_integral(t) != reference_shape_integral(t)
+    ]
+    assert mismatched == []
+
+
 def test_envelope_vanishes_outside_gate():
     amps, phases = _drive_samples(20e-9, np.array([-1e-9, 21e-9]))
     assert np.all(amps == 0.0)
@@ -159,7 +185,7 @@ def test_hamiltonian_spurious_drive_term():
     p = SAMPLE_A
     t = TWO_PI / abs(p.omega1 - p.omega2)
     h = hamiltonian_at(p, ("x90", None), t)
-    eps = (np.pi / 4) / _shape_integral(p.gate_time)
+    eps = (np.pi / 4) / reference_shape_integral(p.gate_time)
     assert float(_envelope_shape(t, p.gate_time)) == 1.0
     labels = {"IX": 1, "XI": 4, "ZX": 13, "XZ": 7}
     assert pauli_coeff(h, labels["XI"]) == pytest.approx(eps, rel=1e-12)
@@ -686,7 +712,7 @@ def reference_evolve_unitary(p, slot, steps):
         if name is None:
             continue
         axis, angle = GENERATOR_ANGLES[name]
-        peak = (angle / 2) / _shape_integral(p.gate_time)
+        peak = (angle / 2) / reference_shape_integral(p.gate_time)
         omega_drive = p.omega1 if which == 1 else p.omega2
         phi0 = 0.0 if axis == "x" else np.pi / 2
         for coeff, target, cond in _drive_terms(p, which):
