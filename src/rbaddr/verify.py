@@ -9,10 +9,11 @@ The ``full`` level is the release oracle set: acceptance criteria 1-4
 (``tests/test_acceptance.py``) take their verdicts from its twirl,
 group-integrity, product-channel and CI-coverage checks, which hold the
 acceptance sample counts and tolerances.  Only the full level runs the
-qubit-relabeling, frame-rotation, Z (x) Z conjugation and idle ZZ phase
-checks, which the acceptance suite reads too.  The step-doubling,
-relabeling, frame-rotation and Z (x) Z checks each take the cross-talk gate
-set they check; ``run_verification`` builds sample a's once for all four.
+qubit-relabeling, frame-rotation, Z (x) Z conjugation, idle ZZ phase and
+element-word checks, which the acceptance suite reads too.  The
+step-doubling, relabeling, frame-rotation, Z (x) Z and element-word checks
+each take the cross-talk gate set they check; ``run_verification`` builds
+sample a's once for all five.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cliffords import generate_c1, get_group
+from .cliffords import element_slots, generate_c1, get_group
 from .fitting import fit_exponential
 from .noise import (
     GATE_ALPHABET,
@@ -350,9 +351,34 @@ def check_idle_zz_phase(tol: float) -> CheckResult:
     )
 
 
+def check_element_words(tol: float, gateset: NoisyGateSet) -> CheckResult:
+    """Each CxC element's channel in ``gateset``'s element table is its
+    word's slot channels composed in play order, the first slot rightmost.
+    Negative control: the words played in reverse must miss by more than
+    ``tol``."""
+    t0 = time.perf_counter()
+    group = get_group("cxc")
+    table = gateset.element_table(group)
+
+    def deviation(order):
+        worst = 0.0
+        for words, channel in zip(group.words, table):
+            product = np.eye(16)
+            for slot in order(element_slots(words)):
+                product = gateset.channel(slot) @ product
+            worst = max(worst, float(np.max(np.abs(product - channel))))
+        return worst
+
+    err = deviation(list)
+    control = deviation(reversed)
+    ok = err <= tol < control
+    return _result("element_words", ok, f"element vs its word's slot channels {err:.2e} over "
+                   f"{len(group)} elements; reversed words {control:.2e}", t0)
+
+
 def run_verification(level: str = "quick", tol_override: float | None = None):
     """Run the oracle suite; returns a list of CheckResult.  The sample-a
-    gate set four checks read is integrated once, in no check's time."""
+    gate set five checks read is integrated once, in no check's time."""
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     full = level == "full"
@@ -382,4 +408,5 @@ def run_verification(level: str = "quick", tol_override: float | None = None):
         checks.append(check_frame_rotation(tol(1e-12), sample_a))
         checks.append(check_zz_conjugation(tol(0.0), sample_a))
         checks.append(check_idle_zz_phase(tol=tol(1e-9)))
+        checks.append(check_element_words(tol(1e-12), sample_a))
     return checks

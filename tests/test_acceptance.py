@@ -214,6 +214,33 @@ def test_idle_evolution_accumulates_the_zz_phase(full_checks):
     assert check.passed, check.detail
 
 
+def test_element_channels_are_their_words_in_play_order(full_checks):
+    """Each of the 576 sample-a CxC element channels is its word's slot
+    channels in play order, bit for bit; the words played in reverse miss
+    (negative control)."""
+    check = full_checks["element_words"]
+    print(f"[element words] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
+    assert check.passed, check.detail
+    assert "0.00e+00 over 576 elements" in check.detail
+
+
+def test_element_words_check_sees_words_played_in_reverse(monkeypatch):
+    """A slot map that plays each element's word in reverse fails the
+    check, even on a gate-independent gate set."""
+    real = noise._slot_positions
+
+    def reversed_words(kind):
+        rows = real(kind).copy()
+        for row in rows:
+            played = np.count_nonzero(row)  # slot rows start at 1, the pad is 0
+            row[:played] = row[:played][::-1]
+        return rows
+
+    assert verify.check_element_words(1e-12, NoisyGateSet(Depolarizing(0.99))).passed
+    monkeypatch.setattr(noise, "_slot_positions", reversed_words)
+    assert not verify.check_element_words(1e-12, NoisyGateSet(Depolarizing(0.99))).passed
+
+
 def test_criterion_5_depolarizing_consistency():
     """Per-generator depolarizing noise: every curve's reduced chi2 <= 2
     and extracted rates match the word-length prediction within 3 sigma."""

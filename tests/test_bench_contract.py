@@ -4,6 +4,8 @@ of those names fails here, not in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import pytest
 from rbaddr.noise import Depolarizing, NoisyGateSet
 from rbaddr.protocol import RBConfig, SurvivalCurve, decay_single
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 TRACED_MODULES = ("rbaddr.cli", "rbaddr.protocol", "rbaddr.noise", "rbaddr.twirl",
                   "rbaddr.fitting", "rbaddr.cliffords")
 
@@ -32,6 +35,29 @@ def bench_run(monkeypatch):
     spec.loader.exec_module(module)
     yield module
     sys.modules.pop("tracer", None)
+
+
+# bench/run.py's own set-up, then the tracer's install, with no import of
+# the test's: in a child, as measure_setup purges rbaddr.* from sys.modules
+SETUP_THEN_INSTALL = f"""
+import importlib.util, sys
+sys.path[:0] = [{str(BENCH)!r}, {str(ROOT / "src")!r}]
+spec = importlib.util.spec_from_file_location("bench_run", {str(BENCH / "run.py")!r})
+run = importlib.util.module_from_spec(spec)
+sys.modules["bench_run"] = run
+spec.loader.exec_module(run)
+run.measure_setup()
+tracer = run.build_tracer()
+tracer.install()
+tracer.uninstall()
+"""
+
+
+def test_tracer_installs_after_the_bench_set_up_alone():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run([sys.executable, "-c", SETUP_THEN_INSTALL], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_tracer_installs_on_every_planned_name(bench_run):

@@ -155,16 +155,23 @@ def test_fit_rejects_fewer_than_two_sequences(tmp_path, capsys, k):
     assert not out.exists()
 
 
-def test_cli_import_leaves_the_oracle_suite_out():
-    # only ``rbaddr verify`` needs rbaddr.verify and only ``simulate``
-    # rbaddr.streams; every other command skips them
-    code = ("import sys, rbaddr.cli; "
-            "print('rbaddr.verify' in sys.modules or 'rbaddr.streams' in sys.modules)")
+def test_package_and_cli_imports_load_the_pinned_modules():
+    # the package loads twirl eagerly for the bench's tracer; only ``rbaddr
+    # verify`` needs rbaddr.verify and only ``simulate`` rbaddr.streams, so
+    # the CLI loads every module but those two
+    code = ("import sys\n"
+            "def loaded(): return [n for n in sys.modules if n.split('.')[0] == 'rbaddr']\n"
+            "import rbaddr; print(*loaded())\n"
+            "import rbaddr.cli; print(*loaded())")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                             capture_output=True, text=True, timeout=120)
-    assert result.stdout.strip() == "False"
+    package, cli = (set(line.split()) for line in result.stdout.splitlines())
+    assert package == {"rbaddr", "rbaddr.twirl", "rbaddr.cliffords", "rbaddr.paulis"}
+    assert cli == {"rbaddr"} | {f"rbaddr.{name}" for name in (
+        "cli", "cliffords", "fitting", "noise", "parallel", "paulis", "protocol", "report",
+        "twirl")}
 
 
 def test_commands_hash_without_openssl(tmp_path):

@@ -2,8 +2,8 @@
 ``scripts/``: a name that only tests use, or nothing, leaves ``src/``.
 
 A reference is a name read, an attribute read or a name imported, in any
-module of ``src/rbaddr`` but ``__init__.py`` (whose re-exports would reach
-everything) or in ``scripts/``, outside the definition's own body.
+module of ``src/rbaddr`` or in ``scripts/``, outside the definition's own
+body.
 """
 
 import ast
@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "rbaddr").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted((ROOT / "src" / "rbaddr").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 # Definitions kept without a caller, each with its reason.
