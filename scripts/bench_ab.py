@@ -7,9 +7,10 @@ Each commit is exported with ``git archive`` into its own temporary
 directory, so both sides run committed files and the repository is left as
 it was.  For every workload, each pair runs ``bench/run.py --workload W
 --seconds S`` once from each checkout, the parent first in odd pairs and the
-change first in even ones, each followed by ``rbaddr verify --level full``
-from the same checkout, whose wall time joins that run's metrics as
-``verify_full_s``.  After the pairs, the tier-1 suite (``pytest -q -rf
+change first in even ones, each followed by ``rbaddr verify`` from the
+same checkout, whose wall time joins that run's metrics as
+``verify_full_s`` (named when the suite had a quick and a full level, and
+kept so that records stay comparable).  After the pairs, the tier-1 suite (``pytest -q -rf
 --continue-on-collection-errors``) runs once from each checkout; its wall time,
 outcome counts and the node ids of its failing tests are recorded as
 ``pytest_s``, failures included.  ``src_lines`` records each side's source
@@ -40,7 +41,7 @@ SIDES = ("parent", "change")
 DESCRIPTION = (
     "A/B runs of bench/run.py: the parent commit against the change, each from its own "
     "checkout, alternating which side runs first in each pair; the last JSON line of every "
-    "run, with the wall time of `rbaddr verify --level full` run from the same checkout right "
+    "run, with the wall time of `rbaddr verify` run from the same checkout right "
     "after it as the metric verify_full_s, then per metric the median and quartiles "
     "(inclusive method) of each side and the number of pairs the change won; pytest_s is "
     "the wall time, outcome counts and failing node ids of one tier-1 pytest run from each "
@@ -114,15 +115,15 @@ def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
 
 
 def verify_seconds(checkout: Path) -> float:
-    """Wall time of ``rbaddr verify --level full`` run from ``checkout``;
+    """Wall time of ``rbaddr verify`` run from ``checkout``;
     a failed check or a crash raises, as no time of a broken suite counts."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
     start = time.perf_counter()
-    result = subprocess.run([sys.executable, "-m", "rbaddr.cli", "verify", "--level", "full"],
+    result = subprocess.run([sys.executable, "-m", "rbaddr.cli", "verify"],
                             cwd=checkout, env=env, capture_output=True, text=True)
     elapsed = time.perf_counter() - start
     if result.returncode != 0:
-        raise RuntimeError(f"verify --level full exited {result.returncode}: "
+        raise RuntimeError(f"verify exited {result.returncode}: "
                            f"{(result.stdout + result.stderr)[-500:]}")
     return elapsed
 

@@ -1,8 +1,8 @@
-"""Kill matrix of ``rbaddr verify --level full`` over eleven one-line mutants.
+"""Kill matrix of ``rbaddr verify`` over eleven one-line mutants.
 
 Each mutant replaces one line of ``src/`` (file, old text, new text).  The
 script extracts a ``git archive`` of a commit into a temporary directory,
-runs the full verify level there once unmutated and once per mutant (the
+runs ``rbaddr verify`` there once unmutated and once per mutant (the
 copy's file restored in between), and prints which checks each mutant
 fails.  The working tree is never touched.
 
@@ -64,11 +64,11 @@ MUTANTS = (
 
 
 def failed_checks(copy: Path) -> list[str] | None:
-    """Names of the checks ``verify --level full`` fails in ``copy``; None
+    """Names of the checks ``rbaddr verify`` fails in ``copy``; None
     if it printed no verdict (a crash)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run(
-        [sys.executable, "-m", "rbaddr.cli", "verify", "--level", "full"],
+        [sys.executable, "-m", "rbaddr.cli", "verify"],
         cwd=copy, env=env, capture_output=True, text=True, timeout=600,
     )
     lines = result.stdout.splitlines()

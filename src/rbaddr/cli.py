@@ -517,7 +517,7 @@ def cmd_predict(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_verification  # only this command needs the oracles
 
-    results = run_verification(args.level, args.tol_override)
+    results = run_verification()
     failures = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -579,13 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.set_defaults(func=cmd_predict)
 
     p_ver = sub.add_parser("verify", help="run the self-verification oracle suite")
-    p_ver.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_ver.add_argument(
-        "--tol-override",
-        type=float,
-        default=None,
-        help="replace all tolerances (negative control for the harness)",
-    )
     p_ver.set_defaults(func=cmd_verify)
 
     p_dump = sub.add_parser("dump-group", help="export a Clifford group table")

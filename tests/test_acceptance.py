@@ -2,7 +2,7 @@
 PASS/FAIL line.  Runs are fully seeded so the outcome is deterministic.
 
 Criteria 1-4 take their oracle verdicts from one run of the
-``rbaddr verify --level full`` checks, so each oracle is written once."""
+``rbaddr verify`` checks, so each oracle is written once."""
 
 import time
 from dataclasses import replace
@@ -32,9 +32,9 @@ PUBLISHED_DR_ESTIMATES = {"dr1_given_2": 0.0034, "dr2_given_1": 0.007}
 
 
 @pytest.fixture(scope="module")
-def full_checks():
-    """The full-level verify checks, by name."""
-    return {check.name: check for check in run_verification("full")}
+def verify_checks():
+    """The ``rbaddr verify`` checks, by name."""
+    return {check.name: check for check in run_verification()}
 
 
 def report_line(number, passed, detail):
@@ -43,10 +43,10 @@ def report_line(number, passed, detail):
     assert passed, detail
 
 
-def test_criterion_1_twirl_oracles(full_checks):
+def test_criterion_1_twirl_oracles(verify_checks):
     """50 random CPTP channels: the CxC and both CxI twirls match brute
     force at 1e-10."""
-    check = full_checks["twirl_oracles"]
+    check = verify_checks["twirl_oracles"]
     report_line(
         1,
         check.passed and check.seconds < 60,
@@ -70,7 +70,7 @@ def test_twirl_oracles_compare_every_twirl_predict_runs(monkeypatch, name, side)
         return out
 
     monkeypatch.setattr(verify, name, perturbed)
-    assert not verify.check_twirl_oracles(n_channels=8, tol=1e-10).passed
+    assert not verify.check_twirl_oracles().passed
 
 
 def test_correlation_witness_check_reads_the_report_formula(monkeypatch):
@@ -83,20 +83,20 @@ def test_correlation_witness_check_reads_the_report_formula(monkeypatch):
         return replace(out, value=out.value + 1e-9)
 
     monkeypatch.setattr(report_module, "delta_alpha", perturbed)
-    assert not verify.check_product_delta_alpha(n_channels=10, tol=1e-12).passed
+    assert not verify.check_product_delta_alpha().passed
 
 
-def test_criterion_2_group_integrity(full_checks):
+def test_criterion_2_group_integrity(verify_checks):
     """|C1| = 24 by closure; 1000 random recoveries compose to identity."""
-    check = full_checks["group_integrity"]
+    check = verify_checks["group_integrity"]
     report_line(2, check.passed, check.detail)
 
 
-def test_criterion_3_correlation_witness(full_checks):
+def test_criterion_3_correlation_witness(verify_checks):
     """Product channels give delta_alpha = 0 (50 channels, 1e-12); an
     injected ZZ error is detected at more than 3 sigma through
     simulate -> fit -> report."""
-    check = full_checks["product_channel_delta_alpha"]
+    check = verify_checks["product_channel_delta_alpha"]
     cfg = RBConfig(lengths=(1, 2, 4, 8, 16, 32, 64, 128, 256), K=50, seed=103)
     curves = run_protocol(cfg, NoisyGateSet(StaticError(zz_rotation_ptm(0.1))))
     result = fit_protocol_curves(curves)
@@ -110,10 +110,10 @@ def test_criterion_3_correlation_witness(full_checks):
     )
 
 
-def test_criterion_4_fit_recovery_and_table(full_checks):
+def test_criterion_4_fit_recovery_and_table(verify_checks):
     """68% CI coverage in [0.58, 0.78] over 200 repetitions, and the
     report arithmetic reproduces the published table within rounding."""
-    check = full_checks["fit_ci_coverage"]
+    check = verify_checks["fit_ci_coverage"]
     table_r = {"r1": 0.0039, "r2": 0.0067, "r1_given_2": 0.0086, "r2_given_1": 0.0120}
     sig_r = {"r1": 0.0001, "r2": 0.0002, "r1_given_2": 0.0003, "r2_given_1": 0.0005}
     alphas = {
@@ -143,20 +143,20 @@ def test_criterion_4_fit_recovery_and_table(full_checks):
     )
 
 
-def test_qubit_relabeling_swaps_every_output(full_checks):
+def test_qubit_relabeling_swaps_every_output(verify_checks):
     """Relabeling the qubits of sample a swaps all 48 slot channels and the
     five predicted alphas at 1e-12; the relabeling without the coupling
     sign flips misses (negative control)."""
-    check = full_checks["qubit_relabeling"]
+    check = verify_checks["qubit_relabeling"]
     print(f"[qubit relabeling] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
     assert check.passed, check.detail
 
 
-def test_joint_frame_rotation_maps_slot_channels(full_checks):
+def test_joint_frame_rotation_maps_slot_channels(verify_checks):
     """Adding pi/2 to both drive phases is Rz(pi/2) (x) Rz(pi/2): the 35
     slots with a phase-shifted image map to P E P^T at 1e-12; the opposite
     rotation misses (negative control)."""
-    check = full_checks["frame_rotation"]
+    check = verify_checks["frame_rotation"]
     print(f"[frame rotation] {'PASS' if check.passed else 'FAIL'}: {check.detail} "
           f"in {check.seconds:.2f}s")
     assert check.passed, check.detail
@@ -171,10 +171,10 @@ def test_frame_rotation_check_sees_one_slot_off():
     channels = NoisyGateSet(CrossTalk(SAMPLE_A)).slot_channels[1:].copy()
     ideal = noise._ideal_slot_ptms()[1:]
     given = NoisyGateSet(StaticError(channels @ ideal.swapaxes(1, 2)))
-    assert verify.check_frame_rotation(1e-12, given).passed
+    assert verify.check_frame_rotation(given).passed
     channels[noise.SLOTS.index(("y90", None)), 1, 1] += 1e-9
     perturbed = NoisyGateSet(StaticError(channels @ ideal.swapaxes(1, 2)))
-    assert not verify.check_frame_rotation(1e-12, perturbed).passed
+    assert not verify.check_frame_rotation(perturbed).passed
 
 
 def test_full_verification_integrates_the_sample_a_batch_once(monkeypatch):
@@ -190,35 +190,35 @@ def test_full_verification_integrates_the_sample_a_batch_once(monkeypatch):
 
     monkeypatch.setattr(noise, "evolve_to_ptms", counting)
     monkeypatch.setattr(verify, "evolve_to_ptms", counting)
-    checks = run_verification("full")
+    checks = run_verification()
     assert all(check.passed for check in checks), [c.name for c in checks if not c.passed]
     assert sample_a.count(True) == 1
 
 
-def test_zz_conjugation_derives_the_image_slots_exactly(full_checks):
+def test_zz_conjugation_derives_the_image_slots_exactly(verify_checks):
     """The 12 slots the engine derives by Z (x) Z conjugation equal their
     direct integration on sample a bit for bit; conjugating by Z (x) I
     misses (negative control)."""
-    check = full_checks["zz_conjugation"]
+    check = verify_checks["zz_conjugation"]
     print(f"[zz conjugation] {'PASS' if check.passed else 'FAIL'}: {check.detail} "
           f"in {check.seconds:.2f}s")
     assert check.passed, check.detail
     assert "0.00e+00 over 12 slots" in check.detail
 
 
-def test_idle_evolution_accumulates_the_zz_phase(full_checks):
+def test_idle_evolution_accumulates_the_zz_phase(verify_checks):
     """Free evolution for t = pi / zeta is the pi/2 ZZ rotation at 1e-9;
     the -pi/2 rotation misses (negative control)."""
-    check = full_checks["idle_zz_phase"]
+    check = verify_checks["idle_zz_phase"]
     print(f"[idle ZZ phase] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
     assert check.passed, check.detail
 
 
-def test_element_channels_are_their_words_in_play_order(full_checks):
+def test_element_channels_are_their_words_in_play_order(verify_checks):
     """Each of the 576 sample-a CxC element channels is its word's slot
     channels in play order, bit for bit; the words played in reverse miss
     (negative control)."""
-    check = full_checks["element_words"]
+    check = verify_checks["element_words"]
     print(f"[element words] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
     assert check.passed, check.detail
     assert "0.00e+00 over 576 elements" in check.detail
@@ -236,9 +236,38 @@ def test_element_words_check_sees_words_played_in_reverse(monkeypatch):
             row[:played] = row[:played][::-1]
         return rows
 
-    assert verify.check_element_words(1e-12, NoisyGateSet(Depolarizing(0.99))).passed
+    assert verify.check_element_words(NoisyGateSet(Depolarizing(0.99))).passed
     monkeypatch.setattr(noise, "_slot_positions", reversed_words)
-    assert not verify.check_element_words(1e-12, NoisyGateSet(Depolarizing(0.99))).passed
+    assert not verify.check_element_words(NoisyGateSet(Depolarizing(0.99))).passed
+
+
+def test_decoherence_keeps_the_ground_state_fixed(verify_checks):
+    """T1/T2 channels compose as a semigroup and map the ground-state pole
+    to itself at 20 ns to 1 ms, at 1e-12; the excited pole moves (negative
+    control)."""
+    check = verify_checks["decoherence"]
+    print(f"[decoherence] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
+    assert check.passed, check.detail
+
+
+def test_decoupled_pulses_are_ideal_rotations(verify_checks):
+    """Without ZZ and couplings, each of the 12 sample-a single-line pulses
+    is its generator's ideal rotation at 1e-8, the bound of
+    ``test_decoupled_pi_pulse_is_exact``; the other line's rotation misses
+    (negative control)."""
+    check = verify_checks["decoupled_pulses"]
+    print(f"[decoupled pulses] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
+    assert check.passed, check.detail
+    assert "over 12 single-line slots" in check.detail
+
+
+def test_decoupled_pulses_check_sees_the_pulse_area(monkeypatch):
+    """A pulse area normalised to the flat top alone, 1.5x too large,
+    fails the decoupled-pulse check."""
+    assert verify.check_decoupled_pulses().passed
+    monkeypatch.setattr(noise, "_shape_integral",
+                        lambda gate_time: (1 - 2 * noise.RAMP_FRAC) * gate_time)
+    assert not verify.check_decoupled_pulses().passed
 
 
 def test_criterion_5_depolarizing_consistency():

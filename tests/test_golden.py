@@ -205,7 +205,7 @@ def test_image_slots_stay_exact_under_other_kernels(setting):
     code = (
         "from rbaddr.noise import SAMPLE_A, CrossTalk, NoisyGateSet\n"
         "from rbaddr.verify import check_zz_conjugation\n"
-        "check = check_zz_conjugation(0.0, NoisyGateSet(CrossTalk(SAMPLE_A, steps=64)))\n"
+        "check = check_zz_conjugation(NoisyGateSet(CrossTalk(SAMPLE_A, steps=64)))\n"
         "print(check.detail)\n"
         "raise SystemExit(0 if check.passed else 1)\n"
     )

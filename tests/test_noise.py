@@ -202,7 +202,7 @@ def test_hamiltonian_zz_term():
 
 def test_idle_zz_evolution_phase():
     # free evolution for t = pi / zeta accumulates a pi/2 ZZ rotation
-    check = check_idle_zz_phase(tol=1e-9)
+    check = check_idle_zz_phase()
     assert check.passed, check.detail
 
 
@@ -228,7 +228,7 @@ def test_zero_duration_gate_is_identity():
 
 
 def test_step_doubling_convergence():
-    check = check_evolution_convergence(1e-8, NoisyGateSet(CrossTalk(SAMPLE_A)))
+    check = check_evolution_convergence(NoisyGateSet(CrossTalk(SAMPLE_A)))
     assert check.passed, check.detail
 
 
@@ -888,7 +888,7 @@ def test_derived_images_match_direct_integration_on_random_devices(
 @pytest.mark.parametrize("steps", [17, 64, 256])
 def test_derived_images_equal_direct_integration_on_sample_a(gate_time_ns, steps):
     gateset = NoisyGateSet(CrossTalk(SAMPLE_A.with_gate_time(gate_time_ns * 1e-9), steps))
-    check = check_zz_conjugation(0.0, gateset)
+    check = check_zz_conjugation(gateset)
     assert check.passed, check.detail
 
 
