@@ -483,8 +483,10 @@ def test_verify_passes_quickly(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "13/13 checks passed"
 
 
-def test_verify_negative_control(monkeypatch, capsys):
-    # a 1e-9 error in the analytic CxC twirl fails the suite
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_verify_negative_control(level, monkeypatch, capsys):
+    # a 1e-9 error in the analytic CxC twirl fails the twirl_oracles check
+    # ("quick") and, through it, the whole rbaddr verify suite ("full")
     from dataclasses import replace
 
     from rbaddr import verify
@@ -496,6 +498,10 @@ def test_verify_negative_control(monkeypatch, capsys):
         return replace(out, twirled=out.twirled + 1e-9)
 
     monkeypatch.setattr(verify, "twirl_cxc", perturbed)
+    if level == "quick":
+        result = verify.check_twirl_oracles()
+        assert result.name == "twirl_oracles" and not result.passed
+        return
     assert run_cli("verify") == 3
     assert re.search(r"^FAIL twirl_oracles: ", capsys.readouterr().out, re.MULTILINE)
 
