@@ -18,9 +18,9 @@ dominate the cross-talk error predictions; the gate time is
 configuration (default 24 ns).  A
 ``NoisyGateSet`` is one model at one noise granularity, built once per
 run; simulation and prediction read every element's channel from it,
-composed in place in cache-sized element chunks, so that a table's build
-holds little more than the table.  A per-slot ``StaticError`` builds one
-from given slot channels.
+composed by one loop in place in cache-sized element chunks (monomial
+factors included), so that a table's build holds little more than the
+table.  A per-slot ``StaticError`` builds one from given slot channels.
 Its cross-talk slots are evolved in shares across the CPUs, each slot
 whole and with equal cost ``steps``, 36 of the 48 integrated and the
 other 12 derived from them exactly by Z (x) Z conjugation; a slot's
@@ -628,10 +628,11 @@ def _slot_errors(model: NoiseModel) -> np.ndarray:
     raise TypeError(f"unknown noise model {model!r}")
 
 
-# Elements an element table composes at a time, in place, 128 KB of
-# channels per chunk.  The sample-a CxC table (1.18 MB) took 0.46 ms in
-# chunks of 64, 0.44 ms of 128, 0.64 ms of 16 and 1.79 ms as whole-group
-# products (one CPU, median of 41), which peaked at 3.54 MB (tracemalloc).
+# Elements composed at a time, in place, into the element table or the
+# monomial build's one buffer: 128 KB of channels.  The sample-a CxC table
+# (1.18 MB) took 0.46 ms in chunks of 64, 0.44 ms of 128, 0.64 ms of 16
+# and 1.79 ms as whole-group products (one CPU, median of 41), which
+# peaked at 3.54 MB (tracemalloc), where chunks of 64 peak at 1.44 MB.
 TABLE_CHUNK_ELEMENTS = 64
 
 
@@ -645,13 +646,13 @@ class NoisyGateSet:
 
     ``slot_channels`` holds the identity pad in row 0 and the channel of
     ``SLOTS[s]`` in row s + 1, all built as one batch: for a cross-talk
-    model, one :func:`evolve_to_ptms` call.  ``element_table`` composes
-    each group's element channels along one walk (:meth:`_walk`), in place
-    and a chunk of elements at a time; under
-    Pauli-diagonal noise (ideal, depolarizing, a Pauli-diagonal static
-    error and composites of these) ``monomial_table`` composes only each
-    row's one nonzero entry, so that propagation can follow each Pauli's
-    path instead.
+    model, one :func:`evolve_to_ptms` call.  One loop (:meth:`_compose`)
+    composes the element channels, in place and a chunk of elements at a
+    time: ``element_table`` into the table, and, when the error channels
+    are diagonal in the Pauli basis (ideal, depolarizing, a Pauli-diagonal
+    static error and composites of these), ``monomial_table`` into one
+    chunk buffer from which it keeps each row's one nonzero entry, so that
+    propagation can follow each Pauli's path instead.
     """
 
     def __init__(self, model: NoiseModel, granularity: str = "generator"):
@@ -689,33 +690,31 @@ class NoisyGateSet:
         the ideal PTM is a signed permutation."""
         return self.channel(gate) @ _ideal_slot_ptms()[_SLOT_ROW[gate]].T
 
-    def _walk(self, group: CliffordGroup):
-        """``(ideal, channels, positions, error)``: element g's channel is the
-        product of ``channels[positions[g]]``, first rightmost, then ``error``
-        if not None, each noisy ``ideal``: per generator, the slot channels
-        along the element's padded word; per Clifford, each element's PTM at
-        one position, then the error channel."""
+    def _compose(self, group: CliffordGroup, rows: slice, out: np.ndarray) -> None:
+        """Noisy channels of the elements ``rows`` of ``group``, composed in
+        ``out``: per generator, the slot channels along each element's padded
+        word, first rightmost; per Clifford, each element's PTM, then the
+        error channel.  A stacked product is one matrix product per element,
+        so a channel's bits depend neither on its chunk nor on the buffer,
+        and the identity pad past a short word's end leaves the product
+        exact."""
         if self.granularity == "clifford":
-            return group.ptms, group.ptms, np.arange(len(group))[:, None], self._error
-        return _ideal_slot_ptms(), self.slot_channels, _slot_positions(group.kind), None
+            np.matmul(self._error, group.ptms[rows], out=out)
+            return
+        positions = _slot_positions(group.kind)[rows]
+        out[...] = self.slot_channels[positions[:, 0]]
+        for column in positions[:, 1:].T:
+            np.matmul(self.slot_channels[column], out, out=out)
 
     def element_table(self, group: CliffordGroup) -> np.ndarray:
-        """Noisy channel of every group element, shape (len(group), 16, 16):
-        the channels at the walk's first position over the whole group, then
-        each chunk of TABLE_CHUNK_ELEMENTS elements carried in place through
-        the further positions and the error, one stacked product each; a
-        stacked product is one matrix product per element, so the chunks
-        keep each channel's bits, and the identity pad past a short word's
-        end leaves the product exact."""
+        """Noisy channel of every group element, shape (len(group), 16, 16),
+        composed (:meth:`_compose`) TABLE_CHUNK_ELEMENTS elements at a time
+        into the table itself."""
         if group.kind not in self._tables:
-            _, channels, positions, error = self._walk(group)
-            table = channels[positions[:, 0]]
-            for first in range(0, len(table), TABLE_CHUNK_ELEMENTS):
-                part = table[first : first + TABLE_CHUNK_ELEMENTS]
-                for column in positions[first : first + TABLE_CHUNK_ELEMENTS, 1:].T:
-                    np.matmul(channels[column], part, out=part)
-                if error is not None:
-                    np.matmul(error, part, out=part)
+            table = np.empty((len(group), 16, 16))
+            for first in range(0, len(group), TABLE_CHUNK_ELEMENTS):
+                rows = slice(first, first + TABLE_CHUNK_ELEMENTS)
+                self._compose(group, rows, table[rows])
             table.setflags(write=False)
             self._tables[group.kind] = table
         return self._tables[group.kind]
@@ -724,28 +723,24 @@ class NoisyGateSet:
         """Read-only ``factor`` (len(group), 16) with ``table[g, i] =
         factor[g, i] * e_source[g, i]`` for the group's :meth:`element_table`
         and its Pauli permutation ``source = np.argsort(group.targets, 1)``,
-        when every channel of the walk is nonzero only where its ideal PTM
-        is; None otherwise, as for decoherence, cross-talk, a ZZ rotation or
-        a Pauli-permuting static error.  Composed per position without the
-        dense table, each factor is the one nonzero product that the table's
-        matrix products round: the table's bits.  The error of a per-Clifford
-        walk is applied a chunk of TABLE_CHUNK_ELEMENTS channels at a time,
-        as in :meth:`element_table`."""
+        when the model's error channels are diagonal in the Pauli basis;
+        None otherwise, as for decoherence, cross-talk, a ZZ rotation or a
+        Pauli-permuting static error.  As ``E[s] = C[s] @ ideal[s].T``
+        exactly, a diagonal error is what keeps every channel nonzero only
+        where its ideal PTM is.  Each chunk of TABLE_CHUNK_ELEMENTS channels
+        is composed (:meth:`_compose`) into one reused buffer and the factors
+        read out of it: the table's bits."""
         if group.kind not in self._monomials:
-            ideal, channels, positions, error = self._walk(group)
-            source = np.argmax(ideal != 0, axis=2)
-            step = np.empty(source.shape)
-            factor = None
-            for first in range(0, len(ideal), TABLE_CHUNK_ELEMENTS):
-                rows = slice(first, first + TABLE_CHUNK_ELEMENTS)
-                part = channels[rows] if error is None else error @ channels[rows]
-                if np.any(part[ideal[rows] == 0]):
-                    break
-                step[rows] = np.take_along_axis(part, source[rows, :, None], 2)[..., 0]
-            else:
-                factor = np.ones((len(group), 16))
-                for column in positions.T:
-                    factor = step[column] * np.take_along_axis(factor, source[column], 1)
+            error, factor = self._error, None
+            if np.count_nonzero(error) == np.count_nonzero(np.diagonal(error, 0, -2, -1)):
+                source = np.argsort(group.targets, 1)
+                factor = np.empty((len(group), 16))
+                chunk = np.empty((TABLE_CHUNK_ELEMENTS, 16, 16))
+                for first in range(0, len(group), TABLE_CHUNK_ELEMENTS):
+                    rows = slice(first, first + TABLE_CHUNK_ELEMENTS)
+                    part = chunk[: len(factor[rows])]
+                    self._compose(group, rows, part)
+                    factor[rows] = np.take_along_axis(part, source[rows, :, None], 2)[..., 0]
                 factor.setflags(write=False)
             self._monomials[group.kind] = factor
         return self._monomials[group.kind]

@@ -167,10 +167,11 @@ def _jump_table(count: int) -> np.ndarray:
 DRAW_CHUNK_OUTPUTS = 2**12
 
 
-def draw_indices(words, n: int, m):
-    """``Generator.integers(0, n, m)`` (1 < n <= 2**32) of K streams seeded
-    from their (4, K) words, and their states after it as ``pcg64_states``
-    arguments.  One length m gives (K, m) indices; K lengths, one flat array.
+def draw_indices(walk, n: int, m):
+    """``Generator.integers(0, n, m)`` (1 < n <= 2**32) of K streams at the
+    (4, K) state and inc rows ``walk`` of :func:`seeded_streams`, and their
+    states after it as ``pcg64_states`` arguments.  One length m gives
+    (K, m) indices; K lengths, one flat array.
 
     Output j of a stream is PCG64's XSL-RR of ``A_j * state + C_j * inc``,
     split into two uint32 words, low half first; word w gives index
@@ -178,7 +179,6 @@ def draw_indices(words, n: int, m):
     rejection).  A pass lays the outputs each stream lacks end to end,
     ``DRAW_CHUNK_OUTPUTS`` to a chunk; a stream that had a word skipped gets
     its missing outputs in the next pass."""
-    walk = np.stack(seeded_streams(words)).reshape(4, -1)  # state, inc
     k, inc = walk.shape[1], walk[2:]
     need = np.zeros(k, np.int64) + m  # the indices each stream lacks
     indices = np.empty(int(need.sum()), np.int64)
@@ -255,11 +255,13 @@ def draw_indices(words, n: int, m):
 
 
 def draw_blocks(words, sizes, lengths):
-    """Each block's ``draw_indices``, in order, from its (4, K) ``words[b]``,
-    bound ``sizes[b]`` and length ``lengths[b]``.  Consecutive blocks of one
-    size whose first-pass outputs fit one chunk share a draw, a larger
-    block has its own; a block's (K, m) indices are a view of its draw."""
+    """Each block's ``draw_indices``, in order, from its (4, K) ``words[b]``
+    (all seeded at once), bound ``sizes[b]`` and length ``lengths[b]``.
+    Consecutive blocks of one size whose first-pass outputs fit one chunk
+    share a draw, a larger block has its own; a block's (K, m) indices are
+    a view of its draw."""
     k, b = words.shape[-1], 0
+    seeded = np.stack(seeded_streams(words.swapaxes(0, 1))).reshape(4, -1, k)
     while b < len(lengths):
         end, outputs = b + 1, k * ((lengths[b] + 1) // 2)
         while end < len(lengths) and sizes[end] == sizes[b]:
@@ -267,9 +269,8 @@ def draw_blocks(words, sizes, lengths):
             if outputs > DRAW_CHUNK_OUTPUTS:
                 break
             end += 1
-        seeds = words[b:end].swapaxes(0, 1).reshape(4, -1)
         flat, (state, inc, has_uint32, uinteger) = draw_indices(
-            seeds, sizes[b], np.repeat(lengths[b:end], k)
+            seeded[:, b:end].reshape(4, -1), sizes[b], np.repeat(lengths[b:end], k)
         )
         start = 0
         for i, m in enumerate(lengths[b:end]):

@@ -593,7 +593,8 @@ def assert_monomial_table_holds_each_row_one_entry(gateset):
         assert gateset.monomial_table(group) is factor  # cached per group
         source = np.argsort(group.targets, axis=1)
         assert factor.shape == (len(group), 16)
-        assert np.array_equal(factor, np.take_along_axis(table, source[..., None], axis=2)[..., 0])
+        read = np.take_along_axis(table, source[..., None], axis=2)[..., 0]
+        assert factor.tobytes() == read.tobytes(), kind  # signs of zero included
         rebuilt = np.zeros_like(table)
         np.put_along_axis(rebuilt, source[..., None], factor[..., None], axis=2)
         assert np.array_equal(rebuilt, table), kind  # every other entry is 0
@@ -622,6 +623,9 @@ def test_per_clifford_tables_evaluate_the_error_channel_once(monkeypatch):
 
 
 _CROSSTALK_16 = CrossTalk(SAMPLE_A, steps=16)
+# Pauli-diagonal on 47 slots, one off-diagonal entry on the 48th
+_ONE_SLOT_OFF_DIAGONAL = np.broadcast_to(_PAULI_DIAGONAL, (len(SLOTS), 16, 16)).copy()
+_ONE_SLOT_OFF_DIAGONAL[-1, 1, 2] = 1e-3
 
 
 @pytest.mark.parametrize(
@@ -637,10 +641,11 @@ _CROSSTALK_16 = CrossTalk(SAMPLE_A, steps=16)
         # monomial element channels, but Paulis land off their ideal targets
         (StaticError(ideal_gate_ptm(("x90", None))), "generator"),
         (StaticError(ideal_gate_ptm(("x90", "y180"))), "clifford"),
+        (StaticError(_ONE_SLOT_OFF_DIAGONAL), "generator"),
     ],
     ids=["decoherence", "decoherence_per_clifford", "crosstalk", "zz_rotation",
          "depolarizing_zz_rotation", "depolarizing_decoherence", "ideal_crosstalk",
-         "pauli_permuting", "pauli_permuting_per_clifford"],
+         "pauli_permuting", "pauli_permuting_per_clifford", "one_slot_off_diagonal"],
 )
 def test_monomial_table_is_none_for_mixing_or_non_unital_noise(model, granularity):
     gateset = NoisyGateSet(model, granularity)
@@ -963,16 +968,22 @@ def test_element_table_build_peaks_at_the_table_plus_a_margin(model, granularity
 
 
 @pytest.mark.parametrize(
-    "model, monomial", [(Depolarizing(0.99), True), (Decoherence(SAMPLE_A), False)],
-    ids=["depolarizing", "decoherence"],
+    "model, granularity, monomial",
+    [
+        (Depolarizing(0.99), "clifford", True),
+        (Decoherence(SAMPLE_A), "clifford", False),
+        (Depolarizing(0.99), "generator", True),
+    ],
+    ids=["depolarizing", "decoherence", "depolarizing_per_generator"],
 )
-def test_per_clifford_monomial_table_peaks_below_a_dense_table(model, monomial):
-    # Per Clifford the error is applied a chunk of elements at a time, so the
-    # build never holds a dense (576, 16, 16) stack of the group's channels
-    # (1.18 MB); the whole-group product and its mask gather peaked at 2.44 MB.
-    gateset = NoisyGateSet(model, "clifford")
+def test_per_clifford_monomial_table_peaks_below_a_dense_table(model, granularity, monomial):
+    # The channels are composed a chunk of elements at a time into one
+    # reused buffer, so the build never holds a dense (576, 16, 16) stack of
+    # the group's channels (1.18 MB); per Clifford, the whole-group product
+    # and its mask gather peaked at 2.44 MB.
+    gateset = NoisyGateSet(model, granularity)
     group = get_group("cxc")
-    gateset._error  # the error channel, outside the build
+    gateset.slot_channels, gateset._error  # the channels, outside the build
     tracemalloc.start()
     try:
         factor = gateset.monomial_table(group)

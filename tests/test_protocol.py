@@ -467,7 +467,7 @@ def _assert_draws_are_generator_integers(cfg, experiment, n):
     blocks = [(experiment, mi) for mi in range(len(cfg.lengths))]
     for (_, mi), words in zip(blocks, _stream_words(cfg, blocks)):
         m = cfg.lengths[mi]
-        indices, after = draw_indices(words, n, m)
+        indices, after = draw_indices(np.reshape(seeded_streams(words), (4, -1)), n, m)
         for k, state in enumerate(pcg64_states(*after)):
             reference = np.random.default_rng([cfg.seed, EXPERIMENT_CODES[experiment], m, k])
             assert np.array_equal(indices[k], reference.integers(0, n, m)), (n, m, k)
