@@ -733,15 +733,17 @@ class NoisyGateSet:
         if group.kind not in self._monomials:
             error, factor = self._error, None
             if np.count_nonzero(error) == np.count_nonzero(np.diagonal(error, 0, -2, -1)):
+                # argsort's inverse permutations without argsort, whose first
+                # call in a process costs ~0.13 MB of peak RSS
+                source = np.empty_like(group.targets)
+                np.put_along_axis(source, group.targets, np.arange(16), 1)
                 factor = np.empty((len(group), 16))
                 chunk = np.empty((TABLE_CHUNK_ELEMENTS, 16, 16))
                 for first in range(0, len(group), TABLE_CHUNK_ELEMENTS):
                     rows = slice(first, first + TABLE_CHUNK_ELEMENTS)
                     part = chunk[: len(factor[rows])]
                     self._compose(group, rows, part)
-                    # source[rows], without argsort: its first call costs ~0.13 MB of RSS
-                    source = np.argmax(group.ptms[rows] != 0, axis=2)
-                    factor[rows] = np.take_along_axis(part, source[..., None], 2)[..., 0]
+                    factor[rows] = np.take_along_axis(part, source[rows, :, None], 2)[..., 0]
                 factor.setflags(write=False)
             self._monomials[group.kind] = factor
         return self._monomials[group.kind]
