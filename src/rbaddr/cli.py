@@ -368,7 +368,9 @@ def _now() -> str:
 @functools.lru_cache(maxsize=None)
 def _plot_lengths(max_m: int) -> np.ndarray:
     """The distinct integer lengths of 64 geometric steps from 1 to max_m."""
-    ms = np.unique(np.rint(np.geomspace(1, max_m, 64)).astype(int))
+    # the rounded steps never decrease: np.unique's first call costs ~0.65 MB RSS
+    steps = np.rint(np.geomspace(1, max_m, 64)).astype(int)
+    ms = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
     ms.flags.writeable = False
     return ms
 

@@ -269,9 +269,12 @@ def _order_free(fit_fn):
     @wraps(fit_fn)
     def fit_rows(m, y, stderr, *args, **kwargs) -> DecayFit:
         m, y, stderr = (np.asarray(a, dtype=float) for a in (m, y, stderr))
-        order = np.lexsort((stderr, y, m))
+        # ascending m is lexsort's order, whose first call costs ~0.13 MB RSS
+        order = np.arange(len(m)) if np.all(m[1:] > m[:-1]) else np.lexsort((stderr, y, m))
         fit = fit_fn(m[order], y[order], stderr[order], *args, **kwargs)
-        fit.residuals = fit.residuals[np.argsort(order)]
+        inverse = np.empty_like(order)  # argsort(order), without argsort
+        inverse[order] = np.arange(len(order))
+        fit.residuals = fit.residuals[inverse]
         return fit
 
     return fit_rows

@@ -15,12 +15,13 @@ quarter of the gate on each side.  Its area is exactly (1 - RAMP_FRAC)
 times the gate time, so the shape is sampled only at the Magnus nodes.
 Gate duration and pulse shape are not constrained by the device data and
 dominate the cross-talk error predictions; the gate time is
-configuration (default 24 ns).  A
-``NoisyGateSet`` is one model at one noise granularity, built once per
-run; simulation and prediction read every element's channel from it,
-composed by one loop in place in cache-sized element chunks (monomial
-factors included), so that a table's build holds little more than the
-table.  A per-slot ``StaticError`` builds one from given slot channels.
+configuration (default 24 ns).  A ``NoisyGateSet`` is one model at one
+noise granularity, built once per run; simulation and prediction read
+every element's channel from it, composed by one loop in place in
+cache-sized element chunks (monomial factors and prediction's group
+averages included), so that a table's build holds little more than the
+table, and a prediction builds none.  A per-slot ``StaticError`` builds
+one from given slot channels.
 Its cross-talk slots are evolved in shares across the CPUs, each slot
 whole and with equal cost ``steps``, 36 of the 48 integrated and the
 other 12 derived from them exactly by Z (x) Z conjugation; a slot's
@@ -48,7 +49,6 @@ from .cliffords import (
 from .paulis import (
     depolarizing_ptm,
     pauli_matrices,
-    ptm_from_kraus,
     ptm_from_unitary,
     ptms_from_unitaries,
     tensor,
@@ -324,6 +324,17 @@ def _slot_roots(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(image[:, None], negated, rows), image
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` for rows of
+    :func:`_slot_rows`, read off the 49 pairs 7a + b without a sort, whose
+    first call in a process costs ~0.2 MB of peak RSS."""
+    size = len(GATE_ALPHABET)
+    pairs = size * rows[:, 0] + rows[:, 1]
+    present = np.zeros(size * size, dtype=bool)
+    present[pairs] = True
+    return np.argwhere(present.reshape(size, size)), np.cumsum(present)[pairs] - 1
+
+
 def evolve_to_ptms(
     p: DeviceParams,
     slots,
@@ -362,13 +373,13 @@ def evolve_to_ptms(
     if p.gate_time == 0.0 or len(rows) == 0:
         return np.broadcast_to(np.eye(16), (len(rows), 16, 16)).copy()
     roots, image = _slot_roots(rows)
-    distinct, which = np.unique(roots, axis=0, return_inverse=True)
+    distinct, which = _distinct_rows(roots)
     unitaries = run_jobs(
         lambda share: _evolve_rows(p, distinct[share], steps),
         range(len(distinct)),
         [steps * SLOT_STEP_SECONDS] * len(distinct),
     )
-    u = np.stack(unitaries)[which.reshape(-1)]
+    u = np.stack(unitaries)[which]
     u[image] *= _ZZ_SIGNS
     return ptms_from_unitaries(u, atol=1e-8)
 
@@ -443,22 +454,6 @@ def zz_rotation_ptm(theta: float) -> np.ndarray:
     """PTM of exp(-i theta ZZ / 2); a purely correlated coherent error."""
     u = np.diag(np.exp(-1j * theta / 2 * np.array([1.0, -1.0, -1.0, 1.0])))
     return ptm_from_unitary(u)
-
-
-def random_cptp_kraus(
-    n: int, rng: np.random.Generator, n_kraus: int = 4
-) -> list[np.ndarray]:
-    """Random CPTP channel as a normalized Ginibre Kraus set."""
-    d = 2**n
-    g = rng.standard_normal((n_kraus, d, d)) + 1j * rng.standard_normal((n_kraus, d, d))
-    total = sum(k.conj().T @ k for k in g)
-    w, v = np.linalg.eigh(total)
-    inv_half = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return [k @ inv_half for k in g]
-
-
-def random_cptp_ptm(n: int, rng: np.random.Generator, n_kraus: int = 4) -> np.ndarray:
-    return ptm_from_kraus(random_cptp_kraus(n, rng, n_kraus))
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +624,9 @@ def _slot_errors(model: NoiseModel) -> np.ndarray:
 
 
 # Elements composed at a time, in place, into the element table or the
-# monomial build's one buffer: 128 KB of channels.  The sample-a CxC table
-# (1.18 MB) took 0.46 ms in chunks of 64, 0.44 ms of 128, 0.64 ms of 16
-# and 1.79 ms as whole-group products (one CPU, median of 41), which
+# buffer of ``NoisyGateSet.chunks``: 128 KB of channels.  The sample-a CxC
+# table (1.18 MB) took 0.46 ms in chunks of 64, 0.44 ms of 128, 0.64 ms of
+# 16 and 1.79 ms as whole-group products (one CPU, median of 41), which
 # peaked at 3.54 MB (tracemalloc), where chunks of 64 peak at 1.44 MB.
 TABLE_CHUNK_ELEMENTS = 64
 
@@ -648,10 +643,11 @@ class NoisyGateSet:
     ``SLOTS[s]`` in row s + 1, all built as one batch: for a cross-talk
     model, one :func:`evolve_to_ptms` call.  One loop (:meth:`_compose`)
     composes the element channels, in place and a chunk of elements at a
-    time: ``element_table`` into the table, and, when the error channels
-    are diagonal in the Pauli basis (ideal, depolarizing, a Pauli-diagonal
-    static error and composites of these), ``monomial_table`` into one
-    chunk buffer from which it keeps each row's one nonzero entry, so that
+    time: ``element_table`` into the table, and :meth:`chunks` into one
+    reused buffer, whose chunks prediction averages without a table.  When
+    the error channels are diagonal in the Pauli basis (ideal,
+    depolarizing, a Pauli-diagonal static error and composites of these),
+    ``monomial_table`` keeps each chunk row's one nonzero entry, so that
     propagation can follow each Pauli's path instead.
     """
 
@@ -706,6 +702,17 @@ class NoisyGateSet:
         for column in positions[:, 1:].T:
             np.matmul(self.slot_channels[column], out, out=out)
 
+    def chunks(self, group: CliffordGroup):
+        """Yield ``(rows, chunk)`` in element order: the channels of the
+        elements ``rows`` (a slice) of ``group``, composed (:meth:`_compose`)
+        into one buffer of TABLE_CHUNK_ELEMENTS, which the next overwrites."""
+        buffer = np.empty((TABLE_CHUNK_ELEMENTS, 16, 16))
+        for first in range(0, len(group), TABLE_CHUNK_ELEMENTS):
+            rows = slice(first, min(first + TABLE_CHUNK_ELEMENTS, len(group)))
+            chunk = buffer[: rows.stop - first]
+            self._compose(group, rows, chunk)
+            yield rows, chunk
+
     def element_table(self, group: CliffordGroup) -> np.ndarray:
         """Noisy channel of every group element, shape (len(group), 16, 16),
         composed (:meth:`_compose`) TABLE_CHUNK_ELEMENTS elements at a time
@@ -727,9 +734,8 @@ class NoisyGateSet:
         None otherwise, as for decoherence, cross-talk, a ZZ rotation or a
         Pauli-permuting static error.  As ``E[s] = C[s] @ ideal[s].T``
         exactly, a diagonal error is what keeps every channel nonzero only
-        where its ideal PTM is.  Each chunk of TABLE_CHUNK_ELEMENTS channels
-        is composed (:meth:`_compose`) into one reused buffer and the factors
-        read out of it: the table's bits."""
+        where its ideal PTM is.  The factors are read out of the
+        :meth:`chunks`: the table's bits."""
         if group.kind not in self._monomials:
             error, factor = self._error, None
             if np.count_nonzero(error) == np.count_nonzero(np.diagonal(error, 0, -2, -1)):
@@ -738,12 +744,8 @@ class NoisyGateSet:
                 source = np.empty_like(group.targets)
                 np.put_along_axis(source, group.targets, np.arange(16), 1)
                 factor = np.empty((len(group), 16))
-                chunk = np.empty((TABLE_CHUNK_ELEMENTS, 16, 16))
-                for first in range(0, len(group), TABLE_CHUNK_ELEMENTS):
-                    rows = slice(first, first + TABLE_CHUNK_ELEMENTS)
-                    part = chunk[: len(factor[rows])]
-                    self._compose(group, rows, part)
-                    factor[rows] = np.take_along_axis(part, source[rows, :, None], 2)[..., 0]
+                for rows, chunk in self.chunks(group):
+                    factor[rows] = np.take_along_axis(chunk, source[rows, :, None], 2)[..., 0]
                 factor.setflags(write=False)
             self._monomials[group.kind] = factor
         return self._monomials[group.kind]
@@ -754,8 +756,15 @@ class NoisyGateSet:
 
 
 def average_error_channel(gateset: NoisyGateSet, group: CliffordGroup) -> np.ndarray:
-    """Exact group average of per-Clifford errors noisy(i) @ ideal(i)^-1."""
-    return np.einsum("gij,gkj->ik", gateset.element_table(group), group.ptms) / len(group)
+    """Exact group average of per-Clifford errors noisy(i) @ ideal(i)^-1 from
+    the gate set's chunks, with no table (the sample-a CxC one peaks at
+    0.53 MB).  Each error is exact, as ideal(i) is a signed permutation, and
+    they are summed one at a time in element order: the table einsum's bits."""
+    total = np.zeros((1, 16, 16))
+    for rows, chunk in gateset.chunks(group):
+        terms = chunk @ group.ptms[rows].swapaxes(1, 2)
+        total = np.add.reduce(np.concatenate([total, terms]), axis=0, keepdims=True)
+    return total[0] / len(group)
 
 
 def predict_alphas(gateset: NoisyGateSet, group_kind: str):

@@ -2,10 +2,8 @@
 
 The closed forms are the three twirls of the simultaneous protocol's
 experiments: CxC (``twirl_cxc``) and CxI / IxC (``twirl_cxi``), each
-returning a :class:`TwirlOutcome`.
-``brute_force_twirl`` is the explicit group average that ``rbaddr verify``
-checks them against entrywise.  Its inverses use the transpose, valid
-because Clifford PTMs are orthogonal.
+returning a :class:`TwirlOutcome`; ``rbaddr verify`` checks them against
+explicit group averages (``verify.brute_force_twirl``).
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cliffords import CliffordGroup
 from .paulis import num_qubits, project, projector_diag
 
 
@@ -24,16 +21,6 @@ class TwirlOutcome:
 
     twirled: np.ndarray
     alphas: dict[str, float]
-
-
-def brute_force_twirl(ptm: np.ndarray, group: CliffordGroup) -> np.ndarray:
-    """Exact group average sum_U R_U^T R R_U / |G|."""
-    if ptm.shape[0] != group.ptms.shape[-1]:
-        raise ValueError("PTM and group dimensions differ")
-    acc = np.zeros_like(ptm)
-    for g in group.ptms:
-        acc += g.T @ ptm @ g
-    return acc / len(group)
 
 
 def twirl_cxc(ptm: np.ndarray) -> TwirlOutcome:
@@ -91,13 +78,12 @@ def gamma_decay_curve(gamma: np.ndarray, m_values) -> np.ndarray:
     m_values = np.asarray(m_values, dtype=np.int64)
     if np.any(m_values < 0):
         raise ValueError("m must be nonnegative")
-    out = np.empty(len(m_values), dtype=float)
-    order = np.argsort(m_values)
+    values = m_values.tolist()
+    out = np.empty(len(values), dtype=float)
     power = np.eye(gamma.shape[0])
     current = 0
-    for pos in order:
-        target = int(m_values[pos])
-        while current < target:
+    for pos in sorted(range(len(values)), key=values.__getitem__):
+        while current < values[pos]:
             power = power @ gamma
             current += 1
         out[pos] = power[0, 0]

@@ -6,9 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rbaddr.cli import MODEL_KEYS, MODEL_PRESETS, RUN_KEYS, build_model, main, parse_config_file
+from rbaddr.cli import (
+    MODEL_KEYS,
+    MODEL_PRESETS,
+    RUN_KEYS,
+    _plot_lengths,
+    build_model,
+    main,
+    parse_config_file,
+)
 from rbaddr.noise import (
     SAMPLE_A,
     SAMPLE_B,
@@ -168,7 +177,7 @@ def test_package_and_cli_imports_load_the_pinned_modules():
     result = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                             capture_output=True, text=True, timeout=120)
     package, cli = (set(line.split()) for line in result.stdout.splitlines())
-    assert package == {"rbaddr", "rbaddr.twirl", "rbaddr.cliffords", "rbaddr.paulis"}
+    assert package == {"rbaddr", "rbaddr.twirl", "rbaddr.paulis"}
     assert cli == {"rbaddr"} | {f"rbaddr.{name}" for name in (
         "cli", "cliffords", "fitting", "noise", "parallel", "paulis", "protocol", "report",
         "twirl")}
@@ -200,6 +209,56 @@ def test_commands_hash_without_openssl(tmp_path):
         assert len(digests) == (1 if argv[0] == "predict" else 5)
         for path, digest in digests.items():
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_plot_lengths_are_the_np_unique_lengths():
+    # adjacent duplicates of the rounded geometric steps dropped: np.unique's
+    # values and dtype
+    for max_m in range(2, 4097):
+        ms = _plot_lengths.__wrapped__(max_m)
+        reference = np.unique(np.rint(np.geomspace(1, max_m, 64)).astype(int))
+        assert ms.dtype == reference.dtype and np.array_equal(ms, reference), max_m
+
+
+def test_commands_run_without_first_call_only_numpy_sorts(tmp_path):
+    # np.unique, np.argsort and np.lexsort each page in code on their first
+    # call in a process, which peak RSS counts; fit, predict and a
+    # depolarizing simulate call none of them, and write the same artifacts
+    # as when they are there (the parent commit's fit and simulate called
+    # np.unique and np.argsort, and its predict np.unique on the slot roots)
+    cfg = tmp_path / "predict.cfg"
+    cfg.write_text("steps = 16\n")
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text("model = depolarizing\nalpha1 = 0.99\n")
+    csv = tmp_path / "curves.csv"
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    rows += [f"exp1,Q1,{m},{0.5 * 0.99**m + 0.25},0.002,20" for m in (1, 2, 4, 8, 16, 32, 64)]
+    csv.write_text("\n".join(rows) + "\n")
+    code = ("import sys, numpy\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('a first-call-only numpy sort')\n"
+            "if sys.argv[1] == 'guarded':\n"
+            "    numpy.unique = numpy.argsort = numpy.lexsort = refuse\n"
+            "from rbaddr.cli import main\n"
+            "raise SystemExit(main(sys.argv[2:]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    commands = {
+        "fit": ["fit", str(csv)],
+        "predict": ["predict", "--preset", "sample_a", "--config", str(cfg)],
+        "simulate": ["simulate", "--config", str(run_cfg), "--lengths", "1,2,4,8", "--K", "3"],
+    }
+    for name, argv in commands.items():
+        outputs = {}
+        for mode in ("plain", "guarded"):
+            out = tmp_path / f"{name}_{mode}"
+            result = subprocess.run([sys.executable, "-c", code, mode, *argv, "--out", str(out)],
+                                    env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, (name, mode, result.stderr)
+            outputs[mode] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                             if p.name != "manifest.json"}  # timestamps
+        assert outputs["guarded"] == outputs["plain"], name
+        assert outputs["plain"], name
 
 
 @pytest.mark.parametrize("shots, loaded", [(None, "False False"), ("10", "True True")])
@@ -480,7 +539,7 @@ def test_verify_passes_quickly(capsys):
     t0 = time.perf_counter()
     assert run_cli("verify") == 0
     assert time.perf_counter() - t0 < 30
-    assert capsys.readouterr().out.splitlines()[-1] == "13/13 checks passed"
+    assert capsys.readouterr().out.splitlines()[-1] == "14/14 checks passed"
 
 
 @pytest.mark.parametrize("level", ["quick", "full"])

@@ -46,7 +46,9 @@ from rbaddr.noise import (
     _hamiltonian_samples,
     _shape_integral,
     _ideal_slot_ptms,
+    _distinct_rows,
     _slot_positions,
+    _slot_roots,
     _slot_rows,
     _term_operators,
 )
@@ -57,7 +59,12 @@ from rbaddr.paulis import (
     ptm_from_kraus,
     tensor,
 )
-from rbaddr.verify import check_evolution_convergence, check_idle_zz_phase, check_zz_conjugation
+from rbaddr.verify import (
+    check_evolution_convergence,
+    check_idle_zz_phase,
+    check_zz_conjugation,
+    random_cptp_ptm,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -669,6 +676,97 @@ def test_average_error_channel_matches_element_loop():
     gateset = NoisyGateSet(Depolarizing(0.98, 0.97), "clifford")
     lam = average_error_channel(gateset, get_group("cxc"))
     assert np.max(np.abs(lam - gateset.error_factor(("x90", None)))) < 1e-12
+
+
+def einsum_average(gateset, group):
+    """The whole-table average that the streamed one replaced: one einsum
+    over the group's element table."""
+    return np.einsum("gij,gkj->ik", gateset.element_table(group), group.ptms) / len(group)
+
+
+def assert_streamed_average_is_the_table_einsum(gateset):
+    groups = [get_group(kind) for kind in ("cxi", "ixc", "cxc")]
+    streamed = [average_error_channel(gateset, group) for group in groups]
+    assert not gateset._tables  # no element table was built
+    for group, lam in zip(groups, streamed):
+        assert lam.tobytes() == einsum_average(gateset, group).tobytes(), group.kind
+
+
+_SAMPLE_A_AVERAGES = {
+    "ideal": (Ideal(), "generator"),
+    "ideal_per_clifford": (Ideal(), "clifford"),
+    "depolarizing": (Depolarizing(0.99, 0.98), "generator"),
+    "depolarizing_per_clifford": (Depolarizing(0.99, 0.98), "clifford"),
+    "joint_depolarizing": (Depolarizing(0.97, joint=True), "generator"),
+    "joint_depolarizing_per_clifford": (Depolarizing(0.97, joint=True), "clifford"),
+    "decoherence": (Decoherence(SAMPLE_A), "generator"),
+    "decoherence_per_clifford": (Decoherence(SAMPLE_A), "clifford"),
+    "crosstalk": (CrossTalk(SAMPLE_A, steps=16), "generator"),
+    "crosstalk_decoherence": (
+        Composite((CrossTalk(SAMPLE_A, steps=16), Decoherence(SAMPLE_A))), "generator"),
+    "random_cptp": (StaticError(random_cptp_ptm(2, np.random.default_rng(35))), "generator"),
+    "random_cptp_per_clifford": (
+        StaticError(random_cptp_ptm(2, np.random.default_rng(35))), "clifford"),
+}
+
+
+@pytest.mark.parametrize("model, granularity", _SAMPLE_A_AVERAGES.values(), ids=_SAMPLE_A_AVERAGES)
+def test_streamed_average_is_the_table_einsum(model, granularity):
+    # every error noisy(i) @ ideal(i)^T is exact, and the chunks' errors are
+    # summed one at a time in element order, as the einsum sums them
+    assert_streamed_average_is_the_table_einsum(NoisyGateSet(model, granularity))
+
+
+@given(error=st.one_of(near_identity_slot_errors(), pauli_slot_errors()))
+@settings(max_examples=20, deadline=None)
+def test_streamed_average_is_the_table_einsum_on_random_gate_sets(error):
+    assert_streamed_average_is_the_table_einsum(NoisyGateSet(error))
+
+
+@pytest.mark.parametrize(
+    "model, granularity",
+    [(CrossTalk(SAMPLE_A, steps=16), "generator"), (Decoherence(SAMPLE_A), "clifford")],
+    ids=["crosstalk", "decoherence_per_clifford"],
+)
+def test_predict_alphas_peaks_below_a_dense_table(model, granularity):
+    # the CxC average is summed from one chunk buffer, so a prediction never
+    # holds the (576, 16, 16) stack of the group's channels (1.18 MB); the
+    # whole-table einsum peaked at 1.44 MB per generator
+    gateset = NoisyGateSet(model, granularity)
+    get_group("cxc"), _slot_positions("cxc")  # cached, outside the trace
+    gateset.slot_channels, gateset._error  # the channels, outside the trace
+    tracemalloc.start()
+    try:
+        predict_alphas(gateset, "cxc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 576 * 16 * 16 * 8
+    assert not gateset._tables
+
+
+_PAIRS = st.tuples(st.sampled_from(GATE_ALPHABET), st.sampled_from(GATE_ALPHABET))
+
+
+def assert_distinct_rows_are_np_unique(rows):
+    distinct, which = _distinct_rows(rows)
+    reference, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert distinct.dtype == reference.dtype and np.array_equal(distinct, reference)
+    assert np.array_equal(which, inverse.reshape(-1))
+
+
+def test_distinct_slot_roots_are_np_unique():
+    roots, _ = _slot_roots(_slot_rows(SLOTS))
+    assert len(_distinct_rows(roots)[0]) == 36
+    assert_distinct_rows_are_np_unique(roots)
+
+
+@given(slots=st.lists(_PAIRS, min_size=1, max_size=60))
+@settings(max_examples=50, deadline=None)
+def test_distinct_roots_of_random_slot_lists_are_np_unique(slots):
+    rows = _slot_rows(slots)
+    assert_distinct_rows_are_np_unique(rows)
+    assert_distinct_rows_are_np_unique(_slot_roots(rows)[0])
 
 
 def assert_one_batch_of_all_slots(batches):

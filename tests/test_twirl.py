@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from rbaddr.cliffords import generate_c1, get_group
-from rbaddr.noise import random_cptp_ptm, zz_rotation_ptm
 from rbaddr.paulis import depolarizing_ptm, ptm_from_kraus, ptm_from_unitary, tensor
 from rbaddr.report import delta_alpha
-from rbaddr.twirl import brute_force_twirl, gamma_decay_curve, twirl_cxc, twirl_cxi
+from rbaddr.twirl import gamma_decay_curve, twirl_cxc, twirl_cxi
+from rbaddr.noise import zz_rotation_ptm
+from rbaddr.verify import brute_force_twirl, random_cptp_ptm
 
 RNG = np.random.default_rng(2012)
 
@@ -149,7 +150,7 @@ def test_gamma_leading_element_is_projector_trace(channels_2q):
 def test_marginal_block_is_partial_trace_map():
     # the untwirled qubit's block equals the PTM of
     # rho2 -> Tr_1[ Lambda(I (x) rho2) ] / 2, built here directly from Kraus
-    from rbaddr.noise import random_cptp_kraus
+    from rbaddr.verify import random_cptp_kraus
     from rbaddr.paulis import pauli_matrices, ptm_from_kraus
 
     rng = np.random.default_rng(77)
@@ -178,6 +179,18 @@ def test_gamma_decay_scalar_block():
 def test_gamma_decay_m_zero_is_one():
     gamma = np.array([[0.9, 0.01], [0.0, 0.5]])
     assert gamma_decay_curve(gamma, [0])[0] == pytest.approx(1.0)
+
+
+def test_gamma_decay_curve_reads_lengths_in_any_order():
+    # the lengths are visited in ascending order, repeats included, and each
+    # value lands where its length stood: a shuffled run is the sorted one
+    # permuted, bit for bit
+    rng = np.random.default_rng(35)
+    gamma = 0.9 * np.eye(4) + 0.02 * rng.normal(size=(4, 4))
+    ms = np.sort(np.concatenate([np.arange(65), [0, 3, 3, 64]]))
+    perm = rng.permutation(len(ms))
+    expected = gamma_decay_curve(gamma, ms)
+    assert gamma_decay_curve(gamma, ms[perm]).tobytes() == expected[perm].tobytes()
 
 
 def test_crosstalk_gamma_near_exponential():
