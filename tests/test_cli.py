@@ -224,8 +224,7 @@ def test_commands_run_without_first_call_only_numpy_sorts(tmp_path):
     # np.unique, np.argsort and np.lexsort each page in code on their first
     # call in a process, which peak RSS counts; fit, predict and a
     # depolarizing simulate call none of them, and write the same artifacts
-    # as when they are there (the parent commit's fit and simulate called
-    # np.unique and np.argsort, and its predict np.unique on the slot roots)
+    # as when they are there
     cfg = tmp_path / "predict.cfg"
     cfg.write_text("steps = 16\n")
     run_cfg = tmp_path / "run.cfg"

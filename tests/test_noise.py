@@ -692,6 +692,7 @@ def assert_streamed_average_is_the_table_einsum(gateset):
         assert lam.tobytes() == einsum_average(gateset, group).tobytes(), group.kind
 
 
+_RANDOM_CPTP = StaticError(random_cptp_ptm(2, np.random.default_rng(35)))
 _SAMPLE_A_AVERAGES = {
     "ideal": (Ideal(), "generator"),
     "ideal_per_clifford": (Ideal(), "clifford"),
@@ -704,9 +705,8 @@ _SAMPLE_A_AVERAGES = {
     "crosstalk": (CrossTalk(SAMPLE_A, steps=16), "generator"),
     "crosstalk_decoherence": (
         Composite((CrossTalk(SAMPLE_A, steps=16), Decoherence(SAMPLE_A))), "generator"),
-    "random_cptp": (StaticError(random_cptp_ptm(2, np.random.default_rng(35))), "generator"),
-    "random_cptp_per_clifford": (
-        StaticError(random_cptp_ptm(2, np.random.default_rng(35))), "clifford"),
+    "random_cptp": (_RANDOM_CPTP, "generator"),
+    "random_cptp_per_clifford": (_RANDOM_CPTP, "clifford"),
 }
 
 
