@@ -8,8 +8,9 @@ fails.  The working tree is never touched.
 
     python scripts/verify_mutants.py [--rev REV]
 
-About 1.5 s per mutant.  Exits 1 if the unmutated copy fails a check, else 0
-whatever the matrix says.
+About 1.5 s per mutant.  Exits 0 when the unmutated copy passes every
+check and every mutant fails at least one; exits 1 if the unmutated copy
+fails a check or any mutant survives, so the kill matrix is a gate.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def main(argv=None) -> int:
         if baseline != []:
             return 1
         print(f"{'mutant':<7}{'killed':<8}failing checks")
+        survivors = []
         for name, what, path, old, new in MUTANTS:
             source = copy / path
             text = source.read_text()
@@ -103,6 +105,11 @@ def main(argv=None) -> int:
             source.write_text(text)
             killed = "crash" if failed is None else ("yes" if failed else "no")
             print(f"{name:<7}{killed:<8}{', '.join(failed or []) or '-'}  ({what})")
+            if failed == []:
+                survivors.append(name)
+    if survivors:
+        print(f"surviving: {', '.join(survivors)}")
+        return 1
     return 0
 
 

@@ -759,7 +759,11 @@ def average_error_channel(gateset: NoisyGateSet, group: CliffordGroup) -> np.nda
     """Exact group average of per-Clifford errors noisy(i) @ ideal(i)^-1 from
     the gate set's chunks, with no table (the sample-a CxC one peaks at
     0.53 MB).  Each error is exact, as ideal(i) is a signed permutation, and
-    they are summed one at a time in element order: the table einsum's bits."""
+    they are summed one at a time in element order: the table einsum's bits.
+    Per Clifford every element's error is the one error channel, returned
+    as it is."""
+    if gateset.granularity == "clifford":
+        return gateset._error.copy()
     total = np.zeros((1, 16, 16))
     for rows, chunk in gateset.chunks(group):
         terms = chunk @ group.ptms[rows].swapaxes(1, 2)

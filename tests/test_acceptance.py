@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line.  Runs are fully seeded so the outcome is deterministic.
 
-Criteria 1-4 take their oracle verdicts from one run of the
-``rbaddr verify`` checks, so each oracle is written once."""
+One run of the ``rbaddr verify`` checks gives the oracle verdicts: every
+registered check must pass, and criteria 1-4 read theirs too, so each
+oracle is written once."""
 
 import time
 from dataclasses import replace
@@ -35,6 +36,27 @@ PUBLISHED_DR_ESTIMATES = {"dr1_given_2": 0.0034, "dr2_given_1": 0.007}
 def verify_checks():
     """The ``rbaddr verify`` checks, by name."""
     return {check.name: check for check in run_verification()}
+
+
+# The counts the acceptance suite pins in a check's detail line
+DETAIL_PINS = {
+    "frame_rotation": "over 35 slot pairs",
+    "zz_conjugation": "0.00e+00 over 12 slots",
+    "element_words": "0.00e+00 over 576 elements",
+    "decoupled_pulses": "over 12 single-line slots",
+}
+
+
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_registered_check_passes(verify_checks, name):
+    """Every ``rbaddr verify`` check passes, against its own tolerance and,
+    where it has one, its negative control (see each check's docstring);
+    criteria 1-4 below also read theirs."""
+    check = verify_checks[name]
+    print(f"[{name}] {'PASS' if check.passed else 'FAIL'}: {check.detail} "
+          f"in {check.seconds:.2f}s")
+    assert check.passed, check.detail
+    assert DETAIL_PINS.get(name, "") in check.detail
 
 
 def report_line(number, passed, detail):
@@ -140,26 +162,6 @@ def test_criterion_4_fit_recovery_and_table(verify_checks):
     )
 
 
-def test_qubit_relabeling_swaps_every_output(verify_checks):
-    """Relabeling the qubits of sample a swaps all 48 slot channels and the
-    five predicted alphas at 1e-12; the relabeling without the coupling
-    sign flips misses (negative control)."""
-    check = verify_checks["qubit_relabeling"]
-    print(f"[qubit relabeling] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
-    assert check.passed, check.detail
-
-
-def test_joint_frame_rotation_maps_slot_channels(verify_checks):
-    """Adding pi/2 to both drive phases is Rz(pi/2) (x) Rz(pi/2): the 35
-    slots with a phase-shifted image map to P E P^T at 1e-12; the opposite
-    rotation misses (negative control)."""
-    check = verify_checks["frame_rotation"]
-    print(f"[frame rotation] {'PASS' if check.passed else 'FAIL'}: {check.detail} "
-          f"in {check.seconds:.2f}s")
-    assert check.passed, check.detail
-    assert "over 35 slot pairs" in check.detail
-
-
 def test_frame_rotation_check_sees_one_slot_off():
     """A 1e-9 error in one slot channel, (y90, idle), the image of (x90,
     idle), of the sample-a channels given as a gate set fails the
@@ -192,35 +194,6 @@ def test_full_verification_integrates_the_sample_a_batch_once(monkeypatch):
     assert sample_a.count(True) == 1
 
 
-def test_zz_conjugation_derives_the_image_slots_exactly(verify_checks):
-    """The 12 slots the engine derives by Z (x) Z conjugation equal their
-    direct integration on sample a bit for bit; conjugating by Z (x) I
-    misses (negative control)."""
-    check = verify_checks["zz_conjugation"]
-    print(f"[zz conjugation] {'PASS' if check.passed else 'FAIL'}: {check.detail} "
-          f"in {check.seconds:.2f}s")
-    assert check.passed, check.detail
-    assert "0.00e+00 over 12 slots" in check.detail
-
-
-def test_idle_evolution_accumulates_the_zz_phase(verify_checks):
-    """Free evolution for t = pi / zeta is the pi/2 ZZ rotation at 1e-9;
-    the -pi/2 rotation misses (negative control)."""
-    check = verify_checks["idle_zz_phase"]
-    print(f"[idle ZZ phase] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
-    assert check.passed, check.detail
-
-
-def test_element_channels_are_their_words_in_play_order(verify_checks):
-    """Each of the 576 sample-a CxC element channels is its word's slot
-    channels in play order, bit for bit; the words played in reverse miss
-    (negative control)."""
-    check = verify_checks["element_words"]
-    print(f"[element words] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
-    assert check.passed, check.detail
-    assert "0.00e+00 over 576 elements" in check.detail
-
-
 def test_element_words_check_sees_words_played_in_reverse(monkeypatch):
     """A slot map that plays each element's word in reverse fails the
     check, even on a gate-independent gate set."""
@@ -236,26 +209,6 @@ def test_element_words_check_sees_words_played_in_reverse(monkeypatch):
     assert verify.check_element_words(NoisyGateSet(Depolarizing(0.99))).passed
     monkeypatch.setattr(noise, "_slot_positions", reversed_words)
     assert not verify.check_element_words(NoisyGateSet(Depolarizing(0.99))).passed
-
-
-def test_decoherence_keeps_the_ground_state_fixed(verify_checks):
-    """T1/T2 channels compose as a semigroup and map the ground-state pole
-    to itself at 20 ns to 1 ms, at 1e-12; the excited pole moves (negative
-    control)."""
-    check = verify_checks["decoherence"]
-    print(f"[decoherence] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
-    assert check.passed, check.detail
-
-
-def test_decoupled_pulses_are_ideal_rotations(verify_checks):
-    """Without ZZ and couplings, each of the 12 sample-a single-line pulses
-    is its generator's ideal rotation at 1e-8, the bound of
-    ``test_decoupled_pi_pulse_is_exact``; the other line's rotation misses
-    (negative control)."""
-    check = verify_checks["decoupled_pulses"]
-    print(f"[decoupled pulses] {'PASS' if check.passed else 'FAIL'}: {check.detail}")
-    assert check.passed, check.detail
-    assert "over 12 single-line slots" in check.detail
 
 
 def test_decoupled_pulses_check_sees_the_pulse_area(monkeypatch):

@@ -535,10 +535,16 @@ def test_simulate_crosstalk_from_config_file(tmp_path):
 def test_verify_passes_quickly(capsys):
     import time
 
+    from rbaddr.verify import CHECKS
+
     t0 = time.perf_counter()
     assert run_cli("verify") == 0
     assert time.perf_counter() - t0 < 30
-    assert capsys.readouterr().out.splitlines()[-1] == "14/14 checks passed"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "14/14 checks passed"
+    # the names scripts/verify_mutants.py parses, in the runner's order
+    passed = [line.split()[1].rstrip(":") for line in lines if line.startswith("PASS ")]
+    assert passed == list(CHECKS)
 
 
 @pytest.mark.parametrize("level", ["quick", "full"])

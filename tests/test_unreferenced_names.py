@@ -3,7 +3,9 @@
 
 A reference is a name read, an attribute read or a name imported, in any
 module of ``src/rbaddr`` or in ``scripts/``, outside the definition's own
-body.
+body.  A function decorated by a call of a function that ``src/rbaddr``
+defines, as ``@_check(name)`` registers a ``rbaddr verify`` check, is
+reached through that registration.
 """
 
 import ast
@@ -49,14 +51,22 @@ def references(node: ast.AST) -> Counter:
     return names
 
 
+def registered(node: ast.AST, own: set[str]) -> bool:
+    """Whether ``node`` is decorated by a call of one of the ``own`` functions."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id in own
+               for d in getattr(node, "decorator_list", ()))
+
+
 def unreferenced(modules=MODULES) -> set[str]:
     trees = {path: ast.parse(path.read_text()) for path in modules + SCRIPTS}
     everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    own = {name for path in modules for name, node in definitions(trees[path])
+           if isinstance(node, ast.FunctionDef)}
     return {
         f"{path.stem}.{name}"
         for path in modules
         for name, node in definitions(trees[path])
-        if everywhere[name] == references(node)[name]
+        if everywhere[name] == references(node)[name] and not registered(node, own)
     }
 
 
@@ -66,6 +76,11 @@ def test_every_definition_in_src_has_a_caller():
 
 def test_the_guard_sees_a_definition_without_a_caller(tmp_path):
     module = tmp_path / "orphan.py"
-    module.write_text("def orphan(n):\n    return orphan(n - 1) if n else 0\n\n\n"
-                      "def used():\n    pass\n\n\nLIMIT = used()\n")
-    assert unreferenced(MODULES + [module]) == ALLOWED | {"orphan.orphan", "orphan.LIMIT"}
+    module.write_text("from functools import cache\n\n\n"
+                      "def orphan(n):\n    return orphan(n - 1) if n else 0\n\n\n"
+                      "def used():\n    pass\n\n\nLIMIT = used()\n\n\n"
+                      "def register(name):\n    return lambda f: f\n\n\n"
+                      "@register('a')\ndef registered():\n    pass\n\n\n"
+                      "@cache\ndef cached():\n    pass\n")
+    assert unreferenced(MODULES + [module]) == ALLOWED | {
+        "orphan.orphan", "orphan.LIMIT", "orphan.cached"}
