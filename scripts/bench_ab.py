@@ -10,15 +10,22 @@ it was.  For every workload, each pair runs ``bench/run.py --workload W
 change first in even ones, each followed by ``rbaddr verify`` from the
 same checkout, whose wall time joins that run's metrics as
 ``verify_full_s`` (named when the suite had a quick and a full level, and
-kept so that records stay comparable).  After the pairs, the tier-1 suite (``pytest -q -rf
---continue-on-collection-errors``) runs once from each checkout; its wall time,
-outcome counts and the node ids of its failing tests are recorded as
-``pytest_s``, failures included.  ``src_lines`` records each side's source
-size: the lines of each ``src/rbaddr/*.py`` of its export, as ``wc -l``
-counts them, and their total.  The output
-keeps the last JSON line of every run and, per end-to-end metric and
-``verify_full_s``, the median and inclusive quartiles of each side and the
-number of pairs the change won; it is rewritten after every pair.
+kept so that records stay comparable).  Each run's metrics also gain
+``peak_rss_mb_compiled``: the ``peak_rss_mb`` of ``bench/run.py --workload W
+--seconds 1 --max-units 1`` with bytecode on, from a fresh export of the
+same commit whose ``src/`` was compiled once in place (``python -m
+compileall -q src``), so that the peak does not count compiling ``src/``.
+``PYTHONPYCACHEPREFIX`` is not used: bytecode read from another directory
+raised a bare numpy import from 27.5 to 32.2 MB.  After the pairs, the
+tier-1 suite (``pytest -q -rf --continue-on-collection-errors``) runs once
+from each checkout; its wall time, outcome counts and the node ids of its
+failing tests are recorded as ``pytest_s``, failures included.
+``src_lines`` records each side's source size: the lines of each
+``src/rbaddr/*.py`` of its export, as ``wc -l`` counts them, and their
+total.  The output keeps the last JSON line of every run and, per
+end-to-end metric, ``peak_rss_mb_compiled`` and ``verify_full_s``, the
+median and inclusive quartiles of each side and the number of pairs the
+change won; it is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,7 +50,9 @@ DESCRIPTION = (
     "A/B runs of bench/run.py: the parent commit against the change, each from its own "
     "checkout, alternating which side runs first in each pair; the last JSON line of every "
     "run, with the wall time of `rbaddr verify` run from the same checkout right "
-    "after it as the metric verify_full_s, then per metric the median and quartiles "
+    "after it as the metric verify_full_s and the peak_rss_mb of a one-unit run from a second "
+    "export of the same commit with src/ compiled once in place (python -m compileall -q src) "
+    "and bytecode on as peak_rss_mb_compiled, then per metric the median and quartiles "
     "(inclusive method) of each side and the number of pairs the change won; pytest_s is "
     "the wall time, outcome counts and failing node ids of one tier-1 pytest run from each "
     "checkout after the pairs; src_lines is each side's `wc -l` of every src/rbaddr/*.py and "
@@ -114,6 +124,26 @@ def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     return last_json_line(result.stdout)
 
 
+def compiled_peak_rss_mb(commit: str, dest: Path, workload: str, seed: int) -> float:
+    """``peak_rss_mb`` of a one-unit ``bench/run.py`` run from an export of
+    ``commit`` at ``dest`` whose ``src/`` is compiled first, with bytecode
+    on; the export is removed after the run."""
+    try:
+        export(commit, dest)
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=dest, check=True)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        result = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seconds", "1",
+             "--max-units", "1", "--seed", str(seed)],
+            cwd=dest, env=env, capture_output=True, text=True,
+        )
+        if result.returncode not in (0, 1):
+            raise RuntimeError(f"bench/run.py exited {result.returncode}: {result.stderr[-500:]}")
+        return last_json_line(result.stdout)["metrics"]["peak_rss_mb"]["value"]
+    finally:
+        shutil.rmtree(dest, ignore_errors=True)
+
+
 def verify_seconds(checkout: Path) -> float:
     """Wall time of ``rbaddr verify`` run from ``checkout``;
     a failed check or a crash raises, as no time of a broken suite counts."""
@@ -182,7 +212,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {**{m["name"]: m["better"] for m in metrics}, "verify_full_s": "lower"}
+    better = {**{m["name"]: m["better"] for m in metrics}, "peak_rss_mb_compiled": "lower",
+              "verify_full_s": "lower"}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(getattr(args, side), checkouts[side]) for side in SIDES}
@@ -206,6 +237,9 @@ def main(argv=None) -> int:
                     runs[side] = run_bench(checkouts[side], workload, args.seconds, args.seed)
                     seconds = verify_seconds(checkouts[side])
                     runs[side]["metrics"]["verify_full_s"] = {"value": seconds, "unit": "s"}
+                    peak = compiled_peak_rss_mb(commits[side], Path(tmp) / f"{side}-compiled",
+                                                workload, args.seed)
+                    runs[side]["metrics"]["peak_rss_mb_compiled"] = {"value": peak, "unit": "MB"}
                 entry["pairs"].append({"pair": pair, "first": order[0],
                                        **{side: runs[side] for side in SIDES}})
                 if pair > 1:  # quartiles need two values

@@ -1,4 +1,4 @@
-"""Kill matrix of ``rbaddr verify`` over eleven one-line mutants.
+"""Kill matrix of ``rbaddr verify`` over twelve one-line mutants.
 
 Each mutant replaces one line of ``src/`` (file, old text, new text).  The
 script extracts a ``git archive`` of a commit into a temporary directory,
@@ -61,6 +61,9 @@ MUTANTS = (
     ("M11", "each element's word played in reverse", "src/rbaddr/noise.py",
      "        row[: len(element)] = [_SLOT_ROW[slot] for slot in element]\n",
      "        row[: len(element)] = [_SLOT_ROW[slot] for slot in element[::-1]]\n"),
+    ("M12", "CxC table derived with its two factors swapped", "src/rbaddr/cliffords.py",
+     "        mult = len(b) * a.mult_table[:, None, :, None] + b.mult_table[None, :, None, :]\n",
+     "        mult = len(a) * b.mult_table[None, :, None, :] + a.mult_table[:, None, :, None]\n"),
 )
 
 

@@ -2,28 +2,33 @@
 
 The single-qubit group is enumerated by breadth-first closure of the
 generator set {X+-pi/2, Y+-pi/2, X_pi, Y_pi}; the two-qubit subsystem
-groups (CxC, CxI, IxC) are assembled as products.  Clifford PTMs are
-signed permutation matrices, so elements are canonicalized by rounding to
-integers and group operations run on precomputed index tables: the random
-part of a benchmarking sequence never touches matrix arithmetic.
+groups (CxC, CxI, IxC) are products of C1 and the one-element identity
+group.  Clifford PTMs are signed permutation matrices, so elements are
+canonicalized by rounding to integers and group operations run on index
+tables: the random part of a benchmarking sequence never touches matrix
+arithmetic.
 
-Each group is built with a few array operations: one stacked matmul per
-closure frontier, one broadcast Kronecker product for all pairs of a
-product group, one stacked product for the tables.  On integer PTMs these
-are exact, so the result equals the one-element-at-a-time build bit for
-bit.  A group is its arrays, row ``i`` of each for element ``i``: the
-read-only ``(|G|, d, d)`` PTMs ``ptms``, the generator words ``words``
-(one per qubit), the tables ``mult_table`` and ``inv_table``, and ``targets``.
-The tables are int16, as every index is below 576 (CxC's ``mult_table``
-takes 0.66 MB instead of 2.65 MB as int64); arithmetic on a table value
-that can exceed int16 runs in int64.
+A group is its arrays, row ``i`` of each for element ``i``: the read-only
+``(|G|, d, d)`` PTMs ``ptms``, the generator words ``words`` (one per
+qubit), the tables ``mult_table`` and ``inv_table``, and ``targets``.  C1
+is built with a few array operations (one stacked matmul per closure
+frontier, one stacked product for the tables), exact on integer PTMs.  A
+product group keeps only its words and its two factors, and derives each
+array from theirs when it is first read, then caches it: the tables and
+``targets`` factorize per qubit, and ``ptm_rows`` gives the PTMs of a
+slice of elements as the Kronecker products of their factor pairs, so a
+caller that reads a chunk of PTMs at a time never holds CxC's 1.18 MB
+stack.  Every derived array equals the one-element-at-a-time build bit for
+bit, the ``-0.0`` entries of ``np.kron`` included.  The tables are int16,
+as every index is below 576 (CxC's ``mult_table`` takes 0.66 MB instead
+of 2.65 MB as int64); arithmetic on a table value that can exceed int16
+runs in int64.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -65,26 +70,82 @@ def _canonical(ptm: np.ndarray) -> np.ndarray:
     return rounded
 
 
-@dataclass(frozen=True)
 class CliffordGroup:
-    kind: str
-    # every element's PTM, stacked (|G|, d, d)
-    ptms: np.ndarray = field(repr=False)
-    # per element, one generator word per qubit, applied left to right
-    words: tuple[tuple[tuple[str, ...], ...], ...] = field(repr=False)
-    mult_table: np.ndarray  # mult_table[i, j] = index of (apply j, then i)
-    inv_table: np.ndarray
-    # (|G|, d): element g sends Pauli j to +-Pauli targets[g, j]; built with
-    # the group, so before any share of a run starts
-    targets: np.ndarray = field(init=False, repr=False, compare=False)
+    """A group of ``len(group)`` elements, with read-only arrays: given
+    ones (C1, a reference build), or, by :meth:`product`, ones derived from
+    two factors on first read and cached."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", np.argmax(self.ptms != 0, axis=1))
-        for array in (self.ptms, self.mult_table, self.inv_table, self.targets):
-            _read_only(array)
+    def __init__(self, kind: str, ptms: np.ndarray, words, mult_table: np.ndarray,
+                 inv_table: np.ndarray):
+        self.kind = kind
+        # per element, one generator word per qubit, applied left to right
+        self.words: tuple[tuple[tuple[str, ...], ...], ...] = words
+        self.factors: tuple[CliffordGroup, CliffordGroup] | None = None
+        # given arrays shadow the derivations below
+        self.ptms = _read_only(ptms)
+        self.mult_table = _read_only(mult_table)  # [i, j] = index of (apply j, then i)
+        self.inv_table = _read_only(inv_table)
+
+    @classmethod
+    def product(cls, kind: str, first: CliffordGroup, second: CliffordGroup) -> CliffordGroup:
+        """The group of element ``len(second) * a + b``: element a of
+        ``first`` on qubit 1 beside element b of ``second`` on qubit 2."""
+        group = cls.__new__(cls)
+        group.kind, group.factors = kind, (first, second)
+        group.words = tuple((wa, wb) for (wa,) in first.words for (wb,) in second.words)
+        return group
 
     def __len__(self) -> int:
-        return len(self.ptms)
+        return len(self.words)
+
+    def __repr__(self) -> str:
+        return f"CliffordGroup(kind={self.kind!r}, size={len(self)})"
+
+    def ptm_rows(self, rows: slice) -> np.ndarray:
+        """The ideal PTMs ``ptms[rows]`` of a slice of elements.  A product
+        group's are the Kronecker products of the slice's factor pairs
+        (A, B): ``kron(A, ones)`` times ``kron(ones, B)``, so that each entry
+        is the one product A[p, r] * B[q, s] that ``np.kron`` takes, -0.0
+        included.  On 64 CxC elements this takes 30 us, where one broadcast
+        multiply over a 4-element inner axis took 60 us (one CPU of a
+        2-core Xeon VM)."""
+        if self.factors is None:
+            return self.ptms[rows]
+        a, b = self.factors
+        first, second = np.divmod(np.arange(len(self))[rows], len(b))
+        pa, pb = a.ptms[first], b.ptms[second]
+        kron = pa.repeat(pb.shape[1], 1).repeat(pb.shape[2], 2)
+        kron *= np.tile(pb, (1, *pa.shape[1:]))
+        return kron
+
+    @cached_property
+    def ptms(self) -> np.ndarray:
+        """(|G|, d, d), derived only for callers that want the whole stack."""
+        return _read_only(self.ptm_rows(slice(None)))
+
+    @cached_property
+    def mult_table(self) -> np.ndarray:
+        # the product factorizes per qubit; len(b) * i + j <= 575 stays int16
+        a, b = self.factors
+        mult = len(b) * a.mult_table[:, None, :, None] + b.mult_table[None, :, None, :]
+        return _read_only(mult.reshape(len(self), len(self)))
+
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        a, b = self.factors
+        return _read_only(len(b) * np.repeat(a.inv_table, len(b)) + np.tile(b.inv_table, len(a)))
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """(|G|, d): element g sends Pauli j to +-Pauli ``targets[g, j]``;
+        a product element sends Pauli ``d_b * r + s`` to ``d_b * t_a[r] +
+        t_b[s]``, with no PTM read."""
+        if self.factors is None:
+            return _read_only(np.argmax(self.ptms != 0, axis=1))
+        a, b = self.factors
+        d = b.targets.shape[1]
+        targets = d * a.targets[:, None, :, None] + b.targets[None, :, None, :]
+        return _read_only(targets.reshape(len(self), -1))
 
     def composites(self, indices) -> np.ndarray:
         """Running composites of each row of a (K, m) index array, shape
@@ -174,39 +235,24 @@ def generate_c1() -> CliffordGroup:
 
 
 @lru_cache(maxsize=None)
+def _identity_group() -> CliffordGroup:
+    """The one-element group on a qubit left idle."""
+    zero = np.zeros((1, 1), dtype=np.int16)
+    return CliffordGroup("i", np.eye(4)[None], (((),),), zero, zero[0])
+
+
+@lru_cache(maxsize=None)
 def product_group(kind: str) -> CliffordGroup:
     """Two-qubit subsystem groups: 'cxc' (576), 'cxi' or 'ixc' (24 each).
 
     Element ``24 * a + b`` of CxC is C1 element a on qubit 1 and b on
-    qubit 2; CxI and IxC index C1 directly.
+    qubit 2; CxI and IxC index C1 directly.  No array is built here.
     """
-    c1 = generate_c1()
-    identity = (np.eye(4)[None], [()])
-    c1_side = (c1.ptms, [w for (w,) in c1.words])
-    if kind == "cxc":
-        (a, words_a), (b, words_b) = c1_side, c1_side
-    elif kind == "cxi":
-        (a, words_a), (b, words_b) = c1_side, identity
-    elif kind == "ixc":
-        (a, words_a), (b, words_b) = identity, c1_side
-    else:
+    c1, idle = generate_c1(), _identity_group()
+    factors = {"cxc": (c1, c1), "cxi": (c1, idle), "ixc": (idle, c1)}
+    if kind not in factors:
         raise ValueError(f"unknown group kind '{kind}'")
-
-    # the Kronecker product of every pair as one broadcast multiply (not
-    # einsum, which sums into a zeroed output and so loses kron's -0.0)
-    ptms = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(-1, 16, 16)
-    words = tuple((wa, wb) for wa in words_a for wb in words_b)
-
-    m1 = c1.mult_table
-    inv1 = c1.inv_table
-    if kind == "cxc":
-        # the product factorizes per qubit; 24 * a + b <= 575 stays int16
-        mult = (24 * m1[:, None, :, None] + m1[None, :, None, :]).reshape(576, 576)
-        inv = 24 * np.repeat(inv1, 24) + np.tile(inv1, 24)
-    else:
-        mult = m1.copy()
-        inv = inv1.copy()
-    return CliffordGroup(kind, ptms, words, mult, inv)
+    return CliffordGroup.product(kind, *factors[kind])
 
 
 def _keys(ptms: np.ndarray) -> list[bytes]:
@@ -221,12 +267,14 @@ def _indices(key_index: dict[bytes, int], ptms: np.ndarray) -> np.ndarray:
     return np.array([key_index[key] for key in _keys(ptms)], dtype=np.int16)
 
 
-def _read_only(array: np.ndarray) -> None:
-    """Freeze ``array`` and the arrays it views, so that no view of it can
-    be made writeable again."""
-    while isinstance(array, np.ndarray):
-        array.setflags(write=False)
-        array = array.base
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, frozen with the arrays it views, so that no view of it
+    can be made writeable again."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base.setflags(write=False)
+        base = base.base
+    return array
 
 
 def get_group(kind: str) -> CliffordGroup:

@@ -695,7 +695,7 @@ class NoisyGateSet:
         and the identity pad past a short word's end leaves the product
         exact."""
         if self.granularity == "clifford":
-            np.matmul(self._error, group.ptms[rows], out=out)
+            np.matmul(self._error, group.ptm_rows(rows), out=out)
             return
         positions = _slot_positions(group.kind)[rows]
         out[...] = self.slot_channels[positions[:, 0]]
@@ -766,7 +766,7 @@ def average_error_channel(gateset: NoisyGateSet, group: CliffordGroup) -> np.nda
         return gateset._error.copy()
     total = np.zeros((1, 16, 16))
     for rows, chunk in gateset.chunks(group):
-        terms = chunk @ group.ptms[rows].swapaxes(1, 2)
+        terms = chunk @ group.ptm_rows(rows).swapaxes(1, 2)
         total = np.add.reduce(np.concatenate([total, terms]), axis=0, keepdims=True)
     return total[0] / len(group)
 

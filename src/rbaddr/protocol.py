@@ -285,17 +285,23 @@ def _run_block(cfg, gateset, group, indices, after, rng) -> np.ndarray:
 
 def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalCurve]]:
     """Curves of each experiment, keyed as :func:`run_experiment` keys them;
-    the blocks of all of them run in one set of shares.  The table each
-    experiment's blocks read, monomial or dense, is built here, before any
-    share starts; a share seeds the streams of its own blocks only, in one
-    hash, and holds the indices of one draw at a time."""
+    the blocks of all of them run in one set of shares.  Every array a
+    share reads is built here, before any share starts: the table each
+    experiment's blocks read, monomial or dense, and its group's tables
+    (and, for a monomial one, ``targets``), which a group derives on first
+    read.  A share seeds the streams of its own blocks only, in one hash,
+    and holds the indices of one draw at a time."""
     if unknown := [e for e in experiments if e not in EXPERIMENT_GROUPS]:
         raise ValueError(f"unknown experiment '{unknown[0]}'")
     groups = {e: get_group(EXPERIMENT_GROUPS[e]) for e in experiments}
     step = {e: PATH_STEP_SECONDS for e in groups if gateset.monomial_table(groups[e]) is not None}
-    for e in groups.keys() - step.keys():
-        gateset.element_table(groups[e])
-        step[e] = MATVEC_STEP_SECONDS
+    for e, group in groups.items():
+        group.mult_table, group.inv_table
+        if e in step:
+            group.targets
+        else:
+            gateset.element_table(group)
+            step[e] = MATVEC_STEP_SECONDS
     blocks = [(e, mi) for e in experiments for mi in range(len(cfg.lengths))]
     costs = [
         cfg.K * (STREAM_DRAW_SECONDS + (cfg.lengths[mi] + 1) * step[e]) for e, mi in blocks

@@ -120,8 +120,24 @@ def _check(name: str):
     return register
 
 
+def _table_misses(group: CliffordGroup, mult: np.ndarray, rng: np.random.Generator,
+                  n_pairs: int) -> int:
+    """Element pairs (i, j) of ``n_pairs`` seeded draws whose product
+    ``mult[i, j]`` is not exactly the PTM product ``ptms[i] @ ptms[j]``."""
+    i, j = rng.integers(0, len(group), size=(2, n_pairs))
+    products = group.ptms[i] @ group.ptms[j]
+    return int(np.count_nonzero(np.any(group.ptms[mult[i, j]] != products, axis=(1, 2))))
+
+
 @_check("group_integrity")
 def check_group_integrity():
+    """C1 closes at 24 elements, and 1000 random sequences of lengths
+    1..100, each followed by its recovery, compose to the identity at
+    1e-12.  The product groups' derived arrays are exact: for CxI, IxC and
+    CxC, 2000 seeded pairs multiply as their PTMs do, every element's
+    inverse undoes it, and 100 random CxC sequences of lengths 1..100
+    close through ``recovery_indices``.  Negative control: CxC's table
+    with its two factors swapped must miss on some pair."""
     c1 = generate_c1()  # raises unless closure gave 24 elements
     rng = np.random.default_rng(VERIFY_SEED)
     n_sequences = 1000
@@ -135,8 +151,29 @@ def check_group_integrity():
             total = c1.ptms[idx] @ total
         total = c1.ptms[rec] @ total
         worst = max(worst, float(np.max(np.abs(total - np.eye(4)))))
-    return worst <= 1e-12, (f"|C1|={len(c1)}, worst recovery residual {worst:.2e} over "
-                            f"{n_sequences} sequences")
+
+    n_pairs, n_products = 2000, 100
+    misses = 0
+    for kind in ("cxi", "ixc", "cxc"):
+        group = get_group(kind)
+        misses += _table_misses(group, group.mult_table, rng, n_pairs)
+        eye = np.eye(group.ptms.shape[-1])
+        misses += int(np.count_nonzero(np.any(
+            group.ptms[group.inv_table] @ group.ptms != eye, axis=(1, 2))))
+    cxc = get_group("cxc")
+    for _ in range(n_products):
+        seq = cxc.sample_uniform(rng, int(rng.integers(1, 101)))
+        total = np.eye(16)
+        for idx in (*seq, cxc.recovery_indices(seq[None])[0]):
+            total = cxc.ptms[idx] @ total
+        misses += not np.array_equal(total, np.eye(16))
+    # the product 24 a + b read as 24 b + a: qubit 2's factor on qubit 1
+    swapped = 24 * (cxc.mult_table % 24) + cxc.mult_table // 24
+    control = _table_misses(cxc, swapped, rng, n_pairs)
+    return worst <= 1e-12 and misses == 0 < control, (
+        f"|C1|={len(c1)}, worst recovery residual {worst:.2e} over {n_sequences} sequences; "
+        f"CxI, IxC, CxC: {misses} misses over {n_pairs} pairs each, every inverse and "
+        f"{n_products} CxC recoveries; swapped CxC factors miss {control} of {n_pairs} pairs")
 
 
 @_check("twirl_oracles")

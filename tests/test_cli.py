@@ -260,6 +260,42 @@ def test_commands_run_without_first_call_only_numpy_sorts(tmp_path):
         assert outputs["plain"], name
 
 
+def test_commands_derive_only_the_group_arrays_they_read(tmp_path):
+    # a product group derives each array on first read: predict reads none
+    # of CxC's, and a per-generator simulate no group's whole PTM stack
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text("steps = 16\n")
+    depolarizing = tmp_path / "depolarizing.cfg"
+    depolarizing.write_text("model = depolarizing\nalpha1 = 0.99\n")
+    lengths = ["--lengths", "1,2,3,4,5,6,7,8", "--K", "3"]
+    commands = [
+        ["predict", "--preset", "sample_a", "--config", str(cfg)],
+        ["simulate", "--config", str(depolarizing), *lengths],
+        ["simulate", "--preset", "sample_a_crosstalk", "--config", str(cfg), *lengths],
+    ]
+    code = ("import json, sys\n"
+            "from rbaddr.cli import main\n"
+            "from rbaddr.cliffords import product_group\n"
+            "arrays = {'ptms', 'mult_table', 'inv_table', 'targets'}\n"
+            "for n, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    assert main([*argv, '--out', sys.argv[2] + str(n)]) == 0\n"
+            "    print('derived', json.dumps({kind: sorted(arrays & vars(product_group(kind)).keys())\n"
+            "                                 for kind in ('cxi', 'ixc', 'cxc')}))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(commands), str(tmp_path / "o")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = [line.split(" ", 1)[1] for line in result.stdout.splitlines()
+             if line.startswith("derived ")]
+    predict, *simulate = map(json.loads, lines)
+    assert len(simulate) == 2
+    assert predict == {"cxi": [], "ixc": [], "cxc": []}
+    for derived in simulate:
+        assert all("ptms" not in arrays for arrays in derived.values()), derived
+        assert all({"mult_table", "inv_table"} <= set(arrays) for arrays in derived.values())
+
+
 @pytest.mark.parametrize("shots, loaded", [(None, "False False"), ("10", "True True")])
 def test_only_shots_load_numpy_random(tmp_path, shots, loaded):
     # the index draws are rbaddr.streams' PCG64 copy; shots are numpy's

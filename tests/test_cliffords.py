@@ -359,6 +359,27 @@ def test_array_built_group_matches_per_element_reference(kind):
         assert np.array_equal(table, ref_table)
 
 
+@pytest.mark.parametrize("kind", ["cxi", "ixc", "cxc"])
+def test_derived_arrays_are_the_per_element_reference_bits(kind):
+    # a fresh group derives each array on first read; bytes, so that the
+    # signed zeros of np.kron count too
+    group, ref = product_group.__wrapped__(kind), reference_product_group(kind)
+    for size in (1, 64):  # single rows, and the chunks prediction reads
+        for first in range(0, len(group), size):
+            rows = slice(first, first + size)
+            derived = group.ptm_rows(rows)
+            assert derived.dtype == ref.ptms.dtype and derived.strides == ref.ptms[rows].strides
+            assert derived.tobytes() == ref.ptms[rows].tobytes(), rows
+    assert "ptms" not in vars(group)  # no row read built the stack
+    assert group.ptm_rows(slice(None)).tobytes() == ref.ptms.tobytes()
+    for name in ("ptms", "mult_table", "inv_table", "targets"):
+        derived, expected = getattr(group, name), getattr(ref, name)
+        assert (derived.dtype, derived.shape) == (expected.dtype, expected.shape), name
+        assert derived.tobytes() == expected.tobytes(), name
+        assert not derived.flags.writeable, name
+        assert getattr(group, name) is derived, name  # cached
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_shared_arrays_are_read_only(kind):
     group = get_group(kind)

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gate_sets import pauli_slot_errors
-from rbaddr.cliffords import element_slots, generator_ptm, get_group
+from rbaddr import protocol
+from rbaddr.cliffords import (
+    CliffordGroup,
+    element_slots,
+    generator_ptm,
+    get_group,
+    product_group,
+)
 from rbaddr.fitting import fit_exponential
 from rbaddr.noise import (
     SAMPLE_A,
@@ -38,6 +45,7 @@ from rbaddr.protocol import (
     _path_states,
     _stream_words,
 )
+from rbaddr.parallel import run_jobs
 from rbaddr.streams import draw_blocks, draw_indices, pcg64_states, seeded_streams, stream_words
 from rbaddr.twirl import gamma_decay_curve
 
@@ -303,8 +311,8 @@ def test_pauli_permuting_noise_takes_the_matvec_bits(kind):
 def test_top_element_gives_the_bits_of_int64_tables(cxc):
     # the tables are int16: 575 * 576 would overflow it, 16 * 575 does not
     top = len(cxc) - 1
-    wide = replace(cxc, mult_table=cxc.mult_table.astype(np.int64),
-                   inv_table=cxc.inv_table.astype(np.int64))
+    wide = CliffordGroup(cxc.kind, cxc.ptms, cxc.words, cxc.mult_table.astype(np.int64),
+                         cxc.inv_table.astype(np.int64))
     indices = np.random.default_rng(575).integers(0, len(cxc), size=(5, 24))
     indices[0] = top
     indices[1, ::3] = top
@@ -324,6 +332,53 @@ def test_top_element_gives_the_bits_of_int64_tables(cxc):
         assert narrow.dtype == np.int16 and np.array_equal(narrow, recovery)
         got = _path_states(cxc, steps, narrow, composites, factor, _DENSE_PREP)
         assert got.tobytes() == state.tobytes()
+
+
+GROUP_ARRAYS = {"ptms", "mult_table", "inv_table", "targets"}
+
+
+@pytest.mark.parametrize(
+    "model, granularity, monomial",
+    [
+        (Depolarizing(0.97, 0.95), "generator", True),
+        (Depolarizing(0.97, 0.95), "clifford", True),
+        (CrossTalk(SAMPLE_A, steps=16), "generator", False),
+        (Decoherence(SAMPLE_A), "clifford", False),
+    ],
+    ids=["depolarizing", "depolarizing_per_clifford", "crosstalk", "decoherence_per_clifford"],
+)
+def test_shares_read_only_group_arrays_built_before_the_fork(monkeypatch, workers, model,
+                                                              granularity, monomial):
+    # fresh groups derive their arrays on first read: the tables (and, for
+    # monomial tables, targets) must exist when run_jobs is entered, and
+    # the shares, all run in this process, must build none
+    groups = []
+
+    def fresh_group(kind):
+        groups.append(product_group.__wrapped__(kind))
+        return groups[-1]
+
+    def derived():
+        return [GROUP_ARRAYS & vars(group).keys() for group in groups]
+
+    entered = []
+
+    def checked_run_jobs(work, jobs, costs):
+        entered.append(derived())
+        results = run_jobs(work, jobs, costs)
+        assert derived() == entered[-1]
+        return results
+
+    monkeypatch.setattr(protocol, "get_group", fresh_group)
+    monkeypatch.setattr(protocol, "run_jobs", checked_run_jobs)
+    workers(1)
+    gateset = NoisyGateSet(model, granularity)
+    curves = run_protocol(RBConfig(lengths=(1, 2, 5), K=3, seed=4), gateset)
+    assert len(curves) == 7 and len(entered) == 1 and len(groups) == 3
+    needed = {"mult_table", "inv_table"} | ({"targets"} if monomial else set())
+    for group, arrays in zip(groups, entered[0]):
+        assert needed <= arrays, group.kind
+        assert (gateset.monomial_table(group) is not None) == monomial
 
 
 @pytest.mark.parametrize("model", [Depolarizing(0.97, 0.95), Depolarizing(0.99, joint=True)],

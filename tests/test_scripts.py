@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,24 +79,35 @@ def test_one_gate_set_per_command(command, evolved_pairs, monkeypatch, tmp_path,
     assert len(evolved_pairs[0]) == len(set(evolved_pairs[0])) == 48
 
 
-def bench_line(units_per_s, setup_s):
+def load_bench_ab():
+    """``scripts/bench_ab.py`` as a module, whose functions can be patched."""
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+    return bench_ab
+
+
+def bench_line(units_per_s, setup_s, compiled_mb=38.0):
     metrics = {"setup_s": (setup_s, "s"), "unit_s_p50": (1 / units_per_s, "s"),
-               "units_per_s": (units_per_s, "1/s"), "peak_rss_mb": (40.0, "MB")}
+               "units_per_s": (units_per_s, "1/s"), "peak_rss_mb": (40.0, "MB"),
+               "peak_rss_mb_compiled": (compiled_mb, "MB")}
     return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
         name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}})
 
 
 def test_bench_ab_summary_of_canned_runs():
     bench_ab = runpy.run_path(str(ROOT / "scripts" / "bench_ab.py"))
-    parent = [(30.0, 0.05), (31.0, 0.04), (29.0, 0.05), (30.5, 0.05), (30.2, 0.06)]
-    change = [(36.0, 0.05), (35.0, 0.05), (37.0, 0.04), (30.0, 0.05), (36.5, 0.05)]
+    parent = [(30.0, 0.05, 38.0), (31.0, 0.04, 38.1), (29.0, 0.05, 37.9), (30.5, 0.05, 38.0),
+              (30.2, 0.06, 38.2)]
+    change = [(36.0, 0.05, 36.9), (35.0, 0.05, 37.0), (37.0, 0.04, 38.0), (30.0, 0.05, 36.8),
+              (36.5, 0.05, 37.1)]
     pairs = [
         {side: bench_ab["last_json_line"](f"workload fit_measured\n{bench_line(*run)}\n\n")
          for side, run in (("parent", p), ("change", c))}
         for p, c in zip(parent, change)
     ]
     better = {"setup_s": "lower", "unit_s_p50": "lower", "units_per_s": "higher",
-              "peak_rss_mb": "lower"}
+              "peak_rss_mb": "lower", "peak_rss_mb_compiled": "lower"}
     summary = bench_ab["summarize"](pairs, better)
     units = summary["units_per_s"]
     assert units["parent"] == {"median": 30.2, "q1": 30.0, "q3": 30.5, "iqr": 0.5}
@@ -106,6 +118,12 @@ def test_bench_ab_summary_of_canned_runs():
     # ties are not wins
     assert summary["setup_s"]["change_wins"] == 2
     assert summary["peak_rss_mb"]["change_wins"] == 0
+    # the one-unit peak of the compiled exports: the change loses the third pair
+    compiled = summary["peak_rss_mb_compiled"]
+    assert compiled["parent"] == {"median": 38.0, "q1": 38.0, "q3": 38.1,
+                                  "iqr": pytest.approx(0.1)}
+    assert (compiled["change"]["median"], compiled["better"]) == (37.0, "lower")
+    assert compiled["change_wins"] == 4
 
 
 def test_bench_ab_times_the_full_verify(tmp_path):
@@ -118,6 +136,31 @@ def test_bench_ab_times_the_full_verify(tmp_path):
     (package / "cli.py").write_text("print('FAIL a check'); raise SystemExit(3)\n")
     with pytest.raises(RuntimeError, match="exited 3"):
         verify_seconds(tmp_path)
+
+
+def test_bench_ab_reads_the_peak_of_a_compiled_export(tmp_path, monkeypatch):
+    bench_ab = load_bench_ab()
+    exported = []
+
+    def export(rev, dest):
+        # this tree's program and bench, with no bytecode: a checkout need not be a git one
+        for part in ("src", "bench"):
+            shutil.copytree(ROOT / part, dest / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".perfbench"))
+        exported.append(dest)
+        return rev
+
+    def check_compiled(peak):
+        # src/ was compiled whole, verify.py too, which no bench unit imports
+        assert list((exported[0] / "src" / "rbaddr" / "__pycache__").glob("verify.*.pyc"))
+        return peak
+
+    monkeypatch.setattr(bench_ab, "export", export)
+    monkeypatch.setattr(bench_ab, "last_json_line", lambda stdout: check_compiled(
+        json.loads(stdout.splitlines()[-1])))
+    dest = tmp_path / "compiled"
+    assert bench_ab.compiled_peak_rss_mb("HEAD", dest, "fit_measured", 0) > 0
+    assert exported == [dest] and not dest.exists()
 
 
 def test_bench_ab_counts_the_suite_without_raising(tmp_path):
@@ -142,9 +185,7 @@ def test_bench_ab_counts_the_suite_without_raising(tmp_path):
 
 
 def test_bench_ab_records_the_source_lines_of_each_side(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
-    bench_ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_ab)
+    bench_ab = load_bench_ab()
 
     def export(rev, dest):
         # wc -l counts newlines: an unterminated last line adds none
@@ -158,6 +199,7 @@ def test_bench_ab_records_the_source_lines_of_each_side(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_ab, "export", export)
     monkeypatch.setattr(bench_ab, "run_bench", lambda *args: json.loads(bench_line(30.0, 0.05)))
     monkeypatch.setattr(bench_ab, "verify_seconds", lambda checkout: 1.0)
+    monkeypatch.setattr(bench_ab, "compiled_peak_rss_mb", lambda *args: 38.0)
     monkeypatch.setattr(bench_ab, "pytest_run", lambda checkout: {})
     out = tmp_path / "bench.json"
     argv = ["--parent", "old", "--change", "new", "--workload", "fit_measured", "--pairs", "1"]
@@ -171,7 +213,7 @@ def test_bench_ab_records_the_source_lines_of_each_side(tmp_path, monkeypatch):
 def test_verify_mutants_each_change_one_line_of_the_tree():
     # the runner refuses a mutant whose old text is not found exactly once
     mutants = runpy.run_path(str(ROOT / "scripts" / "verify_mutants.py"))["MUTANTS"]
-    assert [m[0] for m in mutants] == [f"M{i}" for i in range(1, 12)]
+    assert [m[0] for m in mutants] == [f"M{i}" for i in range(1, 13)]
     for name, _, path, old, new in mutants:
         assert (ROOT / path).read_text().count(old) == 1, name
         assert old != new and old.count("\n") == new.count("\n") == 1, name
