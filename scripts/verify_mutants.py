@@ -1,4 +1,4 @@
-"""Kill matrix of ``rbaddr verify`` over twelve one-line mutants.
+"""Kill matrix of ``rbaddr verify`` over thirteen one-line mutants.
 
 Each mutant replaces one line of ``src/`` (file, old text, new text).  The
 script extracts a ``git archive`` of a commit into a temporary directory,
@@ -64,6 +64,9 @@ MUTANTS = (
     ("M12", "CxC table derived with its two factors swapped", "src/rbaddr/cliffords.py",
      "        mult = len(b) * a.mult_table[:, None, :, None] + b.mult_table[None, :, None, :]\n",
      "        mult = len(a) * b.mult_table[None, :, None, :] + a.mult_table[:, None, :, None]\n"),
+    ("M13", "CxC alpha_1|2 read from qubit 2's block", "src/rbaddr/twirl.py",
+     '        for block in ("q1", "q2", "corr")\n',
+     '        for block in ("q2", "q2", "corr")\n'),
 )
 
 

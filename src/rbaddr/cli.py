@@ -47,7 +47,8 @@ from .noise import (
     describe_model,
     predict_addressability,
 )
-from .protocol import RBConfig, check_run_size, read_curves_csv, run_protocol, write_curves_csv
+from .protocol import (CURVES, RBConfig, check_run_size, read_curves_csv, run_protocol,
+                       write_curves_csv)
 from .report import build_report
 
 OUT_ENV_VAR = "RB_ADDR_OUT"
@@ -471,6 +472,10 @@ def cmd_fit(args) -> int:
     curves = _read_input(read_curves_csv, curves_path)
     if not curves:
         raise FitError("no curves found in input CSV")
+    for curve in curves:
+        if (curve.experiment, curve.projection) not in CURVES:
+            raise FitError(f"unknown curve {curve.experiment}/{curve.projection}; the "
+                           f"protocol's are {', '.join(map('/'.join, CURVES))}")
     out = _out_dir(args, "fit")
     provenance = {"input": str(curves_path), "toolkit_version": __version__}
     outputs = _analyze_and_write(

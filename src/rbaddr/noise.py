@@ -795,7 +795,7 @@ def predict_addressability(gateset: NoisyGateSet, gamma_max_m: int = 128) -> dic
     diagnostic for the non-exponential correction of the single-subsystem
     decay (max |(Gamma^m)_00 - alpha^m| over m).
     """
-    from .report import build_report
+    from .report import DELTA_R_ERRORS, GATE_ERROR_ALPHAS, build_report
     from .twirl import gamma_decay_curve
 
     exp1, exp2, exp3 = (predict_alphas(gateset, kind) for kind in ("cxi", "ixc", "cxc"))
@@ -817,14 +817,9 @@ def predict_addressability(gateset: NoisyGateSet, gamma_max_m: int = 128) -> dic
     group = get_group("c1")
     return {
         "alphas": alphas,
-        "gate_errors": {
-            key: getattr(report, key).value
-            for key in ("r1", "r2", "r1_given_2", "r2_given_1")
-        },
-        "delta_r": {
-            key: getattr(report, key).value for key in ("dr1_given_2", "dr2_given_1")
-        },
-        "delta_alpha": report.dalpha.value,
+        "gate_errors": {key: report.values[key].value for key in GATE_ERROR_ALPHAS},
+        "delta_r": {key: report.values[key].value for key in DELTA_R_ERRORS},
+        "delta_alpha": report.values["delta_alpha"].value,
         "gamma_exponential_deviation": gamma_dev,
         "mean_generators_per_clifford": group.mean_slots,
         "model": describe_model(gateset.model),

@@ -19,7 +19,6 @@ against unitaries/Kraus operators; all PTM algebra downstream is real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,15 +31,6 @@ _P1 = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-def num_qubits(ptm: np.ndarray) -> int:
-    """Number of qubits of a PTM (or Pauli vector) by its size."""
-    size = ptm.shape[0]
-    n = max(1, round(np.log2(size) / 2))
-    if 4**n != size:
-        raise ValueError(f"size {size} is not a power of 4")
-    return n
 
 
 @lru_cache(maxsize=None)
@@ -142,91 +132,3 @@ def computational_state(bits: str) -> np.ndarray:
 def computational_povm_vector(bits: str) -> np.ndarray:
     """Measurement Pauli vector of the projector onto |bits>."""
     return computational_state(bits) / 2 ** len(bits)
-
-
-# ---------------------------------------------------------------------------
-# Subspace projectors (diagonal 0/1 over Pauli indices)
-
-
-@lru_cache(maxsize=None)
-def projector_diag(kind: str, n: int) -> np.ndarray:
-    """Diagonal of a Pauli-subspace projector.
-
-    Kinds: 'identity' (P_0 only), and for n=2 the irreducible subsystem
-    blocks 'q1' (non-identity on qubit 1, identity on qubit 2), 'q2'
-    (mirror) and 'corr' (non-identity on both).
-    """
-    size = 4**n
-    diag = np.zeros(size)
-    if kind == "identity":
-        diag[0] = 1.0
-    elif kind in ("q1", "q2", "corr"):
-        if n != 2:
-            raise ValueError(f"projector '{kind}' is only defined for n=2")
-        for idx in range(size):
-            i, j = idx // 4, idx % 4
-            if kind == "q1" and i != 0 and j == 0:
-                diag[idx] = 1.0
-            elif kind == "q2" and i == 0 and j != 0:
-                diag[idx] = 1.0
-            elif kind == "corr" and i != 0 and j != 0:
-                diag[idx] = 1.0
-    else:
-        raise ValueError(f"unknown projector kind '{kind}'")
-    diag.setflags(write=False)
-    return diag
-
-
-def project(ptm: np.ndarray, proj_diag: np.ndarray) -> float:
-    """Normalized block trace Tr(Pi R) / Tr(Pi)."""
-    if ptm.shape[0] != len(proj_diag):
-        raise ValueError("projector and PTM dimensions differ")
-    weight = proj_diag.sum()
-    if weight == 0:
-        raise ValueError("projector has zero trace")
-    return float(np.diag(ptm) @ proj_diag / weight)
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-
-
-@lru_cache(maxsize=None)
-def _choi_basis(n: int) -> np.ndarray:
-    """Read-only (4**n, 4**n, d*d, d*d) array of kron(P_i, P_j.T)."""
-    paulis = pauli_matrices(n)
-    basis = np.stack([np.stack([np.kron(pi, pj.T) for pj in paulis]) for pi in paulis])
-    basis.setflags(write=False)
-    return basis
-
-
-def choi_matrix(ptm: np.ndarray) -> np.ndarray:
-    """Choi matrix (trace normalized to 1) reconstructed from a PTM:
-    sum_ij R[i, j] kron(P_i, P_j.T) / d**2, one contraction against the
-    cached basis."""
-    n = num_qubits(ptm)
-    return np.einsum("ij,ijab->ab", ptm, _choi_basis(n)) / 4**n
-
-
-@dataclass(frozen=True)
-class CptpDiagnostic:
-    """Physicality report for a PTM (diagnostic, not enforced)."""
-
-    min_choi_eigenvalue: float
-    tp_deviation: float
-    is_cp: bool
-    is_tp: bool
-
-
-def cptp_diagnostic(ptm: np.ndarray, atol: float = 1e-8) -> CptpDiagnostic:
-    """Check complete positivity (Choi spectrum) and trace preservation."""
-    eigs = np.linalg.eigvalsh(choi_matrix(ptm))
-    row0 = np.zeros(ptm.shape[0])
-    row0[0] = 1.0
-    tp_dev = float(np.max(np.abs(ptm[0] - row0)))
-    return CptpDiagnostic(
-        min_choi_eigenvalue=float(eigs.min()),
-        tp_deviation=tp_dev,
-        is_cp=bool(eigs.min() >= -atol),
-        is_tp=bool(tp_dev <= atol),
-    )

@@ -52,7 +52,10 @@ from .paulis import computational_povm_vector, computational_state
 
 EXPERIMENT_GROUPS = {"exp1": "cxi", "exp2": "ixc", "exp3": "cxc"}
 EXPERIMENT_CODES = {"exp1": 1, "exp2": 2, "exp3": 3}
-PROJECTIONS = ("Q1", "Q2", "CORR")
+# The protocol's seven survival curves, (experiment, projection), in run
+# order: each experiment's Q1 and Q2, then exp3's correlation CORR.
+CURVES = (("exp1", "Q1"), ("exp1", "Q2"), ("exp2", "Q1"), ("exp2", "Q2"),
+          ("exp3", "Q1"), ("exp3", "Q2"), ("exp3", "CORR"))
 
 DEFAULT_LENGTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
@@ -322,7 +325,7 @@ def _run_experiments(cfg, gateset, experiments) -> dict[str, dict[str, SurvivalC
     out = {}
     for experiment in experiments:
         block_pops = [next(pops) for _ in cfg.lengths]
-        projections = PROJECTIONS if experiment == "exp3" else PROJECTIONS[:2]
+        projections = [proj for e, proj in CURVES if e == experiment]
         out[experiment] = {}
         for column, proj in enumerate(projections, start=1):
             # p00 plus p01 (Q1), p10 (Q2) or p11 (CORR)
@@ -411,13 +414,16 @@ def read_curves_csv(path) -> list[SurvivalCurve]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"malformed CSV row at line {lineno}: {len(row)} fields, "
+                                 f"not {len(CSV_HEADER)}: {row}")
+            experiment, projection = row[0], row[1]
             try:
-                experiment, projection = row[0], row[1]
                 m = int(row[2])
                 mean = float(row[3])
                 stderr = float(row[4])
                 k = int(row[5])
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"malformed CSV row at line {lineno}: {row}") from exc
             if m < 1:
                 raise ValueError(f"sequence length m={m} < 1 at line {lineno}")

@@ -69,19 +69,33 @@ def delta_alpha(alpha_12, alpha_1_2, alpha_2_1) -> UVal:
     return UVal(value, sigma)
 
 
+# The seven reported quantities in row order: report.json key, report.txt
+# label and twirl group.
+QUANTITIES = (
+    ("r1", "r_1", "CxI"),
+    ("r2", "r_2", "IxC"),
+    ("r1_given_2", "r_1|2", "CxC"),
+    ("r2_given_1", "r_2|1", "CxC"),
+    ("dr1_given_2", "dr_1|2", "-"),
+    ("dr2_given_1", "dr_2|1", "-"),
+    ("delta_alpha", "dalpha", "-"),
+)
+# The alpha each gate error reads, and the two gate errors each delta r reads.
+GATE_ERROR_ALPHAS = {"r1": "alpha_1", "r2": "alpha_2", "r1_given_2": "alpha_1_2",
+                     "r2_given_1": "alpha_2_1"}
+DELTA_R_ERRORS = {"dr1_given_2": ("r1", "r1_given_2"), "dr2_given_1": ("r2", "r2_given_1")}
+
+
 @dataclass
 class AddressabilityReport:
-    """Table of extracted error rates and addressability metrics."""
+    """Table of extracted error rates and addressability metrics.
+
+    ``values`` holds each quantity of ``QUANTITIES`` whose alphas were
+    fitted, by its report.json key."""
 
     sample_label: str
     alphas: dict[str, UVal]
-    r1: UVal | None = None
-    r2: UVal | None = None
-    r1_given_2: UVal | None = None
-    r2_given_1: UVal | None = None
-    dr1_given_2: UVal | None = None
-    dr2_given_1: UVal | None = None
-    dalpha: UVal | None = None
+    values: dict[str, UVal] = field(default_factory=dict)
     chi2_reduced: dict[str, float] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
     missing: tuple[str, ...] = ()
@@ -94,13 +108,7 @@ class AddressabilityReport:
         return {
             "sample_label": self.sample_label,
             "alphas": {k: enc(v) for k, v in sorted(self.alphas.items())},
-            "r1": enc(self.r1),
-            "r2": enc(self.r2),
-            "r1_given_2": enc(self.r1_given_2),
-            "r2_given_1": enc(self.r2_given_1),
-            "dr1_given_2": enc(self.dr1_given_2),
-            "dr2_given_1": enc(self.dr2_given_1),
-            "delta_alpha": enc(self.dalpha),
+            **{key: enc(self.values.get(key)) for key, _, _ in QUANTITIES},
             "chi2_reduced": dict(sorted(self.chi2_reduced.items())),
             "flags": list(self.flags),
             "missing": list(self.missing),
@@ -109,18 +117,10 @@ class AddressabilityReport:
 
     def to_text(self) -> str:
         """Aligned plain-text table (one row per extracted quantity)."""
-        rows = [
-            ("r_1", "CxI", self.r1),
-            ("r_2", "IxC", self.r2),
-            ("r_1|2", "CxC", self.r1_given_2),
-            ("r_2|1", "CxC", self.r2_given_1),
-            ("dr_1|2", "-", self.dr1_given_2),
-            ("dr_2|1", "-", self.dr2_given_1),
-            ("dalpha", "-", self.dalpha),
-        ]
         lines = [f"sample: {self.sample_label}"]
         lines.append(f"{'quantity':<10}{'twirl group':<14}{'value':>12}{'1-sigma':>12}")
-        for name, grp, val in rows:
+        for key, name, grp in QUANTITIES:
+            val = self.values.get(key)
             if val is None:
                 lines.append(f"{name:<10}{grp:<14}{'n/a':>12}{'n/a':>12}")
             else:
@@ -165,30 +165,21 @@ def build_report(
                 flags.append(f"fit did not converge: {key}")
         else:
             alphas[key] = _as_uval(entry)
-    missing = tuple(k for k in ALPHA_KEYS if k not in alphas)
-
-    report = AddressabilityReport(
-        sample_label=sample_label,
-        alphas=alphas,
-        chi2_reduced=chi2_map,
-        missing=missing,
-        provenance=provenance or {},
-    )
-    if "alpha_1" in alphas:
-        report.r1 = gate_error(alphas["alpha_1"])
-    if "alpha_2" in alphas:
-        report.r2 = gate_error(alphas["alpha_2"])
-    if "alpha_1_2" in alphas:
-        report.r1_given_2 = gate_error(alphas["alpha_1_2"])
-    if "alpha_2_1" in alphas:
-        report.r2_given_1 = gate_error(alphas["alpha_2_1"])
-    if report.r1 is not None and report.r1_given_2 is not None:
-        report.dr1_given_2 = delta_r(report.r1, report.r1_given_2)
-    if report.r2 is not None and report.r2_given_1 is not None:
-        report.dr2_given_1 = delta_r(report.r2, report.r2_given_1)
+    values = {key: gate_error(alphas[alpha])
+              for key, alpha in GATE_ERROR_ALPHAS.items() if alpha in alphas}
+    for key, (r_k, r_k_given) in DELTA_R_ERRORS.items():
+        if r_k in values and r_k_given in values:
+            values[key] = delta_r(values[r_k], values[r_k_given])
     if all(k in alphas for k in ("alpha_12", "alpha_1_2", "alpha_2_1")):
-        report.dalpha = delta_alpha(
+        values["delta_alpha"] = delta_alpha(
             alphas["alpha_12"], alphas["alpha_1_2"], alphas["alpha_2_1"]
         )
-    report.flags = tuple(flags)
-    return report
+    return AddressabilityReport(
+        sample_label=sample_label,
+        alphas=alphas,
+        values=values,
+        chi2_reduced=chi2_map,
+        flags=tuple(flags),
+        missing=tuple(k for k in ALPHA_KEYS if k not in alphas),
+        provenance=provenance or {},
+    )

@@ -12,7 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulis import num_qubits, project, projector_diag
+# The four blocks of the two-qubit Pauli indices 4 i + j (i the Pauli on
+# qubit 1, j on qubit 2) as 0/1 masks: the identity, non-identity on qubit 1
+# alone (q1) or on qubit 2 alone (q2), and non-identity on both (corr).
+_ON_1, _ON_2 = np.divmod(np.arange(16), 4)
+BLOCKS = {
+    "identity": ((_ON_1 == 0) & (_ON_2 == 0)).astype(float),
+    "q1": ((_ON_1 != 0) & (_ON_2 == 0)).astype(float),
+    "q2": ((_ON_1 == 0) & (_ON_2 != 0)).astype(float),
+    "corr": ((_ON_1 != 0) & (_ON_2 != 0)).astype(float),
+}
+for _mask in BLOCKS.values():
+    _mask.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -26,20 +37,22 @@ class TwirlOutcome:
 def twirl_cxc(ptm: np.ndarray) -> TwirlOutcome:
     """CxC twirl: tensor products of depolarizing channels.
 
-    Block parameters alpha_{k|k'} = Tr(Pi_k R)/Tr(Pi_k); deviation of
+    Block parameters alpha_{k|k'} = Tr(Pi_k R)/Tr(Pi_k), the mean of the
+    PTM's diagonal over the q1, q2 and corr ``BLOCKS``; deviation of
     alpha_12 from the product alpha_{1|2} alpha_{2|1}
     (``report.delta_alpha``) witnesses correlated errors.
     """
-    if num_qubits(ptm) != 2:
+    if np.shape(ptm) != (16, 16):
         raise ValueError("CxC twirl requires a two-qubit PTM")
-    a_1_2 = project(ptm, projector_diag("q1", 2))
-    a_2_1 = project(ptm, projector_diag("q2", 2))
-    a_12 = project(ptm, projector_diag("corr", 2))
+    a_1_2, a_2_1, a_12 = (
+        float(np.diag(ptm) @ BLOCKS[block] / BLOCKS[block].sum())
+        for block in ("q1", "q2", "corr")
+    )
     diag = (
-        projector_diag("identity", 2)
-        + a_1_2 * projector_diag("q1", 2)
-        + a_2_1 * projector_diag("q2", 2)
-        + a_12 * projector_diag("corr", 2)
+        BLOCKS["identity"]
+        + a_1_2 * BLOCKS["q1"]
+        + a_2_1 * BLOCKS["q2"]
+        + a_12 * BLOCKS["corr"]
     )
     alphas = {"alpha_1_2": a_1_2, "alpha_2_1": a_2_1, "alpha_12": a_12}
     return TwirlOutcome(np.diag(diag), alphas)
@@ -56,7 +69,7 @@ def twirl_cxi(ptm: np.ndarray, which: int = 1) -> TwirlOutcome:
     Tr(Pi_k R) / Tr(Pi_k), as ``alpha_1`` or ``alpha_2``; the powers of
     gamma govern the traced-out decay (:func:`gamma_decay_curve`).
     """
-    if num_qubits(ptm) != 2:
+    if np.shape(ptm) != (16, 16):
         raise ValueError("subsystem twirl requires a two-qubit PTM")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")

@@ -204,7 +204,7 @@ def check_product_delta_alpha():
         a = random_cptp_ptm(1, rng)
         b = random_cptp_ptm(1, rng)
         alphas = twirl_cxc(tensor(a, b)).alphas
-        witness = build_report({k: (v, 0.0) for k, v in alphas.items()}).dalpha.value
+        witness = build_report({k: (v, 0.0) for k, v in alphas.items()}).values["delta_alpha"].value
         worst = max(worst, abs(witness))
     return worst <= 1e-12, f"max |delta alpha| = {worst:.2e} over {n_channels} product channels"
 
@@ -220,7 +220,7 @@ def check_zz_injection():
 
     def witness(error):
         curves = run_protocol(cfg, NoisyGateSet(StaticError(error)))
-        return build_report(fit_protocol_curves(curves)["alpha_fits"]).dalpha
+        return build_report(fit_protocol_curves(curves)["alpha_fits"]).values["delta_alpha"]
 
     zz, product = witness(zz_rotation_ptm(0.1)), witness(tensor(rz, rz))
     z, control = (dalpha.value / dalpha.sigma for dalpha in (zz, product))

@@ -146,14 +146,14 @@ def test_criterion_4_fit_recovery_and_table(verify_checks):
     )
     report = build_report(alphas, sample_label="sample_a")
     table_ok = (
-        abs(report.r1.value - 0.0039) < 5e-5
-        and abs(report.r2.value - 0.0067) < 5e-5
-        and abs(report.dr1_given_2.value - 0.0047) < 5e-5
-        and abs(report.dr1_given_2.sigma - 0.0003) < 1e-4
-        and abs(report.dr2_given_1.value - 0.0053) < 5e-5
-        and abs(report.dr2_given_1.sigma - 0.0005) < 1e-4
-        and abs(report.dalpha.value - 0.0050) < 5e-5
-        and abs(report.dalpha.sigma - 0.0018) < 1e-4
+        abs(report.values["r1"].value - 0.0039) < 5e-5
+        and abs(report.values["r2"].value - 0.0067) < 5e-5
+        and abs(report.values["dr1_given_2"].value - 0.0047) < 5e-5
+        and abs(report.values["dr1_given_2"].sigma - 0.0003) < 1e-4
+        and abs(report.values["dr2_given_1"].value - 0.0053) < 5e-5
+        and abs(report.values["dr2_given_1"].sigma - 0.0005) < 1e-4
+        and abs(report.values["delta_alpha"].value - 0.0050) < 5e-5
+        and abs(report.values["delta_alpha"].sigma - 0.0018) < 1e-4
     )
     report_line(
         4,

@@ -164,6 +164,19 @@ def test_fit_rejects_fewer_than_two_sequences(tmp_path, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("curve", ["expX,Q9", "exp1,CORR"])
+def test_fit_refuses_a_curve_outside_the_protocol(tmp_path, capsys, curve):
+    csv = tmp_path / "curves.csv"
+    rows = ["experiment,projection,m,mean,stderr,K"]
+    rows += [f"{name},{m},{0.5 + 0.5 * 0.99**m},0.01,20" for name in ("exp1,Q1", curve)
+             for m in (1, 2, 4, 8, 16, 32, 64)]
+    csv.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert run_cli("fit", str(csv), "--out", str(out)) == 2
+    assert f"unknown curve {curve.replace(',', '/')}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_package_and_cli_imports_load_the_pinned_modules():
     # the package loads twirl eagerly for the bench's tracer; only ``rbaddr
     # verify`` needs rbaddr.verify and only ``simulate`` rbaddr.streams, so
@@ -177,7 +190,7 @@ def test_package_and_cli_imports_load_the_pinned_modules():
     result = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                             capture_output=True, text=True, timeout=120)
     package, cli = (set(line.split()) for line in result.stdout.splitlines())
-    assert package == {"rbaddr", "rbaddr.twirl", "rbaddr.paulis"}
+    assert package == {"rbaddr", "rbaddr.twirl"}
     assert cli == {"rbaddr"} | {f"rbaddr.{name}" for name in (
         "cli", "cliffords", "fitting", "noise", "parallel", "paulis", "protocol", "report",
         "twirl")}

@@ -128,11 +128,12 @@ PREDICT = ("predict", "--preset", "sample_a", "--config")
         (FIT, ",".join(CSV_HEADER) + "\nexp1,Q1,1,0.5,0.01,10\n", 0),
         (FIT, ",".join(CSV_HEADER) + "\nexp1,Q1," + "9" * 140_000 + ",0.5,0.01,10\n", 2),
         (FIT, "m,mean\n1,0.5\n", 2),
+        (FIT, ",".join(CSV_HEADER) + "\nexp1,Q1,1,0.5,0.01,10\nexpX,Q9,1,0.5,0.01,10\n", 2),
     ],
     ids=["simulate_runs", "k_huge", "shots_not_finite", "crosstalk_missing_device_keys",
          "crosstalk_missing_zeta",
          "clifford_crosstalk", "predict_gate_time_nan", "fit_runs", "fit_field_too_long",
-         "fit_wrong_header"],
+         "fit_wrong_header", "fit_unknown_curve"],
 )
 def test_tiny_runs_exit_as_documented(tmp_path, capsys, command, text, code):
     source = tmp_path / ("curves.csv" if command == FIT else "run.cfg")

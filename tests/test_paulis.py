@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 
 from rbaddr.paulis import (
-    CptpDiagnostic,
-    choi_matrix,
     computational_povm_vector,
     computational_state,
-    cptp_diagnostic,
     depolarizing_ptm,
     pauli_matrices,
-    project,
-    projector_diag,
     ptm_from_kraus,
     ptm_from_unitary,
     tensor,
 )
+from rbaddr.twirl import BLOCKS, twirl_cxc
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -145,7 +141,7 @@ def test_kraus_first_row():
     rng = np.random.default_rng(3)
     for n in (1, 2):
         r = ptm_from_kraus(random_kraus(n, rng))
-        assert cptp_diagnostic(r, atol=1e-12).is_tp
+        assert np.allclose(r[0], np.eye(len(r))[0], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +174,9 @@ def test_tensor_x_on_first_qubit():
 def test_tensor_depolarizing_corr_block():
     a1, a2 = 0.9, 0.8
     r = tensor(depolarizing_ptm(a1), depolarizing_ptm(a2))
-    assert project(r, projector_diag("corr", 2)) == pytest.approx(a1 * a2, abs=1e-12)
-    assert project(r, projector_diag("q1", 2)) == pytest.approx(a1, abs=1e-12)
+    alphas = twirl_cxc(r).alphas
+    assert alphas["alpha_12"] == pytest.approx(a1 * a2, abs=1e-12)
+    assert alphas["alpha_1_2"] == pytest.approx(a1, abs=1e-12)
 
 
 def test_tensor_respects_composition():
@@ -247,68 +244,14 @@ def test_expectation_orthogonal_states():
 
 
 def test_projector_partition_of_identity():
-    total = sum(projector_diag(k, 2) for k in ("identity", "q1", "q2", "corr"))
+    total = sum(BLOCKS.values())
     assert np.allclose(total, np.ones(16))
-    assert projector_diag("q1", 2).sum() == 3
-    assert projector_diag("q2", 2).sum() == 3
-    assert projector_diag("corr", 2).sum() == 9
+    assert BLOCKS["q1"].sum() == 3
+    assert BLOCKS["q2"].sum() == 3
+    assert BLOCKS["corr"].sum() == 9
 
 
 def test_project_identity_and_depolarizing():
-    assert project(np.eye(16), projector_diag("corr", 2)) == pytest.approx(1.0)
+    assert twirl_cxc(np.eye(16)).alphas["alpha_12"] == pytest.approx(1.0)
     r = depolarizing_ptm(0.42, 2)
-    assert project(r, projector_diag("q1", 2)) == pytest.approx(0.42)
-
-
-def test_project_zero_trace_projector():
-    with pytest.raises(ValueError):
-        project(np.eye(4), np.zeros(4))
-
-
-# ---------------------------------------------------------------------------
-# CPTP diagnostic
-
-
-def test_cptp_diagnostic_on_channel_and_non_channel():
-    rng = np.random.default_rng(23)
-    good = ptm_from_kraus(random_kraus(1, rng))
-    diag = cptp_diagnostic(good)
-    assert isinstance(diag, CptpDiagnostic)
-    assert diag.is_cp and diag.is_tp
-    # transpose map (positive but not completely positive)
-    transpose_ptm = np.diag([1.0, 1.0, -1.0, 1.0])
-    bad = cptp_diagnostic(transpose_ptm)
-    assert not bad.is_cp
-
-
-def reference_choi_matrix(ptm):
-    """Sum of R[i, j] kron(P_i, P_j.T) over the nonzero entries, one at a time."""
-    n = 1 if ptm.shape[0] == 4 else 2
-    paulis = pauli_matrices(n)
-    choi = np.zeros((4**n, 4**n), dtype=complex)
-    for i in range(4**n):
-        for j in range(4**n):
-            if ptm[i, j] != 0.0:
-                choi += ptm[i, j] * np.kron(paulis[i], paulis[j].T)
-    return choi / 4**n
-
-
-def test_choi_matrix_matches_the_term_by_term_sum():
-    from rbaddr.cliffords import get_group
-
-    # the contraction may sum in another order: one eps per summed term
-    tol = 256 * np.finfo(float).eps
-    rng = np.random.default_rng(29)
-    for n in (1, 2):
-        for _ in range(10):
-            ptm = ptm_from_kraus(random_kraus(n, rng))
-            assert np.max(np.abs(choi_matrix(ptm) - reference_choi_matrix(ptm))) < tol
-    # integer PTMs sum exactly in any order
-    for ptm in (*get_group("c1").ptms, *get_group("cxc").ptms[::23]):
-        assert np.array_equal(choi_matrix(ptm), reference_choi_matrix(ptm))
-
-
-def test_choi_of_identity_is_maximally_entangled():
-    eigs = np.linalg.eigvalsh(choi_matrix(np.eye(4)))
-    assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(eigs[:-1], 0.0, atol=1e-12)
+    assert twirl_cxc(r).alphas["alpha_1_2"] == pytest.approx(0.42)

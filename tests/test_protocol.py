@@ -797,9 +797,9 @@ def test_uncorrelated_noise_null_addressability():
     curves = run_protocol(cfg, NoisyGateSet(Depolarizing(0.995, 0.99), "clifford"))
     report = build_report(fit_protocol_curves(curves)["alpha_fits"])
     assert report.missing == ()
-    assert abs(report.dr1_given_2.value) < 3 * report.dr1_given_2.sigma
-    assert abs(report.dr2_given_1.value) < 3 * report.dr2_given_1.sigma
-    assert abs(report.dalpha.value) < 3 * report.dalpha.sigma
+    assert abs(report.values["dr1_given_2"].value) < 3 * report.values["dr1_given_2"].sigma
+    assert abs(report.values["dr2_given_1"].value) < 3 * report.values["dr2_given_1"].sigma
+    assert abs(report.values["delta_alpha"].value) < 3 * report.values["delta_alpha"].sigma
 
 
 # ---------------------------------------------------------------------------
@@ -957,9 +957,11 @@ def test_read_curves_rejects_wrong_header(tmp_path):
         ("exp1,Q1,1" + "0" * 400 + ",0.9,0.01,5", r"m >= 2\*\*32"),
         ("exp1,Q1,8,0.9,1e-200,5", r"1/stderr\^2 overflows"),
         ("exp1,Q1,8,0.9,7e-155,5", r"1/stderr\^2 overflows"),
+        ("exp1,Q1,8,0.9,0.01,5,0.5", "7 fields"),
     ],
     ids=["nan_mean", "inf_stderr", "duplicate_m", "mixed_K", "m_zero", "K_one", "K_negative",
-         "m_2_to_the_32", "m_huge", "stderr_squared_underflows", "weight_overflows"],
+         "m_2_to_the_32", "m_huge", "stderr_squared_underflows", "weight_overflows",
+         "extra_field"],
 )
 def test_read_curves_rejects_bad_values(tmp_path, bad_row, message):
     path = tmp_path / "bad.csv"

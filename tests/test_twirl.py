@@ -140,11 +140,11 @@ def test_ixc_is_the_mirrored_cxi(channels_2q):
 
 
 def test_gamma_leading_element_is_projector_trace(channels_2q):
-    from rbaddr.paulis import project, projector_diag
-
+    # the CxC alphas alpha_1|2 and alpha_2|1 are the q1 and q2 block means
     r = channels_2q[3]
-    assert twirl_cxi(r, 1).alphas["alpha_1"] == pytest.approx(project(r, projector_diag("q1", 2)))
-    assert twirl_cxi(r, 2).alphas["alpha_2"] == pytest.approx(project(r, projector_diag("q2", 2)))
+    cxc = twirl_cxc(r).alphas
+    assert twirl_cxi(r, 1).alphas["alpha_1"] == pytest.approx(cxc["alpha_1_2"])
+    assert twirl_cxi(r, 2).alphas["alpha_2"] == pytest.approx(cxc["alpha_2_1"])
 
 
 def test_marginal_block_is_partial_trace_map():

@@ -22,9 +22,6 @@ ALLOWED = {
     # tests/test_bench_contract.py pins them (ROADMAP item 5)
     "protocol.generate_sequence",
     "protocol.run_experiment",
-    # the CPTP margin of a slot channel, for the manifest's health report
-    # (ROADMAP item 6)
-    "paulis.cptp_diagnostic",
 }
 
 
