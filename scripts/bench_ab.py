@@ -18,8 +18,10 @@ compileall -q src``), so that the peak does not count compiling ``src/``.
 ``PYTHONPYCACHEPREFIX`` is not used: bytecode read from another directory
 raised a bare numpy import from 27.5 to 32.2 MB.  After the pairs, the
 tier-1 suite (``pytest -q -rf --continue-on-collection-errors``) runs once
-from each checkout; its wall time, outcome counts and the node ids of its
-failing tests are recorded as ``pytest_s``, failures included.
+from each checkout, both under one ``--hypothesis-seed`` drawn at random for
+the call, so that both sides draw the same examples and a failure replays;
+its wall time, outcome counts, the node ids of its failing tests and the
+seed are recorded as ``pytest_s``, failures included.
 ``src_lines`` records each side's source size: the lines of each
 ``src/rbaddr/*.py`` of its export, as ``wc -l`` counts them, and their
 total.  The output keeps the last JSON line of every run and, per
@@ -35,6 +37,7 @@ import contextlib
 import json
 import os
 import platform
+import random
 import re
 import shutil
 import statistics
@@ -55,7 +58,8 @@ DESCRIPTION = (
     "and bytecode on as peak_rss_mb_compiled, then per metric the median and quartiles "
     "(inclusive method) of each side and the number of pairs the change won; pytest_s is "
     "the wall time, outcome counts and failing node ids of one tier-1 pytest run from each "
-    "checkout after the pairs; src_lines is each side's `wc -l` of every src/rbaddr/*.py and "
+    "checkout after the pairs, both under the one --hypothesis-seed it records, drawn at "
+    "random per call; src_lines is each side's `wc -l` of every src/rbaddr/*.py and "
     "their total."
 )
 
@@ -167,21 +171,23 @@ def pytest_counts(stdout: str) -> dict[str, int]:
     return {"passed": 0, "failed": 0, **{word: int(n) for n, word in found}}
 
 
-def pytest_run(checkout: Path) -> dict:
+def pytest_run(checkout: Path, hypothesis_seed: int) -> dict:
     """Wall time, outcome counts and failing node ids (from the ``-rf``
-    summary's FAILED lines) of the tier-1 suite run from ``checkout``.  A
-    failure is recorded, not raised: one property test fails about once in
-    40 runs."""
+    summary's FAILED lines) of the tier-1 suite run from ``checkout`` under
+    ``--hypothesis-seed``, which is recorded too.  A failure is recorded,
+    not raised: one property test fails about once in 40 runs."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "--continue-on-collection-errors"],
+        [sys.executable, "-m", "pytest", "-q", "-rf", "--continue-on-collection-errors",
+         f"--hypothesis-seed={hypothesis_seed}"],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
     elapsed = time.perf_counter() - start
     failing = re.findall(r"^FAILED (.+?)(?: - .*)?$", result.stdout, flags=re.MULTILINE)
     return {"value": elapsed, "unit": "s", "returncode": result.returncode,
-            **pytest_counts(result.stdout), "failing": failing}
+            **pytest_counts(result.stdout), "failing": failing,
+            "hypothesis_seed": hypothesis_seed}
 
 
 def machine() -> str:
@@ -248,7 +254,9 @@ def main(argv=None) -> int:
                 units = {side: runs[side]["metrics"]["units_per_s"]["value"] for side in SIDES}
                 print(f"{workload} pair {pair}: units_per_s parent {units['parent']:.4g} "
                       f"change {units['change']:.4g}", flush=True)
-        report["pytest_s"] = {side: pytest_run(checkouts[side]) for side in SIDES}
+        hypothesis_seed = random.randrange(2**32)
+        report["pytest_s"] = {side: pytest_run(checkouts[side], hypothesis_seed)
+                              for side in SIDES}
         args.out.write_text(json.dumps(report, indent=1) + "\n")
         for side in SIDES:
             print(f"pytest {side}: {report['pytest_s'][side]}", flush=True)

@@ -199,6 +199,9 @@ def _device(values: dict[str, str], preset: str | None, required) -> DeviceParam
         raise ConfigError(f"device preset '{preset}' fixes all but gate_time_ns: {extra}")
     else:
         fields = asdict(DEVICE_PRESETS[preset])
+        missing = [key for key in required if fields[DEVICE_KEYS[key][0]] is None]
+        if missing:
+            raise ConfigError(f"device preset '{preset}' lacks {', '.join(missing)}")
     for key in keys:
         name, factors = DEVICE_KEYS[key]
         value = _number(key, values[key])
@@ -299,12 +302,12 @@ def _gateset(values: dict[str, str], model) -> NoisyGateSet:
 # Artifact helpers
 
 
-def _out_dir(args, command: str) -> Path:
+def _out_dir(args) -> Path:
     if args.out:
         out = Path(args.out)
     else:
         base = os.environ.get(OUT_ENV_VAR, "rbaddr_runs")
-        out = Path(base) / command
+        out = Path(base) / args.command
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -337,33 +340,29 @@ def _sha256(path: Path) -> str:
     return _sha256_type()(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(
-    out: Path, command: str, args_dict: dict, cfg: dict, seed, started: str,
-    inputs: dict[str, str], outputs: list[Path],
-) -> None:
-    args_dict = {
-        k: v
-        for k, v in args_dict.items()
-        if k != "func" and isinstance(v, (str, int, float, bool))
-    }
-    manifest = {
-        "command": command,
-        "args": dict(sorted(args_dict.items())),
-        "config": dict(sorted(cfg.items())),
-        "seed": seed,
-        "toolkit_version": __version__,
-        "timestamps": {
-            "started": started,
-            "finished": datetime.now(timezone.utc).isoformat(),
-        },
-        "inputs": inputs,
-        "outputs": {p.name: _sha256(p) for p in outputs},
-    }
-    _dump_json(out / "manifest.json", manifest)
+def _recorded(command):
+    """An artifact command: ``command(args)`` returns its output directory,
+    the files it wrote there and what the run read (``config``, ``seed``,
+    ``inputs``: path -> sha256; each empty by default), which are stamped
+    and recorded in that directory's ``manifest.json``."""
 
+    @functools.wraps(command)
+    def run(args) -> int:
+        started = datetime.now(timezone.utc).isoformat()
+        out, outputs, read = command(args)
+        _dump_json(out / "manifest.json", {
+            "config": {}, "seed": None, "inputs": {}, **read,
+            "command": args.command,
+            "args": {k: v for k, v in vars(args).items() if isinstance(v, (str, int, float, bool))},
+            "toolkit_version": __version__,
+            "timestamps": {"started": started,
+                           "finished": datetime.now(timezone.utc).isoformat()},
+            "outputs": {p.name: _sha256(p) for p in outputs},
+        })
+        print(f"artifacts written to {out}")
+        return 0
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    return run
 
 
 @functools.lru_cache(maxsize=None)
@@ -431,8 +430,8 @@ def _analyze_and_write(
 # Commands
 
 
-def cmd_simulate(args) -> int:
-    started = _now()
+@_recorded
+def cmd_simulate(args):
     cfg = parse_config_file(args.config) if args.config else {}
     flags = {"preset": args.preset, "model": args.model, "lengths": args.lengths,
              "k": args.K, "seed": args.seed}
@@ -440,7 +439,7 @@ def cmd_simulate(args) -> int:
     model, sample_label = build_model(values)
     rb_cfg = _rb_config(values)
     gateset = _gateset(values, model)
-    out = _out_dir(args, "simulate")
+    out = _out_dir(args)
 
     config_digest = _sha256_type()(json.dumps(sorted(cfg.items())).encode()).hexdigest()
     provenance = {
@@ -459,15 +458,11 @@ def cmd_simulate(args) -> int:
     write_curves_csv(curves, curves_path)
     outputs = [curves_path]
     outputs += _analyze_and_write(curves, out, sample_label, provenance)
-    _write_manifest(
-        out, "simulate", vars(args), cfg, rb_cfg.seed, started, {}, outputs
-    )
-    print(f"artifacts written to {out}")
-    return 0
+    return out, outputs, {"config": cfg, "seed": rb_cfg.seed}
 
 
-def cmd_fit(args) -> int:
-    started = _now()
+@_recorded
+def cmd_fit(args):
     curves_path = Path(args.curves)
     curves = _read_input(read_curves_csv, curves_path)
     if not curves:
@@ -476,27 +471,16 @@ def cmd_fit(args) -> int:
         if (curve.experiment, curve.projection) not in CURVES:
             raise FitError(f"unknown curve {curve.experiment}/{curve.projection}; the "
                            f"protocol's are {', '.join(map('/'.join, CURVES))}")
-    out = _out_dir(args, "fit")
+    out = _out_dir(args)
     provenance = {"input": str(curves_path), "toolkit_version": __version__}
     outputs = _analyze_and_write(
         curves, out, args.sample_label or curves_path.stem, provenance
     )
-    _write_manifest(
-        out,
-        "fit",
-        vars(args),
-        {},
-        None,
-        started,
-        {str(curves_path): _sha256(curves_path)},
-        outputs,
-    )
-    print(f"artifacts written to {out}")
-    return 0
+    return out, outputs, {"inputs": {str(curves_path): _sha256(curves_path)}}
 
 
-def cmd_predict(args) -> int:
-    started = _now()
+@_recorded
+def cmd_predict(args):
     cfg = parse_config_file(args.config) if args.config else {}
     if "preset" in cfg:
         raise ConfigError(
@@ -510,15 +494,11 @@ def cmd_predict(args) -> int:
     crosstalk = model.factors[0] if args.with_decoherence else model
     prediction = predict_addressability(NoisyGateSet(model))
     prediction["gate_time_ns"] = crosstalk.params.gate_time * 1e9
-    out = _out_dir(args, "predict")
+    out = _out_dir(args)
     pred_path = out / "predictions.json"
     _dump_json(pred_path, prediction)
-    _write_manifest(
-        out, "predict", vars(args), cfg, None, started, {}, [pred_path]
-    )
     print(json.dumps(prediction, indent=2, sort_keys=True))
-    print(f"artifacts written to {out}")
-    return 0
+    return out, [pred_path], {"config": cfg}
 
 
 def cmd_verify(args) -> int:
@@ -535,7 +515,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_group(args) -> int:
-    out = _out_dir(args, "dump-group")
+    out = _out_dir(args)
     group = get_group(args.group)
     path = out / f"group_{args.group}.csv"
     dump_group_csv(group, path)

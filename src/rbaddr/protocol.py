@@ -392,79 +392,69 @@ def write_curves_csv(curves: list[SurvivalCurve], path) -> None:
                 )
 
 
-def _csv_rows(reader):
-    """The rows of a ``csv.reader``; a line it cannot split (a field past
-    its size limit) is a ValueError that names the line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
-
-
 def read_curves_csv(path) -> list[SurvivalCurve]:
     """Parse the curve CSV schema back into SurvivalCurve objects."""
-    rows: dict[tuple[str, str], list[tuple[int, float, float, int]]] = {}
-    first_line: dict[tuple[str, str, int], int] = {}
-    order: list[tuple[str, str]] = []
+    curves: dict[tuple[str, str], dict[int, tuple[int, float, float, int]]] = {}
     with open(path, newline="") as fh:
-        reader = _csv_rows(csv.reader(fh))
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"malformed CSV row at line {lineno}: {len(row)} fields, "
-                                 f"not {len(CSV_HEADER)}: {row}")
-            experiment, projection = row[0], row[1]
-            try:
-                m = int(row[2])
-                mean = float(row[3])
-                stderr = float(row[4])
-                k = int(row[5])
-            except ValueError as exc:
-                raise ValueError(f"malformed CSV row at line {lineno}: {row}") from exc
-            if m < 1:
-                raise ValueError(f"sequence length m={m} < 1 at line {lineno}")
-            if m > _MASK32:
-                raise ValueError(f"sequence length m >= 2**32 at line {lineno}")
-            if k < 2:
-                raise ValueError(f"sequence count K={k} < 2 at line {lineno}")
-            if not (math.isfinite(mean) and math.isfinite(stderr)):
-                raise ValueError(f"non-finite mean or stderr at line {lineno}")
-            if stderr <= 0:
-                raise ValueError(f"nonpositive stderr at line {lineno}")
-            if stderr * stderr == 0 or math.isinf(1 / (stderr * stderr)):
-                raise ValueError(f"stderr too small at line {lineno}: 1/stderr^2 overflows")
-            key = (experiment, projection)
-            if (*key, m) in first_line:
-                raise ValueError(
-                    f"duplicate m={m} for {experiment}/{projection} at line "
-                    f"{lineno} (first at line {first_line[(*key, m)]})"
-                )
-            first_line[(*key, m)] = lineno
-            if key not in rows:
-                rows[key] = []
-                order.append(key)
-            elif k != rows[key][0][3]:
-                raise ValueError(
-                    f"K={k} at line {lineno} differs from K={rows[key][0][3]} "
-                    f"earlier in {experiment}/{projection}"
-                )
-            rows[key].append((m, mean, stderr, k))
-    curves = []
-    for key in order:
-        entries = sorted(rows[key])
-        ms, means, errs, ks = zip(*entries)
-        curves.append(
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise ValueError(f"unexpected CSV header {header!r}")
+            for row in reader:
+                line = reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"malformed CSV row at line {line}: {len(row)} fields, "
+                                     f"not {len(CSV_HEADER)}: {row}")
+                experiment, projection = row[0], row[1]
+                try:
+                    m = int(row[2])
+                    mean = float(row[3])
+                    stderr = float(row[4])
+                    k = int(row[5])
+                except ValueError as exc:
+                    raise ValueError(f"malformed CSV row at line {line}: {row}") from exc
+                if m < 1:
+                    raise ValueError(f"sequence length m={m} < 1 at line {line}")
+                if m > _MASK32:
+                    raise ValueError(f"sequence length m >= 2**32 at line {line}")
+                if k < 2:
+                    raise ValueError(f"sequence count K={k} < 2 at line {line}")
+                if not (math.isfinite(mean) and math.isfinite(stderr)):
+                    raise ValueError(f"non-finite mean or stderr at line {line}")
+                if stderr <= 0:
+                    raise ValueError(f"nonpositive stderr at line {line}")
+                if stderr * stderr == 0 or math.isinf(1 / (stderr * stderr)):
+                    raise ValueError(f"stderr too small at line {line}: 1/stderr^2 overflows")
+                points = curves.setdefault((experiment, projection), {})
+                if m in points:
+                    raise ValueError(
+                        f"duplicate m={m} for {experiment}/{projection} at line "
+                        f"{line} (first at line {points[m][0]})"
+                    )
+                first_k = next(iter(points.values()))[3] if points else k
+                if k != first_k:
+                    raise ValueError(
+                        f"K={k} at line {line} differs from K={first_k} "
+                        f"earlier in {experiment}/{projection}"
+                    )
+                points[m] = (line, mean, stderr, k)
+        except csv.Error as exc:  # a field past its size limit
+            raise ValueError(f"malformed CSV at line {reader.line_num}: {exc}") from exc
+    out = []
+    for (experiment, projection), points in curves.items():
+        ms = sorted(points)
+        _, means, errs, ks = zip(*(points[m] for m in ms))
+        out.append(
             SurvivalCurve(
-                experiment=key[0],
-                projection=key[1],
+                experiment=experiment,
+                projection=projection,
                 m=np.array(ms),
                 mean=np.array(means),
                 stderr=np.array(errs),
-                K=int(ks[0]),
+                K=ks[0],
             )
         )
-    return curves
+    return out

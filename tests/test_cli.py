@@ -32,6 +32,9 @@ from rbaddr.noise import (
 )
 
 FAST_ARGS = ["--lengths", "1,2,4,8,16,32", "--K", "8"]
+MANIFEST_KEYS = {
+    "command", "args", "config", "seed", "toolkit_version", "timestamps", "inputs", "outputs",
+}
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 SAMPLE_A_DEVICE = (
@@ -61,6 +64,8 @@ def test_simulate_smoke(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert set(manifest["outputs"]) >= {"curves.csv", "fits.json", "report.json"}
+    assert manifest.keys() == MANIFEST_KEYS
+    assert set(manifest["outputs"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
 
 
 def test_simulate_ideal_near_zero_error(tmp_path):
@@ -217,6 +222,9 @@ def test_commands_hash_without_openssl(tmp_path):
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.keys() == MANIFEST_KEYS
+        assert manifest["command"] == argv[0]
+        assert set(manifest["outputs"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
         digests = {out / name: digest for name, digest in manifest["outputs"].items()}
         digests.update((Path(name), digest) for name, digest in manifest["inputs"].items())
         assert len(digests) == (1 if argv[0] == "predict" else 5)
@@ -539,7 +547,7 @@ def test_predict_sample_b_lists_missing(tmp_path, capsys):
     code = run_cli("predict", "--preset", "sample_b", "--out", str(tmp_path / "o"))
     assert code == 1
     err = capsys.readouterr().err
-    for name in ("zeta", "m12", "mu1"):
+    for name in ("sample_b", "zeta_mhz", "m12", "mu1"):
         assert name in err
 
 

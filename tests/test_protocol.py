@@ -972,3 +972,20 @@ def test_read_curves_rejects_bad_values(tmp_path, bad_row, message):
     )
     with pytest.raises(ValueError, match=rf"{message}.*line 5|line 5.*{message}"):
         read_curves_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("exp1,Q1,0,0.9,0.01,5\n", "m=0 < 1 at line 4$"),
+        ("exp1,Q1,2,0.9,0.01,5\nexp1,Q1,2,0.9,0.01,5\n",
+         r"duplicate m=2 for exp1/Q1 at line 5 \(first at line 4\)$"),
+    ],
+    ids=["m_zero", "duplicate_m"],
+)
+def test_read_curves_names_physical_lines(tmp_path, rows, message):
+    # the first record's quoted experiment holds a newline, so it spans lines 2 and 3
+    path = tmp_path / "bad.csv"
+    path.write_text('experiment,projection,m,mean,stderr,K\n"exp1\nx",Q1,1,0.95,0.01,5\n' + rows)
+    with pytest.raises(ValueError, match=message):
+        read_curves_csv(path)

@@ -176,8 +176,9 @@ def test_bench_ab_counts_the_suite_without_raising(tmp_path):
         "    assert False\n\n\n@pytest.mark.parametrize('word', ['two words'])\n"
         "def test_fails_too(word):\n    assert not word\n"
     )
-    run = bench_ab["pytest_run"](tmp_path)
+    run = bench_ab["pytest_run"](tmp_path, 12345)
     assert (run["passed"], run["failed"], run["returncode"], run["unit"]) == (1, 2, 1, "s")
+    assert run["hypothesis_seed"] == 12345
     assert run["failing"] == [
         "tests/test_one.py::test_fails", "tests/test_one.py::test_fails_too[two words]",
     ]
@@ -200,7 +201,8 @@ def test_bench_ab_records_the_source_lines_of_each_side(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_ab, "run_bench", lambda *args: json.loads(bench_line(30.0, 0.05)))
     monkeypatch.setattr(bench_ab, "verify_seconds", lambda checkout: 1.0)
     monkeypatch.setattr(bench_ab, "compiled_peak_rss_mb", lambda *args: 38.0)
-    monkeypatch.setattr(bench_ab, "pytest_run", lambda checkout: {})
+    monkeypatch.setattr(bench_ab, "pytest_run",
+                        lambda checkout, seed: {"checkout": checkout.name, "seed": seed})
     out = tmp_path / "bench.json"
     argv = ["--parent", "old", "--change", "new", "--workload", "fit_measured", "--pairs", "1"]
     assert bench_ab.main([*argv, "--out", str(out)]) == 0
@@ -208,6 +210,12 @@ def test_bench_ab_records_the_source_lines_of_each_side(tmp_path, monkeypatch):
         "parent": {"a.py": 2, "b.py": 2, "total": 4},
         "change": {"a.py": 1, "b.py": 2, "total": 3},
     }
+    # both sides' suites run under one seed, drawn anew by each call
+    runs = json.loads(out.read_text())["pytest_s"]
+    assert [runs[side]["checkout"] for side in ("parent", "change")] == ["parent", "change"]
+    assert runs["parent"]["seed"] == runs["change"]["seed"]
+    assert bench_ab.main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pytest_s"]["parent"]["seed"] != runs["parent"]["seed"]
 
 
 def test_verify_mutants_each_change_one_line_of_the_tree():
